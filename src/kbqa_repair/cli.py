@@ -20,7 +20,7 @@ from . import dataset as ds
 from . import kb as kbmod
 from . import metrics, pipeline
 from .gateway import GatewayError, HttpGateway, MockGateway, MockMiss
-from .query import Literal, LogicalForm
+from .query import LogicalForm
 from .retrieval import RetrievalCaps, retrieve_lexical
 from .verifiers import VerifierSuite, run_suite
 
@@ -211,7 +211,6 @@ def cmd_run(args) -> int:
         "answerable_mode": cfg.answerable_mode,
         "workers": args.workers if args.workers is not None else 1,
         "config": args.config,
-        "seed": args.seed,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -233,31 +232,12 @@ def cmd_run(args) -> int:
 
 def _load_predictions(path: str) -> list[tuple[LogicalForm, frozenset | None]]:
     predictions = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise kbmod.FormatError(f"invalid JSON: {err.msg}", lineno) from err
-            lf_text = record["lf"]
-            lf = LogicalForm.nk() if lf_text == "NK" else LogicalForm.from_text(
-                record.get("dialect", "sparql"), lf_text
-            )
-            raw = record["answer"]
-            if raw == "NA":
-                answer = None
-            else:
-                values = []
-                for item in raw:
-                    if isinstance(item, dict):
-                        values.append(Literal(item["literal"], item.get("type", "string")))
-                    else:
-                        values.append(item)
-                answer = frozenset(values)
-            predictions.append((lf, answer))
+    for lineno, record in kbmod.read_jsonl(path):
+        try:
+            lf = LogicalForm.from_text(record.get("dialect", "sparql"), record["lf"])
+            predictions.append((lf, ds.answer_from_json(record["answer"])))
+        except (KeyError, ValueError, TypeError, AttributeError) as err:
+            raise kbmod.FormatError(f"bad prediction record: {err!r}", lineno) from err
     return predictions
 
 
@@ -289,7 +269,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     kb = _load_kb(args)
-    lf = LogicalForm.nk() if args.lf.strip() == "NK" else LogicalForm.from_text(args.dialect, args.lf)
+    lf = LogicalForm.from_text(args.dialect, args.lf)
     entities = []
     for item in args.entity or []:
         mention, _, eid = item.partition("=")
@@ -310,7 +290,7 @@ def cmd_verify(args) -> int:
         if verdict.feedback:
             print(f"    {verdict.feedback}")
     if result.answer is not None:
-        print(f"answer: {pipeline._answer_json(result.answer)}")
+        print(f"answer: {ds.answer_to_json(result.answer)}")
     return 0 if result.all_pass else 1
 
 
@@ -319,7 +299,7 @@ class _NoGateway(Exception):
 
 
 class _RefusingGateway:
-    def complete(self, conversation):
+    def complete(self, conversation, purpose="generate"):
         raise _NoGateway()
 
 
@@ -330,12 +310,7 @@ class _RefusingGateway:
 def cmd_trace_show(args) -> int:
     if not Path(args.trace).exists():
         raise FatalError(f"trace file not found: {args.trace}")
-    traces = []
-    with open(args.trace, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                traces.append(json.loads(line))
+    traces = [record for _, record in kbmod.read_jsonl(args.trace)]
     if args.index is not None:
         if not 0 <= args.index < len(traces):
             raise FatalError(f"--index {args.index} out of range (0..{len(traces) - 1})")
@@ -422,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-iter", type=int, dest="n_iter")
     p.add_argument("--answerable-mode", action="store_true")
     p.add_argument("--workers", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 

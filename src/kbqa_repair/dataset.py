@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .executor import execute, execute_bindings
-from .kb import DeletionPlan, FormatError, KnowledgeBase, delete_elements, validate_plan
+from .kb import DeletionPlan, FormatError, KnowledgeBase, delete_elements, read_jsonl, validate_plan
 from .query import (
     Literal,
     LogicalForm,
@@ -80,7 +80,7 @@ class DatasetSplit:
 # Wire shape (JSON Lines)
 # ---------------------------------------------------------------------------
 
-def _answer_to_json(answer: frozenset | None):
+def answer_to_json(answer: frozenset | None):
     if answer is None:
         return "NA"
     entities = sorted(v for v in answer if isinstance(v, str))
@@ -90,7 +90,7 @@ def _answer_to_json(answer: frozenset | None):
     return entities + [{"literal": l.value, "type": l.datatype} for l in literals]
 
 
-def _answer_from_json(doc) -> frozenset | None:
+def answer_from_json(doc) -> frozenset | None:
     if doc == "NA":
         return None
     values = []
@@ -111,8 +111,8 @@ def example_to_record(example: QAExample) -> dict:
         "question": example.question,
         "linked_entities": [{"mention": m, "id": eid} for m, eid in example.linked_entities],
         "gold_lf": gold_lf,
-        "gold_answer": _answer_to_json(example.gold_answer),
-        "complete_kb_answer": _answer_to_json(example.complete_kb_answer) if example.complete_kb_answer is not None else [],
+        "gold_answer": answer_to_json(example.gold_answer),
+        "complete_kb_answer": answer_to_json(example.complete_kb_answer) if example.complete_kb_answer is not None else [],
         "label": example.label,
         "category": example.category,
     }
@@ -131,8 +131,8 @@ def record_to_example(record: dict, line: int | None = None) -> QAExample:
                 (item["mention"], item["id"]) for item in record.get("linked_entities", [])
             ),
             gold_lf=gold_lf,
-            gold_answer=_answer_from_json(record["gold_answer"]),
-            complete_kb_answer=_answer_from_json(record.get("complete_kb_answer", [])),
+            gold_answer=answer_from_json(record["gold_answer"]),
+            complete_kb_answer=answer_from_json(record.get("complete_kb_answer", [])),
             label=record.get("label", "answerable"),
             category=record.get("category", "n/a"),
         )
@@ -143,18 +143,8 @@ def record_to_example(record: dict, line: int | None = None) -> QAExample:
 
 
 def load_split(path: str, name: str = "test") -> DatasetSplit:
-    examples = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise FormatError(f"invalid JSON: {err.msg}", lineno) from err
-            examples.append(record_to_example(record, lineno))
-    return DatasetSplit(name, tuple(examples))
+    examples = tuple(record_to_example(record, lineno) for lineno, record in read_jsonl(path))
+    return DatasetSplit(name, examples)
 
 
 def save_split(split: DatasetSplit, path: str) -> None:
@@ -193,37 +183,22 @@ def _relabel(kb: KnowledgeBase, kb2: KnowledgeBase, example: QAExample) -> QAExa
     complete = execute(kb, example.gold_lf.canonical)
     q = example.gold_lf.canonical
 
-    missing_classes = sorted(c for c in extract_classes(q) if not kb2.has_class(c))
-    missing_relations = sorted(r for r in extract_relations(q) if not kb2.has_relation(r))
     mentioned = {eid for _, eid in example.linked_entities} | extract_entities(q)
-    missing_linked = sorted(eid for eid in mentioned if not kb2.has_entity(eid))
-    if missing_classes:
-        return replace(
-            example,
-            gold_lf=LogicalForm.nk(),
-            gold_answer=None,
-            complete_kb_answer=complete,
-            label="schema-unans",
-            category="missing-class",
-        )
-    if missing_relations:
-        return replace(
-            example,
-            gold_lf=LogicalForm.nk(),
-            gold_answer=None,
-            complete_kb_answer=complete,
-            label="schema-unans",
-            category="missing-relation",
-        )
-    if missing_linked:
-        return replace(
-            example,
-            gold_lf=LogicalForm.nk(),
-            gold_answer=None,
-            complete_kb_answer=complete,
-            label="schema-unans",
-            category="missing-topic-entity",
-        )
+    schema_checks = (
+        ("missing-class", extract_classes(q), kb2.has_class),
+        ("missing-relation", extract_relations(q), kb2.has_relation),
+        ("missing-topic-entity", mentioned, kb2.has_entity),
+    )
+    for category, ids, present in schema_checks:
+        if not all(present(i) for i in ids):
+            return replace(
+                example,
+                gold_lf=LogicalForm.nk(),
+                gold_answer=None,
+                complete_kb_answer=complete,
+                label="schema-unans",
+                category=category,
+            )
 
     answer = execute(kb2, q)
     if answer:

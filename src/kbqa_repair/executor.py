@@ -110,7 +110,8 @@ def _match_pattern(kb: KnowledgeBase, pattern: Pattern, binding: dict) -> list[d
     return out
 
 
-def _satisfying_bindings(kb: KnowledgeBase, q: CanonicalQuery) -> list[dict]:
+def execute_bindings(kb: KnowledgeBase, q: CanonicalQuery) -> list[dict]:
+    """All satisfying variable assignments (pre-aggregation, pre-projection)."""
     bindings = [{}]
     for pattern in q.patterns:
         next_bindings = []
@@ -170,16 +171,11 @@ def _aggregate(kb: KnowledgeBase, q: CanonicalQuery, projected: set) -> frozense
 
 def execute(kb: KnowledgeBase, q: CanonicalQuery) -> frozenset:
     """Answer set for q over kb; set semantics, aggregates applied last."""
-    bindings = _satisfying_bindings(kb, q)
+    bindings = execute_bindings(kb, q)
     projected = {b[q.projection] for b in bindings}
     if q.aggregate is not None:
         return _aggregate(kb, q, projected)
     return frozenset(projected)
-
-
-def execute_bindings(kb: KnowledgeBase, q: CanonicalQuery) -> list[dict]:
-    """All satisfying variable assignments (pre-aggregation, pre-projection)."""
-    return _satisfying_bindings(kb, q)
 
 
 # ---------------------------------------------------------------------------

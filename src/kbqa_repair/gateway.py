@@ -23,9 +23,6 @@ class Message:
     text: str
 
 
-Conversation = list
-
-
 def user(text: str) -> Message:
     return Message("user", text)
 
@@ -47,14 +44,18 @@ class MockMiss(Exception):
 
 
 class GenerationGateway:
-    """Interface: ``complete(conversation) -> assistant text``."""
+    """Interface: ``complete(conversation, purpose) -> assistant text``.
+
+    ``purpose`` names why the call is made (generate, v3-naturalize,
+    v3-backtranslate, v3-equivalence or scun-select); backends ignore it.
+    """
 
     def __init__(self):
         self.call_count = 0
         self.chars_in = 0
         self.chars_out = 0
 
-    def complete(self, conversation: list[Message]) -> str:
+    def complete(self, conversation: list[Message], purpose: str = "generate") -> str:
         if not conversation:
             raise ValueError("conversation must be non-empty")
         reply = self._complete(conversation)
@@ -180,24 +181,25 @@ class HttpGateway(GenerationGateway):
             if response.status_code != 200:
                 raise GatewayError("protocol", f"endpoint returned {response.status_code}")
             try:
-                doc = response.json()
-                return doc["choices"][0]["message"]["content"]
+                content = response.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as err:
                 raise GatewayError("protocol", f"malformed completion response: {err}") from err
+            if not isinstance(content, str):
+                kind = type(content).__name__
+                raise GatewayError("protocol", f"completion content is {kind}, not text")
+            return content
         raise last_error
 
 
-class RecordingGateway(GenerationGateway):
+class RecordingGateway:
     """Wraps a gateway and records (purpose, prompt, reply) per call."""
 
     def __init__(self, inner: GenerationGateway):
-        super().__init__()
         self.inner = inner
         self.log: list[dict] = []
-        self.purpose = "generate"
 
-    def _complete(self, conversation: list[Message]) -> str:
+    def complete(self, conversation: list[Message], purpose: str = "generate") -> str:
+        reply = self.inner.complete(conversation, purpose)
         prompt = next(m.text for m in reversed(conversation) if m.role == "user")
-        reply = self.inner.complete(conversation)
-        self.log.append({"purpose": self.purpose, "prompt": prompt, "reply": reply})
+        self.log.append({"purpose": purpose, "prompt": prompt, "reply": reply})
         return reply

@@ -134,16 +134,6 @@ class KnowledgeBase:
         ent = self.entities.get(eid)
         return ent.classes if ent is not None else frozenset()
 
-    def lookup(self, some_id: str):
-        """Return ("class"|"relation"|"entity", definition) or None."""
-        if some_id in self.classes:
-            return ("class", self.classes[some_id])
-        if some_id in self.relations:
-            return ("relation", self.relations[some_id])
-        if some_id in self.entities:
-            return ("entity", self.entities[some_id])
-        return None
-
     def label_of(self, eid: str) -> str:
         ent = self.entities.get(eid)
         return ent.label if ent is not None and ent.label else eid
@@ -249,9 +239,8 @@ def _parse_object(obj: dict, line: int) -> str | Literal:
     raise FormatError("fact object must be {entity: id} or {literal, type}", line)
 
 
-def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
-    entities: list[Entity] = []
-    facts: list[Fact] = []
+def read_jsonl(path: str):
+    """Yield (line number, record) for each non-blank line of a JSON Lines file."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -261,16 +250,23 @@ def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise FormatError(f"invalid JSON: {err.msg}", lineno) from err
-            if "id" in record:
-                entities.append(
-                    Entity(record["id"], record.get("label", ""), frozenset(record.get("classes", [])))
-                )
-            elif "s" in record:
-                if "r" not in record or "o" not in record:
-                    raise FormatError("fact record needs s, r and o", lineno)
-                facts.append(Fact(record["s"], record["r"], _parse_object(record["o"], lineno)))
-            else:
-                raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)
+            yield lineno, record
+
+
+def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
+    entities: list[Entity] = []
+    facts: list[Fact] = []
+    for lineno, record in read_jsonl(path):
+        if "id" in record:
+            entities.append(
+                Entity(record["id"], record.get("label", ""), frozenset(record.get("classes", [])))
+            )
+        elif "s" in record:
+            if "r" not in record or "o" not in record:
+                raise FormatError("fact record needs s, r and o", lineno)
+            facts.append(Fact(record["s"], record["r"], _parse_object(record["o"], lineno)))
+        else:
+            raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)
     return entities, facts
 
 
@@ -296,14 +292,15 @@ def save_kb(kb: KnowledgeBase, schema_path: str, data_path: str) -> None:
             record = {"id": ent.id, "label": ent.label, "classes": sorted(ent.classes)}
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
         for fact in kb.facts:
-            if fact.obj_is_literal:
-                obj = {"literal": fact.obj.value, "type": fact.obj.datatype}
-            else:
-                obj = {"entity": fact.obj}
-            handle.write(
-                json.dumps({"s": fact.subject, "r": fact.relation, "o": obj}, ensure_ascii=False)
-                + "\n"
-            )
+            handle.write(json.dumps(_fact_to_json(fact), ensure_ascii=False) + "\n")
+
+
+def _fact_to_json(fact: Fact) -> dict:
+    if fact.obj_is_literal:
+        obj = {"literal": fact.obj.value, "type": fact.obj.datatype}
+    else:
+        obj = {"entity": fact.obj}
+    return {"s": fact.subject, "r": fact.relation, "o": obj}
 
 
 def load_plan(path: str) -> DeletionPlan:
@@ -332,19 +329,11 @@ def save_plan(plan: DeletionPlan, path: str) -> None:
 
 
 def plan_to_json(plan: DeletionPlan) -> dict:
-    facts = []
-    for f in plan.facts:
-        obj = (
-            {"literal": f.obj.value, "type": f.obj.datatype}
-            if f.obj_is_literal
-            else {"entity": f.obj}
-        )
-        facts.append({"s": f.subject, "r": f.relation, "o": obj})
     doc = {
         "classes": list(plan.classes),
         "relations": list(plan.relations),
         "entities": list(plan.entities),
-        "facts": facts,
+        "facts": [_fact_to_json(f) for f in plan.facts],
     }
     if plan.seed is not None:
         doc["seed"] = plan.seed

@@ -16,11 +16,11 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .dataset import DatasetSplit, QAExample
+from .dataset import DatasetSplit, QAExample, answer_to_json
 from .gateway import GatewayError, GenerationGateway, Message, RecordingGateway, assistant, user
 from .kb import KnowledgeBase
 from .prompts import render_prompt
-from .query import Literal, LogicalForm
+from .query import LogicalForm
 from .retrieval import RetrievalCaps, RetrievalContext, render_context_fields, retrieve_union
 from .verifiers import VerifierSuite, run_suite
 
@@ -29,7 +29,6 @@ from .verifiers import VerifierSuite, run_suite
 class Candidate:
     lf: LogicalForm
     answer: frozenset
-    weak_profile: tuple[tuple[str, bool], ...]
     back_translation: str | None
     iteration: int
 
@@ -67,16 +66,6 @@ class FunResult:
     candidates: list[Candidate]
     iterations: list[dict]
     error: str | None = None
-
-
-def _answer_json(answer: frozenset | None):
-    if answer is None:
-        return "NA"
-    entities = sorted(v for v in answer if isinstance(v, str))
-    literals = sorted(
-        (v for v in answer if isinstance(v, Literal)), key=lambda l: (l.datatype, str(l.value))
-    )
-    return entities + [{"literal": l.value, "type": l.datatype} for l in literals]
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +157,14 @@ def fun(
                 }
                 for v in result.verdicts
             ],
-            "answer": _answer_json(result.answer) if result.answer is not None else None,
+            "answer": answer_to_json(result.answer) if result.answer is not None else None,
             "admitted": False,
             "all_pass": False,
             "back_translation": result.back_translation,
         }
         iterations.append(record)
 
-        if result.strong_failure is None and not result.weak_failures:
+        if result.all_pass:
             record["all_pass"] = True
             return FunResult(True, lf, result.answer, candidates, iterations)
 
@@ -184,15 +173,7 @@ def fun(
         else:
             if result.weak_passes:
                 record["admitted"] = True
-                candidates.append(
-                    Candidate(
-                        lf=lf,
-                        answer=result.answer,
-                        weak_profile=tuple(sorted(result.weak_profile().items())),
-                        back_translation=result.back_translation,
-                        iteration=iteration,
-                    )
-                )
+                candidates.append(Candidate(lf, result.answer, result.back_translation, iteration))
             feedback_texts = [v.feedback for v in result.weak_failures]
 
         if iteration == cfg.n + 1:
@@ -231,9 +212,7 @@ def select_best(
         {"question": question, "options": options, "count": len(candidates)},
         templates_dir,
     )
-    _set_purpose(gateway, "scun-select")
-    reply = gateway.complete([user(prompt)])
-    _set_purpose(gateway, "generate")
+    reply = gateway.complete([user(prompt)], "scun-select")
     match = re.search(r"\d+", reply)
     if match:
         index = int(match.group())
@@ -241,11 +220,6 @@ def select_best(
             return candidates[index - 1], False
     earliest = min(candidates, key=lambda c: c.iteration)
     return earliest, True
-
-
-def _set_purpose(gateway: GenerationGateway, purpose: str) -> None:
-    if hasattr(gateway, "purpose"):
-        gateway.purpose = purpose
 
 
 def scun(
@@ -336,7 +310,7 @@ def run_question(
     trace["llm"] = recorder.log
     trace["outcome"] = {
         "lf": "NK" if lf.is_nk else lf.surface,
-        "answer": _answer_json(answer),
+        "answer": answer_to_json(answer),
         "confident": trace.get("confident", False),
     }
     if error:

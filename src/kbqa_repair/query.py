@@ -369,16 +369,10 @@ class _SparqlParser:
         if tok.kind == "id":
             self.next()
             return cls(tok.text[3:]) if typed else entity(tok.text[3:])
-        if position == "object":
-            if tok.kind == "number":
-                self.next()
-                return lit(*_number(tok.text))
-            if tok.kind == "date":
-                self.next()
-                return lit(tok.text[1:11], "date")
-            if tok.kind == "string":
-                self.next()
-                return lit(json.loads(tok.text), "string")
+        literal = _literal(tok) if position == "object" else None
+        if literal is not None:
+            self.next()
+            return Term("literal", None, literal)
         self.fail(f"expected a {position} term, found {tok.text or 'end of input'!r}")
 
     def _filter(self) -> Filter:
@@ -389,26 +383,26 @@ class _SparqlParser:
             self.fail(f"expected a comparator, found {tok.text!r}")
         self.next()
         op = tok.text
-        value = self.peek()
-        if value.kind == "number":
-            self.next()
-            literal = Literal(*_number(value.text))
-        elif value.kind == "date":
-            self.next()
-            literal = Literal(value.text[1:11], "date")
-        elif value.kind == "string":
-            self.next()
-            literal = Literal(json.loads(value.text), "string")
-        else:
-            self.fail(f"expected a literal in FILTER, found {value.text!r}")
+        literal = _literal(self.peek())
+        if literal is None:
+            self.fail(f"expected a literal in FILTER, found {self.peek().text!r}")
+        self.next()
         self.expect_punct(")")
         return Filter(variable, op, literal)
 
 
-def _number(text: str) -> tuple[object, str]:
-    if "." in text:
-        return float(text), "float"
-    return int(text), "integer"
+def _literal(tok: _Tok) -> Literal | None:
+    """The literal a number, date or string token denotes (both dialects);
+    None for any other token."""
+    if tok.kind == "number":
+        if "." in tok.text:
+            return Literal(float(tok.text), "float")
+        return Literal(int(tok.text), "integer")
+    if tok.kind == "date":
+        return Literal(tok.text[1:11], "date")
+    if tok.kind == "string":
+        return Literal(json.loads(tok.text), "string")
+    return None
 
 
 def parse_sparql(text: str) -> CanonicalQuery:
@@ -429,7 +423,8 @@ def render_sparql(q: CanonicalQuery) -> str:
         head += f"?{q.projection}"
     parts = [" . ".join(_render_sparql_pattern(p) for p in q.patterns)]
     for f in q.filters:
-        parts.append(f"FILTER(?{f.variable} {f.op} {_render_sparql_literal(f.literal)})")
+        value = _render_literal(f.literal, "xsd:date")
+        parts.append(f"FILTER(?{f.variable} {f.op} {value})")
     body = " . ".join(part for part in parts if part)
     return f"{head} WHERE {{ {body} }}"
 
@@ -442,15 +437,16 @@ def _render_sparql_term(term: Term) -> str:
     if term.kind == "var":
         return f"?{term.value}"
     if term.kind == "literal":
-        return _render_sparql_literal(term.literal)
+        return _render_literal(term.literal, "xsd:date")
     return f"ns:{term.value}"
 
 
-def _render_sparql_literal(literal: Literal) -> str:
+def _render_literal(literal: Literal, date_type: str) -> str:
+    """Literal text shared by both dialects; they differ only in the date tag."""
     if literal.datatype in ("integer", "float"):
         return str(literal.value)
     if literal.datatype == "date":
-        return f'"{literal.value}"^^xsd:date'
+        return f'"{literal.value}"^^{date_type}'
     return json.dumps(literal.value)
 
 
@@ -501,13 +497,8 @@ def _read_sexpr(tokens: list[_Tok], i: int) -> tuple[object, int]:
             items.append(item)
     if tok.kind == "close":
         raise QuerySyntaxError("unexpected ')'", tok.pos)
-    if tok.kind == "number":
-        return Literal(*_number(tok.text)), i + 1
-    if tok.kind == "date":
-        return Literal(tok.text[1:11], "date"), i + 1
-    if tok.kind == "string":
-        return Literal(json.loads(tok.text), "string"), i + 1
-    return tok.text, i + 1
+    literal = _literal(tok)
+    return (tok.text if literal is None else literal), i + 1
 
 
 _MID_RE = re.compile(r"^[mg]\.")
@@ -686,7 +677,7 @@ def render_sexpr(q: CanonicalQuery) -> str:
         if term.kind == "entity":
             return term.value
         if term.kind == "literal":
-            return _render_sexpr_literal(term.literal)
+            return _render_literal(term.literal, "date")
         raise UnsupportedQuery(f"cannot render {term.kind} term as an s-expression leaf")
 
     def comparator_part(name: str, idx: int, pattern: Pattern) -> str | None:
@@ -703,7 +694,8 @@ def render_sexpr(q: CanonicalQuery) -> str:
             return None
         consumed.add(idx)
         consumed_filters.add(id(f))
-        return f"({op_name} {p.value} {_render_sexpr_literal(f.literal)})"
+        value = _render_literal(f.literal, "date")
+        return f"({op_name} {p.value} {value})"
 
     def expr_for(name: str) -> str:
         parts: list[str] = []
@@ -745,14 +737,6 @@ def render_sexpr(q: CanonicalQuery) -> str:
     return body
 
 
-def _render_sexpr_literal(literal: Literal) -> str:
-    if literal.datatype in ("integer", "float"):
-        return str(literal.value)
-    if literal.datatype == "date":
-        return f'"{literal.value}"^^date'
-    return json.dumps(literal.value)
-
-
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
@@ -762,14 +746,6 @@ def parse(text: str, dialect: str) -> CanonicalQuery:
         return parse_sparql(text)
     if dialect == "sexpr":
         return parse_sexpr(text)
-    raise ValueError(f"unknown dialect {dialect!r}")
-
-
-def render(q: CanonicalQuery, dialect: str) -> str:
-    if dialect == "sparql":
-        return render_sparql(q)
-    if dialect == "sexpr":
-        return render_sexpr(q)
     raise ValueError(f"unknown dialect {dialect!r}")
 
 

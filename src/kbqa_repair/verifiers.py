@@ -20,17 +20,6 @@ from .query import Literal, LogicalForm, Term
 STRONG = "strong"
 WEAK = "weak"
 
-VERIFIER_STRENGTH = {
-    "V1": STRONG,
-    "V2a": STRONG,
-    "V2b": STRONG,
-    "V2c": STRONG,
-    "V3": WEAK,
-    "V4a": STRONG,
-    "V4a-int": STRONG,
-    "V4b": WEAK,  # strong in answerable mode
-}
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -49,25 +38,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class VerifierSuite:
-    """Ordering of the checks; answerable mode moves V4b into the strong set."""
+    """Settings of the checks; answerable mode moves V4b into the strong set."""
 
     answerable_mode: bool = False
     mediator_classes: frozenset = frozenset()
     templates_dir: str | None = None
-
-    @property
-    def strong_order(self) -> tuple[str, ...]:
-        base = ("V1", "V2a", "V2b", "V2c", "V4a", "V4a-int")
-        return (base + ("V4b",)) if self.answerable_mode else base
-
-    @property
-    def weak_order(self) -> tuple[str, ...]:
-        return ("V3",) if self.answerable_mode else ("V3", "V4b")
-
-    def strength_of(self, verifier_id: str) -> str:
-        if verifier_id == "V4b" and self.answerable_mode:
-            return STRONG
-        return VERIFIER_STRENGTH[verifier_id]
 
 
 def _kb_inconsistency(description: str, templates_dir: str | None) -> str:
@@ -304,23 +279,18 @@ def v3_question_lf_agreement(
     skipped.  Gateway failures propagate.
     """
     naturalize = render_prompt("v3-naturalize", {"sparql": lf.surface}, templates_dir)
-    _set_purpose(gateway, "v3-naturalize")
-    naturalized = gateway.complete([user(naturalize)]).strip()
+    naturalized = gateway.complete([user(naturalize)], "v3-naturalize").strip()
 
     backtranslate = render_prompt("v3-backtranslate", {"sparql": naturalized}, templates_dir)
-    _set_purpose(gateway, "v3-backtranslate")
-    back_translation = gateway.complete([user(backtranslate)]).strip()
+    back_translation = gateway.complete([user(backtranslate)], "v3-backtranslate").strip()
 
     if back_translation == question.strip():
-        _set_purpose(gateway, "generate")
         return Verdict("V3", WEAK, True, payload=back_translation)
 
     prompt = render_prompt(
         "v3-equivalence", {"answered": back_translation, "asked": question}, templates_dir
     )
-    _set_purpose(gateway, "v3-equivalence")
-    reply = gateway.complete([user(prompt)])
-    _set_purpose(gateway, "generate")
+    reply = gateway.complete([user(prompt)], "v3-equivalence")
     same = reply.rfind("they are same")
     different = reply.rfind("they are different")
     if same > different:
@@ -329,11 +299,6 @@ def v3_question_lf_agreement(
         "fb-qlf-disagreement", {"answered": back_translation, "asked": question}, templates_dir
     )
     return Verdict("V3", WEAK, False, feedback, payload=back_translation)
-
-
-def _set_purpose(gateway: GenerationGateway, purpose: str) -> None:
-    if hasattr(gateway, "purpose"):
-        gateway.purpose = purpose
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +336,7 @@ def v4_answer_consistency(
     else:
         v4a_int = Verdict("V4a-int", STRONG, True)
 
-    v4b_strength = suite.strength_of("V4b")
+    v4b_strength = STRONG if suite.answerable_mode else WEAK
     if not answer:
         feedback = render_prompt("fb-empty-answer", {}, templates_dir)
         v4b = Verdict("V4b", v4b_strength, False, feedback)
@@ -396,12 +361,6 @@ class SuiteResult:
     @property
     def all_pass(self) -> bool:
         return self.strong_failure is None and not self.weak_failures
-
-    def weak_profile(self) -> dict[str, bool]:
-        weak = {}
-        for v in self.weak_failures + self.weak_passes:
-            weak[v.verifier_id] = v.passed
-        return weak
 
 
 def run_suite(

@@ -197,7 +197,7 @@ def test_criterion_4_verifier_properties():
 
 def _pool_candidate(i: int, answer: set) -> Candidate:
     lf = LogicalForm.from_text("sparql", f"SELECT ?x WHERE {{ ?x ns:rel.r{i} ns:m.01 }}")
-    return Candidate(lf, frozenset(answer), (("V3", False), ("V4b", True)), f"paraphrase {i}?", i)
+    return Candidate(lf, frozenset(answer), f"paraphrase {i}?", i)
 
 
 def test_criterion_5_scun_threshold_suite():

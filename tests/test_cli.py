@@ -172,3 +172,20 @@ def test_trace_show(tmp_path, capsys):
     assert run_cli("trace", "show", "--trace", tmp_path / "out" / "traces.jsonl", "--index", "0") == 0
     shown = capsys.readouterr().out
     assert "iteration 1" in shown and "no-consensus" in shown
+
+
+def test_trace_show_bad_line_exits_2(tmp_path, capsys):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text('{"question": "q?"}\n{not json\n')
+    assert run_cli("trace", "show", "--trace", traces) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: invalid JSON")
+
+
+def test_eval_prediction_without_lf_exits_2(tmp_path, capsys):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"lf": "NK", "answer": "NA"}\n{"answer": "NA", "confident": false}\n')
+    assert run_cli(
+        "eval", "--kb", FIG1 / "kb3", "--pred", pred, "--gold", FIG1 / "dataset_kb3.jsonl",
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: bad prediction record") and "'lf'" in err

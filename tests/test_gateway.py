@@ -4,6 +4,8 @@ import threading
 
 import pytest
 
+from conftest import FIXTURES
+from kbqa_repair.dataset import load_split
 from kbqa_repair.gateway import (
     GatewayError,
     HttpGateway,
@@ -13,6 +15,8 @@ from kbqa_repair.gateway import (
     assistant,
     user,
 )
+from kbqa_repair.pipeline import FunConfig, run_question
+from kbqa_repair.retrieval import retrieve_lexical
 
 
 def test_mock_exact_beats_substring():
@@ -88,11 +92,14 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture
 def http_server():
     server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     _Handler.calls = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat"
     server.shutdown()
+    server.server_close()
 
 
 def _completion(text):
@@ -114,11 +121,20 @@ def test_http_payload_shape_and_reply(http_server, monkeypatch):
     assert conv == [user("hi there")]  # conversation not mutated
 
 
-def test_http_retries_transient_then_succeeds(http_server):
+@pytest.fixture
+def backoff(monkeypatch):
+    """Record the retry sleeps instead of sleeping."""
+    slept = []
+    monkeypatch.setattr("kbqa_repair.gateway.time.sleep", slept.append)
+    return slept
+
+
+def test_http_retries_transient_then_succeeds(http_server, backoff):
     _Handler.script = [(500, None), (429, None), (200, _completion("ok"))]
     gw = HttpGateway(http_server, "m", max_retries=3)
     assert gw.complete([user("x")]) == "ok"
     assert len(_Handler.calls) == 3
+    assert backoff == [0.5, 1.0]
 
 
 def test_http_auth_failure_does_not_retry(http_server):
@@ -130,10 +146,24 @@ def test_http_auth_failure_does_not_retry(http_server):
     assert len(_Handler.calls) == 1
 
 
-def test_http_rate_limit_exhausts_retries(http_server):
+def test_http_rate_limit_exhausts_retries(http_server, backoff):
     _Handler.script = [(429, None)]
     gw = HttpGateway(http_server, "m", max_retries=1)
     with pytest.raises(GatewayError) as err:
         gw.complete([user("x")])
     assert err.value.kind == "rate-limit"
     assert len(_Handler.calls) == 2
+    assert backoff == [0.5]
+
+
+def test_http_null_content_is_a_protocol_error(http_server, fig1_kb3):
+    _Handler.script = [(200, _completion(None))]
+    gw = HttpGateway(http_server, "m", max_retries=0)
+    with pytest.raises(GatewayError) as err:
+        gw.complete([user("x")])
+    assert err.value.kind == "protocol"
+
+    example = load_split(str(FIXTURES / "fig1/dataset_kb3.jsonl")).examples[0]
+    outcome = run_question(gw, fig1_kb3, [retrieve_lexical], example, FunConfig(n=3))
+    assert outcome.error and outcome.error.startswith("protocol")
+    assert outcome.lf.is_nk and outcome.answer is None

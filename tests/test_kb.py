@@ -85,9 +85,6 @@ def test_load_data_format_error_carries_line(tmp_path):
 
 
 def test_lookup_is_total(fig1_kb3):
-    kind, definition = fig1_kb3.lookup("book.author.publisher")
-    assert kind == "relation" and definition.range == "book.publisher"
-    assert fig1_kb3.lookup("no.such.id") is None
     assert fig1_kb3.entity_classes("no.such.id") == frozenset()
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import FIXTURES
 from kbqa_repair.dataset import QAExample, load_split
-from kbqa_repair.gateway import Matcher, MockGateway
+from kbqa_repair.gateway import Matcher, MockGateway, RecordingGateway
+from kbqa_repair.kb import load_kb
 from kbqa_repair.pipeline import (
     Candidate,
     FunConfig,
@@ -23,7 +24,7 @@ from kbqa_repair.retrieval import RetrievalContext, retrieve_lexical
 
 def candidate(i, answer, bt="restated?"):
     lf = LogicalForm.from_text("sparql", f"SELECT ?x WHERE {{ ?x ns:rel.r{i} ns:m.01 }}")
-    return Candidate(lf, frozenset(answer), (("V3", False), ("V4b", True)), bt, i)
+    return Candidate(lf, frozenset(answer), bt, i)
 
 
 def pick_first_gateway():
@@ -393,3 +394,40 @@ def test_trace_replay_byte_identical(fig1_kb2):
         outcome = run_question(gw, fig1_kb2, [retrieve_lexical], example, FunConfig(n=3))
         runs.append(json.dumps(outcome.trace, sort_keys=True))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# why each LLM call is made
+# ---------------------------------------------------------------------------
+
+_GEN_AND_V3 = ["generate", "v3-naturalize", "v3-backtranslate"]
+_FIG1_KB3_PURPOSES = ["generate"] + _GEN_AND_V3 + ["v3-equivalence"] + _GEN_AND_V3
+
+
+@pytest.mark.parametrize(
+    "name, purposes",
+    [
+        ("kb3", _FIG1_KB3_PURPOSES),
+        ("kb2", _FIG1_KB3_PURPOSES + _GEN_AND_V3 + ["v3-equivalence"]),
+        ("kb1", _FIG1_KB3_PURPOSES + ["v3-equivalence"] + _GEN_AND_V3 + ["v3-equivalence"]),
+    ],
+)
+def test_llm_call_purposes_fig1(name, purposes):
+    kb = load_kb(str(FIXTURES / f"fig1/{name}/schema.json"), str(FIXTURES / f"fig1/{name}/data.jsonl"))
+    gw = MockGateway.from_file(str(FIXTURES / "fig1/mock.json"))
+    outcome = run_question(gw, kb, [retrieve_lexical], fig1_example(name), FunConfig(n=3))
+    assert [c["purpose"] for c in outcome.trace["llm"]] == purposes
+
+
+def test_llm_call_purposes_a13(a13_kb):
+    example = load_split(str(FIXTURES / "a13/dataset.jsonl")).examples[0]
+    gw = MockGateway.from_file(str(FIXTURES / "a13/mock.json"))
+    outcome = run_question(gw, a13_kb, [retrieve_lexical], example, FunConfig())
+    assert [c["purpose"] for c in outcome.trace["llm"]] == _FIG1_KB3_PURPOSES
+
+
+def test_select_best_call_purpose():
+    recorder = RecordingGateway(pick_first_gateway())
+    pool = [candidate(1, {"m.a"}), candidate(2, {"m.b"}), candidate(3, {"m.c"})]
+    select_best(recorder, "q?", pool)
+    assert [c["purpose"] for c in recorder.log] == ["scun-select"]
