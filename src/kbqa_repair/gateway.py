@@ -32,7 +32,14 @@ def assistant(text: str) -> Message:
 
 
 class GatewayError(Exception):
-    """Backend failure; ``kind`` is one of timeout, auth, rate-limit, protocol."""
+    """Backend failure.  ``kind`` is one of:
+
+    - ``timeout``: the request timed out or the transport failed (retried);
+    - ``auth``: the endpoint refused the credentials, 401 or 403 (not retried);
+    - ``rate-limit``: the endpoint answered 429 (retried);
+    - ``server``: the endpoint answered 500 or above (retried);
+    - ``protocol``: any other status, or a reply that is not a completion.
+    """
 
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
@@ -176,7 +183,7 @@ class HttpGateway(GenerationGateway):
                 last_error = GatewayError("rate-limit", "endpoint returned 429")
                 continue
             if response.status_code >= 500:
-                last_error = GatewayError("rate-limit", f"endpoint returned {response.status_code}")
+                last_error = GatewayError("server", f"endpoint returned {response.status_code}")
                 continue
             if response.status_code != 200:
                 raise GatewayError("protocol", f"endpoint returned {response.status_code}")

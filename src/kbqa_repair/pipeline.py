@@ -13,11 +13,14 @@ to empty-answer candidates, and otherwise returns (NK, NA).
 from __future__ import annotations
 
 import re
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .dataset import DatasetSplit, QAExample, answer_to_json
-from .gateway import GatewayError, GenerationGateway, Message, RecordingGateway, assistant, user
+from .gateway import (
+    GatewayError, GenerationGateway, Message, MockMiss, RecordingGateway, assistant, user,
+)
 from .kb import KnowledgeBase
 from .prompts import render_prompt
 from .query import LogicalForm
@@ -268,6 +271,15 @@ def scun(
 # End-to-end
 # ---------------------------------------------------------------------------
 
+def _abort(trace: dict, field: str, detail: str) -> tuple[LogicalForm, None]:
+    """Mark an aborted question in its trace; its result is (NK, NA)."""
+    trace["iterations"] = trace.get("iterations", [])
+    trace["confident"] = False
+    trace["scun"] = None
+    trace[field] = detail
+    return LogicalForm.nk(), None
+
+
 def run_question(
     gateway: GenerationGateway,
     kb: KnowledgeBase,
@@ -278,8 +290,12 @@ def run_question(
 ) -> PipelineOutcome:
     """retrieve -> generate -> repair loop -> (confident result | consensus).
 
-    Gateway failures abort the question with an error marker in the trace;
-    they never raise out of here.
+    A failure aborts only this question: a ``GatewayError`` is recorded as
+    ``gateway_error`` in the trace, and any other exception (a retriever
+    that crashes or times out, say) as ``exception`` with its traceback.
+    Either way ``outcome.error`` is set and nothing raises out of here,
+    except ``MockMiss``: a mock fixture with no reply for a prompt is a bug
+    in the test, so it propagates.
     """
     recorder = RecordingGateway(gateway)
     trace: dict = {
@@ -302,11 +318,13 @@ def run_question(
             trace["scun"] = info
         error = None
     except GatewayError as err:
-        trace["iterations"] = trace.get("iterations", [])
-        trace["confident"] = False
-        trace["scun"] = None
-        trace["gateway_error"] = str(err)
-        lf, answer, error = LogicalForm.nk(), None, str(err)
+        error = str(err)
+        lf, answer = _abort(trace, "gateway_error", error)
+    except MockMiss:
+        raise
+    except Exception as err:  # the run outlives any one question
+        error = f"{type(err).__name__}: {err}"
+        lf, answer = _abort(trace, "exception", traceback.format_exc())
     trace["llm"] = recorder.log
     trace["outcome"] = {
         "lf": "NK" if lf.is_nk else lf.surface,

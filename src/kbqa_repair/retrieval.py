@@ -9,6 +9,7 @@ shape.  The built-in baseline is purely lexical.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import subprocess
@@ -46,12 +47,16 @@ class RetrievalContext:
         )
 
 
+_WORD = re.compile(r"[a-z0-9]+")
+_NON_WORD = re.compile(r"[^a-z0-9]+")
+
+
 def _tokens(text: str) -> frozenset[str]:
-    return frozenset(re.findall(r"[a-z0-9]+", text.lower()))
+    return frozenset(_WORD.findall(text.lower()))
 
 
 def _trigrams(text: str) -> frozenset[str]:
-    squashed = re.sub(r"[^a-z0-9]+", " ", text.lower()).strip()
+    squashed = _NON_WORD.sub(" ", text.lower()).strip()
     if len(squashed) < 3:
         return frozenset({squashed} if squashed else ())
     return frozenset(squashed[i : i + 3] for i in range(len(squashed) - 2))
@@ -63,12 +68,25 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
+@functools.lru_cache(maxsize=None)
+def _features(text: str) -> tuple[frozenset[str], frozenset[str]]:
+    """Tokens and trigrams of a schema candidate string, computed once per
+    process.  Only schema strings come here, so the memo is bounded by the
+    schemas loaded; questions are unbounded and are never memoized."""
+    return _tokens(text), _trigrams(text)
+
+
+def _score(q_tokens: frozenset, q_trigrams: frozenset, candidate: str) -> float:
+    c_tokens, c_trigrams = _features(candidate)
+    return _jaccard(q_tokens, c_tokens) + _jaccard(q_trigrams, c_trigrams)
+
+
 def lexical_score(question: str, label: str, some_id: str) -> float:
-    """Token overlap plus character-trigram similarity against label and id."""
-    candidate = f"{label} {some_id}"
-    return _jaccard(_tokens(question), _tokens(candidate)) + _jaccard(
-        _trigrams(question), _trigrams(candidate)
-    )
+    """Token overlap plus character-trigram similarity against label and id.
+
+    ``label`` and ``some_id`` name a schema element, so their features are
+    memoized; the question's never are."""
+    return _score(_tokens(question), _trigrams(question), f"{label} {some_id}")
 
 
 def retrieve_lexical(
@@ -80,11 +98,12 @@ def retrieve_lexical(
     """Lexical baseline: rank schema elements by label/id similarity to the
     question, rank entity paths by summed relation scores.  Zero-scoring
     classes and relations are dropped; ties break by id."""
+    q_tokens, q_trigrams = _tokens(question), _trigrams(question)
     class_scores = {
-        c.id: lexical_score(question, c.label, c.id) for c in kb.classes.values()
+        c.id: _score(q_tokens, q_trigrams, f"{c.label} {c.id}") for c in kb.classes.values()
     }
     relation_scores = {
-        r.id: lexical_score(question, "", r.id) for r in kb.relations.values()
+        r.id: _score(q_tokens, q_trigrams, f" {r.id}") for r in kb.relations.values()
     }
     classes = tuple(
         cid

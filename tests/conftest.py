@@ -2,7 +2,14 @@ import pytest
 
 from pathlib import Path
 
+from hypothesis import settings
+
 from kbqa_repair.kb import load_kb
+
+# Property tests draw the same examples on every run, with no wall-clock
+# deadline and no example database, so tier-1 gives one result everywhere.
+settings.register_profile("kbqa-repair", derandomize=True, deadline=None, database=None)
+settings.load_profile("kbqa-repair")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -156,6 +156,16 @@ def test_http_rate_limit_exhausts_retries(http_server, backoff):
     assert backoff == [0.5]
 
 
+def test_http_server_error_exhausts_retries(http_server, backoff):
+    _Handler.script = [(503, None)]
+    gw = HttpGateway(http_server, "m", max_retries=1)
+    with pytest.raises(GatewayError) as err:
+        gw.complete([user("x")])
+    assert err.value.kind == "server"
+    assert len(_Handler.calls) == 2
+    assert backoff == [0.5]
+
+
 def test_http_null_content_is_a_protocol_error(http_server, fig1_kb3):
     _Handler.script = [(200, _completion(None))]
     gw = HttpGateway(http_server, "m", max_retries=0)

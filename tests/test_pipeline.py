@@ -369,6 +369,45 @@ def test_gateway_error_recorded_not_raised(fig1_kb3):
     assert outcome.trace["outcome"]["error"]
 
 
+def _traced(outcome):
+    return json.dumps([outcome.trace, outcome.error], sort_keys=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_retriever_crash_costs_only_its_question(fig1_kb3, workers):
+    import dataclasses
+    import subprocess
+
+    from kbqa_repair.dataset import DatasetSplit
+
+    def flaky(kb, question, linked):
+        if ("boom", "m.boom") in linked:
+            raise subprocess.CalledProcessError(3, ["retriever"])
+        return retrieve_lexical(kb, question, linked)
+
+    example = fig1_example("kb3")
+    doomed = dataclasses.replace(example, linked_entities=example.linked_entities + (("boom", "m.boom"),))
+    split = DatasetSplit("t", (example, doomed, example))
+    gw = MockGateway.from_file(str(FIXTURES / "fig1/mock.json"))
+    clean = run_dataset(gw, fig1_kb3, [retrieve_lexical], split, FunConfig(n=3), workers=workers)
+    hit = run_dataset(gw, fig1_kb3, [flaky], split, FunConfig(n=3), workers=workers)
+
+    assert len(hit) == 3
+    assert [o.error is not None for o in hit] == [False, True, False]
+    assert hit[1].error.startswith("CalledProcessError: ")
+    assert "CalledProcessError" in hit[1].trace["exception"]
+    assert hit[1].trace["outcome"]["error"] == hit[1].error
+    assert hit[1].lf.is_nk and hit[1].answer is None
+    assert _traced(hit[0]) == _traced(clean[0]) and _traced(hit[2]) == _traced(clean[2])
+
+
+def test_mock_miss_propagates(fig1_kb3):
+    from kbqa_repair.gateway import MockMiss
+
+    with pytest.raises(MockMiss):
+        run_question(MockGateway([]), fig1_kb3, [retrieve_lexical], fig1_example("kb3"), FunConfig(n=3))
+
+
 def test_run_dataset_order_and_workers(fig1_kb3):
     split = load_split(str(FIXTURES / "fig1/dataset_kb3.jsonl"))
     split = type(split)(split.name, split.examples * 3)

@@ -1,16 +1,26 @@
+import random
+import re
+import string
 import sys
 
+import pytest
+from hypothesis import given, strategies as st
+
+from kbqa_repair import retrieval
+from kbqa_repair.kb import DeletionPlan, delete_elements, paths_from_entity
 from kbqa_repair.retrieval import (
     RetrievalCaps,
     RetrievalContext,
     SubprocessRetriever,
     context_from_json,
     context_to_json,
+    lexical_score,
     render_context_fields,
     retrieve_lexical,
     retrieve_union,
 )
 from kbqa_repair.query import parse_sparql, render_sparql
+from randgen import random_kb
 
 
 def test_question_token_ranks_matching_class_first(a13_kb):
@@ -27,8 +37,6 @@ def test_no_overlap_gives_empty_schema_lists(pairs_kb):
 def test_equal_scores_tie_break_by_id(fig1_kb3):
     ctx = retrieve_lexical(fig1_kb3, "book", [])
     scores = {}
-    from kbqa_repair.retrieval import lexical_score
-
     for cid, c in fig1_kb3.classes.items():
         scores[cid] = lexical_score("book", c.label, cid)
     tied = sorted(cid for cid in scores if scores[cid] == max(scores.values()))
@@ -134,3 +142,148 @@ def test_render_context_fields(fig1_kb3):
     assert fields["relations"] == "book.author.works_written (type:book.author R type:book.written_work)"
     assert fields["classes"] == "book.author"
     assert fields["paths"].startswith("SELECT DISTINCT ?x WHERE")
+
+
+# ---------------------------------------------------------------------------
+# Oracle: retrieve_lexical as it was before schema features were memoized
+# ---------------------------------------------------------------------------
+
+def _oracle_lexical_score(question, label, some_id):
+    def tokens(text):
+        return frozenset(re.findall(r"[a-z0-9]+", text.lower()))
+
+    def trigrams(text):
+        squashed = re.sub(r"[^a-z0-9]+", " ", text.lower()).strip()
+        if len(squashed) < 3:
+            return frozenset({squashed} if squashed else ())
+        return frozenset(squashed[i : i + 3] for i in range(len(squashed) - 2))
+
+    def jaccard(a, b):
+        if not a or not b:
+            return 0.0
+        return len(a & b) / len(a | b)
+
+    candidate = f"{label} {some_id}"
+    return jaccard(tokens(question), tokens(candidate)) + jaccard(
+        trigrams(question), trigrams(candidate)
+    )
+
+
+def _oracle_retrieve(kb, question, linked_entities, caps=RetrievalCaps()):
+    class_scores = {
+        c.id: _oracle_lexical_score(question, c.label, c.id) for c in kb.classes.values()
+    }
+    relation_scores = {
+        r.id: _oracle_lexical_score(question, "", r.id) for r in kb.relations.values()
+    }
+    classes = tuple(
+        cid
+        for cid, score in sorted(class_scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        if score > 0
+    )
+    relations = tuple(
+        rid
+        for rid, score in sorted(relation_scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        if score > 0
+    )
+    linked = tuple((m, eid) for m, eid in linked_entities if kb.has_entity(eid))
+    scored_paths = []
+    for _, eid in linked:
+        for path in paths_from_entity(kb, eid, caps.max_path_len):
+            rels = tuple(p.value for _, p, _ in path.patterns)
+            score = sum(relation_scores.get(rid, 0.0) for rid in rels)
+            scored_paths.append((-score, rels, path))
+    scored_paths.sort(key=lambda item: (item[0], item[1]))
+    paths = tuple(path for _, _, path in scored_paths)
+    return RetrievalContext(classes, relations, paths, linked).capped(caps)
+
+
+CAPS = (
+    RetrievalCaps(),
+    RetrievalCaps(max_classes=0, max_relations=0, max_paths=0),
+    RetrievalCaps(max_classes=1, max_relations=1, max_paths=1, max_path_len=1),
+    RetrievalCaps(max_classes=1000, max_relations=1000, max_paths=1000),
+)
+FIXTURE_KBS = ("fig1_kb1", "fig1_kb2", "fig1_kb3", "a13_kb", "pairs_kb")
+
+
+def _kb_words(kb):
+    words = [c.label for c in kb.classes.values()] + list(kb.classes) + list(kb.relations)
+    return words + [e.label for e in kb.entities.values()]
+
+
+def _questions(kb):
+    """Arbitrary text, the empty string, one or two characters (the short
+    trigram branch), punctuation only, and text built from the KB's own
+    labels and ids."""
+    return st.one_of(
+        st.text(max_size=60),
+        st.just(""),
+        st.text(min_size=1, max_size=2),
+        st.text(alphabet=string.punctuation + " ", max_size=8),
+        st.lists(st.sampled_from(_kb_words(kb)), max_size=5).map(" ".join),
+    )
+
+
+def _linked(data, kb):
+    ids = sorted(kb.entities)[:20] + ["m.ghost"]
+    picked = data.draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
+    return [(f"mention {eid}", eid) for eid in picked]
+
+
+def _assert_matches_oracle(kb, question, linked):
+    for caps in CAPS:
+        assert retrieve_lexical(kb, question, linked, caps) == _oracle_retrieve(kb, question, linked, caps)
+    schema = [(c.label, c.id) for c in kb.classes.values()] + [("", rid) for rid in kb.relations]
+    for label, some_id in schema:
+        assert lexical_score(question, label, some_id) == _oracle_lexical_score(question, label, some_id)
+
+
+@pytest.mark.parametrize("kb_name", FIXTURE_KBS)
+@given(data=st.data())
+def test_retrieve_lexical_matches_oracle_on_fixtures(request, kb_name, data):
+    kb = request.getfixturevalue(kb_name)
+    question = data.draw(_questions(kb))
+    _assert_matches_oracle(kb, question, _linked(data, kb))
+
+
+_SHORT = st.text(alphabet="ab -.", max_size=4)
+
+
+@given(question=st.one_of(_SHORT, st.text(max_size=20)), label=_SHORT, some_id=_SHORT)
+def test_lexical_score_matches_oracle(question, label, some_id):
+    assert lexical_score(question, label, some_id) == _oracle_lexical_score(question, label, some_id)
+
+
+def _deletion(rng, kb):
+    choice = rng.choice(("classes", "relations", "entities"))
+    pool = sorted(getattr(kb, choice))
+    return DeletionPlan(**{choice: (rng.choice(pool),)})
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_retrieve_lexical_matches_oracle_on_random_kbs(seed, data):
+    rng = random.Random(seed)
+    kb = random_kb(rng)
+    deleted = delete_elements(kb, _deletion(rng, kb))
+    for this in (kb, deleted):
+        question = data.draw(_questions(this))
+        _assert_matches_oracle(this, question, _linked(data, this))
+
+
+@given(data=st.data())
+def test_one_question_on_two_kbs_gets_each_oracle_answer(a13_kb, fig1_kb3, data):
+    question = data.draw(st.one_of(_questions(a13_kb), _questions(fig1_kb3)))
+    for kb in (a13_kb, fig1_kb3, a13_kb):
+        linked = [("e", eid) for eid in sorted(kb.entities)[:1]]
+        assert retrieve_lexical(kb, question, linked) == _oracle_retrieve(kb, question, linked)
+
+
+def test_questions_are_not_memoized(fig1_kb3):
+    author = fig1_kb3.classes["book.author"]
+    retrieve_lexical(fig1_kb3, "warm the schema features", [])
+    size = retrieval._features.cache_info().currsize
+    for i in range(5):
+        retrieve_lexical(fig1_kb3, f"a question never asked before {i}", [])
+        lexical_score(f"another fresh question {i}", author.label, author.id)
+    assert retrieval._features.cache_info().currsize == size
