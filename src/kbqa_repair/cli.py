@@ -62,7 +62,10 @@ def _make_gateway(args):
     if backend == "http":
         if not getattr(args, "endpoint", None) or not getattr(args, "model", None):
             raise FatalError("--backend http requires --endpoint and --model")
-        return HttpGateway(args.endpoint, args.model, auth_env=args.auth_env)
+        try:
+            return HttpGateway(args.endpoint, args.model, auth_env=args.auth_env)
+        except ValueError as err:
+            raise FatalError(str(err)) from err
     raise FatalError(f"unknown backend {backend!r}")
 
 

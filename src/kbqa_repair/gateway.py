@@ -8,13 +8,14 @@ HTTP client exists for live runs.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
-import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 
 @dataclass(frozen=True)
@@ -124,13 +125,23 @@ class MockGateway(GenerationGateway):
         raise MockMiss(f"no matcher fired for prompt: {head!r}")
 
 
-class HttpGateway(GenerationGateway):
-    """Chat-completion HTTP client.
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Leaves a 3xx reply to the caller instead of following it."""
 
-    POSTs ``{model, messages, temperature}`` to the endpoint; the auth token
-    is read from an environment variable at call time.  Transient failures
-    (timeouts, 429, 5xx) retry with exponential backoff up to ``max_retries``.
-    A semaphore caps concurrent in-flight requests.
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+class HttpGateway(GenerationGateway):
+    """Chat-completion HTTP client on the standard library.
+
+    POSTs ``{model, messages, temperature}`` to the endpoint, one connection
+    per call; the auth token is read from an environment variable at call
+    time.  Transient failures (timeouts, transport failures, 429, 5xx) retry
+    with exponential backoff up to ``max_retries``.  The proxy is read from
+    ``http_proxy``/``https_proxy`` (else ``all_proxy``) at construction;
+    urllib skips it for hosts that ``no_proxy`` names.  Redirects are not
+    followed.
     """
 
     def __init__(
@@ -141,16 +152,22 @@ class HttpGateway(GenerationGateway):
         temperature: float = 0.0,
         max_retries: int = 3,
         timeout: float = 60.0,
-        max_concurrency: int = 4,
     ):
         super().__init__()
-        self.endpoint = endpoint
         self.model = model
         self.auth_env = auth_env
         self.temperature = temperature
         self.max_retries = max_retries
         self.timeout = timeout
-        self._gate = threading.Semaphore(max_concurrency)
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint is not an http(s) URL: {endpoint!r}")
+        self._url = urllib.parse.urlunsplit(url._replace(fragment=""))
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        self._opener = urllib.request.build_opener(
+            urllib.request.ProxyHandler({url.scheme: proxy} if proxy else {}), _NoRedirect()
+        )
 
     def _complete(self, conversation: list[Message]) -> str:
         payload = {
@@ -158,6 +175,7 @@ class HttpGateway(GenerationGateway):
             "messages": [{"role": m.role, "content": m.text} for m in conversation],
             "temperature": self.temperature,
         }
+        body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.auth_env, "")
         if token:
@@ -167,28 +185,25 @@ class HttpGateway(GenerationGateway):
             if attempt:
                 time.sleep(min(0.5 * 2 ** (attempt - 1), 8.0))
             try:
-                with self._gate:
-                    response = requests.post(
-                        self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                    )
-            except requests.Timeout:
+                status, data = self._post(body, headers)
+            except TimeoutError:
                 last_error = GatewayError("timeout", f"request timed out after {self.timeout}s")
                 continue
-            except requests.RequestException as err:
+            except (OSError, http.client.HTTPException) as err:
                 last_error = GatewayError("timeout", f"transport failure: {err}")
                 continue
-            if response.status_code in (401, 403):
-                raise GatewayError("auth", f"endpoint returned {response.status_code}")
-            if response.status_code == 429:
+            if status in (401, 403):
+                raise GatewayError("auth", f"endpoint returned {status}")
+            if status == 429:
                 last_error = GatewayError("rate-limit", "endpoint returned 429")
                 continue
-            if response.status_code >= 500:
-                last_error = GatewayError("server", f"endpoint returned {response.status_code}")
+            if status >= 500:
+                last_error = GatewayError("server", f"endpoint returned {status}")
                 continue
-            if response.status_code != 200:
-                raise GatewayError("protocol", f"endpoint returned {response.status_code}")
+            if status != 200:
+                raise GatewayError("protocol", f"endpoint returned {status}")
             try:
-                content = response.json()["choices"][0]["message"]["content"]
+                content = json.loads(data)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as err:
                 raise GatewayError("protocol", f"malformed completion response: {err}") from err
             if not isinstance(content, str):
@@ -196,6 +211,20 @@ class HttpGateway(GenerationGateway):
                 raise GatewayError("protocol", f"completion content is {kind}, not text")
             return content
         raise last_error
+
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """One POST: (status, body)."""
+        request = urllib.request.Request(self._url, body, headers)
+        try:
+            with self._opener.open(request, timeout=self.timeout) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as err:
+            with err:
+                return err.code, err.read()
+        except urllib.error.URLError as err:
+            # urllib wraps what failed while connecting or sending; a timeout
+            # there must still read as a timeout.
+            raise err.reason if isinstance(err.reason, OSError) else err
 
 
 class RecordingGateway:

@@ -109,18 +109,10 @@ def parse_reply(reply: str, dialect: str = "sparql") -> LogicalForm:
     return LogicalForm.from_text(dialect, text)
 
 
-def pun_generate(
-    gateway: GenerationGateway,
-    kb: KnowledgeBase,
-    question: str,
-    ctx: RetrievalContext,
-    fewshots: tuple[QAExample, ...] = (),
-    templates_dir: str | None = None,
-) -> LogicalForm:
-    """One biased generation call; the reply is parsed, never validated here."""
-    prompt = build_pun_prompt(kb, question, ctx, fewshots, templates_dir)
-    reply = gateway.complete([user(prompt)])
-    return parse_reply(reply)
+def pun_generate(gateway: GenerationGateway, prompt: str) -> LogicalForm:
+    """One biased generation call on the rendered prompt; the reply is
+    parsed, never validated here."""
+    return parse_reply(gateway.complete([user(prompt)]))
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +126,11 @@ def fun(
     question_entities: frozenset,
     lf0: LogicalForm,
     cfg: FunConfig,
-    ctx: RetrievalContext,
-    fewshots: tuple[QAExample, ...] = (),
+    prompt: str,
 ) -> FunResult:
-    """At most cfg.n verify-and-repair rounds over a growing conversation."""
+    """At most cfg.n verify-and-repair rounds over a growing conversation
+    that opens with the generation ``prompt`` and its reply ``lf0``."""
     suite = cfg.suite()
-    prompt = build_pun_prompt(kb, question, ctx, fewshots, cfg.templates_dir)
     conversation: list[Message] = [user(prompt), assistant(lf0.surface)]
     candidates: list[Candidate] = []
     iterations: list[dict] = []
@@ -304,10 +295,9 @@ def run_question(
     }
     try:
         ctx = retrieve_union(retrievers, kb, example.question, list(example.linked_entities), cfg.caps)
-        lf0 = pun_generate(recorder, kb, example.question, ctx, fewshots, cfg.templates_dir)
-        result = fun(
-            recorder, kb, example.question, example.question_entities(), lf0, cfg, ctx, fewshots
-        )
+        prompt = build_pun_prompt(kb, example.question, ctx, fewshots, cfg.templates_dir)
+        lf0 = pun_generate(recorder, prompt)
+        result = fun(recorder, kb, example.question, example.question_entities(), lf0, cfg, prompt)
         trace["iterations"] = result.iterations
         trace["confident"] = result.confident
         if result.confident:

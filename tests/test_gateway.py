@@ -1,15 +1,25 @@
+import base64
 import http.server
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+import urllib.error
+import warnings
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
+from kbqa_repair.cli import main
 from kbqa_repair.dataset import load_split
 from kbqa_repair.gateway import (
     GatewayError,
     HttpGateway,
     Matcher,
+    Message,
     MockGateway,
     MockMiss,
     assistant,
@@ -74,10 +84,14 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     calls = []
     script = []  # list of (status, body-dict or None)
 
+    def reply(self, doc):
+        return _Handler.script[min(len(_Handler.calls) - 1, len(_Handler.script) - 1)]
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        _Handler.calls.append(json.loads(self.rfile.read(length)))
-        status, body = _Handler.script[min(len(_Handler.calls) - 1, len(_Handler.script) - 1)]
+        doc = json.loads(self.rfile.read(length))
+        _Handler.calls.append(doc)
+        status, body = self.reply(doc)
         payload = json.dumps(body or {}).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -90,16 +104,34 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def http_server():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
+def serve():
+    """``serve(handler)`` starts a local server and returns its endpoint URL.
+
+    Each connection gets its own daemon thread, so a handler still waiting
+    on a request never blocks shutdown.
+    """
+    servers = []
     _Handler.calls = []
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat"
-    server.shutdown()
-    server.server_close()
+
+    def start(handler):
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        server.daemon_threads = True
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_port}/v1/chat"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def http_server(serve):
+    return serve(_Handler)
 
 
 def _completion(text):
@@ -177,3 +209,200 @@ def test_http_null_content_is_a_protocol_error(http_server, fig1_kb3):
     outcome = run_question(gw, fig1_kb3, [retrieve_lexical], example, FunConfig(n=3))
     assert outcome.error and outcome.error.startswith("protocol")
     assert outcome.lf.is_nk and outcome.answer is None
+
+
+class _RedirectHandler(_Handler):
+    status = 307
+
+    def do_POST(self):
+        _Handler.calls.append(self.path)
+        self.send_response(_RedirectHandler.status)
+        self.send_header("Location", "/elsewhere")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
+@pytest.mark.parametrize("status", [302, 307])
+def test_http_redirect_is_a_protocol_error(serve, monkeypatch, status):
+    monkeypatch.setattr(_RedirectHandler, "status", status)
+    gw = HttpGateway(serve(_RedirectHandler), "m", max_retries=2)
+    with pytest.raises(GatewayError) as err:
+        gw.complete([user("x")])
+    assert err.value.kind == "protocol" and f"returned {status}" in str(err.value)
+    assert _Handler.calls == ["/v1/chat"]  # not followed, not retried
+
+
+def test_http_timeout_while_sending_is_a_timeout(http_server, monkeypatch):
+    # urllib wraps errors raised while connecting or sending in URLError.
+    def fail(request, timeout):
+        raise urllib.error.URLError(TimeoutError("timed out"))
+
+    gw = HttpGateway(http_server, "m", max_retries=0, timeout=0.05)
+    monkeypatch.setattr(gw._opener, "open", fail)
+    with pytest.raises(GatewayError) as err:
+        gw.complete([user("x")])
+    assert err.value.kind == "timeout"
+    assert "timed out after 0.05s" in str(err.value)
+
+
+def test_http_refused_port_is_a_transport_failure(backoff):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    gw = HttpGateway(f"http://127.0.0.1:{port}/v1/chat", "m", max_retries=2)
+    with pytest.raises(GatewayError) as err:
+        gw.complete([user("x")])
+    assert err.value.kind == "timeout"
+    assert "transport failure" in str(err.value)
+    assert backoff == [0.5, 1.0]  # max_retries + 1 attempts
+
+
+class _SilentHandler(_Handler):
+    """Reads the request and never answers until ``release`` is set."""
+
+    release = threading.Event()
+
+    def do_POST(self):
+        _SilentHandler.release.wait(5)
+
+
+def test_http_slow_reply_times_out(serve):
+    _SilentHandler.release.clear()
+    gw = HttpGateway(serve(_SilentHandler), "m", max_retries=0, timeout=0.05)
+    try:
+        with pytest.raises(GatewayError) as err:
+            gw.complete([user("x")])
+    finally:
+        _SilentHandler.release.set()
+    assert err.value.kind == "timeout"
+    assert "timed out after 0.05s" in str(err.value)
+
+
+class _ProxyHandler(http.server.BaseHTTPRequestHandler):
+    """Plays a forward proxy: records each request line's target and
+    ``Proxy-Authorization``, answers plain requests itself and refuses
+    every CONNECT tunnel."""
+
+    seen = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        _ProxyHandler.seen.append(("POST", self.path, self.headers["Proxy-Authorization"]))
+        payload = json.dumps(_completion("via proxy")).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def do_CONNECT(self):
+        _ProxyHandler.seen.append(("CONNECT", self.path, self.headers["Proxy-Authorization"]))
+        self.send_response(403)
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def proxy_env(serve, monkeypatch):
+    """A local proxy that needs credentials, and no other proxy setting."""
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    _ProxyHandler.seen = []
+    address = serve(_ProxyHandler).removesuffix("/v1/chat").replace("://", "://bob:p%40ss@")
+    return address, "Basic " + base64.b64encode(b"bob:p@ss").decode()
+
+
+def test_http_proxy_gets_absolute_form_unless_bypassed(http_server, proxy_env, monkeypatch):
+    proxy, credentials = proxy_env
+    _Handler.script = [(200, _completion("direct"))]
+    monkeypatch.setenv("http_proxy", proxy)
+    assert HttpGateway(http_server + "?v=1", "m").complete([user("x")]) == "via proxy"
+    assert _ProxyHandler.seen == [("POST", http_server + "?v=1", credentials)]
+    assert _Handler.calls == []
+
+    monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+    assert HttpGateway(http_server, "m").complete([user("x")]) == "direct"
+    assert len(_ProxyHandler.seen) == 1 and len(_Handler.calls) == 1
+
+
+def test_http_all_proxy_is_the_fallback(http_server, proxy_env, monkeypatch):
+    proxy, credentials = proxy_env
+    monkeypatch.setenv("all_proxy", proxy)
+    assert HttpGateway(http_server, "m").complete([user("x")]) == "via proxy"
+    assert _ProxyHandler.seen == [("POST", http_server, credentials)]
+
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    _Handler.script = [(200, _completion("direct"))]
+    assert HttpGateway(http_server, "m").complete([user("x")]) == "direct"
+    assert len(_ProxyHandler.seen) == 1 and len(_Handler.calls) == 1
+
+
+def test_https_proxy_tunnels_with_connect(proxy_env, monkeypatch):
+    proxy, credentials = proxy_env
+    monkeypatch.setenv("https_proxy", proxy)
+    gw = HttpGateway("https://llm.invalid/v1/chat", "m", max_retries=0)
+    with pytest.raises(GatewayError) as err:
+        gw.complete([user("x")])
+    assert err.value.kind == "timeout" and "transport failure" in str(err.value)
+    assert _ProxyHandler.seen == [("CONNECT", "llm.invalid:443", credentials)]
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:8000/v1/chat", "ftp://host/v1", "http:///v1"])
+def test_http_endpoint_must_be_an_http_url(endpoint):
+    with pytest.raises(ValueError):
+        HttpGateway(endpoint, "m")
+
+
+class _MockServingHandler(_Handler):
+    """Answers each request from the fig1 mock fixture."""
+
+    mock = MockGateway.from_file(str(FIXTURES / "fig1/mock.json"))
+
+    def reply(self, doc):
+        conversation = [Message(m["role"], m["content"]) for m in doc["messages"]]
+        return 200, _completion(self.mock.complete(conversation))
+
+
+def test_cli_run_over_http_matches_mock(serve, tmp_path):
+    url = serve(_MockServingHandler)
+    common = ["run", "--kb", FIXTURES / "fig1/kb1", "--dataset", FIXTURES / "fig1/dataset_kb1.jsonl",
+              "--n-iter", "3"]
+    assert main([str(a) for a in common + ["--mock", FIXTURES / "fig1/mock.json",
+                                           "--out", tmp_path / "mock"]]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main([str(a) for a in common + ["--backend", "http", "--endpoint", url,
+                                               "--model", "m", "--out", tmp_path / "http"]]) == 0
+    assert [w for w in caught if w.category is ResourceWarning] == []  # every socket closed
+    for name in ("outcomes.jsonl", "traces.jsonl"):
+        assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()
+
+
+def test_cli_run_with_a_bad_endpoint_exits_2(tmp_path, capsys):
+    code = main([str(a) for a in [
+        "run", "--kb", FIXTURES / "fig1/kb3", "--dataset", FIXTURES / "fig1/dataset_kb3.jsonl",
+        "--backend", "http", "--endpoint", "localhost:8000/v1", "--model", "m",
+        "--out", tmp_path / "out",
+    ]])
+    assert code == 2
+    assert "not an http(s) URL" in capsys.readouterr().err
+
+
+def test_package_imports_no_third_party_http_stack():
+    # Counted against the modules loaded before the import: site hooks of
+    # the interpreter may load some of these names on their own.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kbqa_repair.cli\n"
+        "banned = ('requests', 'urllib3', 'certifi', 'idna', 'charset_normalizer')\n"
+        "print(sorted(set(sys.modules) - before & set(banned)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.strip() == "[]"

@@ -52,9 +52,10 @@ def test_parse_reply_sparql_and_garbage():
 def test_pun_generate_nk_and_lf(fig1_kb3):
     ctx = RetrievalContext(linked_entities=(("j r hart", "m.0auth"),))
     nk_gw = MockGateway([Matcher("substring", "sparql:", "NK")])
-    assert pun_generate(nk_gw, fig1_kb3, "q?", ctx).is_nk
+    prompt = build_pun_prompt(fig1_kb3, "q?", ctx)
+    assert pun_generate(nk_gw, prompt).is_nk
     lf_gw = MockGateway([Matcher("substring", "sparql:", "SELECT ?x WHERE { ?x ns:a.b ns:m.01 }")])
-    assert pun_generate(lf_gw, fig1_kb3, "q?", ctx).parsed
+    assert pun_generate(lf_gw, prompt).parsed
 
 
 def test_pun_prompt_matches_golden():
@@ -263,9 +264,10 @@ def test_fun_confident_on_complete_kb(fig1_kb3):
     gw = MockGateway.from_file(str(FIXTURES / "fig1/mock.json"))
     example = fig1_example("kb3")
     ctx = retrieve_lexical(fig1_kb3, example.question, list(example.linked_entities))
-    lf0 = pun_generate(gw, fig1_kb3, example.question, ctx)
+    prompt = build_pun_prompt(fig1_kb3, example.question, ctx)
+    lf0 = pun_generate(gw, prompt)
     result = fun(gw, fig1_kb3, example.question, example.question_entities(), lf0,
-                 FunConfig(n=3), ctx)
+                 FunConfig(n=3), prompt)
     assert result.confident
     assert result.answer == {"m.0b1", "m.0b2"}
     assert len(result.iterations) == 3
@@ -276,9 +278,10 @@ def test_fun_exhausts_without_confidence(fig1_kb1):
     gw = MockGateway.from_file(str(FIXTURES / "fig1/mock.json"))
     example = fig1_example("kb1")
     ctx = retrieve_lexical(fig1_kb1, example.question, list(example.linked_entities))
-    lf0 = pun_generate(gw, fig1_kb1, example.question, ctx)
+    prompt = build_pun_prompt(fig1_kb1, example.question, ctx)
+    lf0 = pun_generate(gw, prompt)
     result = fun(gw, fig1_kb1, example.question, example.question_entities(), lf0,
-                 FunConfig(n=3), ctx)
+                 FunConfig(n=3), prompt)
     assert not result.confident
     assert len(result.iterations) == 4
     answers = [c.answer for c in result.candidates]
@@ -293,7 +296,7 @@ def test_fun_strong_failure_admits_nothing(fig1_kb3):
     ctx = RetrievalContext(linked_entities=example.linked_entities)
     lf0 = parse_reply("also not a query")
     result = fun(gw, fig1_kb3, example.question, example.question_entities(), lf0,
-                 FunConfig(n=2), ctx)
+                 FunConfig(n=2), build_pun_prompt(fig1_kb3, example.question, ctx))
     assert not result.confident
     assert result.candidates == []
     assert len(result.iterations) == 3  # n + 1 logical forms checked
@@ -304,9 +307,10 @@ def test_candidate_admission_invariant(fig1_kb2):
     gw = MockGateway.from_file(str(FIXTURES / "fig1/mock.json"))
     example = fig1_example("kb2")
     ctx = retrieve_lexical(fig1_kb2, example.question, list(example.linked_entities))
-    lf0 = pun_generate(gw, fig1_kb2, example.question, ctx)
+    prompt = build_pun_prompt(fig1_kb2, example.question, ctx)
+    lf0 = pun_generate(gw, prompt)
     result = fun(gw, fig1_kb2, example.question, example.question_entities(), lf0,
-                 FunConfig(n=3), ctx)
+                 FunConfig(n=3), prompt)
     by_iter = {it["iteration"]: it for it in result.iterations}
     for cand in result.candidates:
         record = by_iter[cand.iteration]
