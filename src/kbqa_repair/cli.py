@@ -14,6 +14,7 @@ import json
 import shutil
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from . import dataset as ds
@@ -148,25 +149,48 @@ def cmd_dataset_sample(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-def _apply_config(args) -> dict:
-    """Config-file values fill in flags the user left unset."""
+# Keys of `run --config`: the flags' own, each overridden by its flag when
+# given, then the run settings that have no flag.
+_FLAG_KEYS = ("n_iter", "answerable_mode", "workers", "backend", "mock", "endpoint", "model")
+_CAPS_KEYS = tuple(f.name for f in fields(RetrievalCaps))
+
+
+def _run_config(args) -> pipeline.FunConfig:
+    """Flags, then ``--config`` keys for the flags left unset and for the
+    settings without a flag; what neither sets keeps its default."""
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         if not Path(args.config).exists():
             raise FatalError(f"config file not found: {args.config}")
         with open(args.config, encoding="utf-8") as handle:
-            config = json.load(handle)
-    for key in ("n_iter", "workers", "backend", "mock", "endpoint", "model"):
-        if getattr(args, key, None) is None and key in config:
+            try:
+                config = json.load(handle)
+            except ValueError as err:
+                raise FatalError(f"config file {args.config}: {err}") from err
+        if not isinstance(config, dict):
+            raise FatalError(f"config file {args.config}: not a JSON object")
+        unknown = sorted(set(config) - {*_FLAG_KEYS, *_CAPS_KEYS, "mediator_classes"})
+        if unknown:
+            raise FatalError(f"config file {args.config}: unknown keys {unknown}")
+    for key in _FLAG_KEYS:
+        if getattr(args, key) is None and key in config:
             setattr(args, key, config[key])
-    if not args.answerable_mode and config.get("answerable_mode"):
-        args.answerable_mode = True
-    return config
+    settings = {"n": args.n_iter, "answerable_mode": args.answerable_mode}
+    if "mediator_classes" in config:
+        settings["mediator_classes"] = frozenset(config["mediator_classes"])
+    caps = {key: config[key] for key in _CAPS_KEYS if key in config}
+    try:
+        return pipeline.FunConfig(
+            caps=RetrievalCaps(**caps), **{k: v for k, v in settings.items() if v is not None}
+        )
+    except (TypeError, ValueError) as err:
+        raise FatalError(f"bad run setting: {err}") from err
 
 
 def cmd_run(args) -> int:
-    config = _apply_config(args)
+    cfg = _run_config(args)
     args.backend = args.backend or "mock"
+    workers = 1 if args.workers is None else args.workers
     kb = _load_kb(args)
     if not Path(args.dataset).exists():
         raise FatalError(f"dataset file not found: {args.dataset}")
@@ -177,25 +201,12 @@ def cmd_run(args) -> int:
         if not Path(args.fewshots).exists():
             raise FatalError(f"few-shot file not found: {args.fewshots}")
         fewshots = ds.load_split(args.fewshots).examples
-    cfg = pipeline.FunConfig(
-        n=args.n_iter if args.n_iter is not None else 4,
-        answerable_mode=args.answerable_mode,
-        mediator_classes=frozenset(config.get("mediator_classes", ())),
-        caps=RetrievalCaps(
-            max_classes=config.get("max_classes", 10),
-            max_relations=config.get("max_relations", 10),
-            max_paths=config.get("max_paths", 5),
-            max_path_len=config.get("max_path_len", 2),
-        ),
-        templates_dir=config.get("templates_dir"),
-    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     started = time.time()
     outcomes = pipeline.run_dataset(
-        gateway, kb, [retrieve_lexical], split, cfg, fewshots,
-        workers=args.workers if args.workers is not None else 1,
+        gateway, kb, [retrieve_lexical], split, cfg, fewshots, workers=workers
     )
     elapsed = time.time() - started
 
@@ -212,7 +223,7 @@ def cmd_run(args) -> int:
         "mock": args.mock,
         "n_iter": cfg.n,
         "answerable_mode": cfg.answerable_mode,
-        "workers": args.workers if args.workers is not None else 1,
+        "workers": workers,
         "config": args.config,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as handle:
@@ -398,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fewshots", help="few-shot split JSON Lines file")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--n-iter", type=int, dest="n_iter")
-    p.add_argument("--answerable-mode", action="store_true")
+    p.add_argument("--answerable-mode", action="store_true", default=None)
     p.add_argument("--workers", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)

@@ -17,8 +17,6 @@ import itertools
 from .kb import KnowledgeBase
 from .query import Aggregate, CanonicalQuery, Filter, Literal, Pattern, Term
 
-AnswerSet = frozenset
-
 _NUMERIC = ("integer", "float")
 
 

@@ -58,19 +58,10 @@ class GenerationGateway:
     v3-backtranslate, v3-equivalence or scun-select); backends ignore it.
     """
 
-    def __init__(self):
-        self.call_count = 0
-        self.chars_in = 0
-        self.chars_out = 0
-
     def complete(self, conversation: list[Message], purpose: str = "generate") -> str:
         if not conversation:
             raise ValueError("conversation must be non-empty")
-        reply = self._complete(conversation)
-        self.call_count += 1
-        self.chars_in += sum(len(m.text) for m in conversation)
-        self.chars_out += len(reply)
-        return reply
+        return self._complete(conversation)
 
     def _complete(self, conversation: list[Message]) -> str:
         raise NotImplementedError
@@ -92,7 +83,6 @@ class MockGateway(GenerationGateway):
     """
 
     def __init__(self, matchers: list[Matcher]):
-        super().__init__()
         self.matchers = list(matchers)
 
     @classmethod
@@ -153,7 +143,6 @@ class HttpGateway(GenerationGateway):
         max_retries: int = 3,
         timeout: float = 60.0,
     ):
-        super().__init__()
         self.model = model
         self.auth_env = auth_env
         self.temperature = temperature

@@ -37,19 +37,15 @@ class Candidate:
 
 
 @dataclass(frozen=True)
-class FunConfig:
+class FunConfig(VerifierSuite):
+    """Run settings: the verifier suite's, plus the loop's and retrieval's."""
+
     n: int = 4  # repair rounds after the initial query; n+1 queries total
-    answerable_mode: bool = False
-    mediator_classes: frozenset = frozenset()
     caps: RetrievalCaps = RetrievalCaps()
-    templates_dir: str | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-    def suite(self) -> VerifierSuite:
-        return VerifierSuite(self.answerable_mode, self.mediator_classes, self.templates_dir)
 
 
 @dataclass
@@ -80,19 +76,15 @@ def build_pun_prompt(
     question: str,
     ctx: RetrievalContext,
     fewshots: tuple[QAExample, ...] = (),
-    templates_dir: str | None = None,
 ) -> str:
     """Header, the NK exemplar, optional few-shot exemplars, then the question."""
-    blocks = [
-        render_prompt("pun-header", {}, templates_dir),
-        render_prompt("pun-nk-exemplar", {}, templates_dir),
-    ]
+    blocks = [render_prompt("pun-header"), render_prompt("pun-nk-exemplar")]
     for shot in fewshots:
         lf_text = "NK" if shot.gold_lf.is_nk else shot.gold_lf.surface
         blocks.append(f"Question: {shot.question}\nsparql:{lf_text}")
     bindings = {"question": question}
     bindings.update(render_context_fields(kb, ctx))
-    blocks.append(render_prompt("pun-question", bindings, templates_dir))
+    blocks.append(render_prompt("pun-question", bindings))
     return "\n\n".join(blocks)
 
 
@@ -130,14 +122,13 @@ def fun(
 ) -> FunResult:
     """At most cfg.n verify-and-repair rounds over a growing conversation
     that opens with the generation ``prompt`` and its reply ``lf0``."""
-    suite = cfg.suite()
     conversation: list[Message] = [user(prompt), assistant(lf0.surface)]
     candidates: list[Candidate] = []
     iterations: list[dict] = []
     lf = lf0
 
     for iteration in range(1, cfg.n + 2):
-        result = run_suite(lf, question, question_entities, kb, gateway, suite)
+        result = run_suite(lf, question, question_entities, kb, gateway, cfg)
         record = {
             "iteration": iteration,
             "lf": lf.surface,
@@ -188,7 +179,6 @@ def select_best(
     gateway: GenerationGateway,
     question: str,
     candidates: list[Candidate],
-    templates_dir: str | None = None,
 ) -> tuple[Candidate, bool]:
     """Pick the candidate whose back-translation reads closest to the
     question.  Singleton pools short-circuit without a call; an unparseable
@@ -202,9 +192,7 @@ def select_best(
         for i, c in enumerate(candidates, start=1)
     )
     prompt = render_prompt(
-        "scun-select",
-        {"question": question, "options": options, "count": len(candidates)},
-        templates_dir,
+        "scun-select", {"question": question, "options": options, "count": len(candidates)}
     )
     reply = gateway.complete([user(prompt)], "scun-select")
     match = re.search(r"\d+", reply)
@@ -220,7 +208,6 @@ def scun(
     gateway: GenerationGateway,
     question: str,
     candidates: list[Candidate],
-    templates_dir: str | None = None,
 ) -> tuple[LogicalForm, frozenset | None, dict]:
     """Consensus for a non-confident loop.
 
@@ -242,14 +229,14 @@ def scun(
         info["top_supporters"] = len(best)
         info["threshold"] = threshold
         if len(best) > threshold:
-            chosen, fallback = select_best(gateway, question, best, templates_dir)
+            chosen, fallback = select_best(gateway, question, best)
             info.update(branch="non-empty-consensus", selected_iteration=chosen.iteration,
                         select_fallback=fallback)
             return chosen.lf, chosen.answer, info
 
     empties = [c for c in candidates if not c.answer]
     if empties:
-        chosen, fallback = select_best(gateway, question, empties, templates_dir)
+        chosen, fallback = select_best(gateway, question, empties)
         info.update(branch="empty-answer", selected_iteration=chosen.iteration,
                     select_fallback=fallback)
         return chosen.lf, None, info
@@ -295,7 +282,7 @@ def run_question(
     }
     try:
         ctx = retrieve_union(retrievers, kb, example.question, list(example.linked_entities), cfg.caps)
-        prompt = build_pun_prompt(kb, example.question, ctx, fewshots, cfg.templates_dir)
+        prompt = build_pun_prompt(kb, example.question, ctx, fewshots)
         lf0 = pun_generate(recorder, prompt)
         result = fun(recorder, kb, example.question, example.question_entities(), lf0, cfg, prompt)
         trace["iterations"] = result.iterations
@@ -304,7 +291,7 @@ def run_question(
             lf, answer = result.lf, result.answer
             trace["scun"] = None
         else:
-            lf, answer, info = scun(recorder, example.question, result.candidates, cfg.templates_dir)
+            lf, answer, info = scun(recorder, example.question, result.candidates)
             trace["scun"] = info
         error = None
     except GatewayError as err:

@@ -1,7 +1,7 @@
 """Prompt template catalog.
 
 Templates are plain text files with ``${name}`` placeholders, shipped as
-package data and overridable via a directory of same-named files.  Rendering
+package data under ``templates/`` and edited there in place.  Rendering
 substitutes every placeholder or fails loudly; output never contains an
 unsubstituted marker.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import string
 from importlib import resources
-from pathlib import Path
 
 TEMPLATE_IDS = (
     "pun-header",
@@ -37,32 +36,22 @@ class UnboundPlaceholder(Exception):
     pass
 
 
-_cache: dict[tuple[str | None, str], str] = {}
+_cache: dict[str, str] = {}
 
 
-def template_text(template_id: str, templates_dir: str | None = None) -> str:
-    """Raw template text, from the override directory or the package data."""
+def template_text(template_id: str) -> str:
+    """Raw template text from the package data, read once per process."""
     if template_id not in TEMPLATE_IDS:
         raise UnknownTemplate(f"no template named {template_id!r}")
-    key = (templates_dir, template_id)
-    if key in _cache:
-        return _cache[key]
-    if templates_dir is not None:
-        override = Path(templates_dir) / f"{template_id}.txt"
-        if override.exists():
-            text = override.read_text(encoding="utf-8")
-            _cache[key] = text
-            return text
-    text = (resources.files("kbqa_repair") / "templates" / f"{template_id}.txt").read_text(
-        encoding="utf-8"
-    )
-    _cache[key] = text
-    return text
+    if template_id not in _cache:
+        path = resources.files("kbqa_repair") / "templates" / f"{template_id}.txt"
+        _cache[template_id] = path.read_text(encoding="utf-8")
+    return _cache[template_id]
 
 
-def render_prompt(template_id: str, bindings: dict | None = None, templates_dir: str | None = None) -> str:
+def render_prompt(template_id: str, bindings: dict | None = None) -> str:
     """Render a template with every placeholder substituted."""
-    text = template_text(template_id, templates_dir)
+    text = template_text(template_id)
     try:
         return string.Template(text).substitute(bindings or {})
     except KeyError as err:

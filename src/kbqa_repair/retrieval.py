@@ -2,9 +2,9 @@
 
 A retrieval context holds the top classes, relations and entity-rooted data
 paths for a question, plus the linked entities.  Retrievers are pluggable:
-anything callable as ``retriever(kb, question, linked_entities) -> context``
-works, including external subprocess commands speaking the context's JSON
-shape.  The built-in baseline is purely lexical.
+anything callable as ``retriever(kb, question, linked_entities, caps) ->
+context`` works, including external subprocess commands speaking the
+context's JSON shape.  The built-in baseline is purely lexical.
 """
 
 from __future__ import annotations
@@ -13,21 +13,17 @@ import functools
 import json
 import re
 import subprocess
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .kb import KnowledgeBase, paths_from_entity
 from .query import CanonicalQuery, parse_sparql, render_sparql
 
-DEFAULT_MAX_CLASSES = 10
-DEFAULT_MAX_RELATIONS = 10
-DEFAULT_MAX_PATHS = 5
-
 
 @dataclass(frozen=True)
 class RetrievalCaps:
-    max_classes: int = DEFAULT_MAX_CLASSES
-    max_relations: int = DEFAULT_MAX_RELATIONS
-    max_paths: int = DEFAULT_MAX_PATHS
+    max_classes: int = 10
+    max_relations: int = 10
+    max_paths: int = 5
     max_path_len: int = 2
 
 
@@ -136,8 +132,9 @@ def retrieve_union(
     linked_entities: list[tuple[str, str]],
     caps: RetrievalCaps = RetrievalCaps(),
 ) -> RetrievalContext:
-    """Per-field union across retrievers, first-retriever rank priority,
-    deduplicated at first occurrence, then re-capped."""
+    """Per-field union across retrievers, each called with ``caps``;
+    first-retriever rank priority, deduplicated at first occurrence, then
+    re-capped."""
     if not retrievers:
         raise ValueError("at least one retriever is required")
     classes: list[str] = []
@@ -146,7 +143,7 @@ def retrieve_union(
     path_keys: set[str] = set()
     linked: list[tuple[str, str]] = []
     for retriever in retrievers:
-        ctx = retriever(kb, question, linked_entities)
+        ctx = retriever(kb, question, linked_entities, caps)
         for cid in ctx.classes:
             if cid not in classes:
                 classes.append(cid)
@@ -191,16 +188,18 @@ def context_from_json(doc: dict, kb: KnowledgeBase) -> RetrievalContext:
 
 
 class SubprocessRetriever:
-    """External retriever: JSON request on stdin, RetrievalContext JSON on stdout."""
+    """External retriever: JSON request ``{question, linked_entities, caps}``
+    on stdin, RetrievalContext JSON on stdout."""
 
     def __init__(self, command: list[str], timeout: float = 60.0):
         self.command = list(command)
         self.timeout = timeout
 
-    def __call__(self, kb, question, linked_entities) -> RetrievalContext:
+    def __call__(self, kb, question, linked_entities, caps=RetrievalCaps()) -> RetrievalContext:
         request = {
             "question": question,
             "linked_entities": [{"mention": m, "id": eid} for m, eid in linked_entities],
+            "caps": asdict(caps),
         }
         proc = subprocess.run(
             self.command,

@@ -42,11 +42,10 @@ class VerifierSuite:
 
     answerable_mode: bool = False
     mediator_classes: frozenset = frozenset()
-    templates_dir: str | None = None
 
 
-def _kb_inconsistency(description: str, templates_dir: str | None) -> str:
-    return render_prompt("fb-kb-inconsistency", {"description": description}, templates_dir)
+def _kb_inconsistency(description: str) -> str:
+    return render_prompt("fb-kb-inconsistency", {"description": description})
 
 
 def _fmt_list(items: list[str]) -> str:
@@ -57,18 +56,18 @@ def _fmt_list(items: list[str]) -> str:
 # V1: syntax
 # ---------------------------------------------------------------------------
 
-def v1_syntax(lf: LogicalForm, templates_dir: str | None = None) -> Verdict:
+def v1_syntax(lf: LogicalForm) -> Verdict:
     """Fails iff the surface text did not parse (or is the NK sentinel)."""
     if lf.is_nk:
         error = (
             'word NK not defined; instead of returning "NK", attempt a concrete sparql query '
             "for the question using the provided candidates"
         )
-        feedback = render_prompt("fb-syntax", {"sparql": lf.surface, "error": error}, templates_dir)
+        feedback = render_prompt("fb-syntax", {"sparql": lf.surface, "error": error})
         return Verdict("V1", STRONG, False, feedback)
     if not lf.parsed:
         feedback = render_prompt(
-            "fb-syntax", {"sparql": lf.surface, "error": lf.parse_error or "parse failure"}, templates_dir
+            "fb-syntax", {"sparql": lf.surface, "error": lf.parse_error or "parse failure"}
         )
         return Verdict("V1", STRONG, False, feedback)
     return Verdict("V1", STRONG, True)
@@ -122,7 +121,7 @@ def _collect_constraints(lf: LogicalForm, kb: KnowledgeBase):
     return order, constraints
 
 
-def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase, templates_dir: str | None = None) -> Verdict:
+def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     """Intersects induced class constraints per term; empty intersection fails.
 
     An entity must carry every induced class; a variable's induced classes
@@ -160,7 +159,7 @@ def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase, templates_dir: st
                 f"The assigned relation types by {_fmt_list(sources)} are {_fmt_list(classes)}. "
                 "These types are mutually incompatible."
             )
-        return Verdict("V2a", STRONG, False, _kb_inconsistency(description, templates_dir))
+        return Verdict("V2a", STRONG, False, _kb_inconsistency(description))
 
     for kind in ("entity", "var"):
         for k, key in order:
@@ -176,7 +175,7 @@ def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase, templates_dir: st
 # V2b: schema presence
 # ---------------------------------------------------------------------------
 
-def v2b_schema_presence(lf: LogicalForm, kb: KnowledgeBase, templates_dir: str | None = None) -> Verdict:
+def v2b_schema_presence(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     """Fails iff the query references a class, relation or entity not in the KB."""
     q = lf.canonical
     missing_relations: list[str] = []
@@ -214,14 +213,14 @@ def v2b_schema_presence(lf: LogicalForm, kb: KnowledgeBase, templates_dir: str |
         + ", ".join(parts)
         + "."
     )
-    return Verdict("V2b", STRONG, False, _kb_inconsistency(description, templates_dir))
+    return Verdict("V2b", STRONG, False, _kb_inconsistency(description))
 
 
 # ---------------------------------------------------------------------------
 # V2c: literal casting
 # ---------------------------------------------------------------------------
 
-def v2c_literal_casting(lf: LogicalForm, kb: KnowledgeBase, templates_dir: str | None = None) -> Verdict:
+def v2c_literal_casting(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     """Fails iff a literal's datatype mismatches the range of the relation it meets."""
     q = lf.canonical
     problems: list[str] = []
@@ -259,7 +258,7 @@ def v2c_literal_casting(lf: LogicalForm, kb: KnowledgeBase, templates_dir: str |
     if not problems:
         return Verdict("V2c", STRONG, True)
     description = "Literals are not correctly type cast for the KB: " + "; ".join(problems) + "."
-    return Verdict("V2c", STRONG, False, _kb_inconsistency(description, templates_dir))
+    return Verdict("V2c", STRONG, False, _kb_inconsistency(description))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +269,6 @@ def v3_question_lf_agreement(
     lf: LogicalForm,
     question: str,
     gateway: GenerationGateway,
-    templates_dir: str | None = None,
 ) -> Verdict:
     """Naturalize, back-translate, then check semantic equivalence.
 
@@ -278,25 +276,23 @@ def v3_question_lf_agreement(
     back-translation equals the question verbatim, the equivalence call is
     skipped.  Gateway failures propagate.
     """
-    naturalize = render_prompt("v3-naturalize", {"sparql": lf.surface}, templates_dir)
+    naturalize = render_prompt("v3-naturalize", {"sparql": lf.surface})
     naturalized = gateway.complete([user(naturalize)], "v3-naturalize").strip()
 
-    backtranslate = render_prompt("v3-backtranslate", {"sparql": naturalized}, templates_dir)
+    backtranslate = render_prompt("v3-backtranslate", {"sparql": naturalized})
     back_translation = gateway.complete([user(backtranslate)], "v3-backtranslate").strip()
 
     if back_translation == question.strip():
         return Verdict("V3", WEAK, True, payload=back_translation)
 
-    prompt = render_prompt(
-        "v3-equivalence", {"answered": back_translation, "asked": question}, templates_dir
-    )
+    prompt = render_prompt("v3-equivalence", {"answered": back_translation, "asked": question})
     reply = gateway.complete([user(prompt)], "v3-equivalence")
     same = reply.rfind("they are same")
     different = reply.rfind("they are different")
     if same > different:
         return Verdict("V3", WEAK, True, payload=back_translation)
     feedback = render_prompt(
-        "fb-qlf-disagreement", {"answered": back_translation, "asked": question}, templates_dir
+        "fb-qlf-disagreement", {"answered": back_translation, "asked": question}
     )
     return Verdict("V3", WEAK, False, feedback, payload=back_translation)
 
@@ -314,12 +310,11 @@ def v4_answer_consistency(
     """Execute once; check answer/question-entity overlap, mediator-only
     answers, and emptiness.  Returns the three verdicts plus the answer."""
     answer = execute(kb, lf.canonical)
-    templates_dir = suite.templates_dir
 
     mentioned = sorted(v for v in answer if isinstance(v, str) and v in question_entities)
     if mentioned:
         labels = ", ".join(kb.label_of(eid) for eid in mentioned)
-        feedback = render_prompt("fb-answer-entity", {"answer": labels}, templates_dir)
+        feedback = render_prompt("fb-answer-entity", {"answer": labels})
         v4a = Verdict("V4a", STRONG, False, feedback)
     else:
         v4a = Verdict("V4a", STRONG, True)
@@ -331,14 +326,14 @@ def v4_answer_consistency(
         and all(kb.entity_classes(e) <= suite.mediator_classes for e in answer_entities)
     )
     if mediator_only:
-        feedback = render_prompt("fb-intermediate-node", {}, templates_dir)
+        feedback = render_prompt("fb-intermediate-node")
         v4a_int = Verdict("V4a-int", STRONG, False, feedback)
     else:
         v4a_int = Verdict("V4a-int", STRONG, True)
 
     v4b_strength = STRONG if suite.answerable_mode else WEAK
     if not answer:
-        feedback = render_prompt("fb-empty-answer", {}, templates_dir)
+        feedback = render_prompt("fb-empty-answer")
         v4b = Verdict("V4b", v4b_strength, False, feedback)
     else:
         v4b = Verdict("V4b", v4b_strength, True)
@@ -374,16 +369,15 @@ def run_suite(
     """Strong verifiers in order, stopping at the first failure; then every
     weak verifier.  Execution happens once, at the V4 stage."""
     result = SuiteResult()
-    templates_dir = suite.templates_dir
 
-    v1 = v1_syntax(lf, templates_dir)
+    v1 = v1_syntax(lf)
     result.verdicts.append(v1)
     if not v1.passed:
         result.strong_failure = v1
         return result
 
     for check in (v2a_type_compatibility, v2b_schema_presence, v2c_literal_casting):
-        verdict = check(lf, kb, templates_dir)
+        verdict = check(lf, kb)
         result.verdicts.append(verdict)
         if not verdict.passed:
             result.strong_failure = verdict
@@ -402,7 +396,7 @@ def run_suite(
             result.strong_failure = v4b
             return result
 
-    v3 = v3_question_lf_agreement(lf, question, gateway, templates_dir)
+    v3 = v3_question_lf_agreement(lf, question, gateway)
     result.back_translation = v3.payload
     result.verdicts.append(v3)
     (result.weak_passes if v3.passed else result.weak_failures).append(v3)

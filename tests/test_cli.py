@@ -1,7 +1,12 @@
 import json
 
+import pytest
+
 from conftest import FIXTURES
 from kbqa_repair.cli import main
+from kbqa_repair.kb import load_kb
+from kbqa_repair.pipeline import build_pun_prompt
+from kbqa_repair.retrieval import RetrievalCaps, retrieve_lexical
 
 FIG1 = FIXTURES / "fig1"
 A13 = FIXTURES / "a13"
@@ -189,3 +194,99 @@ def test_eval_prediction_without_lf_exits_2(tmp_path, capsys):
     ) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: bad prediction record") and "'lf'" in err
+
+
+# ---------------------------------------------------------------------------
+# golden runs: `run` output is byte-identical to the committed snapshot,
+# which `python tools/make_fixtures.py` regenerates
+# ---------------------------------------------------------------------------
+
+FIG1_RUN = ("--mock", FIG1 / "mock.json", "--n-iter", "3")
+GOLDEN_RUNS = {
+    "fig1_kb1": ("--kb", FIG1 / "kb1", "--dataset", FIG1 / "dataset_kb1.jsonl", *FIG1_RUN),
+    "fig1_kb2": ("--kb", FIG1 / "kb2", "--dataset", FIG1 / "dataset_kb2.jsonl", *FIG1_RUN),
+    "fig1_kb3": ("--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl", *FIG1_RUN),
+    "a13": ("--kb", A13 / "kb", "--dataset", A13 / "dataset.jsonl", "--mock", A13 / "mock.json"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_run_matches_golden_snapshot(tmp_path, capsys, name):
+    assert run_cli("run", *GOLDEN_RUNS[name], "--out", tmp_path) == 0
+    golden = FIXTURES / "golden_runs" / name
+    for filename in ("outcomes.jsonl", "traces.jsonl"):
+        assert (tmp_path / filename).read_bytes() == (golden / filename).read_bytes(), filename
+
+
+# ---------------------------------------------------------------------------
+# run --config
+# ---------------------------------------------------------------------------
+
+QUESTION = "which books did j r hart write?"
+WORKS_WRITTEN = "SELECT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }"
+
+
+def run_with_config(tmp_path, config, *flags, kb="kb3"):
+    """`run` on one fig1 KB with ``config`` as its config file, which names
+    a mock that replies ``WORKS_WRITTEN`` to every prompt."""
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps([{"match": {"kind": "substring", "text": ""}, "reply": WORKS_WRITTEN}]))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mock": str(mock), **config}))
+    out = tmp_path / "out"
+    assert run_cli(
+        "run", "--kb", FIG1 / kb, "--dataset", FIG1 / f"dataset_{kb}.jsonl", "--config", path,
+        *flags, "--out", out,
+    ) == 0
+    trace = json.loads((out / "traces.jsonl").read_text())
+    return trace, json.loads((out / "manifest.json").read_text())
+
+
+def verdicts(trace, verifier):
+    return [v for it in trace["iterations"] for v in it["verdicts"] if v["verifier"] == verifier]
+
+
+def test_run_config_mediator_classes_reach_v4a_int(tmp_path):
+    plain, _ = run_with_config(tmp_path, {"n_iter": 1})
+    assert all(v["passed"] for v in verdicts(plain, "V4a-int"))
+    mediated, _ = run_with_config(tmp_path, {"n_iter": 1, "mediator_classes": ["book.written_work"]})
+    failed = verdicts(mediated, "V4a-int")
+    assert len(failed) == 2 and not any(v["passed"] for v in failed)
+    assert "intermediate type node" in failed[0]["feedback"]
+
+
+def test_run_config_n_iter_and_answerable_mode_apply(tmp_path):
+    config = {"n_iter": 1, "answerable_mode": True}
+    trace, manifest = run_with_config(tmp_path, config, kb="kb2")
+    assert manifest["n_iter"] == 1 and manifest["answerable_mode"] is True
+    assert len(trace["iterations"]) == 2
+    assert [(v["strength"], v["passed"]) for v in verdicts(trace, "V4b")] == [("strong", False)] * 2
+
+
+def test_run_flag_wins_over_config(tmp_path):
+    trace, manifest = run_with_config(tmp_path, {"n_iter": 1}, "--n-iter", "2", kb="kb2")
+    assert manifest["n_iter"] == 2
+    assert len(trace["iterations"]) == 3
+
+
+@pytest.mark.parametrize("config, caps", [
+    ({"max_path_len": 1}, RetrievalCaps(max_path_len=1)),
+    ({"max_classes": 1, "max_paths": 1000}, RetrievalCaps(max_classes=1, max_paths=1000)),
+])
+def test_run_config_caps_reach_the_prompt(tmp_path, config, caps):
+    kb = load_kb(str(FIG1 / "kb3" / "schema.json"), str(FIG1 / "kb3" / "data.jsonl"))
+    trace, _ = run_with_config(tmp_path, {"n_iter": 1, **config})
+    ctx = retrieve_lexical(kb, QUESTION, [("j r hart", "m.0auth")], caps)
+    assert trace["llm"][0]["prompt"] == build_pun_prompt(kb, QUESTION, ctx)
+
+
+@pytest.mark.parametrize("config", [{"templates_dir": "prompts"}, {"n_iter": 0}, ["n_iter"]])
+def test_run_bad_config_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = run_cli(
+        "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl",
+        "--mock", FIG1 / "mock.json", "--config", path, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -19,7 +19,7 @@ from kbqa_repair.pipeline import (
     select_best,
 )
 from kbqa_repair.query import LogicalForm
-from kbqa_repair.retrieval import RetrievalContext, retrieve_lexical
+from kbqa_repair.retrieval import RetrievalCaps, RetrievalContext, retrieve_lexical
 
 
 def candidate(i, answer, bt="restated?"):
@@ -171,11 +171,11 @@ def test_scun_all_distinct_non_empty_gives_nk():
 def test_scun_single_empty_answer_candidate_selected():
     empty = candidate(2, set())
     candidates = [candidate(1, {"m.a"}), empty, candidate(3, {"m.c"})]
-    gw = pick_first_gateway()
-    lf, answer, info = scun(gw, "q?", candidates)
+    recorder = RecordingGateway(pick_first_gateway())
+    lf, answer, info = scun(recorder, "q?", candidates)
     assert lf == empty.lf and answer is None
     assert info["branch"] == "empty-answer"
-    assert gw.call_count == 0  # singleton short-circuit
+    assert recorder.log == []  # singleton short-circuit
 
 
 def test_scun_majority_with_three_of_four():
@@ -208,10 +208,9 @@ def test_scun_tie_prefers_earliest_iteration_group():
 # ---------------------------------------------------------------------------
 
 def test_select_best_singleton_no_call():
-    gw = MockGateway([])
+    gw = MockGateway([])  # would raise MockMiss on any call
     chosen, fallback = select_best(gw, "q?", [candidate(1, {"m.a"})])
     assert chosen.iteration == 1 and not fallback
-    assert gw.call_count == 0
 
 
 def test_select_best_parses_index():
@@ -373,6 +372,15 @@ def test_gateway_error_recorded_not_raised(fig1_kb3):
     assert outcome.trace["outcome"]["error"]
 
 
+@pytest.mark.parametrize("caps", [RetrievalCaps(max_path_len=1), RetrievalCaps(max_paths=1000)])
+def test_caps_reach_the_retriever(fig1_kb3, caps):
+    example = fig1_example("kb3")
+    gw = MockGateway.from_file(str(FIXTURES / "fig1/mock.json"))
+    outcome = run_question(gw, fig1_kb3, [retrieve_lexical], example, FunConfig(n=3, caps=caps))
+    ctx = retrieve_lexical(fig1_kb3, example.question, list(example.linked_entities), caps)
+    assert outcome.trace["llm"][0]["prompt"] == build_pun_prompt(fig1_kb3, example.question, ctx)
+
+
 def _traced(outcome):
     return json.dumps([outcome.trace, outcome.error], sort_keys=True)
 
@@ -384,10 +392,10 @@ def test_retriever_crash_costs_only_its_question(fig1_kb3, workers):
 
     from kbqa_repair.dataset import DatasetSplit
 
-    def flaky(kb, question, linked):
+    def flaky(kb, question, linked, caps):
         if ("boom", "m.boom") in linked:
             raise subprocess.CalledProcessError(3, ["retriever"])
-        return retrieve_lexical(kb, question, linked)
+        return retrieve_lexical(kb, question, linked, caps)
 
     example = fig1_example("kb3")
     doomed = dataclasses.replace(example, linked_entities=example.linked_entities + (("boom", "m.boom"),))

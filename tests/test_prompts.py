@@ -66,14 +66,6 @@ def test_no_unsubstituted_markers_in_any_rendered_template():
         assert not re.search(r"\$\{?[a-z_]+\}?", rendered), template_id
 
 
-def test_override_directory(tmp_path):
-    (tmp_path / "fb-empty-answer.txt").write_text("empty: ${nothing_here}no wait", encoding="utf-8")
-    assert template_text("fb-empty-answer", str(tmp_path)).startswith("empty:")
-    # unknown ids stay unknown even with an override dir
-    with pytest.raises(UnknownTemplate):
-        template_text("not-a-template", str(tmp_path))
-
-
 def test_equivalence_template_has_both_verdict_exemplars():
     text = template_text("v3-equivalence")
     assert "Hence, they are same." in text

@@ -75,10 +75,10 @@ def test_union_single_retriever_identity(fig1_kb3):
 
 
 def test_union_merges_and_dedups(fig1_kb3):
-    def fake_a(kb, question, linked):
+    def fake_a(kb, question, linked, caps):
         return RetrievalContext(classes=("book.author", "award.award"), relations=("book.author.publisher",))
 
-    def fake_b(kb, question, linked):
+    def fake_b(kb, question, linked, caps):
         return RetrievalContext(classes=("award.award", "book.publisher"), relations=("book.author.publisher", "book.author.influenced"))
 
     union = retrieve_union([fake_a, fake_b], fig1_kb3, "q", [])
@@ -87,7 +87,7 @@ def test_union_merges_and_dedups(fig1_kb3):
 
 
 def test_union_recaps(fig1_kb3):
-    def fat(kb, question, linked):
+    def fat(kb, question, linked, caps):
         return RetrievalContext(classes=tuple(f"c.{i}" for i in range(30)))
 
     union = retrieve_union([fat], fig1_kb3, "q", [])
@@ -128,6 +128,16 @@ def test_subprocess_retriever_contract(fig1_kb3):
         "SELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }"
     )
     assert ctx.linked_entities == (("j r hart", "m.0auth"),)
+
+
+def test_subprocess_retriever_gets_caps(fig1_kb3):
+    script = (
+        "import json,sys; req=json.load(sys.stdin); "
+        "print(json.dumps({'classes': ['book.author', 'book.publisher'][: req['caps']['max_classes']]}))"
+    )
+    retriever = SubprocessRetriever([sys.executable, "-c", script])
+    assert retriever(fig1_kb3, "q", []).classes == ("book.author", "book.publisher")
+    assert retriever(fig1_kb3, "q", [], RetrievalCaps(max_classes=1)).classes == ("book.author",)
 
 
 def test_render_context_fields(fig1_kb3):

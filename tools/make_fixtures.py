@@ -8,17 +8,23 @@ Two golden suites:
   a13/  -- the music-recording genre question whose repair trace goes
            type-conflict -> back-translation disagreement -> all-pass.
 
+golden_runs/ snapshots what `run` writes for both suites; tests/test_cli.py
+reruns them and compares bytes.
+
 Run from the repo root: python tools/make_fixtures.py
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from kbqa_repair.cli import main as cli_main  # noqa: E402
 from kbqa_repair.kb import (  # noqa: E402
     DeletionPlan,
     Entity,
@@ -510,9 +516,35 @@ def build_golden_prompt() -> None:
     (FIXTURES / "golden_pun_prompt.txt").write_bytes(prompt.encode("utf-8"))
 
 
+# ---------------------------------------------------------------------------
+# golden runs: outcomes and traces of `run` on the fig1 and a13 suites
+# ---------------------------------------------------------------------------
+
+FIG1, A13 = FIXTURES / "fig1", FIXTURES / "a13"
+FIG1_RUN = ("--mock", FIG1 / "mock.json", "--n-iter", "3")
+GOLDEN_RUNS = {
+    "fig1_kb1": ("--kb", FIG1 / "kb1", "--dataset", FIG1 / "dataset_kb1.jsonl", *FIG1_RUN),
+    "fig1_kb2": ("--kb", FIG1 / "kb2", "--dataset", FIG1 / "dataset_kb2.jsonl", *FIG1_RUN),
+    "fig1_kb3": ("--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl", *FIG1_RUN),
+    "a13": ("--kb", A13 / "kb", "--dataset", A13 / "dataset.jsonl", "--mock", A13 / "mock.json"),
+}
+
+
+def build_golden_runs() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, flags in GOLDEN_RUNS.items():
+            if cli_main(["run", *map(str, flags), "--out", tmp]) != 0:
+                raise SystemExit(f"golden run {name} failed")
+            out = FIXTURES / "golden_runs" / name
+            out.mkdir(parents=True, exist_ok=True)
+            for filename in ("outcomes.jsonl", "traces.jsonl"):
+                shutil.copyfile(Path(tmp) / filename, out / filename)
+
+
 if __name__ == "__main__":
     build_fig1()
     build_a13()
     build_pairs()
     build_golden_prompt()
+    build_golden_runs()
     print(f"fixtures written under {FIXTURES}")
