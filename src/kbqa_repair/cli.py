@@ -14,8 +14,9 @@ import json
 import shutil
 import sys
 import time
-from dataclasses import fields
+from collections import Counter
 from pathlib import Path
+from typing import get_type_hints
 
 from . import dataset as ds
 from . import kb as kbmod
@@ -149,10 +150,29 @@ def cmd_dataset_sample(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-# Keys of `run --config`: the flags' own, each overridden by its flag when
-# given, then the run settings that have no flag.
-_FLAG_KEYS = ("n_iter", "answerable_mode", "workers", "backend", "mock", "endpoint", "model")
-_CAPS_KEYS = tuple(f.name for f in fields(RetrievalCaps))
+# Keys of `run --config` and the JSON type of each: the flags' own, typed as
+# their flag parses, each overridden by its flag when given; then the run
+# settings that have no flag, typed by the dataclass field they set.
+_FLAG_KEYS = {
+    "n_iter": int, "answerable_mode": bool, "workers": int,
+    "backend": str, "mock": str, "endpoint": str, "model": str,
+}
+_CAPS_KEYS = get_type_hints(RetrievalCaps)
+_CONFIG_KEYS = {
+    **_FLAG_KEYS, **_CAPS_KEYS,
+    "mediator_classes": get_type_hints(VerifierSuite)["mediator_classes"],
+}
+_TYPE_NAMES = {
+    int: "an integer", bool: "true or false", str: "a string", frozenset: "a list of strings",
+}
+
+
+def _has_type(value, want: type) -> bool:
+    if want is frozenset:  # a set of ids, written as a JSON list
+        return isinstance(value, list) and all(isinstance(item, str) for item in value)
+    if want is int and isinstance(value, bool):
+        return False
+    return isinstance(value, want)
 
 
 def _run_config(args) -> pipeline.FunConfig:
@@ -169,9 +189,16 @@ def _run_config(args) -> pipeline.FunConfig:
                 raise FatalError(f"config file {args.config}: {err}") from err
         if not isinstance(config, dict):
             raise FatalError(f"config file {args.config}: not a JSON object")
-        unknown = sorted(set(config) - {*_FLAG_KEYS, *_CAPS_KEYS, "mediator_classes"})
+        unknown = sorted(set(config) - set(_CONFIG_KEYS))
         if unknown:
             raise FatalError(f"config file {args.config}: unknown keys {unknown}")
+        for key, value in config.items():
+            want = _CONFIG_KEYS[key]
+            if not _has_type(value, want):
+                raise FatalError(
+                    f"config file {args.config}: {key} must be {_TYPE_NAMES[want]}, "
+                    f"not {json.dumps(value)}"
+                )
     for key in _FLAG_KEYS:
         if getattr(args, key) is None and key in config:
             setattr(args, key, config[key])
@@ -183,7 +210,7 @@ def _run_config(args) -> pipeline.FunConfig:
         return pipeline.FunConfig(
             caps=RetrievalCaps(**caps), **{k: v for k, v in settings.items() if v is not None}
         )
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise FatalError(f"bad run setting: {err}") from err
 
 
@@ -344,6 +371,11 @@ def cmd_trace_show(args) -> int:
         outcome = trace.get("outcome", {})
         print(f"  outcome: lf={outcome.get('lf')!r} answer={outcome.get('answer')} "
               f"confident={outcome.get('confident')}")
+        calls = Counter(call["purpose"] for call in trace.get("llm", []))
+        by_purpose = ", ".join(f"{purpose} {count}" for purpose, count in calls.items())
+        print(f"  llm calls: {sum(calls.values())}" + (f" ({by_purpose})" if calls else ""))
+        surfaces = [it["lf"] for it in trace.get("iterations", [])]
+        print(f"  reused verifications: {len(surfaces) - len(set(surfaces))}")
     return 0
 
 

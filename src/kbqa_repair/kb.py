@@ -107,7 +107,7 @@ class KnowledgeBase:
         for fact in facts:
             subj.setdefault(fact.subject, []).append(fact)
             relidx.setdefault(fact.relation, []).append(fact)
-            if not fact.obj_is_literal:
+            if not isinstance(fact.obj, Literal):
                 obj.setdefault(fact.obj, []).append(fact)
         self.by_subject = {k: tuple(v) for k, v in subj.items()}
         self.by_object = {k: tuple(v) for k, v in obj.items()}
@@ -117,7 +117,6 @@ class KnowledgeBase:
             for cid in sorted(ent.classes):
                 members.setdefault(cid, []).append(ent.id)
         self.by_class = {k: tuple(sorted(v)) for k, v in members.items()}
-        self.fact_keys = frozenset(f.key() for f in facts)
 
     # -- total lookups ------------------------------------------------------
 
@@ -150,30 +149,33 @@ class KnowledgeBase:
                 if cid not in self.classes:
                     raise ReferentialError(f"entity {ent.id} has unknown class {cid}")
         for fact in self.facts:
-            if fact.subject not in self.entities:
+            subject = self.entities.get(fact.subject)
+            if subject is None:
                 raise ReferentialError(f"fact subject {fact.subject} is not a known entity")
             rd = self.relations.get(fact.relation)
             if rd is None:
                 raise ReferentialError(f"fact uses unknown relation {fact.relation}")
-            if rd.domain not in self.entities[fact.subject].classes:
+            if rd.domain not in subject.classes:
                 raise ReferentialError(
                     f"fact subject {fact.subject} lacks domain class {rd.domain} of {rd.id}"
                 )
-            if fact.obj_is_literal:
+            obj = fact.obj
+            if isinstance(obj, Literal):
                 if not rd.range_is_literal:
                     raise ReferentialError(f"fact of {rd.id} has a literal object, range is {rd.range}")
-                if fact.obj.datatype != rd.range:
+                if obj.datatype != rd.range:
                     raise ReferentialError(
-                        f"fact of {rd.id} has {fact.obj.datatype} literal, range is {rd.range}"
+                        f"fact of {rd.id} has {obj.datatype} literal, range is {rd.range}"
                     )
             else:
                 if rd.range_is_literal:
                     raise ReferentialError(f"fact of {rd.id} has an entity object, range is {rd.range}")
-                if fact.obj not in self.entities:
-                    raise ReferentialError(f"fact object {fact.obj} is not a known entity")
-                if rd.range not in self.entities[fact.obj].classes:
+                target = self.entities.get(obj)
+                if target is None:
+                    raise ReferentialError(f"fact object {obj} is not a known entity")
+                if rd.range not in target.classes:
                     raise ReferentialError(
-                        f"fact object {fact.obj} lacks range class {rd.range} of {rd.id}"
+                        f"fact object {obj} lacks range class {rd.range} of {rd.id}"
                     )
 
     def same_as(self, other: "KnowledgeBase") -> bool:
@@ -356,7 +358,7 @@ def validate_plan(kb: KnowledgeBase, plan: DeletionPlan) -> None:
         if eid not in kb.entities:
             raise UnknownId(f"entity {eid} is not in the KB")
     for fact in plan.facts:
-        if fact.key() not in kb.fact_keys:
+        if fact not in kb.by_subject.get(fact.subject, ()):
             raise UnknownId(f"fact {fact.key()} is not in the KB")
 
 
@@ -376,7 +378,7 @@ def delete_elements(kb: KnowledgeBase, plan: DeletionPlan) -> KnowledgeBase:
         if rd.domain in dead_classes or rd.range in dead_classes:
             dead_relations.add(rd.id)
     dead_entities = set(plan.entities)
-    dead_fact_keys = {f.key() for f in plan.facts}
+    dead_facts = set(plan.facts)
 
     classes = {cid: c for cid, c in kb.classes.items() if cid not in dead_classes}
     relations = {rid: r for rid, r in kb.relations.items() if rid not in dead_relations}
@@ -391,8 +393,8 @@ def delete_elements(kb: KnowledgeBase, plan: DeletionPlan) -> KnowledgeBase:
         for f in kb.facts
         if f.relation not in dead_relations
         and f.subject not in dead_entities
-        and (f.obj_is_literal or f.obj not in dead_entities)
-        and f.key() not in dead_fact_keys
+        and (isinstance(f.obj, Literal) or f.obj not in dead_entities)
+        and f not in dead_facts
     )
     out = KnowledgeBase(classes, relations, entities, facts)
     out.validate()

@@ -8,6 +8,15 @@ at least one weak check joins the candidate pool.  Passing everything ends
 the loop confidently.  When the loop ends without confidence, the consensus
 step votes over candidate answers (strict majority of the pool), falls back
 to empty-answer candidates, and otherwise returns (NK, NA).
+
+Each distinct query is verified once per question.  When a repair round
+regenerates a query the loop already checked, the round reuses that suite
+result: its record, its admission to the pool and the feedback it sends are
+those of the first check, and no verifier, execution or V3 call runs again.
+The reuse is exact when the gateway's replies depend on the prompt alone, as
+the mock's do and the CLI's at temperature 0.  A library caller that builds
+``HttpGateway(temperature>0)`` gets one sampled V3 verdict per distinct
+query, not one per round.  Nothing is shared between questions.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .kb import KnowledgeBase
 from .prompts import render_prompt
 from .query import LogicalForm
 from .retrieval import RetrievalCaps, RetrievalContext, render_context_fields, retrieve_union
-from .verifiers import VerifierSuite, run_suite
+from .verifiers import SuiteResult, VerifierSuite, run_suite
 
 
 @dataclass(frozen=True)
@@ -121,14 +130,19 @@ def fun(
     prompt: str,
 ) -> FunResult:
     """At most cfg.n verify-and-repair rounds over a growing conversation
-    that opens with the generation ``prompt`` and its reply ``lf0``."""
+    that opens with the generation ``prompt`` and its reply ``lf0``.  A
+    round whose query was already checked reuses that check's suite result."""
     conversation: list[Message] = [user(prompt), assistant(lf0.surface)]
     candidates: list[Candidate] = []
     iterations: list[dict] = []
+    checked: dict[tuple[str, str], SuiteResult] = {}
     lf = lf0
 
     for iteration in range(1, cfg.n + 2):
-        result = run_suite(lf, question, question_entities, kb, gateway, cfg)
+        key = (lf.dialect, lf.surface)
+        if key not in checked:
+            checked[key] = run_suite(lf, question, question_entities, kb, gateway, cfg)
+        result = checked[key]
         record = {
             "iteration": iteration,
             "lf": lf.surface,

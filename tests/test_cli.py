@@ -290,3 +290,64 @@ def test_run_bad_config_exits_2(tmp_path, capsys, config):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("config", [
+    {"max_paths": "5"},
+    {"workers": "2"},
+    {"mediator_classes": "book.written_work"},
+    {"mediator_classes": ["book.written_work", 3]},
+    {"n_iter": True},
+    {"answerable_mode": 1},
+    {"mock": None},
+], ids=["max_paths-string", "workers-string", "mediator_classes-string",
+        "mediator_classes-number-item", "n_iter-bool", "answerable_mode-int", "mock-null"])
+def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = run_cli(
+        "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl",
+        "--mock", FIG1 / "mock.json", "--config", path, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    key = next(iter(config))
+    assert capsys.readouterr().err.startswith(f"error: config file {path}: {key} must be ")
+    assert not (tmp_path / "out").exists()  # stopped before any question ran
+
+
+def test_config_key_types_are_the_run_flag_types():
+    from kbqa_repair.cli import _FLAG_KEYS, build_parser
+
+    args = build_parser().parse_args([
+        "run", "--dataset", "d", "--out", "o", "--n-iter", "3", "--answerable-mode",
+        "--workers", "2", "--backend", "http", "--mock", "m", "--endpoint", "e", "--model", "x",
+    ])
+    assert {key: type(getattr(args, key)) for key in _FLAG_KEYS} == _FLAG_KEYS
+
+
+# ---------------------------------------------------------------------------
+# trace show: where each question's LLM budget went
+# ---------------------------------------------------------------------------
+
+def test_trace_show_counts_calls_by_purpose_on_a_golden_trace(capsys):
+    assert run_cli("trace", "show", "--trace", FIXTURES / "golden_runs" / "a13" / "traces.jsonl") == 0
+    shown = capsys.readouterr().out.splitlines()
+    assert shown[-2:] == [
+        "  llm calls: 8 (generate 3, v3-naturalize 2, v3-backtranslate 2, v3-equivalence 1)",
+        "  reused verifications: 0",
+    ]
+
+
+def test_trace_show_counts_reused_verifications(tmp_path, capsys):
+    assert run_cli(
+        "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl",
+        "--mock", FIG1 / "mock_repeat.json", "--n-iter", "3", "--out", tmp_path,
+    ) == 0
+    capsys.readouterr()
+    assert run_cli("trace", "show", "--trace", tmp_path / "traces.jsonl") == 0
+    shown = capsys.readouterr().out.splitlines()
+    assert shown[-2:] == [
+        "  llm calls: 11 (generate 4, v3-naturalize 2, v3-backtranslate 2, v3-equivalence 2, "
+        "scun-select 1)",
+        "  reused verifications: 2",
+    ]

@@ -1,6 +1,8 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import FIXTURES
 from kbqa_repair.executor import execute
@@ -20,7 +22,8 @@ from kbqa_repair.kb import (
     paths_from_entity,
     validate_plan,
 )
-from kbqa_repair.query import render_sparql
+from kbqa_repair.query import Literal, render_sparql
+from randgen import random_kb
 
 
 def tiny_kb():
@@ -178,3 +181,75 @@ def test_revalidation_after_any_deletion(fig1_kb3):
         DeletionPlan(facts=(Fact("m.0auth", "book.author.awards_won", "m.0awd"),)),
     ):
         delete_elements(fig1_kb3, plan).validate()
+
+
+# ---------------------------------------------------------------------------
+# plans against the key() oracle, on random KBs
+# ---------------------------------------------------------------------------
+
+def _twin(fact):
+    """The KB fact with its object's kind or literal type changed."""
+    if isinstance(fact.obj, Literal):
+        other = "float" if fact.obj.datatype == "integer" else "integer"
+        return Fact(fact.subject, fact.relation, Literal(fact.obj.value, other))
+    return Fact(fact.subject, fact.relation, Literal(fact.obj, "string"))
+
+
+@st.composite
+def _plans(draw, kb):
+    """Ids drawn from the KB plus ghosts; facts drawn from the KB, made up,
+    or a KB fact's twin that differs in its object's kind or type."""
+    def some(ids, ghost):
+        return tuple(draw(st.lists(st.sampled_from(sorted(ids) + [ghost]), max_size=2, unique=True)))
+
+    entity_ids = sorted(kb.entities)
+    objects = st.one_of(
+        st.sampled_from(entity_ids + ["m.ghost"]),
+        st.builds(Literal, st.integers(0, 50), st.sampled_from(["integer", "float"])),
+        st.builds(Literal, st.integers(0, 50).map(float), st.sampled_from(["integer", "float"])),
+    )
+    made_up = st.builds(
+        Fact, st.sampled_from(entity_ids + ["m.ghost"]), st.sampled_from(sorted(kb.relations)), objects
+    )
+    facts = made_up
+    if kb.facts:
+        facts = st.one_of(st.sampled_from(kb.facts), st.sampled_from(kb.facts).map(_twin), made_up)
+    return DeletionPlan(
+        classes=some(kb.classes, "dom.ghost"),
+        relations=some(kb.relations, "dom.c.ghost"),
+        entities=some(kb.entities, "m.ghost"),
+        facts=tuple(draw(st.lists(facts, max_size=3))),
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_plans_match_the_key_oracle(seed, data):
+    kb = random_kb(random.Random(seed))
+    plan = data.draw(_plans(kb))
+    keys = {f.key() for f in kb.facts}
+    known = (
+        set(plan.classes) <= set(kb.classes)
+        and set(plan.relations) <= set(kb.relations)
+        and set(plan.entities) <= set(kb.entities)
+        and all(f.key() in keys for f in plan.facts)
+    )
+    try:
+        validate_plan(kb, plan)
+        accepted = True
+    except UnknownId:
+        accepted = False
+    assert accepted == known
+
+    out = delete_elements(kb, plan)
+    out.validate()
+    dead_relations = set(plan.relations) | {
+        r.id for r in kb.relations.values() if {r.domain, r.range} & set(plan.classes)
+    }
+    dead_keys = {f.key() for f in plan.facts}
+    assert out.facts == tuple(
+        f for f in kb.facts
+        if f.relation not in dead_relations
+        and f.subject not in plan.entities
+        and f.obj not in plan.entities
+        and f.key() not in dead_keys
+    )

@@ -3,12 +3,13 @@ import json
 import pytest
 
 from conftest import FIXTURES
-from kbqa_repair.dataset import QAExample, load_split
-from kbqa_repair.gateway import Matcher, MockGateway, RecordingGateway
+from kbqa_repair.dataset import QAExample, answer_to_json, load_split
+from kbqa_repair.gateway import Matcher, MockGateway, RecordingGateway, assistant, user
 from kbqa_repair.kb import load_kb
 from kbqa_repair.pipeline import (
     Candidate,
     FunConfig,
+    FunResult,
     build_pun_prompt,
     fun,
     parse_reply,
@@ -20,6 +21,7 @@ from kbqa_repair.pipeline import (
 )
 from kbqa_repair.query import LogicalForm
 from kbqa_repair.retrieval import RetrievalCaps, RetrievalContext, retrieve_lexical
+from kbqa_repair.verifiers import run_suite
 
 
 def candidate(i, answer, bt="restated?"):
@@ -482,3 +484,138 @@ def test_select_best_call_purpose():
     pool = [candidate(1, {"m.a"}), candidate(2, {"m.b"}), candidate(3, {"m.c"})]
     select_best(recorder, "q?", pool)
     assert [c["purpose"] for c in recorder.log] == ["scun-select"]
+
+
+# ---------------------------------------------------------------------------
+# a repair round that regenerates a query already checked
+# ---------------------------------------------------------------------------
+
+# The kb3 question under mock_repeat.json: rounds alternate between two
+# award queries, so rounds 3 and 4 repeat rounds 1 and 2.
+_V3 = ["v3-naturalize", "v3-backtranslate", "v3-equivalence"]
+_REPEAT_PURPOSES = ["generate"] + _V3 + ["generate"] + _V3 + ["generate", "generate", "scun-select"]
+
+
+def repeat_gateway():
+    return MockGateway.from_file(str(FIXTURES / "fig1/mock_repeat.json"))
+
+
+def run_fun(fun_impl, gw, kb, example):
+    ctx = retrieve_lexical(kb, example.question, list(example.linked_entities))
+    prompt = build_pun_prompt(kb, example.question, ctx)
+    lf0 = pun_generate(gw, prompt)
+    return fun_impl(gw, kb, example.question, example.question_entities(), lf0, FunConfig(n=3), prompt)
+
+
+def test_repeated_query_makes_one_call_per_v3_purpose(fig1_kb3):
+    outcome = run_question(repeat_gateway(), fig1_kb3, [retrieve_lexical], fig1_example("kb3"),
+                           FunConfig(n=3))
+    surfaces = [it["lf"] for it in outcome.trace["iterations"]]
+    assert surfaces[0] != surfaces[1] and surfaces[2:] == surfaces[:2]
+    assert [c["purpose"] for c in outcome.trace["llm"]] == _REPEAT_PURPOSES
+    naturalized = [c["prompt"] for c in outcome.trace["llm"] if c["purpose"] == "v3-naturalize"]
+    assert [p.endswith(s) for p, s in zip(naturalized, surfaces)] == [True, True]
+
+
+def test_repeated_round_records_the_first_check(fig1_kb3):
+    outcome = run_question(repeat_gateway(), fig1_kb3, [retrieve_lexical], fig1_example("kb3"),
+                           FunConfig(n=3))
+    iterations = outcome.trace["iterations"]
+    for first, again in ((iterations[0], iterations[2]), (iterations[1], iterations[3])):
+        assert again["iteration"] == first["iteration"] + 2
+        assert {**again, "iteration": first["iteration"]} == first
+
+
+def test_repeated_query_is_admitted_each_time(fig1_kb3):
+    result = run_fun(fun, repeat_gateway(), fig1_kb3, fig1_example("kb3"))
+    assert [c.iteration for c in result.candidates] == [1, 2, 3, 4]
+    assert result.candidates[2].lf == result.candidates[0].lf
+    assert result.candidates[2].answer == result.candidates[0].answer
+    assert all(it["admitted"] for it in result.iterations)
+
+
+def test_suite_runs_once_per_distinct_query(fig1_kb3, monkeypatch):
+    import kbqa_repair.pipeline as pipeline
+
+    checked = []
+
+    def counting(lf, *args):
+        checked.append(lf.surface)
+        return run_suite(lf, *args)
+
+    monkeypatch.setattr(pipeline, "run_suite", counting)
+    result = run_fun(fun, repeat_gateway(), fig1_kb3, fig1_example("kb3"))
+    assert len(result.iterations) == 4
+    assert checked == [it["lf"] for it in result.iterations[:2]]
+
+
+def _fun_checking_every_round(gateway, kb, question, question_entities, lf0, cfg, prompt):
+    """The repair loop as it was before suite results were reused: the suite
+    runs on every round.  Kept here as the oracle for ``fun``."""
+    conversation = [user(prompt), assistant(lf0.surface)]
+    candidates, iterations = [], []
+    lf = lf0
+    for iteration in range(1, cfg.n + 2):
+        result = run_suite(lf, question, question_entities, kb, gateway, cfg)
+        record = {
+            "iteration": iteration,
+            "lf": lf.surface,
+            "parsed": lf.parsed,
+            "verdicts": [
+                {"verifier": v.verifier_id, "strength": v.strength, "passed": v.passed,
+                 "feedback": v.feedback}
+                for v in result.verdicts
+            ],
+            "answer": answer_to_json(result.answer) if result.answer is not None else None,
+            "admitted": False,
+            "all_pass": False,
+            "back_translation": result.back_translation,
+        }
+        iterations.append(record)
+        if result.all_pass:
+            record["all_pass"] = True
+            return FunResult(True, lf, result.answer, candidates, iterations)
+        if result.strong_failure is not None:
+            feedback_texts = [result.strong_failure.feedback]
+        else:
+            if result.weak_passes:
+                record["admitted"] = True
+                candidates.append(Candidate(lf, result.answer, result.back_translation, iteration))
+            feedback_texts = [v.feedback for v in result.weak_failures]
+        if iteration == cfg.n + 1:
+            break
+        conversation.append(user("\n".join(feedback_texts)))
+        reply = gateway.complete(conversation)
+        conversation.append(assistant(reply))
+        lf = parse_reply(reply)
+    return FunResult(False, lf, None, candidates, iterations)
+
+
+@pytest.mark.parametrize("kb_name, dataset, mock", [
+    ("fig1_kb1", "fig1/dataset_kb1.jsonl", "fig1/mock.json"),
+    ("fig1_kb2", "fig1/dataset_kb2.jsonl", "fig1/mock.json"),
+    ("fig1_kb3", "fig1/dataset_kb3.jsonl", "fig1/mock.json"),
+    ("a13_kb", "a13/dataset.jsonl", "a13/mock.json"),
+    ("fig1_kb3", "fig1/dataset_kb3.jsonl", "fig1/mock_repeat.json"),
+])
+def test_fun_matches_the_every_round_oracle(request, kb_name, dataset, mock):
+    kb = request.getfixturevalue(kb_name)
+    example = load_split(str(FIXTURES / dataset)).examples[0]
+    results = [
+        run_fun(impl, MockGateway.from_file(str(FIXTURES / mock)), kb, example)
+        for impl in (fun, _fun_checking_every_round)
+    ]
+    got, want = ((r.confident, r.lf, r.answer, r.candidates, r.iterations) for r in results)
+    assert got == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_question_makes_its_own_v3_calls(fig1_kb3, workers):
+    from kbqa_repair.dataset import DatasetSplit
+
+    example = fig1_example("kb3")
+    split = DatasetSplit("t", (example, example))
+    outcomes = run_dataset(repeat_gateway(), fig1_kb3, [retrieve_lexical], split, FunConfig(n=3),
+                           workers=workers)
+    assert [[c["purpose"] for c in o.trace["llm"]] for o in outcomes] == [_REPEAT_PURPOSES] * 2
+    assert _traced(outcomes[0]) == _traced(outcomes[1])

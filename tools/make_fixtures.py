@@ -4,7 +4,8 @@
 Two golden suites:
   fig1/ -- one question ("which books did j r hart write?") over three toy
            KBs: complete (kb3), facts deleted (kb2), relation deleted (kb1),
-           plus one scripted mock fixture that drives all three runs.
+           plus one scripted mock fixture that drives all three runs, and
+           one (mock_repeat.json) whose repair rounds repeat two queries.
   a13/  -- the music-recording genre question whose repair trace goes
            type-conflict -> back-translation disagreement -> all-pass.
 
@@ -287,6 +288,26 @@ def build_fig1() -> None:
     write_mock(out / "mock.json", matchers)
 
 
+def build_fig1_repeat() -> None:
+    """A mock for the kb3 question whose repair rounds alternate between two
+    queries, so every round after the second regenerates a query the loop
+    already checked."""
+    different = "Hence, they are different."
+    matchers = [
+        ("relation names\nSELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.awards_won ?x", NAT_AWARD),
+        ("relation names\nSELECT DISTINCT ?y WHERE { ns:m.0auth ns:book.author.awards_won ?y", NAT_AWARD_B),
+        ("as natural as possible. SELECT DISTINCT ?award WHERE", QB_AWARD),
+        ("as natural as possible. SELECT DISTINCT ?prize WHERE", QB_AWARD_B),
+        (f"Question we answer: {QB_AWARD}", f"The reasoning steps are different. {different}"),
+        (f"Question we answer: {QB_AWARD_B}", f"The reasoning steps are different. {different}"),
+        (f'You have answered the question "{QB_AWARD}"', LF_AWARD_B),
+        (f'You have answered the question "{QB_AWARD_B}"', LF_AWARD_A),
+        ("orig_nl_qn = ", "1"),
+        ("ns:m.0auth ns:book.author.works_written ?x", LF_AWARD_A),
+    ]
+    write_mock(FIXTURES / "fig1" / "mock_repeat.json", matchers)
+
+
 # ---------------------------------------------------------------------------
 # a13: music-recording genre trace
 # ---------------------------------------------------------------------------
@@ -543,6 +564,7 @@ def build_golden_runs() -> None:
 
 if __name__ == "__main__":
     build_fig1()
+    build_fig1_repeat()
     build_a13()
     build_pairs()
     build_golden_prompt()
