@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .kb import KnowledgeBase, load_kb
 from .query import CanonicalQuery, LogicalForm, parse_sexpr, parse_sparql
-from .executor import brute_force_execute, execute
+from .executor import execute
 from .pipeline import FunConfig, PipelineOutcome, run_dataset, run_question
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "parse_sparql",
     "parse_sexpr",
     "execute",
-    "brute_force_execute",
     "FunConfig",
     "PipelineOutcome",
     "run_question",

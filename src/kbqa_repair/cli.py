@@ -348,34 +348,45 @@ class _RefusingGateway:
 # trace
 # ---------------------------------------------------------------------------
 
+def _trace_lines(trace: dict) -> list[str]:
+    lines = [f"question: {trace['question']}"]
+    for it in trace.get("iterations", []):
+        lines.append(f"  iteration {it['iteration']}: {it['lf']}")
+        for v in it["verdicts"]:
+            mark = "pass" if v["passed"] else "FAIL"
+            lines.append(f"    {v['verifier']:<8}{v['strength']:<8}{mark}")
+        if it.get("answer") is not None:
+            lines.append(f"    answer: {it['answer']}")
+    scun_info = trace.get("scun")
+    if scun_info:
+        lines.append(f"  consensus: {scun_info}")
+    outcome = trace.get("outcome", {})
+    lines.append(f"  outcome: lf={outcome.get('lf')!r} answer={outcome.get('answer')} "
+                 f"confident={outcome.get('confident')}")
+    calls = Counter(call["purpose"] for call in trace.get("llm", []))
+    by_purpose = ", ".join(f"{purpose} {count}" for purpose, count in calls.items())
+    lines.append(f"  llm calls: {sum(calls.values())}" + (f" ({by_purpose})" if calls else ""))
+    surfaces = [it["lf"] for it in trace.get("iterations", [])]
+    lines.append(f"  reused verifications: {len(surfaces) - len(set(surfaces))}")
+    return lines
+
+
 def cmd_trace_show(args) -> int:
     if not Path(args.trace).exists():
         raise FatalError(f"trace file not found: {args.trace}")
-    traces = [record for _, record in kbmod.read_jsonl(args.trace)]
+    traces = list(kbmod.read_jsonl(args.trace))
     if args.index is not None:
         if not 0 <= args.index < len(traces):
             raise FatalError(f"--index {args.index} out of range (0..{len(traces) - 1})")
         traces = [traces[args.index]]
-    for trace in traces:
-        print(f"question: {trace['question']}")
-        for it in trace.get("iterations", []):
-            print(f"  iteration {it['iteration']}: {it['lf']}")
-            for v in it["verdicts"]:
-                mark = "pass" if v["passed"] else "FAIL"
-                print(f"    {v['verifier']:<8}{v['strength']:<8}{mark}")
-            if it.get("answer") is not None:
-                print(f"    answer: {it['answer']}")
-        scun_info = trace.get("scun")
-        if scun_info:
-            print(f"  consensus: {scun_info}")
-        outcome = trace.get("outcome", {})
-        print(f"  outcome: lf={outcome.get('lf')!r} answer={outcome.get('answer')} "
-              f"confident={outcome.get('confident')}")
-        calls = Counter(call["purpose"] for call in trace.get("llm", []))
-        by_purpose = ", ".join(f"{purpose} {count}" for purpose, count in calls.items())
-        print(f"  llm calls: {sum(calls.values())}" + (f" ({by_purpose})" if calls else ""))
-        surfaces = [it["lf"] for it in trace.get("iterations", [])]
-        print(f"  reused verifications: {len(surfaces) - len(set(surfaces))}")
+    lines = []
+    for lineno, trace in traces:
+        try:
+            lines.extend(_trace_lines(trace))
+        except (KeyError, TypeError, AttributeError) as err:
+            raise kbmod.FormatError(f"not a trace record: {err!r}", lineno) from err
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -479,17 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FatalError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (kbmod.FormatError, kbmod.ReferentialError, kbmod.UnknownId, ds.PreconditionError,
-            ds.InsufficientExamples) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (GatewayError, MockMiss) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (FatalError, kbmod.FormatError, kbmod.ReferentialError, kbmod.UnknownId,
+            ds.PreconditionError, ds.InsufficientExamples, GatewayError, MockMiss, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -178,14 +178,6 @@ class KnowledgeBase:
                         f"fact object {obj} lacks range class {rd.range} of {rd.id}"
                     )
 
-    def same_as(self, other: "KnowledgeBase") -> bool:
-        return (
-            self.classes == other.classes
-            and self.relations == other.relations
-            and self.entities == other.entities
-            and self.facts == other.facts
-        )
-
 
 def build_kb(
     classes: list[SchemaClass],

@@ -73,7 +73,6 @@ class FunResult:
     answer: frozenset | None
     candidates: list[Candidate]
     iterations: list[dict]
-    error: str | None = None
 
 
 # ---------------------------------------------------------------------------

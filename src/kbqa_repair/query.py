@@ -241,25 +241,24 @@ class _Tok:
     pos: int
 
 
-def _tokenize_sparql(text: str) -> list[_Tok]:
+def _tokenize(regex: re.Pattern, text: str) -> list[_Tok]:
+    """Split text into the regex's named groups, dropping whitespace."""
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = regex.match(text, pos)
         if m is None:
             raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(_Tok(kind, m.group(), pos))
+        if m.lastgroup != "ws":
+            tokens.append(_Tok(m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(_Tok("eof", "", len(text)))
     return tokens
 
 
 class _SparqlParser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = _tokenize_sparql(text)
+        self.toks = _tokenize(_TOKEN_RE, text) + [_Tok("eof", "", len(text))]
         self.i = 0
 
     def peek(self) -> _Tok:
@@ -468,19 +467,6 @@ _SEXPR_TOKEN_RE = re.compile(
 )
 
 
-def _tokenize_sexpr(text: str) -> list[_Tok]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _SEXPR_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append(_Tok(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    return tokens
-
-
 def _read_sexpr(tokens: list[_Tok], i: int) -> tuple[object, int]:
     if i >= len(tokens):
         raise QuerySyntaxError("unexpected end of input, unbalanced parentheses", 0)
@@ -599,7 +585,7 @@ def parse_sexpr(text: str) -> CanonicalQuery:
     Supported functions: AND, JOIN, R, COUNT, ARGMAX, ARGMIN and the
     comparators lt/le/gt/ge.  Anything else is a syntax error.
     """
-    tokens = _tokenize_sexpr(text)
+    tokens = _tokenize(_SEXPR_TOKEN_RE, text)
     if not tokens:
         raise QuerySyntaxError("empty input")
     tree, i = _read_sexpr(tokens, 0)
@@ -663,6 +649,7 @@ def render_sexpr(q: CanonicalQuery) -> str:
     for f in q.filters:
         filters_by_var.setdefault(f.variable, []).append(f)
     consumed_filters: set[int] = set()
+    rendered: set[str] = set()
 
     def edges_of(name: str) -> list[tuple[int, Pattern]]:
         found = []
@@ -698,6 +685,10 @@ def render_sexpr(q: CanonicalQuery) -> str:
         return f"({op_name} {p.value} {value})"
 
     def expr_for(name: str) -> str:
+        # A tree reaches each variable once; reaching one again is a cycle.
+        if name in rendered:
+            raise UnsupportedQuery("pattern graph is not a tree rooted at the projection")
+        rendered.add(name)
         parts: list[str] = []
         for idx, (s, p, o) in edges_of(name):
             if p.kind == "type_assert":

@@ -2,21 +2,19 @@
 
 A retrieval context holds the top classes, relations and entity-rooted data
 paths for a question, plus the linked entities.  Retrievers are pluggable:
-anything callable as ``retriever(kb, question, linked_entities, caps) ->
-context`` works, including external subprocess commands speaking the
-context's JSON shape.  The built-in baseline is purely lexical.
+any in-process callable ``retriever(kb, question, linked_entities, caps) ->
+context`` works, and ``retrieve_union`` merges several.  The built-in
+baseline is purely lexical.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import re
-import subprocess
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .kb import KnowledgeBase, paths_from_entity
-from .query import CanonicalQuery, parse_sparql, render_sparql
+from .query import CanonicalQuery, render_sparql
 
 
 @dataclass(frozen=True)
@@ -159,57 +157,6 @@ def retrieve_union(
             if pair not in linked:
                 linked.append(pair)
     return RetrievalContext(tuple(classes), tuple(relations), tuple(paths), tuple(linked)).capped(caps)
-
-
-# ---------------------------------------------------------------------------
-# Wire shape and subprocess plug-ins
-# ---------------------------------------------------------------------------
-
-def context_to_json(ctx: RetrievalContext) -> dict:
-    return {
-        "classes": list(ctx.classes),
-        "relations": list(ctx.relations),
-        "paths": [render_sparql(p) for p in ctx.paths],
-        "linked_entities": [{"mention": m, "id": eid} for m, eid in ctx.linked_entities],
-    }
-
-
-def context_from_json(doc: dict, kb: KnowledgeBase) -> RetrievalContext:
-    """Parse the wire shape, dropping ids that do not resolve in the KB."""
-    classes = tuple(c for c in doc.get("classes", []) if kb.has_class(c))
-    relations = tuple(r for r in doc.get("relations", []) if kb.has_relation(r))
-    paths = tuple(parse_sparql(p) for p in doc.get("paths", []))
-    linked = tuple(
-        (item["mention"], item["id"])
-        for item in doc.get("linked_entities", [])
-        if kb.has_entity(item["id"])
-    )
-    return RetrievalContext(classes, relations, paths, linked)
-
-
-class SubprocessRetriever:
-    """External retriever: JSON request ``{question, linked_entities, caps}``
-    on stdin, RetrievalContext JSON on stdout."""
-
-    def __init__(self, command: list[str], timeout: float = 60.0):
-        self.command = list(command)
-        self.timeout = timeout
-
-    def __call__(self, kb, question, linked_entities, caps=RetrievalCaps()) -> RetrievalContext:
-        request = {
-            "question": question,
-            "linked_entities": [{"mention": m, "id": eid} for m, eid in linked_entities],
-            "caps": asdict(caps),
-        }
-        proc = subprocess.run(
-            self.command,
-            input=json.dumps(request),
-            capture_output=True,
-            text=True,
-            timeout=self.timeout,
-            check=True,
-        )
-        return context_from_json(json.loads(proc.stdout), kb)
 
 
 # ---------------------------------------------------------------------------

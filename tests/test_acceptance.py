@@ -12,7 +12,7 @@ import time
 from conftest import FIXTURES
 from kbqa_repair.cli import main as cli_main
 from kbqa_repair.dataset import DatasetSplit, QAExample, load_split, make_random_plan, inject_unanswerability, save_split
-from kbqa_repair.executor import brute_force_execute, execute
+from kbqa_repair.executor import execute
 from kbqa_repair.gateway import Matcher, MockGateway
 from kbqa_repair.kb import Entity, Fact, RelationDef, SchemaClass, build_kb, load_kb
 from kbqa_repair.metrics import em_s, f1_answers
@@ -20,6 +20,7 @@ from kbqa_repair.pipeline import Candidate, FunConfig, run_dataset, run_question
 from kbqa_repair.query import LogicalForm, extract_entities, extract_relations
 from kbqa_repair.retrieval import retrieve_lexical
 from kbqa_repair.verifiers import v2a_type_compatibility, v2b_schema_presence
+from oracles import brute_force_execute
 from randgen import random_kb, random_query
 
 FIG1 = FIXTURES / "fig1"

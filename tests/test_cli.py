@@ -181,9 +181,16 @@ def test_trace_show(tmp_path, capsys):
 
 def test_trace_show_bad_line_exits_2(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
-    traces.write_text('{"question": "q?"}\n{not json\n')
-    assert run_cli("trace", "show", "--trace", traces) == 2
-    assert capsys.readouterr().err.startswith("error: line 2: invalid JSON")
+    for line, message in (
+        ("{not json", "invalid JSON"),
+        ('{"iterations": []}', "not a trace record: KeyError"),
+        ("[1]", "not a trace record: TypeError"),
+    ):
+        traces.write_text('{"question": "q?"}\n' + line + "\n")
+        assert run_cli("trace", "show", "--trace", traces) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: line 2: {message}")
+        assert captured.out == ""
 
 
 def test_eval_prediction_without_lf_exits_2(tmp_path, capsys):

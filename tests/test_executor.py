@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from kbqa_repair.executor import SizeLimit, brute_force_execute, execute
+from kbqa_repair.executor import execute
 from kbqa_repair.kb import DeletionPlan, delete_elements
 from kbqa_repair.query import Literal, parse_sexpr, parse_sparql
+from oracles import SizeLimit, brute_force_execute
 from randgen import random_kb, random_query
 
 

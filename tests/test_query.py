@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import FIXTURES
+from kbqa_repair.executor import execute
 from kbqa_repair.query import (
     Filter,
     Literal,
@@ -18,6 +21,7 @@ from kbqa_repair.query import (
     render_sparql,
     var,
 )
+from randgen import random_kb, random_query
 
 GENRE_SPARQL = (
     "SELECT DISTINCT ?x WHERE { ?x ns:music.genre.recordings ns:m.0123lk0s . "
@@ -128,6 +132,54 @@ def test_roundtrip_sexpr_corpus():
     for pair in pairs:
         q = parse_sexpr(pair["sexpr"])
         assert parse_sexpr(render_sexpr(q)) == q
+
+
+def _random_instance(seed):
+    rng = random.Random(seed)
+    kb = random_kb(rng)
+    return kb, random_query(rng, kb)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sparql_roundtrip_property(seed):
+    _, q = _random_instance(seed)
+    try:
+        text = render_sparql(q)
+    except UnsupportedQuery:
+        assume(False)
+    assert parse_sparql(text) == q
+
+
+# Seeds 85, 316, 486 and 538 draw a self-loop that render_sexpr once
+# rendered as a different tree.
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=85)
+@example(seed=316)
+@example(seed=486)
+@example(seed=538)
+def test_sexpr_roundtrip_property(seed):
+    kb, q = _random_instance(seed)
+    try:
+        text = render_sexpr(q)
+    except UnsupportedQuery:
+        assume(False)
+    back = parse_sexpr(text)
+    assert execute(kb, back) == execute(kb, q)
+    assert render_sexpr(back) == text
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [
+        "?a ns:r.one ?a . ?a ns:type.object.type ns:c.k",
+        "?a ns:type.object.type ns:c.k . ?a ns:r.one ?a",
+        "?a ns:r.one ?b . ?b ns:r.two ?a",
+    ],
+)
+def test_render_sexpr_rejects_cycles(patterns):
+    q = parse_sparql(f"SELECT DISTINCT ?a WHERE {{ {patterns} }}")
+    with pytest.raises(UnsupportedQuery, match="not a tree rooted at the projection"):
+        render_sexpr(q)
 
 
 def test_dialect_agreement_corpus():

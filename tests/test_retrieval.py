@@ -1,7 +1,6 @@
 import random
 import re
 import string
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,9 +10,6 @@ from kbqa_repair.kb import DeletionPlan, delete_elements, paths_from_entity
 from kbqa_repair.retrieval import (
     RetrievalCaps,
     RetrievalContext,
-    SubprocessRetriever,
-    context_from_json,
-    context_to_json,
     lexical_score,
     render_context_fields,
     retrieve_lexical,
@@ -92,52 +88,6 @@ def test_union_recaps(fig1_kb3):
 
     union = retrieve_union([fat], fig1_kb3, "q", [])
     assert len(union.classes) == 10
-
-
-def test_context_json_roundtrip(fig1_kb3):
-    ctx = retrieve_lexical(fig1_kb3, "which books did j r hart write?", [("j r hart", "m.0auth")])
-    doc = context_to_json(ctx)
-    back = context_from_json(doc, fig1_kb3)
-    assert back == ctx
-
-
-def test_context_from_json_drops_unresolvable(fig1_kb3):
-    doc = {
-        "classes": ["book.author", "ghost.class"],
-        "relations": ["ghost.rel", "book.author.publisher"],
-        "paths": [],
-        "linked_entities": [{"mention": "x", "id": "m.nope"}],
-    }
-    ctx = context_from_json(doc, fig1_kb3)
-    assert ctx.classes == ("book.author",)
-    assert ctx.relations == ("book.author.publisher",)
-    assert ctx.linked_entities == ()
-
-
-def test_subprocess_retriever_contract(fig1_kb3):
-    script = (
-        "import json,sys; req=json.load(sys.stdin); "
-        "print(json.dumps({'classes': ['book.author'], 'relations': [], 'paths': "
-        "['SELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }'], "
-        "'linked_entities': req['linked_entities']}))"
-    )
-    retriever = SubprocessRetriever([sys.executable, "-c", script])
-    ctx = retriever(fig1_kb3, "which books?", [("j r hart", "m.0auth")])
-    assert ctx.classes == ("book.author",)
-    assert ctx.paths[0] == parse_sparql(
-        "SELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }"
-    )
-    assert ctx.linked_entities == (("j r hart", "m.0auth"),)
-
-
-def test_subprocess_retriever_gets_caps(fig1_kb3):
-    script = (
-        "import json,sys; req=json.load(sys.stdin); "
-        "print(json.dumps({'classes': ['book.author', 'book.publisher'][: req['caps']['max_classes']]}))"
-    )
-    retriever = SubprocessRetriever([sys.executable, "-c", script])
-    assert retriever(fig1_kb3, "q", []).classes == ("book.author", "book.publisher")
-    assert retriever(fig1_kb3, "q", [], RetrievalCaps(max_classes=1)).classes == ("book.author",)
 
 
 def test_render_context_fields(fig1_kb3):
