@@ -45,18 +45,55 @@ def test_smallest_consistent_kb():
     kb.validate()
 
 
-def test_fact_with_unknown_relation_is_referential_error():
+def _kb_parts():
+    """The parts of a sound KB with an entity-ranged and a literal-ranged relation."""
+    return {
+        "classes": [SchemaClass("c.a"), SchemaClass("c.b")],
+        "relations": [RelationDef("c.a.to_b", "c.a", "c.b"), RelationDef("c.a.year", "c.a", "integer")],
+        "entities": [
+            Entity("m.1", "", frozenset({"c.a"})),
+            Entity("m.2", "", frozenset({"c.b"})),
+        ],
+        "facts": [Fact("m.1", "c.a.to_b", "m.2"), Fact("m.1", "c.a.year", Literal(1999, "integer"))],
+    }
+
+
+# One element added to a sound KB, and the exact error it raises.
+REFERENTIAL_ERRORS = [
+    ("relations", RelationDef("c.x.r", "c.x", "c.b"), "relation c.x.r has unknown domain class c.x"),
+    ("relations", RelationDef("c.a.r", "c.a", "c.x"), "relation c.a.r has unknown range class c.x"),
+    ("entities", Entity("m.3", "", frozenset({"c.x"})), "entity m.3 has unknown class c.x"),
+    ("facts", Fact("m.9", "c.a.to_b", "m.2"), "fact subject m.9 is not a known entity"),
+    ("facts", Fact("m.1", "ghost.rel", "m.2"), "fact uses unknown relation ghost.rel"),
+    ("facts", Fact("m.2", "c.a.to_b", "m.2"), "fact subject m.2 lacks domain class c.a of c.a.to_b"),
+    ("facts", Fact("m.1", "c.a.to_b", Literal(3, "integer")),
+     "fact of c.a.to_b has a literal object, range is c.b"),
+    ("facts", Fact("m.1", "c.a.year", Literal("x", "string")),
+     "fact of c.a.year has string literal, range is integer"),
+    ("facts", Fact("m.1", "c.a.year", "m.2"), "fact of c.a.year has an entity object, range is integer"),
+    ("facts", Fact("m.1", "c.a.to_b", "m.9"), "fact object m.9 is not a known entity"),
+    ("facts", Fact("m.1", "c.a.to_b", "m.1"), "fact object m.1 lacks range class c.b of c.a.to_b"),
+]
+
+
+@pytest.mark.parametrize(
+    "part, element, message", REFERENTIAL_ERRORS, ids=[m for _, _, m in REFERENTIAL_ERRORS]
+)
+def test_fact_with_unknown_relation_is_referential_error(part, element, message):
+    parts = _kb_parts()
+    parts[part].append(element)
     with pytest.raises(ReferentialError) as err:
-        build_kb(
-            classes=[SchemaClass("c.a"), SchemaClass("c.b")],
-            relations=[],
-            entities=[
-                Entity("m.1", "", frozenset({"c.a"})),
-                Entity("m.2", "", frozenset({"c.b"})),
-            ],
-            facts=[Fact("m.1", "ghost.rel", "m.2")],
-        )
-    assert "ghost.rel" in str(err.value)
+        build_kb(**parts)
+    assert str(err.value) == message
+
+
+def test_relation_error_is_reported_before_fact_error():
+    parts = _kb_parts()
+    parts["relations"].append(RelationDef("c.a.r", "c.a", "c.x"))
+    parts["facts"].append(Fact("m.1", "ghost.rel", "m.2"))
+    with pytest.raises(ReferentialError) as err:
+        build_kb(**parts)
+    assert str(err.value) == "relation c.a.r has unknown range class c.x"
 
 
 def test_fact_domain_violation_rejected():
