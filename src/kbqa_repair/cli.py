@@ -22,7 +22,7 @@ from . import dataset as ds
 from . import kb as kbmod
 from . import metrics, pipeline
 from .gateway import GatewayError, HttpGateway, MockGateway, MockMiss
-from .query import LogicalForm
+from .query import LogicalForm, UnsupportedQuery
 from .retrieval import RetrievalCaps, retrieve_lexical
 from .verifiers import VerifierSuite, run_suite
 
@@ -32,20 +32,8 @@ class FatalError(Exception):
 
 
 def _kb_paths(args) -> tuple[str, str]:
-    if getattr(args, "kb", None):
-        base = Path(args.kb)
-        schema, data = base / "schema.json", base / "data.jsonl"
-        if not schema.exists():
-            raise FatalError(f"KB schema file not found: {schema}")
-        if not data.exists():
-            raise FatalError(f"KB data file not found: {data}")
-        return str(schema), str(data)
-    if not getattr(args, "schema", None) or not getattr(args, "data", None):
-        raise FatalError("provide --kb DIR or both --schema and --data")
-    for path in (args.schema, args.data):
-        if not Path(path).exists():
-            raise FatalError(f"file not found: {path}")
-    return args.schema, args.data
+    base = Path(args.kb)
+    return str(base / "schema.json"), str(base / "data.jsonl")
 
 
 def _load_kb(args) -> kbmod.KnowledgeBase:
@@ -54,15 +42,16 @@ def _load_kb(args) -> kbmod.KnowledgeBase:
 
 
 def _make_gateway(args):
-    backend = getattr(args, "backend", None) or "mock"
+    backend = args.backend or "mock"
     if backend == "mock":
-        if not getattr(args, "mock", None):
+        if not args.mock:
             raise FatalError("--backend mock requires --mock FIXTURE")
-        if not Path(args.mock).exists():
-            raise FatalError(f"mock fixture not found: {args.mock}")
-        return MockGateway.from_file(args.mock)
+        try:
+            return MockGateway.from_file(args.mock)
+        except (ValueError, KeyError, TypeError) as err:
+            raise FatalError(f"mock fixture {args.mock}: {err!r}") from err
     if backend == "http":
-        if not getattr(args, "endpoint", None) or not getattr(args, "model", None):
+        if not args.endpoint or not args.model:
             raise FatalError("--backend http requires --endpoint and --model")
         try:
             return HttpGateway(args.endpoint, args.model, auth_env=args.auth_env)
@@ -86,8 +75,6 @@ def cmd_kb_validate(args) -> int:
 
 def cmd_kb_delete(args) -> int:
     kb = _load_kb(args)
-    if not Path(args.plan).exists():
-        raise FatalError(f"plan file not found: {args.plan}")
     plan = kbmod.load_plan(args.plan)
     kbmod.validate_plan(kb, plan)
     kb2 = kbmod.delete_elements(kb, plan)
@@ -107,8 +94,6 @@ def cmd_kb_delete(args) -> int:
 
 def cmd_dataset_inject(args) -> int:
     kb = _load_kb(args)
-    if not Path(args.split).exists():
-        raise FatalError(f"split file not found: {args.split}")
     split = ds.load_split(args.split)
     if args.plan:
         plan = kbmod.load_plan(args.plan)
@@ -137,8 +122,6 @@ def cmd_dataset_inject(args) -> int:
 
 
 def cmd_dataset_sample(args) -> int:
-    if not Path(args.split).exists():
-        raise FatalError(f"split file not found: {args.split}")
     split = ds.load_split(args.split)
     sample = ds.sample_fewshots(split, args.n_ans, args.n_unans, args.seed)
     ds.save_split(sample, args.out)
@@ -180,8 +163,6 @@ def _run_config(args) -> pipeline.FunConfig:
     settings without a flag; what neither sets keeps its default."""
     config = {}
     if args.config:
-        if not Path(args.config).exists():
-            raise FatalError(f"config file not found: {args.config}")
         with open(args.config, encoding="utf-8") as handle:
             try:
                 config = json.load(handle)
@@ -219,21 +200,25 @@ def cmd_run(args) -> int:
     args.backend = args.backend or "mock"
     workers = 1 if args.workers is None else args.workers
     kb = _load_kb(args)
-    if not Path(args.dataset).exists():
-        raise FatalError(f"dataset file not found: {args.dataset}")
     split = ds.load_split(args.dataset)
     gateway = _make_gateway(args)
-    fewshots = ()
-    if getattr(args, "fewshots", None):
-        if not Path(args.fewshots).exists():
-            raise FatalError(f"few-shot file not found: {args.fewshots}")
-        fewshots = ds.load_split(args.fewshots).examples
+    fewshots = []
+    if args.fewshots:
+        for lineno, record in kbmod.read_jsonl(args.fewshots):
+            shot = ds.record_to_example(record, lineno)
+            try:
+                pipeline.fewshot_lf_text(shot.gold_lf)
+            except (ValueError, UnsupportedQuery) as err:
+                raise kbmod.FormatError(
+                    f"few-shot gold query {shot.gold_lf.surface!r}: {err}", lineno
+                ) from err
+            fewshots.append(shot)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     started = time.time()
     outcomes = pipeline.run_dataset(
-        gateway, kb, [retrieve_lexical], split, cfg, fewshots, workers=workers
+        gateway, kb, [retrieve_lexical], split, cfg, tuple(fewshots), workers=workers
     )
     elapsed = time.time() - started
 
@@ -284,9 +269,6 @@ def _load_predictions(path: str) -> list[tuple[LogicalForm, frozenset | None]]:
 
 def cmd_eval(args) -> int:
     kb = _load_kb(args)
-    for path in (args.gold, args.pred):
-        if not Path(path).exists():
-            raise FatalError(f"file not found: {path}")
     gold = ds.load_split(args.gold)
     predictions = _load_predictions(args.pred)
     if len(predictions) != len(gold.examples):
@@ -372,8 +354,6 @@ def _trace_lines(trace: dict) -> list[str]:
 
 
 def cmd_trace_show(args) -> int:
-    if not Path(args.trace).exists():
-        raise FatalError(f"trace file not found: {args.trace}")
     traces = list(kbmod.read_jsonl(args.trace))
     if args.index is not None:
         if not 0 <= args.index < len(traces):
@@ -395,9 +375,7 @@ def cmd_trace_show(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_kb_flags(parser) -> None:
-    parser.add_argument("--kb", help="directory containing schema.json and data.jsonl")
-    parser.add_argument("--schema", help="schema JSON file")
-    parser.add_argument("--data", help="data JSON Lines file")
+    parser.add_argument("--kb", required=True, help="directory containing schema.json and data.jsonl")
 
 
 def _add_backend_flags(parser) -> None:

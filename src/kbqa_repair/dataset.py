@@ -138,7 +138,7 @@ def record_to_example(record: dict, line: int | None = None) -> QAExample:
         )
         example.validate()
         return example
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, AttributeError) as err:
         raise FormatError(f"bad dataset record: {err}", line) from err
 
 

@@ -125,7 +125,7 @@ class _NoRedirect(urllib.request.HTTPRedirectHandler):
 class HttpGateway(GenerationGateway):
     """Chat-completion HTTP client on the standard library.
 
-    POSTs ``{model, messages, temperature}`` to the endpoint, one connection
+    POSTs ``{model, messages, temperature: 0}`` to the endpoint, one connection
     per call; the auth token is read from an environment variable at call
     time.  Transient failures (timeouts, transport failures, 429, 5xx) retry
     with exponential backoff up to ``max_retries``.  The proxy is read from
@@ -139,13 +139,11 @@ class HttpGateway(GenerationGateway):
         endpoint: str,
         model: str,
         auth_env: str = "KBQA_REPAIR_TOKEN",
-        temperature: float = 0.0,
         max_retries: int = 3,
         timeout: float = 60.0,
     ):
         self.model = model
         self.auth_env = auth_env
-        self.temperature = temperature
         self.max_retries = max_retries
         self.timeout = timeout
         url = urllib.parse.urlsplit(endpoint)
@@ -162,7 +160,7 @@ class HttpGateway(GenerationGateway):
         payload = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.text} for m in conversation],
-            "temperature": self.temperature,
+            "temperature": 0.0,
         }
         body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}

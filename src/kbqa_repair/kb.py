@@ -1,9 +1,9 @@
 """In-memory knowledge base: schema plus data, immutable after load.
 
 The KB consists of classes, binary relations (domain/range typed), entities
-and facts.  Loading validates every referential invariant; deletion returns a
-fresh KB with cascades applied, so values are always safe to share across
-worker threads.
+and facts.  Construction checks every referential invariant as it builds the
+indexes, so a KB value is sound; deletion returns a fresh KB with cascades
+applied, so values are always safe to share across worker threads.
 """
 
 from __future__ import annotations
@@ -83,7 +83,10 @@ class DeletionPlan:
 class KnowledgeBase:
     """Typed schema plus entity/fact data with lookup indexes.
 
-    Read-only after construction; ``delete_elements`` produces a new value.
+    Construction raises ReferentialError at the first element that names an
+    unknown id or breaks a domain/range type: relations first, then entity
+    classes, then facts.  Read-only after construction; ``delete_elements``
+    produces a new value.
     """
 
     def __init__(
@@ -97,26 +100,56 @@ class KnowledgeBase:
         self.relations = relations
         self.entities = entities
         self.facts = facts
-        self.by_subject: dict[str, tuple[Fact, ...]] = {}
-        self.by_object: dict[str, tuple[Fact, ...]] = {}
-        self.by_relation: dict[str, tuple[Fact, ...]] = {}
-        self.by_class: dict[str, tuple[str, ...]] = {}
+        for rd in relations.values():
+            if rd.domain not in classes:
+                raise ReferentialError(f"relation {rd.id} has unknown domain class {rd.domain}")
+            if not rd.range_is_literal and rd.range not in classes:
+                raise ReferentialError(f"relation {rd.id} has unknown range class {rd.range}")
+        members: dict[str, list[str]] = {}
+        for ent in entities.values():
+            for cid in sorted(ent.classes):
+                if cid not in classes:
+                    raise ReferentialError(f"entity {ent.id} has unknown class {cid}")
+                members.setdefault(cid, []).append(ent.id)
+        self.by_class = {k: tuple(sorted(v)) for k, v in members.items()}
         subj: dict[str, list[Fact]] = {}
         obj: dict[str, list[Fact]] = {}
         relidx: dict[str, list[Fact]] = {}
         for fact in facts:
+            subject = entities.get(fact.subject)
+            if subject is None:
+                raise ReferentialError(f"fact subject {fact.subject} is not a known entity")
+            rd = relations.get(fact.relation)
+            if rd is None:
+                raise ReferentialError(f"fact uses unknown relation {fact.relation}")
+            if rd.domain not in subject.classes:
+                raise ReferentialError(
+                    f"fact subject {fact.subject} lacks domain class {rd.domain} of {rd.id}"
+                )
+            target = fact.obj
+            if isinstance(target, Literal):
+                if not rd.range_is_literal:
+                    raise ReferentialError(f"fact of {rd.id} has a literal object, range is {rd.range}")
+                if target.datatype != rd.range:
+                    raise ReferentialError(
+                        f"fact of {rd.id} has {target.datatype} literal, range is {rd.range}"
+                    )
+            else:
+                if rd.range_is_literal:
+                    raise ReferentialError(f"fact of {rd.id} has an entity object, range is {rd.range}")
+                target_entity = entities.get(target)
+                if target_entity is None:
+                    raise ReferentialError(f"fact object {target} is not a known entity")
+                if rd.range not in target_entity.classes:
+                    raise ReferentialError(
+                        f"fact object {target} lacks range class {rd.range} of {rd.id}"
+                    )
+                obj.setdefault(target, []).append(fact)
             subj.setdefault(fact.subject, []).append(fact)
             relidx.setdefault(fact.relation, []).append(fact)
-            if not isinstance(fact.obj, Literal):
-                obj.setdefault(fact.obj, []).append(fact)
         self.by_subject = {k: tuple(v) for k, v in subj.items()}
         self.by_object = {k: tuple(v) for k, v in obj.items()}
         self.by_relation = {k: tuple(v) for k, v in relidx.items()}
-        members: dict[str, list[str]] = {}
-        for ent in entities.values():
-            for cid in sorted(ent.classes):
-                members.setdefault(cid, []).append(ent.id)
-        self.by_class = {k: tuple(sorted(v)) for k, v in members.items()}
 
     # -- total lookups ------------------------------------------------------
 
@@ -136,47 +169,6 @@ class KnowledgeBase:
     def label_of(self, eid: str) -> str:
         ent = self.entities.get(eid)
         return ent.label if ent is not None and ent.label else eid
-
-    def validate(self) -> None:
-        """Re-check every referential invariant; raises ReferentialError."""
-        for rd in self.relations.values():
-            if rd.domain not in self.classes:
-                raise ReferentialError(f"relation {rd.id} has unknown domain class {rd.domain}")
-            if not rd.range_is_literal and rd.range not in self.classes:
-                raise ReferentialError(f"relation {rd.id} has unknown range class {rd.range}")
-        for ent in self.entities.values():
-            for cid in ent.classes:
-                if cid not in self.classes:
-                    raise ReferentialError(f"entity {ent.id} has unknown class {cid}")
-        for fact in self.facts:
-            subject = self.entities.get(fact.subject)
-            if subject is None:
-                raise ReferentialError(f"fact subject {fact.subject} is not a known entity")
-            rd = self.relations.get(fact.relation)
-            if rd is None:
-                raise ReferentialError(f"fact uses unknown relation {fact.relation}")
-            if rd.domain not in subject.classes:
-                raise ReferentialError(
-                    f"fact subject {fact.subject} lacks domain class {rd.domain} of {rd.id}"
-                )
-            obj = fact.obj
-            if isinstance(obj, Literal):
-                if not rd.range_is_literal:
-                    raise ReferentialError(f"fact of {rd.id} has a literal object, range is {rd.range}")
-                if obj.datatype != rd.range:
-                    raise ReferentialError(
-                        f"fact of {rd.id} has {obj.datatype} literal, range is {rd.range}"
-                    )
-            else:
-                if rd.range_is_literal:
-                    raise ReferentialError(f"fact of {rd.id} has an entity object, range is {rd.range}")
-                target = self.entities.get(obj)
-                if target is None:
-                    raise ReferentialError(f"fact object {obj} is not a known entity")
-                if rd.range not in target.classes:
-                    raise ReferentialError(
-                        f"fact object {obj} lacks range class {rd.range} of {rd.id}"
-                    )
 
 
 def build_kb(
@@ -202,9 +194,7 @@ def build_kb(
         if e.id in entity_map:
             raise FormatError(f"duplicate entity id {e.id}")
         entity_map[e.id] = e
-    kb = KnowledgeBase(class_map, relation_map, entity_map, tuple(facts))
-    kb.validate()
-    return kb
+    return KnowledgeBase(class_map, relation_map, entity_map, tuple(facts))
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +207,11 @@ def load_schema(path: str) -> tuple[list[SchemaClass], list[RelationDef]]:
             doc = json.load(handle)
         except json.JSONDecodeError as err:
             raise FormatError(f"invalid schema JSON: {err}", err.lineno) from err
-    classes = [SchemaClass(c["id"], c.get("label", "")) for c in doc.get("classes", [])]
-    relations = [RelationDef(r["id"], r["domain"], r["range"]) for r in doc.get("relations", [])]
+    try:
+        classes = [SchemaClass(c["id"], c.get("label", "")) for c in doc.get("classes", [])]
+        relations = [RelationDef(r["id"], r["domain"], r["range"]) for r in doc.get("relations", [])]
+    except (KeyError, TypeError, AttributeError) as err:
+        raise FormatError(f"bad schema: {err!r}") from err
     return classes, relations
 
 
@@ -251,16 +244,19 @@ def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
     entities: list[Entity] = []
     facts: list[Fact] = []
     for lineno, record in read_jsonl(path):
-        if "id" in record:
-            entities.append(
-                Entity(record["id"], record.get("label", ""), frozenset(record.get("classes", [])))
-            )
-        elif "s" in record:
-            if "r" not in record or "o" not in record:
-                raise FormatError("fact record needs s, r and o", lineno)
-            facts.append(Fact(record["s"], record["r"], _parse_object(record["o"], lineno)))
-        else:
-            raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)
+        try:
+            if "id" in record:
+                entities.append(
+                    Entity(record["id"], record.get("label", ""), frozenset(record.get("classes", [])))
+                )
+            elif "s" in record:
+                if "r" not in record or "o" not in record:
+                    raise FormatError("fact record needs s, r and o", lineno)
+                facts.append(Fact(record["s"], record["r"], _parse_object(record["o"], lineno)))
+            else:
+                raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)
+        except (TypeError, AttributeError) as err:  # a record or object of the wrong JSON type
+            raise FormatError(f"bad data record: {err!r}", lineno) from err
     return entities, facts
 
 
@@ -303,16 +299,16 @@ def load_plan(path: str) -> DeletionPlan:
             doc = json.load(handle)
         except json.JSONDecodeError as err:
             raise FormatError(f"invalid plan JSON: {err}", err.lineno) from err
-    facts = tuple(
-        Fact(f["s"], f["r"], _parse_object(f["o"], 0)) for f in doc.get("facts", [])
-    )
-    return DeletionPlan(
-        classes=tuple(doc.get("classes", [])),
-        relations=tuple(doc.get("relations", [])),
-        entities=tuple(doc.get("entities", [])),
-        facts=facts,
-        seed=doc.get("seed"),
-    )
+    try:
+        return DeletionPlan(
+            classes=tuple(doc.get("classes", [])),
+            relations=tuple(doc.get("relations", [])),
+            entities=tuple(doc.get("entities", [])),
+            facts=tuple(Fact(f["s"], f["r"], _parse_object(f["o"], 0)) for f in doc.get("facts", [])),
+            seed=doc.get("seed"),
+        )
+    except (KeyError, TypeError, AttributeError) as err:
+        raise FormatError(f"bad plan: {err!r}") from err
 
 
 def save_plan(plan: DeletionPlan, path: str) -> None:
@@ -388,9 +384,7 @@ def delete_elements(kb: KnowledgeBase, plan: DeletionPlan) -> KnowledgeBase:
         and (isinstance(f.obj, Literal) or f.obj not in dead_entities)
         and f not in dead_facts
     )
-    out = KnowledgeBase(classes, relations, entities, facts)
-    out.validate()
-    return out
+    return KnowledgeBase(classes, relations, entities, facts)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ regenerates a query the loop already checked, the round reuses that suite
 result: its record, its admission to the pool and the feedback it sends are
 those of the first check, and no verifier, execution or V3 call runs again.
 The reuse is exact when the gateway's replies depend on the prompt alone, as
-the mock's do and the CLI's at temperature 0.  A library caller that builds
-``HttpGateway(temperature>0)`` gets one sampled V3 verdict per distinct
-query, not one per round.  Nothing is shared between questions.
+the mock's do and the HTTP backend's at temperature 0.  Nothing is shared
+between questions.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .gateway import (
 )
 from .kb import KnowledgeBase
 from .prompts import render_prompt
-from .query import LogicalForm
+from .query import LogicalForm, render_sparql
 from .retrieval import RetrievalCaps, RetrievalContext, render_context_fields, retrieve_union
 from .verifiers import SuiteResult, VerifierSuite, run_suite
 
@@ -79,6 +78,17 @@ class FunResult:
 # Generation
 # ---------------------------------------------------------------------------
 
+def fewshot_lf_text(lf: LogicalForm) -> str:
+    """A few-shot gold query as the prompt shows it: NK, SPARQL surface text,
+    or another dialect's query rendered as SPARQL.  Raises ValueError when the
+    query does not parse and UnsupportedQuery when SPARQL cannot express it."""
+    if lf.is_nk:
+        return "NK"
+    if not lf.parsed:
+        raise ValueError(f"does not parse: {lf.parse_error}")
+    return lf.surface if lf.dialect == "sparql" else render_sparql(lf.canonical)
+
+
 def build_pun_prompt(
     kb: KnowledgeBase,
     question: str,
@@ -88,8 +98,7 @@ def build_pun_prompt(
     """Header, the NK exemplar, optional few-shot exemplars, then the question."""
     blocks = [render_prompt("pun-header"), render_prompt("pun-nk-exemplar")]
     for shot in fewshots:
-        lf_text = "NK" if shot.gold_lf.is_nk else shot.gold_lf.surface
-        blocks.append(f"Question: {shot.question}\nsparql:{lf_text}")
+        blocks.append(f"Question: {shot.question}\nsparql:{fewshot_lf_text(shot.gold_lf)}")
     bindings = {"question": question}
     bindings.update(render_context_fields(kb, ctx))
     blocks.append(render_prompt("pun-question", bindings))

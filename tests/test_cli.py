@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -203,6 +204,81 @@ def test_eval_prediction_without_lf_exits_2(tmp_path, capsys):
     assert err.startswith("error: line 2: bad prediction record") and "'lf'" in err
 
 
+def _kb3_copy(tmp_path, schema=None, data_line=None):
+    """fig1/kb3 copied under tmp_path, its schema edited or a data line added."""
+    kb = tmp_path / "kb"
+    shutil.copytree(FIG1 / "kb3", kb)
+    if schema is not None:
+        doc = json.loads((kb / "schema.json").read_text())
+        schema(doc)
+        (kb / "schema.json").write_text(json.dumps(doc))
+    if data_line is not None:
+        with open(kb / "data.jsonl", "a") as handle:
+            handle.write(data_line + "\n")
+    return kb
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def _run_argv(tmp_path, dataset=FIG1 / "dataset_kb3.jsonl", mock=FIG1 / "mock.json"):
+    return ("run", "--kb", FIG1 / "kb3", "--dataset", dataset, "--mock", mock,
+            "--out", tmp_path / "out")
+
+
+def _delete_argv(tmp_path, plan):
+    return ("kb", "delete", "--kb", FIG1 / "kb3", "--plan", plan, "--out", tmp_path / "out")
+
+
+# Each builds, under tmp_path, one input file of the wrong shape (one is not
+# JSON at all) and returns the command line that reads it.
+MALFORMED_INPUTS = {
+    "schema-relation-without-domain": lambda tmp: (
+        "kb", "validate", "--kb", _kb3_copy(tmp, schema=lambda doc: doc["relations"][0].pop("domain")),
+    ),
+    "data-entity-classes-not-a-list": lambda tmp: (
+        "kb", "validate", "--kb", _kb3_copy(tmp, data_line='{"id": "m.new", "classes": 5}'),
+    ),
+    "plan-fact-without-r": lambda tmp: _delete_argv(
+        tmp, _write(tmp, "plan.json", '{"facts": [{"s": "m.0auth", "o": {"entity": "m.0b1"}}]}'),
+    ),
+    "plan-is-a-list": lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '["book.author"]')),
+    "mock-matcher-kind-regex": lambda tmp: _run_argv(tmp, mock=_write(
+        tmp, "mock.json", '[{"match": {"kind": "regex", "text": "x"}, "reply": "NK"}]',
+    )),
+    "mock-not-json": lambda tmp: _run_argv(tmp, mock=_write(tmp, "mock.json", "{not json")),
+    "dataset-gold-lf-a-string": lambda tmp: _run_argv(tmp, dataset=_write(
+        tmp, "dataset.jsonl",
+        '{"question": "q?", "gold_lf": "SELECT ?x WHERE { ?x ns:r ns:m.1 }", "gold_answer": []}\n',
+    )),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    assert run_cli(*MALFORMED_INPUTS[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # stopped before writing anything
+
+
+@pytest.mark.parametrize("gold_lf, message", [
+    ({"dialect": "sparql", "text": "SELECT ?x WHERE {"}, "does not parse"),
+    ({"dialect": "sexpr", "text": "(ARGMAX book.written_work book.written_work.pages)"},
+     "argmax/argmin cannot be rendered"),
+], ids=["unparseable", "argmax"])
+def test_run_fewshot_without_a_sparql_form_exits_2(tmp_path, capsys, gold_lf, message):
+    shot = {"question": "q?", "gold_lf": gold_lf, "gold_answer": []}
+    shots = _write(tmp_path, "shots.jsonl", "\n" + json.dumps(shot) + "\n")
+    assert run_cli(*_run_argv(tmp_path), "--fewshots", shots) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: few-shot gold query ") and message in err
+    assert not (tmp_path / "out").exists()  # stopped before any question ran
+
+
 # ---------------------------------------------------------------------------
 # golden runs: `run` output is byte-identical to the committed snapshot,
 # which `python tools/make_fixtures.py` regenerates
@@ -326,7 +402,7 @@ def test_config_key_types_are_the_run_flag_types():
     from kbqa_repair.cli import _FLAG_KEYS, build_parser
 
     args = build_parser().parse_args([
-        "run", "--dataset", "d", "--out", "o", "--n-iter", "3", "--answerable-mode",
+        "run", "--kb", "k", "--dataset", "d", "--out", "o", "--n-iter", "3", "--answerable-mode",
         "--workers", "2", "--backend", "http", "--mock", "m", "--endpoint", "e", "--model", "x",
     ])
     assert {key: type(getattr(args, key)) for key in _FLAG_KEYS} == _FLAG_KEYS

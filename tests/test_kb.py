@@ -42,7 +42,6 @@ def tiny_kb():
 def test_smallest_consistent_kb():
     kb = tiny_kb()
     assert len(kb.facts) == 1
-    kb.validate()
 
 
 def _kb_parts():
@@ -59,27 +58,33 @@ def _kb_parts():
 
 
 # One element added to a sound KB, and the exact error it raises.
-REFERENTIAL_ERRORS = [
-    ("relations", RelationDef("c.x.r", "c.x", "c.b"), "relation c.x.r has unknown domain class c.x"),
-    ("relations", RelationDef("c.a.r", "c.a", "c.x"), "relation c.a.r has unknown range class c.x"),
-    ("entities", Entity("m.3", "", frozenset({"c.x"})), "entity m.3 has unknown class c.x"),
-    ("facts", Fact("m.9", "c.a.to_b", "m.2"), "fact subject m.9 is not a known entity"),
-    ("facts", Fact("m.1", "ghost.rel", "m.2"), "fact uses unknown relation ghost.rel"),
-    ("facts", Fact("m.2", "c.a.to_b", "m.2"), "fact subject m.2 lacks domain class c.a of c.a.to_b"),
-    ("facts", Fact("m.1", "c.a.to_b", Literal(3, "integer")),
-     "fact of c.a.to_b has a literal object, range is c.b"),
-    ("facts", Fact("m.1", "c.a.year", Literal("x", "string")),
-     "fact of c.a.year has string literal, range is integer"),
-    ("facts", Fact("m.1", "c.a.year", "m.2"), "fact of c.a.year has an entity object, range is integer"),
-    ("facts", Fact("m.1", "c.a.to_b", "m.9"), "fact object m.9 is not a known entity"),
-    ("facts", Fact("m.1", "c.a.to_b", "m.1"), "fact object m.1 lacks range class c.b of c.a.to_b"),
-]
+REFERENTIAL_ERRORS = {
+    "relation-domain": (
+        "relations", RelationDef("c.x.r", "c.x", "c.b"), "relation c.x.r has unknown domain class c.x"),
+    "relation-range": (
+        "relations", RelationDef("c.a.r", "c.a", "c.x"), "relation c.a.r has unknown range class c.x"),
+    "entity-class": ("entities", Entity("m.3", "", frozenset({"c.x"})), "entity m.3 has unknown class c.x"),
+    "fact-subject": ("facts", Fact("m.9", "c.a.to_b", "m.2"), "fact subject m.9 is not a known entity"),
+    "fact-relation": ("facts", Fact("m.1", "ghost.rel", "m.2"), "fact uses unknown relation ghost.rel"),
+    "fact-domain": (
+        "facts", Fact("m.2", "c.a.to_b", "m.2"), "fact subject m.2 lacks domain class c.a of c.a.to_b"),
+    "fact-literal-object": (
+        "facts", Fact("m.1", "c.a.to_b", Literal(3, "integer")),
+        "fact of c.a.to_b has a literal object, range is c.b"),
+    "fact-literal-type": (
+        "facts", Fact("m.1", "c.a.year", Literal("x", "string")),
+        "fact of c.a.year has string literal, range is integer"),
+    "fact-entity-object": (
+        "facts", Fact("m.1", "c.a.year", "m.2"), "fact of c.a.year has an entity object, range is integer"),
+    "fact-object": ("facts", Fact("m.1", "c.a.to_b", "m.9"), "fact object m.9 is not a known entity"),
+    "fact-range": (
+        "facts", Fact("m.1", "c.a.to_b", "m.1"), "fact object m.1 lacks range class c.b of c.a.to_b"),
+}
 
 
-@pytest.mark.parametrize(
-    "part, element, message", REFERENTIAL_ERRORS, ids=[m for _, _, m in REFERENTIAL_ERRORS]
-)
-def test_fact_with_unknown_relation_is_referential_error(part, element, message):
+@pytest.mark.parametrize("case", REFERENTIAL_ERRORS)
+def test_fact_with_unknown_relation_is_referential_error(case):
+    part, element, message = REFERENTIAL_ERRORS[case]
     parts = _kb_parts()
     parts[part].append(element)
     with pytest.raises(ReferentialError) as err:
@@ -94,6 +99,14 @@ def test_relation_error_is_reported_before_fact_error():
     with pytest.raises(ReferentialError) as err:
         build_kb(**parts)
     assert str(err.value) == "relation c.a.r has unknown range class c.x"
+
+
+def test_entity_unknown_classes_reported_in_sorted_order():
+    parts = _kb_parts()
+    parts["entities"].append(Entity("m.3", "", frozenset({"c.z", "c.y", "c.x"})))
+    with pytest.raises(ReferentialError) as err:
+        build_kb(**parts)
+    assert str(err.value) == "entity m.3 has unknown class c.x"
 
 
 def test_fact_domain_violation_rejected():
@@ -133,7 +146,6 @@ def test_delete_relation_removes_its_facts(fig1_kb3):
     kb2 = delete_elements(fig1_kb3, DeletionPlan(relations=("book.author.works_written",)))
     assert not kb2.has_relation("book.author.works_written")
     assert all(f.relation != "book.author.works_written" for f in kb2.facts)
-    kb2.validate()
 
 
 def test_delete_class_cascades_to_relations_and_entities(fig1_kb3):
@@ -143,14 +155,12 @@ def test_delete_class_cascades_to_relations_and_entities(fig1_kb3):
     assert not kb2.has_relation("book.publisher.books_published")
     assert kb2.has_entity("m.0pub")  # no cascade to entities
     assert kb2.entity_classes("m.0pub") == frozenset()
-    kb2.validate()
 
 
 def test_delete_entity_clears_indexes(fig1_kb3):
     kb2 = delete_elements(fig1_kb3, DeletionPlan(entities=("m.0pub",)))
     assert kb2.by_subject.get("m.0pub", ()) == ()
     assert kb2.by_object.get("m.0pub", ()) == ()
-    kb2.validate()
 
 
 def test_validate_plan_unknown_id_raises(fig1_kb3):
@@ -218,7 +228,7 @@ def test_revalidation_after_any_deletion(fig1_kb3):
         DeletionPlan(entities=("m.0b3",)),
         DeletionPlan(facts=(Fact("m.0auth", "book.author.awards_won", "m.0awd"),)),
     ):
-        delete_elements(fig1_kb3, plan).validate()
+        delete_elements(fig1_kb3, plan)  # construction checks every invariant
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +289,6 @@ def test_plans_match_the_key_oracle(seed, data):
     assert accepted == known
 
     out = delete_elements(kb, plan)
-    out.validate()
     dead_relations = set(plan.relations) | {
         r.id for r in kb.relations.values() if {r.domain, r.range} & set(plan.classes)
     }

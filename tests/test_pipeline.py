@@ -132,9 +132,21 @@ def test_pun_prompt_fewshots_appended(fig1_kb3):
     )
     nk_shot = QAExample("who is the king of mars?", (), LogicalForm.nk(), None,
                         frozenset({"m.0auth"}), label="schema-unans", category="missing-class")
-    prompt = build_pun_prompt(fig1_kb3, "q?", ctx, fewshots=(shot, nk_shot))
+    sexpr_shot = QAExample(
+        "who wrote the silent river, as an s-expression?",
+        (),
+        LogicalForm.from_text("sexpr", "(JOIN book.author.works_written m.0b1)"),
+        frozenset({"m.0auth"}),
+        frozenset({"m.0auth"}),
+    )
+    prompt = build_pun_prompt(fig1_kb3, "q?", ctx, fewshots=(shot, nk_shot, sexpr_shot))
     assert "Question: who wrote the silent river?\nsparql:SELECT ?x" in prompt
     assert "Question: who is the king of mars?\nsparql:NK" in prompt
+    assert (
+        "Question: who wrote the silent river, as an s-expression?\n"
+        "sparql:SELECT DISTINCT ?x WHERE { ?x ns:book.author.works_written ns:m.0b1 }"
+    ) in prompt
+    assert "(JOIN" not in prompt
 
 
 # ---------------------------------------------------------------------------
