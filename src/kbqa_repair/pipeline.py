@@ -5,9 +5,11 @@ The repair loop keeps one growing conversation per question: the generation
 prompt, each generated query, and each round's feedback.  A query that fails
 a strong verifier is rejected outright; one that passes all strong checks and
 at least one weak check joins the candidate pool.  Passing everything ends
-the loop confidently.  When the loop ends without confidence, the consensus
-step votes over candidate answers (strict majority of the pool), falls back
-to empty-answer candidates, and otherwise returns (NK, NA).
+the loop confidently.  Otherwise the next round's feedback is that of every
+failed verdict; a strong failure ends the suite, so it is always the only
+failure and its feedback goes alone.  When the loop ends without confidence,
+the consensus step votes over candidate answers (strict majority of the
+pool), falls back to empty-answer candidates, and otherwise returns (NK, NA).
 
 Each distinct query is verified once per question.  When a repair round
 regenerates a query the loop already checked, the round reuses that suite
@@ -33,7 +35,7 @@ from .kb import KnowledgeBase
 from .prompts import render_prompt
 from .query import LogicalForm, render_sparql
 from .retrieval import RetrievalCaps, RetrievalContext, render_context_fields, retrieve_union
-from .verifiers import SuiteResult, VerifierSuite, run_suite
+from .verifiers import WEAK, SuiteResult, VerifierSuite, run_suite
 
 
 @dataclass(frozen=True)
@@ -108,14 +110,14 @@ def build_pun_prompt(
 _FENCE_RE = re.compile(r"^```[a-zA-Z]*\n(.*?)\n?```$", re.S)
 
 
-def parse_reply(reply: str, dialect: str = "sparql") -> LogicalForm:
-    """Reply text to LogicalForm; "NK" maps to the sentinel, parse failures
-    are recorded on the form for the syntax verifier to report."""
+def parse_reply(reply: str) -> LogicalForm:
+    """SPARQL reply text to LogicalForm; "NK" maps to the sentinel, parse
+    failures are recorded on the form for the syntax verifier to report."""
     text = reply.strip()
     fenced = _FENCE_RE.match(text)
     if fenced:
         text = fenced.group(1).strip()
-    return LogicalForm.from_text(dialect, text)
+    return LogicalForm.from_text("sparql", text)
 
 
 def pun_generate(gateway: GenerationGateway, prompt: str) -> LogicalForm:
@@ -151,6 +153,8 @@ def fun(
         if key not in checked:
             checked[key] = run_suite(lf, question, question_entities, kb, gateway, cfg)
         result = checked[key]
+        failures = [v for v in result.verdicts if not v.passed]
+        admitted = bool(failures) and any(v.passed and v.strength == WEAK for v in result.verdicts)
         record = {
             "iteration": iteration,
             "lf": lf.surface,
@@ -165,27 +169,19 @@ def fun(
                 for v in result.verdicts
             ],
             "answer": answer_to_json(result.answer) if result.answer is not None else None,
-            "admitted": False,
-            "all_pass": False,
+            "admitted": admitted,
+            "all_pass": not failures,
             "back_translation": result.back_translation,
         }
         iterations.append(record)
 
-        if result.all_pass:
-            record["all_pass"] = True
+        if not failures:
             return FunResult(True, lf, result.answer, candidates, iterations)
-
-        if result.strong_failure is not None:
-            feedback_texts = [result.strong_failure.feedback]
-        else:
-            if result.weak_passes:
-                record["admitted"] = True
-                candidates.append(Candidate(lf, result.answer, result.back_translation, iteration))
-            feedback_texts = [v.feedback for v in result.weak_failures]
-
+        if admitted:
+            candidates.append(Candidate(lf, result.answer, result.back_translation, iteration))
         if iteration == cfg.n + 1:
             break
-        conversation.append(user("\n".join(feedback_texts)))
+        conversation.append(user("\n".join(v.feedback for v in failures)))
         reply = gateway.complete(conversation)
         conversation.append(assistant(reply))
         lf = parse_reply(reply)

@@ -3,19 +3,23 @@
 Strong verifiers flag certain errors (syntax, KB inconsistency, answer
 aberrations); weak verifiers flag likely errors (question/back-translation
 disagreement, empty answers).  A failed verdict carries the templated
-feedback string that drives the next repair round.  These checks never see
-gold logical forms, gold answers or answerability labels.
+feedback string that drives the next repair round.  A suite run's verdict
+list is its whole record: the strong checks stop at their first failure, so
+a failed strong verdict is always the last verdict and the only failure, and
+the weak checks run only after every strong one has passed.  These checks
+never see gold logical forms, gold answers or answerability labels.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .executor import execute
 from .gateway import GenerationGateway, user
 from .kb import KnowledgeBase
 from .prompts import render_prompt
-from .query import Literal, LogicalForm, Term
+from .query import Literal, LogicalForm
 
 STRONG = "strong"
 WEAK = "weak"
@@ -77,97 +81,54 @@ def v1_syntax(lf: LogicalForm) -> Verdict:
 # V2a: type compatibility
 # ---------------------------------------------------------------------------
 
-def _collect_constraints(lf: LogicalForm, kb: KnowledgeBase):
-    """Class constraints induced on each entity/variable term, in query order.
-
-    A constraint is (source, class) where source is the relation id (or
-    "type.object.type <class>" for explicit assertions).  Relations and
-    classes absent from the KB induce nothing here; V2b owns hallucinations.
-    """
-    order: list[tuple[str, str]] = []  # (kind, key) first-appearance order
-    constraints: dict[tuple[str, str], list[tuple[str, str]]] = {}
-
-    def note(term: Term, source: str, class_id: str) -> None:
-        if term.kind == "var":
-            key = ("var", term.value)
-        elif term.kind == "entity":
-            key = ("entity", term.value)
-        else:
-            return
-        if key not in constraints:
-            order.append(key)
-            constraints[key] = []
-        constraints[key].append((source, class_id))
-
-    def touch(term: Term) -> None:
-        if term.kind in ("var", "entity"):
-            key = (term.kind, term.value)
-            if key not in constraints:
-                order.append(key)
-                constraints[key] = []
-
-    for s, p, o in lf.canonical.patterns:
-        touch(s)
-        if p.kind == "type_assert":
-            if o.kind == "class" and kb.has_class(o.value):
-                note(s, f"type.object.type {o.value}", o.value)
-            continue
-        rd = kb.relations.get(p.value)
-        if rd is not None:
-            note(s, rd.id, rd.domain)
-            if not rd.range_is_literal:
-                note(o, rd.id, rd.range)
-        touch(o)
-    return order, constraints
-
-
 def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     """Intersects induced class constraints per term; empty intersection fails.
 
-    An entity must carry every induced class; a variable's induced classes
-    must all coincide.  The first conflicting term is reported, entities
-    before variables, in pattern order.
+    A relation in the KB induces its domain on its subject and, unless its
+    range is a literal type, its range on its object; a type assertion of a
+    class in the KB induces that class.  Relations and classes absent from
+    the KB induce nothing here; V2b owns hallucinations.  An entity must
+    carry every induced class; a variable's induced classes must all
+    coincide.  The first conflicting term is reported, entities before
+    variables, in order of first appearance.
     """
-    order, constraints = _collect_constraints(lf, kb)
+    # (kind, value) of each entity and variable term -> its (source, class)
+    # constraints; insertion order is first appearance in the patterns.  A
+    # term of another kind gets a throwaway list.
+    induced: defaultdict[tuple[str, str], list[tuple[str, str]]] = defaultdict(list)
+    for s, p, o in lf.canonical.patterns:
+        subject = induced[s.kind, s.value] if s.kind in ("var", "entity") else []
+        if p.kind == "type_assert":
+            if o.kind == "class" and kb.has_class(o.value):
+                subject.append((f"type.object.type {o.value}", o.value))
+            continue
+        obj = induced[o.kind, o.value] if o.kind in ("var", "entity") else []
+        rd = kb.relations.get(p.value)
+        if rd is not None:
+            subject.append((rd.id, rd.domain))
+            if not rd.range_is_literal:
+                obj.append((rd.id, rd.range))
 
-    def conflict_for(kind: str, key: str) -> Verdict | None:
-        induced = constraints[(kind, key)]
-        if not induced:
-            return None
-        sources: list[str] = []
-        classes: list[str] = []
-        for source, class_id in induced:
-            if source not in sources:
-                sources.append(source)
-            if class_id not in classes:
-                classes.append(class_id)
-        if kind == "entity":
-            if not kb.has_entity(key):
-                return None  # hallucinated entity: V2b's channel
-            if all(c in kb.entity_classes(key) for c in classes):
-                return None
-            description = (
-                "The types of relations don't match for entity in the query. "
-                f"The assigned relation types by {_fmt_list(sources)} are {_fmt_list(classes)}. "
-                "These types are not associated with this entity in the KB."
-            )
-        else:
-            if len(classes) <= 1:
-                return None
-            description = (
-                f"The types of relations don't match for variable ?{key} in the query. "
-                f"The assigned relation types by {_fmt_list(sources)} are {_fmt_list(classes)}. "
-                "These types are mutually incompatible."
-            )
-        return Verdict("V2a", STRONG, False, _kb_inconsistency(description))
-
-    for kind in ("entity", "var"):
-        for k, key in order:
-            if k != kind:
+    for wanted in ("entity", "var"):
+        for (kind, key), constraints in induced.items():
+            if kind != wanted or not constraints:
                 continue
-            verdict = conflict_for(kind, key)
-            if verdict is not None:
-                return verdict
+            classes = list(dict.fromkeys([class_id for _, class_id in constraints]))
+            if kind == "entity":
+                # an entity not in the KB is V2b's to report
+                if not kb.has_entity(key) or all(c in kb.entity_classes(key) for c in classes):
+                    continue
+                term, why = "entity", "These types are not associated with this entity in the KB."
+            else:
+                if len(classes) <= 1:
+                    continue
+                term, why = f"variable ?{key}", "These types are mutually incompatible."
+            sources = list(dict.fromkeys([source for source, _ in constraints]))
+            description = (
+                f"The types of relations don't match for {term} in the query. "
+                f"The assigned relation types by {_fmt_list(sources)} are {_fmt_list(classes)}. {why}"
+            )
+            return Verdict("V2a", STRONG, False, _kb_inconsistency(description))
     return Verdict("V2a", STRONG, True)
 
 
@@ -348,14 +309,7 @@ def v4_answer_consistency(
 class SuiteResult:
     verdicts: list[Verdict] = field(default_factory=list)
     answer: frozenset | None = None
-    strong_failure: Verdict | None = None
-    weak_failures: list[Verdict] = field(default_factory=list)
-    weak_passes: list[Verdict] = field(default_factory=list)
     back_translation: str | None = None
-
-    @property
-    def all_pass(self) -> bool:
-        return self.strong_failure is None and not self.weak_failures
 
 
 def run_suite(
@@ -366,41 +320,29 @@ def run_suite(
     gateway: GenerationGateway,
     suite: VerifierSuite,
 ) -> SuiteResult:
-    """Strong verifiers in order, stopping at the first failure; then every
-    weak verifier.  Execution happens once, at the V4 stage."""
+    """Strong verifiers in order, stopping after the first failure; then every
+    weak verifier.  A failed strong verdict is therefore always the last
+    verdict and the only failure, and V3, the one check that calls the
+    gateway, runs only once every strong check has passed.  Execution happens
+    once, at the V4 stage."""
     result = SuiteResult()
 
-    v1 = v1_syntax(lf)
-    result.verdicts.append(v1)
-    if not v1.passed:
-        result.strong_failure = v1
+    def stops(verdict: Verdict) -> bool:
+        result.verdicts.append(verdict)
+        return verdict.strength == STRONG and not verdict.passed
+
+    if (stops(v1_syntax(lf)) or stops(v2a_type_compatibility(lf, kb))
+            or stops(v2b_schema_presence(lf, kb)) or stops(v2c_literal_casting(lf, kb))):
         return result
-
-    for check in (v2a_type_compatibility, v2b_schema_presence, v2c_literal_casting):
-        verdict = check(lf, kb)
-        result.verdicts.append(verdict)
-        if not verdict.passed:
-            result.strong_failure = verdict
-            return result
-
-    v4a, v4a_int, v4b, answer = v4_answer_consistency(lf, kb, question_entities, suite)
-    result.answer = answer
-    for verdict in (v4a, v4a_int):
-        result.verdicts.append(verdict)
-        if not verdict.passed:
-            result.strong_failure = verdict
-            return result
+    v4a, v4a_int, v4b, result.answer = v4_answer_consistency(lf, kb, question_entities, suite)
     if suite.answerable_mode:
-        result.verdicts.append(v4b)
-        if not v4b.passed:
-            result.strong_failure = v4b
-            return result
+        strong, after_v3 = (v4a, v4a_int, v4b), ()
+    else:
+        strong, after_v3 = (v4a, v4a_int), (v4b,)
+    if any(map(stops, strong)):
+        return result
 
     v3 = v3_question_lf_agreement(lf, question, gateway)
     result.back_translation = v3.payload
-    result.verdicts.append(v3)
-    (result.weak_passes if v3.passed else result.weak_failures).append(v3)
-    if not suite.answerable_mode:
-        result.verdicts.append(v4b)
-        (result.weak_passes if v4b.passed else result.weak_failures).append(v4b)
+    result.verdicts += (v3, *after_v3)
     return result

@@ -1,5 +1,7 @@
 import json
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -246,6 +248,20 @@ MALFORMED_INPUTS = {
         tmp, _write(tmp, "plan.json", '{"facts": [{"s": "m.0auth", "o": {"entity": "m.0b1"}}]}'),
     ),
     "plan-is-a-list": lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '["book.author"]')),
+    "schema-class-id-a-list": lambda tmp: (
+        "kb", "validate", "--kb", _kb3_copy(tmp, schema=lambda doc: doc["classes"].append({"id": ["c"]})),
+    ),
+    "data-entity-id-a-list": lambda tmp: (
+        "kb", "validate", "--kb", _kb3_copy(tmp, data_line='{"id": ["m.x"], "classes": []}'),
+    ),
+    "data-entity-classes-mixed": lambda tmp: (
+        "kb", "validate", "--kb", _kb3_copy(tmp, data_line='{"id": "m.x", "classes": ["book.author", 1]}'),
+    ),
+    "data-fact-relation-a-list": lambda tmp: (
+        "kb", "validate", "--kb",
+        _kb3_copy(tmp, data_line='{"s": "m.0auth", "r": ["x"], "o": {"entity": "m.0b1"}}'),
+    ),
+    "plan-entity-a-list": lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '{"entities": [["m.0b1"]]}')),
     "mock-matcher-kind-regex": lambda tmp: _run_argv(tmp, mock=_write(
         tmp, "mock.json", '[{"match": {"kind": "regex", "text": "x"}, "reply": "NK"}]',
     )),
@@ -263,6 +279,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()  # stopped before writing anything
+
+
+def test_plan_fact_object_error_names_no_line(tmp_path, capsys):
+    plan = _write(tmp_path, "plan.json",
+                  '{"facts": [{"s": "m.0auth", "r": "book.author.works_written", "o": {"x": 1}}]}')
+    assert run_cli(*_delete_argv(tmp_path, plan)) == 2
+    assert capsys.readouterr().err == "error: fact object must be {entity: id} or {literal, type}\n"
 
 
 @pytest.mark.parametrize("gold_lf, message", [
@@ -299,6 +322,27 @@ def test_run_matches_golden_snapshot(tmp_path, capsys, name):
     golden = FIXTURES / "golden_runs" / name
     for filename in ("outcomes.jsonl", "traces.jsonl"):
         assert (tmp_path / filename).read_bytes() == (golden / filename).read_bytes(), filename
+
+
+def _files(top):
+    return sorted(str(path.relative_to(top)) for path in top.rglob("*") if path.is_file())
+
+
+def test_make_fixtures_rewrites_no_fixture(tmp_path):
+    """tools/make_fixtures.py, run on a copy of the tool and src/ with no
+    fixtures at all, writes exactly the committed tree, byte for byte, so a
+    fixture it no longer writes is caught as well as one it writes
+    differently."""
+    root = FIXTURES.parents[1]
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "tools").mkdir()
+    shutil.copy(root / "tools" / "make_fixtures.py", tmp_path / "tools")
+    subprocess.run([sys.executable, str(tmp_path / "tools" / "make_fixtures.py")],
+                   check=True, capture_output=True, timeout=120)
+    regenerated = tmp_path / "tests" / "fixtures"
+    assert _files(regenerated) == _files(FIXTURES)
+    for name in _files(FIXTURES):
+        assert (regenerated / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

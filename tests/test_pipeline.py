@@ -316,6 +316,21 @@ def test_fun_strong_failure_admits_nothing(fig1_kb3):
     assert all(it["verdicts"][0]["verifier"] == "V1" for it in result.iterations)
 
 
+def test_fun_sends_the_feedback_of_every_failed_verdict(fig1_kb2):
+    # kb2 lost the works_written facts, so the answer is empty (V4b fails),
+    # and the back-translation disagrees with the question (V3 fails)
+    gw = RecordingGateway(MockGateway([Matcher("substring", "", "they are different")]))
+    example = fig1_example("kb2")
+    lf0 = parse_reply("SELECT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }")
+    result = fun(gw, fig1_kb2, example.question, example.question_entities(), lf0,
+                 FunConfig(n=1), "prompt")
+    first = result.iterations[0]
+    failed = [v for v in first["verdicts"] if not v["passed"]]
+    assert [v["verifier"] for v in failed] == ["V3", "V4b"] and not first["admitted"]
+    repairs = [call["prompt"] for call in gw.log if call["purpose"] == "generate"]
+    assert repairs == ["\n".join(v["feedback"] for v in failed)]
+
+
 def test_candidate_admission_invariant(fig1_kb2):
     gw = MockGateway.from_file(str(FIXTURES / "fig1/mock.json"))
     example = fig1_example("kb2")
@@ -563,7 +578,9 @@ def test_suite_runs_once_per_distinct_query(fig1_kb3, monkeypatch):
 
 def _fun_checking_every_round(gateway, kb, question, question_entities, lf0, cfg, prompt):
     """The repair loop as it was before suite results were reused: the suite
-    runs on every round.  Kept here as the oracle for ``fun``."""
+    runs on every round, and a strong failure sends its feedback alone while
+    otherwise any weak pass admits the round and the weak failures' feedback
+    is sent.  Kept here as the oracle for ``fun`` and its one feedback rule."""
     conversation = [user(prompt), assistant(lf0.surface)]
     candidates, iterations = [], []
     lf = lf0
@@ -584,16 +601,18 @@ def _fun_checking_every_round(gateway, kb, question, question_entities, lf0, cfg
             "back_translation": result.back_translation,
         }
         iterations.append(record)
-        if result.all_pass:
+        strong_failures = [v for v in result.verdicts if v.strength == "strong" and not v.passed]
+        weak = [v for v in result.verdicts if v.strength == "weak"]
+        if not strong_failures and all(v.passed for v in weak):
             record["all_pass"] = True
             return FunResult(True, lf, result.answer, candidates, iterations)
-        if result.strong_failure is not None:
-            feedback_texts = [result.strong_failure.feedback]
+        if strong_failures:
+            feedback_texts = [strong_failures[0].feedback]
         else:
-            if result.weak_passes:
+            if any(v.passed for v in weak):
                 record["admitted"] = True
                 candidates.append(Candidate(lf, result.answer, result.back_translation, iteration))
-            feedback_texts = [v.feedback for v in result.weak_failures]
+            feedback_texts = [v.feedback for v in weak if not v.passed]
         if iteration == cfg.n + 1:
             break
         conversation.append(user("\n".join(feedback_texts)))

@@ -1,12 +1,19 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbqa_repair.gateway import GatewayError, Matcher, MockGateway, RecordingGateway
 from kbqa_repair.kb import DeletionPlan, delete_elements
-from kbqa_repair.query import LogicalForm, extract_entities, extract_relations
+from kbqa_repair.query import (
+    TYPE_ASSERT, LogicalForm, cls, entity, extract_entities, extract_relations, lit, rel, var,
+)
 from kbqa_repair.verifiers import (
+    Verdict,
     VerifierSuite,
+    _fmt_list,
+    _kb_inconsistency,
     run_suite,
     v1_syntax,
     v2a_type_compatibility,
@@ -91,6 +98,100 @@ def test_v2a_consistent_single_pattern_passes(a13_kb):
 def test_v2a_skips_unknown_ids(a13_kb):
     ghost = lf("SELECT ?x WHERE { ns:m.0123lk0s ns:ghost.relation ?x }")
     assert v2a_type_compatibility(ghost, a13_kb).passed  # V2b's channel
+
+
+def _v2a_two_pass(form: LogicalForm, kb) -> Verdict:
+    """V2a as it was written before it became one pass: collect each term's
+    constraints with its first appearance, then scan entities, then
+    variables.  The oracle for ``v2a_type_compatibility``."""
+    order, constraints = [], {}
+
+    def note(term, source, class_id):
+        if term.kind in ("var", "entity"):
+            key = (term.kind, term.value)
+            if key not in constraints:
+                order.append(key)
+                constraints[key] = []
+            constraints[key].append((source, class_id))
+
+    def touch(term):
+        if term.kind in ("var", "entity"):
+            key = (term.kind, term.value)
+            if key not in constraints:
+                order.append(key)
+                constraints[key] = []
+
+    for s, p, o in form.canonical.patterns:
+        touch(s)
+        if p.kind == "type_assert":
+            if o.kind == "class" and kb.has_class(o.value):
+                note(s, f"type.object.type {o.value}", o.value)
+            continue
+        rd = kb.relations.get(p.value)
+        if rd is not None:
+            note(s, rd.id, rd.domain)
+            if not rd.range_is_literal:
+                note(o, rd.id, rd.range)
+        touch(o)
+
+    for kind in ("entity", "var"):
+        for k, key in order:
+            induced = constraints[(k, key)]
+            if k != kind or not induced:
+                continue
+            sources, classes = [], []
+            for source, class_id in induced:
+                if source not in sources:
+                    sources.append(source)
+                if class_id not in classes:
+                    classes.append(class_id)
+            if kind == "entity":
+                if not kb.has_entity(key) or all(c in kb.entity_classes(key) for c in classes):
+                    continue
+                description = (
+                    "The types of relations don't match for entity in the query. "
+                    f"The assigned relation types by {_fmt_list(sources)} are {_fmt_list(classes)}. "
+                    "These types are not associated with this entity in the KB."
+                )
+            else:
+                if len(classes) <= 1:
+                    continue
+                description = (
+                    f"The types of relations don't match for variable ?{key} in the query. "
+                    f"The assigned relation types by {_fmt_list(sources)} are {_fmt_list(classes)}. "
+                    "These types are mutually incompatible."
+                )
+            return Verdict("V2a", "strong", False, _kb_inconsistency(description))
+    return Verdict("V2a", "strong", True)
+
+
+def _with_extra_patterns(rng: random.Random, kb, q):
+    """``q`` plus up to four type assertions and relation patterns, in
+    shuffled order, over the KB's ids and ids it does not have: a ghost
+    class, a ghost relation, an entity not in the KB and a fresh variable."""
+    names = sorted({t.value for s, _, o in q.patterns for t in (s, o) if t.kind == "var"})
+    terms = [var(name) for name in names] + [var("fresh"), entity("m.ghost")]
+    terms += [entity(eid) for eid in rng.sample(sorted(kb.entities), 2)]
+    patterns = list(q.patterns)
+    for _ in range(rng.randint(0, 4)):
+        subject = rng.choice(terms)
+        if rng.random() < 0.4:
+            patterns.append((subject, TYPE_ASSERT, cls(rng.choice([*kb.classes, "ghost.class"]))))
+        else:
+            obj = rng.choice([*terms, lit(3, "integer")])
+            patterns.append((subject, rel(rng.choice([*kb.relations, "ghost.relation"])), obj))
+    rng.shuffle(patterns)
+    return replace(q, patterns=tuple(patterns))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_v2a_matches_the_two_pass_oracle(seed):
+    rng = random.Random(seed)
+    kb = random_kb(rng, max_entities=8)
+    for _ in range(10):
+        form = LogicalForm("sparql", "synthetic", _with_extra_patterns(rng, kb, random_query(rng, kb)))
+        assert v2a_type_compatibility(form, kb) == _v2a_two_pass(form, kb)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +399,7 @@ def test_strong_failure_stops_suite(a13_kb):
         "?x ns:type.object.type ns:music.genre }"
     )
     result = run_suite(bad, "q?", frozenset(), a13_kb, gw, SUITE)
-    assert result.strong_failure is not None
-    assert result.strong_failure.verifier_id == "V2a"
-    assert [v.verifier_id for v in result.verdicts] == ["V1", "V2a"]
+    assert [(v.verifier_id, v.passed) for v in result.verdicts] == [("V1", True), ("V2a", False)]
 
 
 def test_all_weak_run_after_strong_pass(a13_kb):
@@ -311,12 +410,36 @@ def test_all_weak_run_after_strong_pass(a13_kb):
         "?x ns:type.object.type ns:music.genre }"
     )
     result = run_suite(good, "what is the genre?", frozenset(), a13_kb, gw, SUITE)
-    assert result.strong_failure is None
-    assert [v.verifier_id for v in result.verdicts] == [
-        "V1", "V2a", "V2b", "V2c", "V4a", "V4a-int", "V3", "V4b",
+    assert [(v.verifier_id, v.passed) for v in result.verdicts] == [
+        ("V1", True), ("V2a", True), ("V2b", True), ("V2c", True), ("V4a", True),
+        ("V4a-int", True), ("V3", False), ("V4b", True),
     ]
-    assert [v.verifier_id for v in result.weak_failures] == ["V3"]
-    assert [v.verifier_id for v in result.weak_passes] == ["V4b"]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    answerable_mode=st.booleans(),
+    reply=st.sampled_from(["q?", "Hence, they are same.", "Hence, they are different."]),
+)
+@settings(max_examples=300)
+def test_suite_stops_at_its_only_strong_failure(seed, answerable_mode, reply):
+    rng = random.Random(seed)
+    kb = random_kb(rng, max_entities=8)
+    q = random_query(rng, kb)
+    form = LogicalForm("sparql", "synthetic", q) if rng.random() < 0.9 else lf("not a query")
+    question_entities = frozenset(rng.sample(sorted(kb.entities), rng.randint(0, 2)))
+    mediators = rng.sample(sorted(kb.classes), rng.randint(0, len(kb.classes)))
+    suite = VerifierSuite(answerable_mode, frozenset(mediators))
+    gw = RecordingGateway(MockGateway([Matcher("substring", "", reply)]))
+    verdicts = run_suite(form, "q?", question_entities, kb, gw, suite).verdicts
+    strengths = [v.strength for v in verdicts]
+    strong_failures = [i for i, v in enumerate(verdicts) if v.strength == "strong" and not v.passed]
+    assert strong_failures in ([], [len(verdicts) - 1])
+    if "weak" in strengths:
+        first_weak = strengths.index("weak")
+        assert all(v.passed for v in verdicts[:first_weak])
+        assert strengths[first_weak:] == ["weak"] * (len(verdicts) - first_weak)
+    assert bool(gw.log) == (not strong_failures)
 
 
 def test_strong_verifiers_deterministic(a13_kb):
