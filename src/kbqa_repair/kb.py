@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .query import LITERAL_DATATYPES, CanonicalQuery, Literal, entity as entity_term, rel, var
+from .query import LITERAL_DATATYPES, CanonicalQuery, Literal, Term, entity as entity_term, rel, var
 
 
 class FormatError(Exception):
@@ -272,7 +272,10 @@ def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
     for lineno, record in read_jsonl(path):
         try:
             if "id" in record:
-                classes = frozenset(_id(c, "entity class") for c in record.get("classes", []))
+                classes = record.get("classes", [])
+                if type(classes) is not list:
+                    raise TypeError(f"entity classes must be a list, got {classes!r}")
+                classes = frozenset(_id(c, "entity class") for c in classes)
                 entities.append(Entity(_id(record["id"], "entity id"), record.get("label", ""), classes))
             elif "s" in record:
                 if "r" not in record or "o" not in record:
@@ -280,7 +283,7 @@ def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
                 facts.append(_parse_fact(record, lineno))
             else:
                 raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)
-        except (TypeError, AttributeError) as err:  # a record or object of the wrong JSON type
+        except (TypeError, ValueError, AttributeError) as err:  # a value of the wrong JSON type
             raise FormatError(f"bad data record: {err!r}", lineno) from err
     return entities, facts
 
@@ -332,7 +335,7 @@ def load_plan(path: str) -> DeletionPlan:
             facts=tuple(_parse_fact(f) for f in doc.get("facts", [])),
             seed=doc.get("seed"),
         )
-    except (KeyError, TypeError, AttributeError) as err:
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise FormatError(f"bad plan: {err!r}") from err
 
 
@@ -428,17 +431,17 @@ def paths_from_entity(kb: KnowledgeBase, eid: str, max_len: int = 2) -> list[Can
         raise ValueError("max_len must be >= 1")
 
     sequences: set[tuple[str, ...]] = set()
+    by_subject = kb.by_subject
 
     def walk(frontier: set[str], prefix: tuple[str, ...]) -> None:
         if len(prefix) >= max_len:
             return
         next_rels: dict[str, set[str]] = {}
         for node in frontier:
-            for fact in kb.by_subject.get(node, ()):
-                if fact.obj_is_literal:
-                    targets = next_rels.setdefault(fact.relation, set())
-                else:
-                    next_rels.setdefault(fact.relation, set()).add(fact.obj)
+            for fact in by_subject.get(node, ()):
+                targets = next_rels.setdefault(fact.relation, set())
+                if not isinstance(fact.obj, Literal):
+                    targets.add(fact.obj)
         for rid, targets in next_rels.items():
             seq = prefix + (rid,)
             sequences.add(seq)
@@ -447,13 +450,21 @@ def paths_from_entity(kb: KnowledgeBase, eid: str, max_len: int = 2) -> list[Can
 
     walk({eid}, ())
 
+    # Terms are immutable, so the paths share one term per id and variable.
+    root = entity_term(eid)
+    inner = [var(f"x{hop}") for hop in range(max_len - 1)]
+    last = var("x")
+    relations: dict[str, Term] = {}
     queries = []
     for seq in sorted(sequences):
         patterns = []
-        subject = entity_term(eid)
+        subject = root
         for hop, rid in enumerate(seq):
-            obj = var("x") if hop == len(seq) - 1 else var(f"x{hop}")
-            patterns.append((subject, rel(rid), obj))
+            obj = last if hop == len(seq) - 1 else inner[hop]
+            predicate = relations.get(rid)
+            if predicate is None:
+                predicate = relations[rid] = rel(rid)
+            patterns.append((subject, predicate, obj))
             subject = obj
         queries.append(CanonicalQuery("x", True, tuple(patterns)))
     return queries

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 TYPE_ASSERT_ID = "type.object.type"
 
@@ -21,6 +22,11 @@ COMPARATORS = ("=", "!=", "<", "<=", ">", ">=")
 _SEXPR_COMPARATORS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 NK_TEXT = "NK"
+
+# The Python types a literal's value may have, by datatype; a bool is never
+# a number, and a date is ISO ``YYYY-MM-DD`` text.
+_VALUE_TYPES = {"integer": int, "float": (int, float), "string": str, "date": str}
+_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
 
 
 class QuerySyntaxError(Exception):
@@ -54,6 +60,13 @@ class Literal:
     def __post_init__(self):
         if self.datatype not in LITERAL_DATATYPES:
             raise ValueError(f"unknown literal datatype {self.datatype!r}")
+        value = self.value
+        if (
+            not isinstance(value, _VALUE_TYPES[self.datatype])
+            or isinstance(value, bool)
+            or (self.datatype == "date" and _DATE_RE.fullmatch(value) is None)
+        ):
+            raise ValueError(f"{self.datatype} literal has value {value!r}")
 
     def __str__(self) -> str:
         return f"{self.value}:{self.datatype}"
@@ -220,8 +233,8 @@ class LogicalForm:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<date>"(\d{4}-\d{2}-\d{2})"\^\^xsd:date)
+    \s*(?:
+    (?P<date>"(\d{4}-\d{2}-\d{2})"\^\^xsd:date)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<id>ns:[A-Za-z0-9_][A-Za-z0-9_.\-]*)
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
@@ -229,29 +242,37 @@ _TOKEN_RE = re.compile(
   | (?P<op><=|>=|!=|=|<|>)
   | (?P<punct>[{}().])
   | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
+    )
     """,
     re.VERBOSE,
 )
 
+_SPACE_RE = re.compile(r"\s*")
 
-@dataclass(frozen=True)
-class _Tok:
+
+class _Tok(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
 def _tokenize(regex: re.Pattern, text: str) -> list[_Tok]:
-    """Split text into the regex's named groups, dropping whitespace."""
+    """Split text into the regex's named groups.
+
+    Each token pattern starts with ``\\s*``, so one match consumes a token
+    and the whitespace before it.  When no token matches, the scan has
+    reached the end of the text or an unexpected character after some
+    whitespace."""
     tokens = []
+    match = regex.match
     pos = 0
-    while pos < len(text):
-        m = regex.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append(_Tok(m.lastgroup, m.group(), pos))
+    while (m := match(text, pos)) is not None:
+        kind = m.lastgroup
+        tokens.append(_Tok(kind, m[kind], m.start(kind)))
         pos = m.end()
+    pos = _SPACE_RE.match(text, pos).end()
+    if pos < len(text):
+        raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
     return tokens
 
 
@@ -410,6 +431,15 @@ def parse_sparql(text: str) -> CanonicalQuery:
 
 
 def render_sparql(q: CanonicalQuery) -> str:
+    """The query's SPARQL text.  A query is immutable, so the text is kept on
+    the instance, outside its fields, the first time it is rendered."""
+    text = q.__dict__.get("_sparql")
+    if text is None:
+        text = q.__dict__["_sparql"] = _render_sparql(q)
+    return text
+
+
+def _render_sparql(q: CanonicalQuery) -> str:
     if q.aggregate is not None and q.aggregate.kind in ("argmax", "argmin"):
         raise UnsupportedQuery("argmax/argmin cannot be rendered in the sparql dialect")
     if q.aggregate is not None and q.aggregate.kind == "count":
@@ -455,13 +485,14 @@ def _render_literal(literal: Literal, date_type: str) -> str:
 
 _SEXPR_TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<open>\()
+    \s*(?:
+    (?P<open>\()
   | (?P<close>\))
   | (?P<date>"(\d{4}-\d{2}-\d{2})"\^\^date)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<number>-?\d+\.\d+|-?\d+)
   | (?P<symbol>[A-Za-z0-9_][A-Za-z0-9_.\-]*)
+    )
     """,
     re.VERBOSE,
 )
@@ -636,96 +667,6 @@ def _canonicalize_variables(q: CanonicalQuery) -> CanonicalQuery:
     patterns = tuple((rename(s), p, rename(o)) for s, p, o in q.patterns)
     filters = tuple(Filter(mapping[f.variable], f.op, f.literal) for f in q.filters)
     return CanonicalQuery("x", q.distinct, patterns, filters, q.aggregate)
-
-
-def render_sexpr(q: CanonicalQuery) -> str:
-    """Render a tree-shaped canonical query as an s-expression.
-
-    Raises UnsupportedQuery when the pattern graph is not a tree rooted at
-    the projection variable (s-expressions cannot express such queries).
-    """
-    consumed: set[int] = set()
-    filters_by_var: dict[str, list[Filter]] = {}
-    for f in q.filters:
-        filters_by_var.setdefault(f.variable, []).append(f)
-    consumed_filters: set[int] = set()
-    rendered: set[str] = set()
-
-    def edges_of(name: str) -> list[tuple[int, Pattern]]:
-        found = []
-        for idx, (s, p, o) in enumerate(q.patterns):
-            if idx in consumed:
-                continue
-            if (s.is_var() and s.value == name) or (o.is_var() and o.value == name):
-                found.append((idx, (s, p, o)))
-        return found
-
-    def render_term(term: Term) -> str:
-        if term.kind == "entity":
-            return term.value
-        if term.kind == "literal":
-            return _render_literal(term.literal, "date")
-        raise UnsupportedQuery(f"cannot render {term.kind} term as an s-expression leaf")
-
-    def comparator_part(name: str, idx: int, pattern: Pattern) -> str | None:
-        # Pattern (name, r, z) where z is only used in one filter -> (op r lit).
-        s, p, o = pattern
-        if not (s.is_var() and s.value == name and o.is_var() and p.kind == "relation"):
-            return None
-        z = o.value
-        if len(edges_of(z)) != 1 or len(filters_by_var.get(z, [])) != 1:
-            return None
-        f = filters_by_var[z][0]
-        op_name = {v: k for k, v in _SEXPR_COMPARATORS.items()}.get(f.op)
-        if op_name is None:
-            return None
-        consumed.add(idx)
-        consumed_filters.add(id(f))
-        value = _render_literal(f.literal, "date")
-        return f"({op_name} {p.value} {value})"
-
-    def expr_for(name: str) -> str:
-        # A tree reaches each variable once; reaching one again is a cycle.
-        if name in rendered:
-            raise UnsupportedQuery("pattern graph is not a tree rooted at the projection")
-        rendered.add(name)
-        parts: list[str] = []
-        for idx, (s, p, o) in edges_of(name):
-            if p.kind == "type_assert":
-                consumed.add(idx)
-                parts.append(o.value)
-                continue
-            comp = comparator_part(name, idx, (s, p, o))
-            if comp is not None:
-                parts.append(comp)
-                continue
-            consumed.add(idx)
-            if s.is_var() and s.value == name:
-                target = expr_for(o.value) if o.is_var() else render_term(o)
-                parts.append(f"(JOIN {p.value} {target})")
-            else:
-                target = expr_for(s.value) if s.is_var() else render_term(s)
-                parts.append(f"(JOIN (R {p.value}) {target})")
-        if not parts:
-            raise UnsupportedQuery(f"variable ?{name} has no constraints to render")
-        # Classes first so (AND class expr) reads naturally.
-        parts.sort(key=lambda part: (part.startswith("("), part))
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = f"(AND {part} {out})"
-        return out
-
-    body = expr_for(q.projection)
-    if len(consumed) != len(q.patterns):
-        raise UnsupportedQuery("pattern graph is not a tree rooted at the projection")
-    for f in q.filters:
-        if id(f) not in consumed_filters:
-            raise UnsupportedQuery("filter variable is not a leaf of the pattern tree")
-    if q.aggregate is not None:
-        if q.aggregate.kind == "count":
-            return f"(COUNT {body})"
-        return f"({q.aggregate.kind.upper()} {body} {' '.join(q.aggregate.path)})"
-    return body
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,11 @@ def _trigrams(text: str) -> frozenset[str]:
 
 
 def _jaccard(a: frozenset, b: frozenset) -> float:
+    """|a & b| / |a | b|, without building the union."""
     if not a or not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,28 +137,22 @@ def retrieve_union(
     re-capped."""
     if not retrievers:
         raise ValueError("at least one retriever is required")
-    classes: list[str] = []
-    relations: list[str] = []
-    paths: list[CanonicalQuery] = []
-    path_keys: set[str] = set()
-    linked: list[tuple[str, str]] = []
+    # Dicts keep first-occurrence order; paths are keyed by their SPARQL
+    # text, which stays on each path for render_context_fields.
+    classes: dict[str, None] = {}
+    relations: dict[str, None] = {}
+    paths: dict[str, CanonicalQuery] = {}
+    linked: dict[tuple[str, str], None] = {}
     for retriever in retrievers:
         ctx = retriever(kb, question, linked_entities, caps)
-        for cid in ctx.classes:
-            if cid not in classes:
-                classes.append(cid)
-        for rid in ctx.relations:
-            if rid not in relations:
-                relations.append(rid)
+        classes.update(dict.fromkeys(ctx.classes))
+        relations.update(dict.fromkeys(ctx.relations))
         for path in ctx.paths:
-            key = render_sparql(path)
-            if key not in path_keys:
-                path_keys.add(key)
-                paths.append(path)
-        for pair in ctx.linked_entities:
-            if pair not in linked:
-                linked.append(pair)
-    return RetrievalContext(tuple(classes), tuple(relations), tuple(paths), tuple(linked)).capped(caps)
+            paths.setdefault(render_sparql(path), path)
+        linked.update(dict.fromkeys(ctx.linked_entities))
+    return RetrievalContext(
+        tuple(classes), tuple(relations), tuple(paths.values()), tuple(linked)
+    ).capped(caps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,84 @@
 """Test oracles: reference implementations that exist only to check the
-package against.
+package against, and the s-expression renderer only tests and
+tools/make_fixtures.py use.
 
 ``brute_force_execute`` defines query semantics by enumerating every variable
-assignment over the KB's terms; keep it dumb.  It shares the engine's literal
-comparison (``_compare``, ``_values_equal``), so both engines agree on one
-rule for comparing literals.  ``same_as`` compares two knowledge bases by
-value.
+assignment over the KB's terms; keep it dumb.  ``pruned_execute`` gives the
+same answers by backtracking, and is fast enough for criterion 3's 500 cases.
+Both share the engine's literal comparison (``_compare``, ``_values_equal``),
+so the engines agree on one rule for comparing literals.  ``same_as``
+compares two knowledge bases by value.  ``reference_tokenize`` is the
+tokenizer that spent one regex match on each whitespace run.
+``render_sexpr`` writes a canonical query as an s-expression.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from dataclasses import dataclass
 
 from kbqa_repair.executor import _NUMERIC, _compare, _values_equal
 from kbqa_repair.kb import KnowledgeBase
-from kbqa_repair.query import Aggregate, CanonicalQuery, Literal, Term
+from kbqa_repair.query import (
+    _SEXPR_COMPARATORS,
+    Aggregate,
+    CanonicalQuery,
+    Filter,
+    Literal,
+    Pattern,
+    QuerySyntaxError,
+    Term,
+    UnsupportedQuery,
+    _render_literal,
+)
 
 
 class SizeLimit(Exception):
     """Brute-force enumeration would exceed the configured bound."""
+
+
+def _domain(kb: KnowledgeBase) -> list[object]:
+    """Every entity id plus every literal appearing in a fact."""
+    domain: list[object] = sorted(kb.entities)
+    seen_literals = set()
+    for fact in kb.facts:
+        if fact.obj_is_literal and fact.obj not in seen_literals:
+            seen_literals.add(fact.obj)
+            domain.append(fact.obj)
+    return domain
+
+
+def _ground(term: Term, assignment: dict) -> object:
+    if term.kind == "var":
+        return assignment[term.value]
+    if term.kind == "literal":
+        return term.literal
+    return term.value
+
+
+def _pattern_holds(kb: KnowledgeBase, pattern, assignment: dict) -> bool:
+    s, p, o = pattern
+    subject = _ground(s, assignment)
+    if p.kind == "type_assert":
+        if not isinstance(subject, str):
+            return False
+        ent = kb.entities.get(subject)
+        return ent is not None and o.value in ent.classes
+    return _fact_holds(kb, subject, p.value, _ground(o, assignment))
+
+
+def _filter_holds(f, assignment: dict) -> bool:
+    value = assignment.get(f.variable)
+    return isinstance(value, Literal) and _compare(value, f.op, f.literal)
+
+
+def _answer(kb: KnowledgeBase, q: CanonicalQuery, projected: set) -> frozenset:
+    if q.aggregate is None:
+        return frozenset(projected)
+    if q.aggregate.kind == "count":
+        return frozenset({Literal(len(projected), "integer")})
+    return _brute_force_extremum(kb, q.aggregate, projected)
 
 
 def brute_force_execute(kb: KnowledgeBase, q: CanonicalQuery, limit: int = 5_000_000) -> frozenset:
@@ -27,56 +87,59 @@ def brute_force_execute(kb: KnowledgeBase, q: CanonicalQuery, limit: int = 5_000
     The variable domain is every entity id plus every literal appearing in a
     fact.  Raises SizeLimit when the assignment space exceeds ``limit``.
     """
-    domain: list[object] = sorted(kb.entities)
-    seen_literals = set()
-    for fact in kb.facts:
-        if fact.obj_is_literal and fact.obj not in seen_literals:
-            seen_literals.add(fact.obj)
-            domain.append(fact.obj)
-
+    domain = _domain(kb)
     variables = q.variables()
     if len(domain) ** len(variables) > limit:
         raise SizeLimit(
             f"{len(domain)}^{len(variables)} assignments exceed the bound of {limit}"
         )
 
-    def ground(term: Term, assignment: dict) -> object:
-        if term.kind == "var":
-            return assignment[term.value]
-        if term.kind == "literal":
-            return term.literal
-        return term.value
-
-    def holds(assignment: dict) -> bool:
-        for s, p, o in q.patterns:
-            subject = ground(s, assignment)
-            if p.kind == "type_assert":
-                if not isinstance(subject, str):
-                    return False
-                ent = kb.entities.get(subject)
-                if ent is None or o.value not in ent.classes:
-                    return False
-                continue
-            obj = ground(o, assignment)
-            if not _fact_holds(kb, subject, p.value, obj):
-                return False
-        for f in q.filters:
-            value = assignment.get(f.variable)
-            if not isinstance(value, Literal) or not _compare(value, f.op, f.literal):
-                return False
-        return True
-
     projected = set()
     for combo in itertools.product(domain, repeat=len(variables)):
         assignment = dict(zip(variables, combo))
-        if holds(assignment):
+        if all(_pattern_holds(kb, p, assignment) for p in q.patterns) and all(
+            _filter_holds(f, assignment) for f in q.filters
+        ):
             projected.add(assignment[q.projection])
+    return _answer(kb, q, projected)
 
-    if q.aggregate is None:
-        return frozenset(projected)
-    if q.aggregate.kind == "count":
-        return frozenset({Literal(len(projected), "integer")})
-    return _brute_force_extremum(kb, q.aggregate, projected)
+
+def pruned_execute(kb: KnowledgeBase, q: CanonicalQuery) -> frozenset:
+    """``brute_force_execute`` by backtracking over ``q.variables()``.
+
+    Each pattern and filter is checked as soon as its last variable is bound,
+    by the same checks, so a failed check skips every assignment that extends
+    the partial one.  It reads only ``kb.entities`` and ``kb.facts``, never
+    the executor's indexes.
+    """
+    domain = _domain(kb)
+    variables = q.variables()
+    depth = {name: i for i, name in enumerate(variables)}
+    patterns_at: list[list] = [[] for _ in variables]
+    filters_at: list[list] = [[] for _ in variables]
+    for pattern in q.patterns:
+        names = [t.value for t in (pattern[0], pattern[2]) if t.is_var()]
+        patterns_at[max((depth[n] for n in names), default=0)].append(pattern)
+    for f in q.filters:
+        filters_at[depth[f.variable]].append(f)
+
+    projected = set()
+    assignment: dict = {}
+
+    def extend(level: int) -> None:
+        if level == len(variables):
+            projected.add(assignment[q.projection])
+            return
+        for value in domain:
+            assignment[variables[level]] = value
+            if all(_pattern_holds(kb, p, assignment) for p in patterns_at[level]) and all(
+                _filter_holds(f, assignment) for f in filters_at[level]
+            ):
+                extend(level + 1)
+        del assignment[variables[level]]
+
+    extend(0)
+    return _answer(kb, q, projected)
 
 
 def _fact_holds(kb: KnowledgeBase, subject: object, relation: str, obj: object) -> bool:
@@ -123,3 +186,131 @@ def same_as(a: KnowledgeBase, b: KnowledgeBase) -> bool:
         and a.entities == b.entities
         and a.facts == b.facts
     )
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer reference
+# ---------------------------------------------------------------------------
+
+def whitespace_token_regex(regex: re.Pattern) -> re.Pattern:
+    """The same token alternatives as ``regex``, whose pattern is
+    ``\\s*(?:...)``, after a ``ws`` group instead of the ``\\s*`` prefix."""
+    body = regex.pattern.strip()
+    assert body.startswith(r"\s*(?:"), body
+    return re.compile(r"(?P<ws>\s+)|" + body[len(r"\s*"):], regex.flags)
+
+
+@dataclass(frozen=True)
+class ReferenceTok:
+    kind: str
+    text: str
+    pos: int
+
+
+def reference_tokenize(regex: re.Pattern, text: str) -> list[ReferenceTok]:
+    """Split text into the regex's named groups, dropping whitespace.
+    ``regex`` has a ``ws`` group, as ``whitespace_token_regex`` builds."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = regex.match(text, pos)
+        if m is None:
+            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append(ReferenceTok(m.lastgroup, m.group(), pos))
+        pos = m.end()
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# S-expression rendering
+# ---------------------------------------------------------------------------
+
+def render_sexpr(q: CanonicalQuery) -> str:
+    """Render a tree-shaped canonical query as an s-expression.
+
+    Raises UnsupportedQuery when the pattern graph is not a tree rooted at
+    the projection variable (s-expressions cannot express such queries).
+    """
+    consumed: set[int] = set()
+    filters_by_var: dict[str, list[Filter]] = {}
+    for f in q.filters:
+        filters_by_var.setdefault(f.variable, []).append(f)
+    consumed_filters: set[int] = set()
+    rendered: set[str] = set()
+
+    def edges_of(name: str) -> list[tuple[int, Pattern]]:
+        found = []
+        for idx, (s, p, o) in enumerate(q.patterns):
+            if idx in consumed:
+                continue
+            if (s.is_var() and s.value == name) or (o.is_var() and o.value == name):
+                found.append((idx, (s, p, o)))
+        return found
+
+    def render_term(term: Term) -> str:
+        if term.kind == "entity":
+            return term.value
+        if term.kind == "literal":
+            return _render_literal(term.literal, "date")
+        raise UnsupportedQuery(f"cannot render {term.kind} term as an s-expression leaf")
+
+    def comparator_part(name: str, idx: int, pattern: Pattern) -> str | None:
+        # Pattern (name, r, z) where z is only used in one filter -> (op r lit).
+        s, p, o = pattern
+        if not (s.is_var() and s.value == name and o.is_var() and p.kind == "relation"):
+            return None
+        z = o.value
+        if len(edges_of(z)) != 1 or len(filters_by_var.get(z, [])) != 1:
+            return None
+        f = filters_by_var[z][0]
+        op_name = {v: k for k, v in _SEXPR_COMPARATORS.items()}.get(f.op)
+        if op_name is None:
+            return None
+        consumed.add(idx)
+        consumed_filters.add(id(f))
+        value = _render_literal(f.literal, "date")
+        return f"({op_name} {p.value} {value})"
+
+    def expr_for(name: str) -> str:
+        # A tree reaches each variable once; reaching one again is a cycle.
+        if name in rendered:
+            raise UnsupportedQuery("pattern graph is not a tree rooted at the projection")
+        rendered.add(name)
+        parts: list[str] = []
+        for idx, (s, p, o) in edges_of(name):
+            if p.kind == "type_assert":
+                consumed.add(idx)
+                parts.append(o.value)
+                continue
+            comp = comparator_part(name, idx, (s, p, o))
+            if comp is not None:
+                parts.append(comp)
+                continue
+            consumed.add(idx)
+            if s.is_var() and s.value == name:
+                target = expr_for(o.value) if o.is_var() else render_term(o)
+                parts.append(f"(JOIN {p.value} {target})")
+            else:
+                target = expr_for(s.value) if s.is_var() else render_term(s)
+                parts.append(f"(JOIN (R {p.value}) {target})")
+        if not parts:
+            raise UnsupportedQuery(f"variable ?{name} has no constraints to render")
+        # Classes first so (AND class expr) reads naturally.
+        parts.sort(key=lambda part: (part.startswith("("), part))
+        out = parts[-1]
+        for part in reversed(parts[:-1]):
+            out = f"(AND {part} {out})"
+        return out
+
+    body = expr_for(q.projection)
+    if len(consumed) != len(q.patterns):
+        raise UnsupportedQuery("pattern graph is not a tree rooted at the projection")
+    for f in q.filters:
+        if id(f) not in consumed_filters:
+            raise UnsupportedQuery("filter variable is not a leaf of the pattern tree")
+    if q.aggregate is not None:
+        if q.aggregate.kind == "count":
+            return f"(COUNT {body})"
+        return f"({q.aggregate.kind.upper()} {body} {' '.join(q.aggregate.path)})"
+    return body

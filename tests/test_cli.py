@@ -206,10 +206,11 @@ def test_eval_prediction_without_lf_exits_2(tmp_path, capsys):
     assert err.startswith("error: line 2: bad prediction record") and "'lf'" in err
 
 
-def _kb3_copy(tmp_path, schema=None, data_line=None):
-    """fig1/kb3 copied under tmp_path, its schema edited or a data line added."""
+def _kb_copy(tmp_path, schema=None, data_line=None, source=FIG1 / "kb3"):
+    """A fixture KB (fig1/kb3 by default) copied under tmp_path, its schema
+    edited or a data line added."""
     kb = tmp_path / "kb"
-    shutil.copytree(FIG1 / "kb3", kb)
+    shutil.copytree(source, kb)
     if schema is not None:
         doc = json.loads((kb / "schema.json").read_text())
         schema(doc)
@@ -239,27 +240,40 @@ def _delete_argv(tmp_path, plan):
 # JSON at all) and returns the command line that reads it.
 MALFORMED_INPUTS = {
     "schema-relation-without-domain": lambda tmp: (
-        "kb", "validate", "--kb", _kb3_copy(tmp, schema=lambda doc: doc["relations"][0].pop("domain")),
+        "kb", "validate", "--kb", _kb_copy(tmp, schema=lambda doc: doc["relations"][0].pop("domain")),
     ),
     "data-entity-classes-not-a-list": lambda tmp: (
-        "kb", "validate", "--kb", _kb3_copy(tmp, data_line='{"id": "m.new", "classes": 5}'),
+        "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "m.new", "classes": 5}'),
     ),
     "plan-fact-without-r": lambda tmp: _delete_argv(
         tmp, _write(tmp, "plan.json", '{"facts": [{"s": "m.0auth", "o": {"entity": "m.0b1"}}]}'),
     ),
     "plan-is-a-list": lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '["book.author"]')),
     "schema-class-id-a-list": lambda tmp: (
-        "kb", "validate", "--kb", _kb3_copy(tmp, schema=lambda doc: doc["classes"].append({"id": ["c"]})),
+        "kb", "validate", "--kb", _kb_copy(tmp, schema=lambda doc: doc["classes"].append({"id": ["c"]})),
     ),
     "data-entity-id-a-list": lambda tmp: (
-        "kb", "validate", "--kb", _kb3_copy(tmp, data_line='{"id": ["m.x"], "classes": []}'),
+        "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": ["m.x"], "classes": []}'),
     ),
     "data-entity-classes-mixed": lambda tmp: (
-        "kb", "validate", "--kb", _kb3_copy(tmp, data_line='{"id": "m.x", "classes": ["book.author", 1]}'),
+        "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "m.x", "classes": ["book.author", 1]}'),
     ),
     "data-fact-relation-a-list": lambda tmp: (
         "kb", "validate", "--kb",
-        _kb3_copy(tmp, data_line='{"s": "m.0auth", "r": ["x"], "o": {"entity": "m.0b1"}}'),
+        _kb_copy(tmp, data_line='{"s": "m.0auth", "r": ["x"], "o": {"entity": "m.0b1"}}'),
+    ),
+    "data-entity-classes-a-string": lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "m.x", "classes": "book.author"}'),
+    ),
+    "data-integer-literal-a-list": lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
+            '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": [1], "type": "integer"}}'
+        )),
+    ),
+    "data-integer-literal-a-word": lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
+            '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": "many", "type": "integer"}}'
+        )),
     ),
     "plan-entity-a-list": lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '{"entities": [["m.0b1"]]}')),
     "mock-matcher-kind-regex": lambda tmp: _run_argv(tmp, mock=_write(
@@ -277,7 +291,7 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert run_cli(*MALFORMED_INPUTS[case](tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()  # stopped before writing anything
 
 
@@ -329,14 +343,16 @@ def _files(top):
 
 
 def test_make_fixtures_rewrites_no_fixture(tmp_path):
-    """tools/make_fixtures.py, run on a copy of the tool and src/ with no
-    fixtures at all, writes exactly the committed tree, byte for byte, so a
-    fixture it no longer writes is caught as well as one it writes
-    differently."""
+    """tools/make_fixtures.py, run on a copy of the tool, src/ and the
+    tests/oracles.py it imports, with no fixtures at all, writes exactly the
+    committed tree, byte for byte, so a fixture it no longer writes is caught
+    as well as one it writes differently."""
     root = FIXTURES.parents[1]
     shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "tools").mkdir()
     shutil.copy(root / "tools" / "make_fixtures.py", tmp_path / "tools")
+    (tmp_path / "tests").mkdir()
+    shutil.copy(root / "tests" / "oracles.py", tmp_path / "tests")
     subprocess.run([sys.executable, str(tmp_path / "tools" / "make_fixtures.py")],
                    check=True, capture_output=True, timeout=120)
     regenerated = tmp_path / "tests" / "fixtures"

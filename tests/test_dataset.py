@@ -62,6 +62,18 @@ def test_load_rejects_inconsistent_record(tmp_path):
     assert "line 1" in str(err.value)
 
 
+def test_gold_answer_literal_of_the_wrong_type_names_its_line(tmp_path):
+    record = {
+        "question": "q?",
+        "gold_lf": {"dialect": "sparql", "text": "SELECT ?x WHERE { ?x ns:a.b ns:m.01 }"},
+        "gold_answer": [{"literal": [1], "type": "integer"}],
+    }
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n" + json.dumps(record) + "\n")
+    with pytest.raises(FormatError, match="line 2: .*integer literal has value"):
+        load_split(str(path))
+
+
 def test_mixed_fixture_counts(tmp_path, fig1_kb3):
     lines = []
     for name in ("dataset_kb3", "dataset_kb2", "dataset_kb1"):

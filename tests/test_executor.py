@@ -5,7 +5,7 @@ import pytest
 from kbqa_repair.executor import execute
 from kbqa_repair.kb import DeletionPlan, delete_elements
 from kbqa_repair.query import Literal, parse_sexpr, parse_sparql
-from oracles import SizeLimit, brute_force_execute
+from oracles import SizeLimit, brute_force_execute, pruned_execute
 from randgen import random_kb, random_query
 
 
@@ -94,6 +94,17 @@ def test_randomized_equivalence_small():
         kb = random_kb(rng, max_entities=12)
         q = random_query(rng, kb)
         assert execute(kb, q) == brute_force_execute(kb, q)
+
+
+def test_pruned_oracle_matches_full_enumeration():
+    """The first 40 of criterion 3's cases, drawn the same way: the pruned
+    oracle that criterion 3 checks the executor against agrees with full
+    enumeration."""
+    rng = random.Random(987654321)
+    for _ in range(40):
+        kb = random_kb(rng, max_entities=30)
+        q = random_query(rng, kb, max_patterns=3)
+        assert pruned_execute(kb, q) == brute_force_execute(kb, q)
 
 
 def test_monotonic_under_deletion():

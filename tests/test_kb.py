@@ -17,6 +17,7 @@ from kbqa_repair.kb import (
     UnknownId,
     build_kb,
     delete_elements,
+    load_data,
     load_kb,
     load_plan,
     paths_from_entity,
@@ -138,6 +139,38 @@ def test_load_data_format_error_carries_line(tmp_path):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("value, datatype", [
+    ([1], "integer"), ("many", "integer"), (True, "integer"), (1.5, "integer"),
+    (False, "float"), ("1.5", "float"), (3, "string"), ("2024-1-5", "date"), (20240105, "date"),
+])
+def test_literal_value_must_fit_its_datatype(value, datatype):
+    with pytest.raises(ValueError, match=f"{datatype} literal has value"):
+        Literal(value, datatype)
+
+
+@pytest.mark.parametrize("value, datatype", [
+    (3, "integer"), (3, "float"), (2.5, "float"), ("", "string"), ("2024-01-05", "date"),
+])
+def test_literal_accepts_a_value_of_its_datatype(value, datatype):
+    assert Literal(value, datatype).value == value
+
+
+def test_entity_classes_must_be_a_list(tmp_path):
+    data = tmp_path / "data.jsonl"
+    data.write_text('{"id": "m.y", "classes": "book.author"}\n')
+    with pytest.raises(FormatError, match="line 1: .*entity classes must be a list"):
+        load_data(str(data))
+
+
+def test_plan_literal_of_the_wrong_type_is_format_error(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"facts": [
+        {"s": "m.0c1", "r": "geo.city.population", "o": {"literal": "many", "type": "integer"}},
+    ]}))
+    with pytest.raises(FormatError, match="integer literal has value 'many'"):
+        load_plan(str(plan))
+
+
 def test_lookup_is_total(fig1_kb3):
     assert fig1_kb3.entity_classes("no.such.id") == frozenset()
 
@@ -236,10 +269,12 @@ def test_revalidation_after_any_deletion(fig1_kb3):
 # ---------------------------------------------------------------------------
 
 def _twin(fact):
-    """The KB fact with its object's kind or literal type changed."""
+    """The KB fact with its object's kind or literal type changed.  An
+    integer literal holds an int, so a float's twin is its integer part."""
     if isinstance(fact.obj, Literal):
-        other = "float" if fact.obj.datatype == "integer" else "integer"
-        return Fact(fact.subject, fact.relation, Literal(fact.obj.value, other))
+        if fact.obj.datatype == "integer":
+            return Fact(fact.subject, fact.relation, Literal(fact.obj.value, "float"))
+        return Fact(fact.subject, fact.relation, Literal(int(fact.obj.value), "integer"))
     return Fact(fact.subject, fact.relation, Literal(fact.obj, "string"))
 
 
@@ -254,7 +289,7 @@ def _plans(draw, kb):
     objects = st.one_of(
         st.sampled_from(entity_ids + ["m.ghost"]),
         st.builds(Literal, st.integers(0, 50), st.sampled_from(["integer", "float"])),
-        st.builds(Literal, st.integers(0, 50).map(float), st.sampled_from(["integer", "float"])),
+        st.builds(Literal, st.integers(0, 50).map(float), st.just("float")),
     )
     made_up = st.builds(
         Fact, st.sampled_from(entity_ids + ["m.ghost"]), st.sampled_from(sorted(kb.relations)), objects

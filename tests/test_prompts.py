@@ -1,7 +1,11 @@
 import re
+import string
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
+from kbqa_repair import prompts
 from kbqa_repair.prompts import (
     TEMPLATE_IDS,
     UnboundPlaceholder,
@@ -71,3 +75,55 @@ def test_equivalence_template_has_both_verdict_exemplars():
     assert "Hence, they are same." in text
     assert "Hence, they are different." in text
     assert text.endswith("explanation: ")
+
+
+PLACEHOLDERS = (
+    "sparql", "error", "description", "answered", "asked", "answer", "question",
+    "entities", "paths", "classes", "relations", "options", "count",
+)
+
+
+@given(bindings=st.dictionaries(
+    st.sampled_from(PLACEHOLDERS),
+    st.one_of(
+        st.text(max_size=8),
+        st.sampled_from(["$", "${", "$$", "${sparql}", "$error", "$$x"]),
+        st.integers(),
+    ),
+))
+def test_render_prompt_equals_string_template(bindings):
+    """For every template: the same text as string.Template, or the same
+    message for a missing key.  Values that look like placeholders are
+    inserted as they are."""
+    for template_id in TEMPLATE_IDS:
+        try:
+            expected = string.Template(template_text(template_id)).substitute(bindings)
+        except KeyError as err:
+            expected = f"template {template_id} placeholder {err.args[0]!r} is unbound"
+        try:
+            got = render_prompt(template_id, bindings)
+        except UnboundPlaceholder as err:
+            got = str(err)
+        assert got == expected, template_id
+
+
+@given(
+    text=st.lists(st.sampled_from(["a", " ", "{", "}", "$", "$$", "${", "$a", "${a}", "$b_1", "${b_1}", "$1"]))
+    .map("".join),
+    bindings=st.dictionaries(st.sampled_from(["a", "b_1"]), st.sampled_from(["x", "$", "${a}", "$$"])),
+)
+def test_split_pieces_render_as_string_template(text, bindings):
+    """Template text the shipped files do not have: escapes, braces and
+    invalid placeholders render, or fail, as string.Template does."""
+    try:
+        expected = string.Template(text).substitute(bindings)
+    except KeyError as err:
+        expected = f"template fb-syntax placeholder {err.args[0]!r} is unbound"
+    except ValueError as err:
+        expected = f"template fb-syntax: {err}"
+    with mock.patch.dict(prompts._cache, {"fb-syntax": (text, prompts._split(text))}):
+        try:
+            got = render_prompt("fb-syntax", bindings)
+        except UnboundPlaceholder as err:
+            got = str(err)
+    assert got == expected

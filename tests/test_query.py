@@ -6,7 +6,9 @@ from hypothesis import assume, example, given, strategies as st
 
 from conftest import FIXTURES
 from kbqa_repair.executor import execute
+from kbqa_repair import query
 from kbqa_repair.query import (
+    CanonicalQuery,
     Filter,
     Literal,
     LogicalForm,
@@ -17,10 +19,10 @@ from kbqa_repair.query import (
     extract_relations,
     parse_sexpr,
     parse_sparql,
-    render_sexpr,
     render_sparql,
     var,
 )
+from oracles import reference_tokenize, render_sexpr, whitespace_token_regex
 from randgen import random_kb, random_query
 
 GENRE_SPARQL = (
@@ -231,3 +233,64 @@ def test_logical_form_from_text():
     assert nk.is_nk
     broken = LogicalForm.from_text("sparql", "SELECT gibberish {")
     assert not broken.parsed and broken.parse_error
+
+
+# ---------------------------------------------------------------------------
+# The scanner against the tokenizer that matched each whitespace run apart
+# ---------------------------------------------------------------------------
+
+_FRAGMENTS = (
+    "SELECT", "DISTINCT", "WHERE", "FILTER", "COUNT", "{", "}", "(", ")", ".",
+    "?x", "?v_1", "ns:m.0auth", "ns:type.object.type", "ns:", "-12", "3.25", "7",
+    "<", "<=", ">=", "!=", "=", ">", '"2024-01-05"^^xsd:date', '"1999-12-31"^^date',
+    '"a \\" b"', '"unterminated', "JOIN", "(R rel.a)", "m.01", "book.author", "g.x-y",
+)
+
+
+def _scanner_input():
+    """Text mixed from SPARQL and s-expression fragments, whitespace of every
+    kind, and stray characters."""
+    piece = st.one_of(
+        st.sampled_from(_FRAGMENTS),
+        st.text(alphabet=" \t\n\r\x0b\x0c\u00a0\u2003", min_size=1, max_size=3),
+        st.text(max_size=2),
+        st.sampled_from("@#$%^&*[]|;,'\\`~"),
+    )
+    return st.lists(piece, max_size=12).map("".join)
+
+
+def _scan(tokenize, regex, text):
+    """The tokens, or the error's (message, position)."""
+    try:
+        return [(tok.kind, tok.text, tok.pos) for tok in tokenize(regex, text)]
+    except QuerySyntaxError as err:
+        return (err.message, err.position)
+
+
+@pytest.mark.parametrize("regex", [query._TOKEN_RE, query._SEXPR_TOKEN_RE], ids=["sparql", "sexpr"])
+@given(text=_scanner_input())
+def test_tokenize_matches_the_whitespace_token_reference(regex, text):
+    expected = _scan(reference_tokenize, whitespace_token_regex(regex), text)
+    assert _scan(query._tokenize, regex, text) == expected
+
+
+def test_unexpected_character_is_reported_after_whitespace():
+    text = "SELECT ?x WHERE {  @ }"
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_sparql(text)
+    assert err.value.message == "unexpected character '@'"
+    assert err.value.position == text.index("@")
+    assert LogicalForm.from_text("sparql", text).parse_error == "unexpected character '@'"
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_render_sparql_keeps_its_first_text(seed):
+    _, q = _random_instance(seed)
+    try:
+        first = render_sparql(q)
+    except UnsupportedQuery:
+        assume(False)
+    fresh = CanonicalQuery(q.projection, q.distinct, q.patterns, q.filters, q.aggregate)
+    assert render_sparql(q) == first
+    assert render_sparql(fresh) == first
+    assert fresh == q and hash(fresh) == hash(q)

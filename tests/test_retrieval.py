@@ -247,3 +247,9 @@ def test_questions_are_not_memoized(fig1_kb3):
         retrieve_lexical(fig1_kb3, f"a question never asked before {i}", [])
         lexical_score(f"another fresh question {i}", author.label, author.id)
     assert retrieval._features.cache_info().currsize == size
+
+
+@given(a=st.frozensets(st.integers(0, 40)), b=st.frozensets(st.integers(0, 40)))
+def test_jaccard_equals_intersection_over_union(a, b):
+    expected = len(a & b) / len(a | b) if a and b else 0.0
+    assert retrieval._jaccard(a, b) == expected

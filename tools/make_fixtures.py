@@ -24,6 +24,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from kbqa_repair.cli import main as cli_main  # noqa: E402
 from kbqa_repair.kb import (  # noqa: E402
@@ -38,8 +39,9 @@ from kbqa_repair.kb import (  # noqa: E402
     save_plan,
 )
 from kbqa_repair.pipeline import build_pun_prompt  # noqa: E402
-from kbqa_repair.query import Literal, parse_sparql, render_sexpr  # noqa: E402
+from kbqa_repair.query import Literal, parse_sparql  # noqa: E402
 from kbqa_repair.retrieval import RetrievalContext  # noqa: E402
+from oracles import render_sexpr  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
