@@ -15,8 +15,8 @@ import shutil
 import sys
 import time
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
 
 from . import dataset as ds
 from . import kb as kbmod
@@ -37,8 +37,7 @@ def _kb_paths(args) -> tuple[str, str]:
 
 
 def _load_kb(args) -> kbmod.KnowledgeBase:
-    schema, data = _kb_paths(args)
-    return kbmod.load_kb(schema, data)
+    return kbmod.load_kb(*_kb_paths(args))
 
 
 def _make_gateway(args):
@@ -46,10 +45,7 @@ def _make_gateway(args):
     if backend == "mock":
         if not args.mock:
             raise FatalError("--backend mock requires --mock FIXTURE")
-        try:
-            return MockGateway.from_file(args.mock)
-        except (ValueError, KeyError, TypeError) as err:
-            raise FatalError(f"mock fixture {args.mock}: {err!r}") from err
+        return MockGateway.from_file(args.mock)
     if backend == "http":
         if not args.endpoint or not args.model:
             raise FatalError("--backend http requires --endpoint and --model")
@@ -64,12 +60,13 @@ def _make_gateway(args):
 # kb
 # ---------------------------------------------------------------------------
 
+def _sizes(kb: kbmod.KnowledgeBase) -> str:
+    return (f"{len(kb.classes)} classes, {len(kb.relations)} relations, "
+            f"{len(kb.entities)} entities, {len(kb.facts)} facts")
+
+
 def cmd_kb_validate(args) -> int:
-    kb = _load_kb(args)
-    print(
-        f"OK: {len(kb.classes)} classes, {len(kb.relations)} relations, "
-        f"{len(kb.entities)} entities, {len(kb.facts)} facts"
-    )
+    print(f"OK: {_sizes(_load_kb(args))}")
     return 0
 
 
@@ -81,10 +78,7 @@ def cmd_kb_delete(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kbmod.save_kb(kb2, str(out / "schema.json"), str(out / "data.jsonl"))
-    print(
-        f"wrote {out}: {len(kb2.classes)} classes, {len(kb2.relations)} relations, "
-        f"{len(kb2.entities)} entities, {len(kb2.facts)} facts"
-    )
+    print(f"wrote {out}: {_sizes(kb2)}")
     return 0
 
 
@@ -114,9 +108,7 @@ def cmd_dataset_inject(args) -> int:
     kbmod.save_kb(kb2, str(out / "schema.json"), str(out / "data.jsonl"))
     ds.save_split(split2, str(out / "split.jsonl"))
     kbmod.save_plan(plan, str(out / "plan.json"))
-    counts = {}
-    for example in split2.examples:
-        counts[example.label] = counts.get(example.label, 0) + 1
+    counts = Counter(example.label for example in split2.examples)
     print(f"wrote {out}: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return 0
 
@@ -133,29 +125,11 @@ def cmd_dataset_sample(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-# Keys of `run --config` and the JSON type of each: the flags' own, typed as
-# their flag parses, each overridden by its flag when given; then the run
-# settings that have no flag, typed by the dataclass field they set.
-_FLAG_KEYS = {
-    "n_iter": int, "answerable_mode": bool, "workers": int,
-    "backend": str, "mock": str, "endpoint": str, "model": str,
-}
-_CAPS_KEYS = get_type_hints(RetrievalCaps)
-_CONFIG_KEYS = {
-    **_FLAG_KEYS, **_CAPS_KEYS,
-    "mediator_classes": get_type_hints(VerifierSuite)["mediator_classes"],
-}
-_TYPE_NAMES = {
-    int: "an integer", bool: "true or false", str: "a string", frozenset: "a list of strings",
-}
-
-
-def _has_type(value, want: type) -> bool:
-    if want is frozenset:  # a set of ids, written as a JSON list
-        return isinstance(value, list) and all(isinstance(item, str) for item in value)
-    if want is int and isinstance(value, bool):
-        return False
-    return isinstance(value, want)
+# The keys of `run --config` that a flag overrides when given; the others
+# are retrieval caps or verifier settings that have no flag.
+_FLAG_KEYS = ("n_iter", "answerable_mode", "workers", "backend", "mock", "endpoint", "model")
+_CAPS_KEYS = tuple(field.name for field in fields(RetrievalCaps))
+_CONFIG_KEYS = {key.rstrip("?") for key in kbmod.SHAPES["config"]}
 
 
 def _run_config(args) -> pipeline.FunConfig:
@@ -163,23 +137,10 @@ def _run_config(args) -> pipeline.FunConfig:
     settings without a flag; what neither sets keeps its default."""
     config = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            try:
-                config = json.load(handle)
-            except ValueError as err:
-                raise FatalError(f"config file {args.config}: {err}") from err
-        if not isinstance(config, dict):
-            raise FatalError(f"config file {args.config}: not a JSON object")
-        unknown = sorted(set(config) - set(_CONFIG_KEYS))
+        config = kbmod.check(kbmod.read_json(args.config, "config file"), "config")
+        unknown = sorted(set(config) - _CONFIG_KEYS)
         if unknown:
             raise FatalError(f"config file {args.config}: unknown keys {unknown}")
-        for key, value in config.items():
-            want = _CONFIG_KEYS[key]
-            if not _has_type(value, want):
-                raise FatalError(
-                    f"config file {args.config}: {key} must be {_TYPE_NAMES[want]}, "
-                    f"not {json.dumps(value)}"
-                )
     for key in _FLAG_KEYS:
         if getattr(args, key) is None and key in config:
             setattr(args, key, config[key])
@@ -259,11 +220,9 @@ def cmd_run(args) -> int:
 def _load_predictions(path: str) -> list[tuple[LogicalForm, frozenset | None]]:
     predictions = []
     for lineno, record in kbmod.read_jsonl(path):
-        try:
-            lf = LogicalForm.from_text(record.get("dialect", "sparql"), record["lf"])
-            predictions.append((lf, ds.answer_from_json(record["answer"])))
-        except (KeyError, ValueError, TypeError, AttributeError) as err:
-            raise kbmod.FormatError(f"bad prediction record: {err!r}", lineno) from err
+        kbmod.check(record, "prediction", lineno)
+        lf = LogicalForm.from_text(record.get("dialect", "sparql"), record["lf"])
+        predictions.append((lf, ds.answer_from_json(record["answer"], lineno)))
     return predictions
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from .executor import execute, execute_bindings
 from .kb import DeletionPlan, FormatError, KnowledgeBase, delete_elements, read_jsonl, validate_plan
+from .kb import check, literal_from_json
 from .query import (
     Literal,
     LogicalForm,
@@ -90,16 +91,11 @@ def answer_to_json(answer: frozenset | None):
     return entities + [{"literal": l.value, "type": l.datatype} for l in literals]
 
 
-def answer_from_json(doc) -> frozenset | None:
+def answer_from_json(doc, line: int | None = None) -> frozenset | None:
+    """The answer in ``doc``, which SHAPES has checked to be "NA" or a list."""
     if doc == "NA":
         return None
-    values = []
-    for item in doc:
-        if isinstance(item, dict):
-            values.append(Literal(item["literal"], item.get("type", "string")))
-        else:
-            values.append(item)
-    return frozenset(values)
+    return frozenset(v if isinstance(v, str) else literal_from_json(v, line) for v in doc)
 
 
 def example_to_record(example: QAExample) -> dict:
@@ -118,28 +114,26 @@ def example_to_record(example: QAExample) -> dict:
     }
 
 
-def record_to_example(record: dict, line: int | None = None) -> QAExample:
+def record_to_example(record, line: int | None = None) -> QAExample:
+    check(record, "dataset example", line)
+    gold = record["gold_lf"]  # "NK", which from_text reads as the sentinel, or a gold query
+    gold = {"text": "NK"} if gold == "NK" else check(gold, "gold query", line)
+    gold_lf = LogicalForm.from_text(gold.get("dialect", "sparql"), gold["text"])
+    linked = [check(item, "linked entity", line) for item in record.get("linked_entities", ())]
+    example = QAExample(
+        question=record["question"],
+        linked_entities=tuple((item["mention"], item["id"]) for item in linked),
+        gold_lf=gold_lf,
+        gold_answer=answer_from_json(record["gold_answer"], line),
+        complete_kb_answer=answer_from_json(record.get("complete_kb_answer", []), line),
+        label=record.get("label", "answerable"),
+        category=record.get("category", "n/a"),
+    )
     try:
-        raw_lf = record["gold_lf"]
-        if raw_lf == "NK":
-            gold_lf = LogicalForm.nk()
-        else:
-            gold_lf = LogicalForm.from_text(raw_lf.get("dialect", "sparql"), raw_lf["text"])
-        example = QAExample(
-            question=record["question"],
-            linked_entities=tuple(
-                (item["mention"], item["id"]) for item in record.get("linked_entities", [])
-            ),
-            gold_lf=gold_lf,
-            gold_answer=answer_from_json(record["gold_answer"]),
-            complete_kb_answer=answer_from_json(record.get("complete_kb_answer", [])),
-            label=record.get("label", "answerable"),
-            category=record.get("category", "n/a"),
-        )
         example.validate()
-        return example
-    except (KeyError, ValueError, TypeError, AttributeError) as err:
-        raise FormatError(f"bad dataset record: {err}", line) from err
+    except ValueError as err:
+        raise FormatError(str(err), line) from err
+    return example
 
 
 def load_split(path: str, name: str = "test") -> DatasetSplit:

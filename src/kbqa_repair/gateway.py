@@ -17,6 +17,8 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
+from .kb import check, read_json
+
 
 @dataclass(frozen=True)
 class Message:
@@ -87,14 +89,10 @@ class MockGateway(GenerationGateway):
 
     @classmethod
     def from_file(cls, path: str) -> "MockGateway":
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-        matchers = [
-            Matcher(item["match"]["kind"], item["match"]["text"], item["reply"]) for item in doc
-        ]
-        for m in matchers:
-            if m.kind not in ("exact", "substring"):
-                raise ValueError(f"unknown matcher kind {m.kind!r}")
+        matchers = []
+        for item in check(read_json(path, "mock fixture"), "mock fixture"):
+            match = check(check(item, "mock matcher")["match"], "mock match")
+            matchers.append(Matcher(match["kind"], match["text"], item["reply"]))
         return cls(matchers)
 
     def _complete(self, conversation: list[Message]) -> str:

@@ -15,13 +15,10 @@ from .query import LITERAL_DATATYPES, CanonicalQuery, Literal, Term, entity as e
 
 
 class FormatError(Exception):
-    """Malformed input; carries the offending line number when known."""
+    """Malformed input; the message starts with the line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class ReferentialError(Exception):
@@ -171,85 +168,123 @@ class KnowledgeBase:
         return ent.label if ent is not None and ent.label else eid
 
 
+def _keyed(elements: list, what: str) -> dict:
+    by_id = {}
+    for element in elements:
+        if element.id in by_id:
+            raise FormatError(f"duplicate {what} id {element.id}")
+        by_id[element.id] = element
+    return by_id
+
+
 def build_kb(
     classes: list[SchemaClass],
     relations: list[RelationDef],
     entities: list[Entity],
     facts: list[Fact],
 ) -> KnowledgeBase:
-    class_map: dict[str, SchemaClass] = {}
-    for c in classes:
-        if not c.id:
-            raise FormatError("class with empty id")
-        if c.id in class_map:
-            raise FormatError(f"duplicate class id {c.id}")
-        class_map[c.id] = c
-    relation_map: dict[str, RelationDef] = {}
-    for r in relations:
-        if r.id in relation_map:
-            raise FormatError(f"duplicate relation id {r.id}")
-        relation_map[r.id] = r
-    entity_map: dict[str, Entity] = {}
-    for e in entities:
-        if e.id in entity_map:
-            raise FormatError(f"duplicate entity id {e.id}")
-        entity_map[e.id] = e
-    return KnowledgeBase(class_map, relation_map, entity_map, tuple(facts))
+    if not all(c.id for c in classes):
+        raise FormatError("class with empty id")
+    return KnowledgeBase(_keyed(classes, "class"), _keyed(relations, "relation"),
+                         _keyed(entities, "entity"), tuple(facts))
 
 
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
 
-def _id(value, what: str) -> str:
-    """``value`` if it is a string; a TypeError naming ``what`` otherwise, which
-    each loader reports as a FormatError."""
-    if not isinstance(value, str):
-        raise TypeError(f"{what} must be a string, got {value!r}")
-    return value
+# The shape of every record the program reads, by kind: each field's JSON
+# type, ``field?`` for one that may be absent.  A type is str, int, bool, dict
+# (an object), ``object`` (any JSON value), an exact string, ``[t, ...]`` for
+# a list of t's, or a tuple of such alternatives; a kind given a type instead of
+# fields is a document of that type.  A literal's value is left to Literal,
+# which checks it against its datatype.
+ANSWER = ("NA", [str, dict])  # "NA", or entity ids and literal objects
+SHAPES = {
+    "schema": {"classes?": [dict], "relations?": [dict]},
+    "class": {"id": str, "label?": str},
+    "relation": {"id": str, "domain": str, "range": str},
+    "data record": {},  # an entity if it has an id, a fact if it has an s
+    "entity": {"id": str, "label?": str, "classes?": [str]},
+    "fact": {"s": str, "r": str, "o": dict},
+    "entity object": {"entity": str},
+    "literal object": {"literal": object, "type?": str},
+    "plan": {"classes?": [str], "relations?": [str], "entities?": [str], "facts?": [dict],
+             "seed?": int},
+    "dataset example": {"question": str, "linked_entities?": [dict], "gold_lf": ("NK", dict),
+                        "gold_answer": ANSWER, "complete_kb_answer?": ANSWER, "label?": str,
+                        "category?": str},
+    "linked entity": {"mention": str, "id": str},
+    "gold query": {"dialect?": ("sparql", "sexpr"), "text": str},
+    "prediction": {"dialect?": ("sparql", "sexpr"), "lf": str, "answer": ANSWER},
+    "mock fixture": [dict],
+    "mock matcher": {"match": dict, "reply": str},
+    "mock match": {"kind": ("exact", "substring"), "text": str},
+    "config": {"n_iter?": int, "answerable_mode?": bool, "workers?": int, "backend?": str,
+               "mock?": str, "endpoint?": str, "model?": str, "max_classes?": int,
+               "max_relations?": int, "max_paths?": int, "max_path_len?": int,
+               "mediator_classes?": [str]},
+}
+_NAMES = {str: "a string", int: "an integer", bool: "true or false", dict: "an object",
+          object: "any JSON value"}
+_JSON_TYPES = (dict, list, str, int, float, bool, type(None))
 
 
-def load_schema(path: str) -> tuple[list[SchemaClass], list[RelationDef]]:
+def _rule(shape, optional: bool = False) -> tuple:
+    """(types, list element types or None, exact strings, description).  An
+    absent field reads as (), so an optional field's types include tuple."""
+    types, items, strings, wants = {tuple} if optional else set(), None, [], []
+    for option in shape if type(shape) is tuple else (shape,):
+        if type(option) is str:
+            strings.append(option)
+            wants.append(json.dumps(option))
+        elif type(option) is list:
+            types.add(list)
+            items = frozenset(option)
+            wants.append("a list of " + " and ".join(_NAMES[t].split()[-1] + "s" for t in option))
+        else:
+            types.update(_JSON_TYPES if option is object else (option,))
+            wants.append(_NAMES[option])
+    return frozenset(types), items, tuple(strings), " or ".join(wants)
+
+
+# kind -> (the rule of the value itself, (field name, *its rule) per field)
+_RULES = {
+    kind: (_rule(dict), tuple((f.rstrip("?"), *_rule(s, f[-1] == "?")) for f, s in shape.items()))
+    if type(shape) is dict else (_rule(shape), ())
+    for kind, shape in SHAPES.items()
+}
+
+
+def _show(value) -> str:
+    text = json.dumps(value, ensure_ascii=False)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def check(record, kind: str, line: int | None = None):
+    """``record``, if it has the shape SHAPES gives ``kind``; otherwise a
+    FormatError naming the kind, the field and the JSON value found.  Each
+    test is inline: this runs for every line of a data file."""
+    (types, items, _, want), fields = _RULES[kind]
+    if type(record) not in types or items is not None and not items.issuperset(map(type, record)):
+        raise FormatError(f"{kind} must be {want}, not {_show(record)}", line)
+    for name, types, items, strings, want in fields:
+        value = record.get(name, ())
+        if type(value) in types and (items is None or items.issuperset(map(type, value))):
+            continue
+        if value not in strings:
+            raise FormatError(f"{kind} has no {name}" if type(value) is tuple
+                              else f"{kind} {name} must be {want}, not {_show(value)}", line)
+    return record
+
+
+def read_json(path: str, what: str):
+    """The JSON document in the file at ``path``, which ``what`` names."""
     with open(path, encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as err:
-            raise FormatError(f"invalid schema JSON: {err}", err.lineno) from err
-    try:
-        classes = [
-            SchemaClass(_id(c["id"], "class id"), c.get("label", "")) for c in doc.get("classes", [])
-        ]
-        relations = [
-            RelationDef(_id(r["id"], "relation id"), _id(r["domain"], "relation domain"),
-                        _id(r["range"], "relation range"))
-            for r in doc.get("relations", [])
-        ]
-    except (KeyError, TypeError, AttributeError) as err:
-        raise FormatError(f"bad schema: {err!r}") from err
-    return classes, relations
-
-
-def _parse_object(obj: dict, line: int | None = None) -> str | Literal:
-    if "entity" in obj:
-        eid = obj["entity"]
-        if type(eid) is not str:
-            raise TypeError(f"fact object entity must be a string, got {eid!r}")
-        return eid
-    if "literal" in obj:
-        datatype = obj.get("type", "string")
-        if datatype not in LITERAL_DATATYPES:
-            raise FormatError(f"unknown literal type {datatype!r}", line)
-        return Literal(obj["literal"], datatype)
-    raise FormatError("fact object must be {entity: id} or {literal, type}", line)
-
-
-def _parse_fact(record: dict, line: int | None = None) -> Fact:
-    # Here and in _parse_object the id tests are inline rather than _id
-    # calls: they run once per fact, and the calls cost about 5% of load_data.
-    subject, relation = record["s"], record["r"]
-    if type(subject) is not str or type(relation) is not str:
-        raise TypeError(f"fact subject and relation must be strings, got {subject!r}, {relation!r}")
-    return Fact(subject, relation, _parse_object(record["o"], line))
+            raise FormatError(f"{what} {path} is not JSON: {err}") from err
 
 
 def read_jsonl(path: str):
@@ -266,25 +301,48 @@ def read_jsonl(path: str):
             yield lineno, record
 
 
+def load_schema(path: str) -> tuple[list[SchemaClass], list[RelationDef]]:
+    doc = check(read_json(path, "schema file"), "schema")
+    classes = [check(c, "class") for c in doc.get("classes", ())]
+    relations = [check(r, "relation") for r in doc.get("relations", ())]
+    return ([SchemaClass(c["id"], c.get("label", "")) for c in classes],
+            [RelationDef(r["id"], r["domain"], r["range"]) for r in relations])
+
+
+def literal_from_json(obj: dict, line: int | None = None) -> Literal:
+    """The literal a literal object holds, in data, plans and answers alike."""
+    check(obj, "literal object", line)
+    try:
+        return Literal(obj["literal"], obj.get("type", "string"))
+    except ValueError as err:  # a value or datatype Literal rejects
+        raise FormatError(str(err), line) from err
+
+
+def _parse_object(obj: dict, line: int | None = None) -> str | Literal:
+    if "entity" in obj:
+        return check(obj, "entity object", line)["entity"]
+    if "literal" in obj:
+        return literal_from_json(obj, line)
+    raise FormatError("fact object must be {entity: id} or {literal, type}", line)
+
+
+def _parse_fact(record, line: int | None = None) -> Fact:
+    check(record, "fact", line)
+    return Fact(record["s"], record["r"], _parse_object(record["o"], line))
+
+
 def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
     entities: list[Entity] = []
     facts: list[Fact] = []
     for lineno, record in read_jsonl(path):
-        try:
-            if "id" in record:
-                classes = record.get("classes", [])
-                if type(classes) is not list:
-                    raise TypeError(f"entity classes must be a list, got {classes!r}")
-                classes = frozenset(_id(c, "entity class") for c in classes)
-                entities.append(Entity(_id(record["id"], "entity id"), record.get("label", ""), classes))
-            elif "s" in record:
-                if "r" not in record or "o" not in record:
-                    raise FormatError("fact record needs s, r and o", lineno)
-                facts.append(_parse_fact(record, lineno))
-            else:
-                raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)
-        except (TypeError, ValueError, AttributeError) as err:  # a value of the wrong JSON type
-            raise FormatError(f"bad data record: {err!r}", lineno) from err
+        if "id" in check(record, "data record", lineno):
+            check(record, "entity", lineno)
+            classes = frozenset(record.get("classes", ()))
+            entities.append(Entity(record["id"], record.get("label", ""), classes))
+        elif "s" in record:
+            facts.append(_parse_fact(record, lineno))
+        else:
+            raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)
     return entities, facts
 
 
@@ -322,31 +380,17 @@ def _fact_to_json(fact: Fact) -> dict:
 
 
 def load_plan(path: str) -> DeletionPlan:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise FormatError(f"invalid plan JSON: {err}", err.lineno) from err
-    try:
-        return DeletionPlan(
-            classes=tuple(_id(c, "plan class") for c in doc.get("classes", [])),
-            relations=tuple(_id(r, "plan relation") for r in doc.get("relations", [])),
-            entities=tuple(_id(e, "plan entity") for e in doc.get("entities", [])),
-            facts=tuple(_parse_fact(f) for f in doc.get("facts", [])),
-            seed=doc.get("seed"),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as err:
-        raise FormatError(f"bad plan: {err!r}") from err
+    doc = check(read_json(path, "plan file"), "plan")
+    return DeletionPlan(
+        classes=tuple(doc.get("classes", ())),
+        relations=tuple(doc.get("relations", ())),
+        entities=tuple(doc.get("entities", ())),
+        facts=tuple(_parse_fact(f) for f in doc.get("facts", ())),
+        seed=doc.get("seed"),
+    )
 
 
 def save_plan(plan: DeletionPlan, path: str) -> None:
-    doc = plan_to_json(plan)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
-
-
-def plan_to_json(plan: DeletionPlan) -> dict:
     doc = {
         "classes": list(plan.classes),
         "relations": list(plan.relations),
@@ -355,7 +399,9 @@ def plan_to_json(plan: DeletionPlan) -> dict:
     }
     if plan.seed is not None:
         doc["seed"] = plan.seed
-    return doc
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2, ensure_ascii=False)
+        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -421,7 +421,10 @@ def _literal(tok: _Tok) -> Literal | None:
     if tok.kind == "date":
         return Literal(tok.text[1:11], "date")
     if tok.kind == "string":
-        return Literal(json.loads(tok.text), "string")
+        try:
+            return Literal(json.loads(tok.text), "string")
+        except json.JSONDecodeError as err:
+            raise QuerySyntaxError("bad escape or control character in a string", tok.pos) from err
     return None
 
 

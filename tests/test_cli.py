@@ -2,14 +2,16 @@ import json
 import shutil
 import subprocess
 import sys
+from typing import get_type_hints
 
 import pytest
 
 from conftest import FIXTURES
 from kbqa_repair.cli import main
-from kbqa_repair.kb import load_kb
+from kbqa_repair.kb import SHAPES, load_kb
 from kbqa_repair.pipeline import build_pun_prompt
 from kbqa_repair.retrieval import RetrievalCaps, retrieve_lexical
+from kbqa_repair.verifiers import VerifierSuite
 
 FIG1 = FIXTURES / "fig1"
 A13 = FIXTURES / "a13"
@@ -170,6 +172,20 @@ def test_verify_all_pass_with_mock(capsys):
     assert "V3" in out and "answer: ['m.0kgenre']" in out
 
 
+def test_string_literal_json_rejects_fails_v1_in_verify_and_run(tmp_path, capsys):
+    bad = 'SELECT ?x WHERE { ?x ns:book.author.works_written "\\q" }'
+    assert run_cli("verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", bad) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("V1      strong  FAIL") and "bad escape" in out
+    reply = [{"match": {"kind": "substring", "text": ""}, "reply": bad}]
+    mock = _write(tmp_path, "mock.json", json.dumps(reply))
+    assert run_cli(*_run_argv(tmp_path, mock=mock), "--n-iter", "1") == 0
+    trace = json.loads((tmp_path / "out" / "traces.jsonl").read_text())
+    assert "exception" not in trace and len(trace["iterations"]) == 2  # the first query and a repair
+    assert [it["verdicts"][0]["verifier"] for it in trace["iterations"]] == ["V1", "V1"]
+    assert not any(it["verdicts"][0]["passed"] for it in trace["iterations"])
+
+
 def test_trace_show(tmp_path, capsys):
     run_cli(
         "run", "--kb", FIG1 / "kb1", "--dataset", FIG1 / "dataset_kb1.jsonl",
@@ -202,8 +218,7 @@ def test_eval_prediction_without_lf_exits_2(tmp_path, capsys):
     assert run_cli(
         "eval", "--kb", FIG1 / "kb3", "--pred", pred, "--gold", FIG1 / "dataset_kb3.jsonl",
     ) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: line 2: bad prediction record") and "'lf'" in err
+    assert capsys.readouterr().err == "error: line 2: prediction has no lf\n"
 
 
 def _kb_copy(tmp_path, schema=None, data_line=None, source=FIG1 / "kb3"):
@@ -234,6 +249,29 @@ def _run_argv(tmp_path, dataset=FIG1 / "dataset_kb3.jsonl", mock=FIG1 / "mock.js
 
 def _delete_argv(tmp_path, plan):
     return ("kb", "delete", "--kb", FIG1 / "kb3", "--plan", plan, "--out", tmp_path / "out")
+
+
+def _inject_argv(tmp_path, **change):
+    """`dataset inject` on a one-question split, its record edited by ``change``."""
+    record = {
+        "question": "which books did j r hart write?",
+        "linked_entities": [{"mention": "j r hart", "id": "m.0auth"}],
+        "gold_lf": {"dialect": "sparql", "text": WORKS_WRITTEN},
+        "gold_answer": ["m.0b1", "m.0b2"],
+    }
+    for key, value in change.items():
+        if key in ("mention", "id"):
+            record["linked_entities"][0][key] = value
+        else:
+            record[key] = value
+    split = _write(tmp_path, "split.jsonl", json.dumps(record) + "\n")
+    return ("dataset", "inject", "--kb", FIG1 / "kb3", "--split", split,
+            "--plan", FIG1 / "plan_kb1.json", "--out", tmp_path / "out")
+
+
+def _eval_argv(tmp_path, prediction):
+    pred = _write(tmp_path, "pred.jsonl", json.dumps(prediction) + "\n")
+    return ("eval", "--kb", FIG1 / "kb3", "--pred", pred, "--gold", FIG1 / "dataset_kb3.jsonl")
 
 
 # Each builds, under tmp_path, one input file of the wrong shape (one is not
@@ -283,6 +321,23 @@ MALFORMED_INPUTS = {
     "dataset-gold-lf-a-string": lambda tmp: _run_argv(tmp, dataset=_write(
         tmp, "dataset.jsonl",
         '{"question": "q?", "gold_lf": "SELECT ?x WHERE { ?x ns:r ns:m.1 }", "gold_answer": []}\n',
+    )),
+    "dataset-answer-a-string": lambda tmp: _inject_argv(tmp, gold_answer="m.0b1"),
+    "dataset-answer-an-object": lambda tmp: _inject_argv(
+        tmp, complete_kb_answer={"literal": 5, "type": "integer"},
+    ),
+    "dataset-linked-entity-id-a-list": lambda tmp: _inject_argv(tmp, id=["m.0auth"]),
+    "dataset-mention-a-number": lambda tmp: _inject_argv(tmp, mention=5),
+    "dataset-question-a-number": lambda tmp: _inject_argv(tmp, question=5),
+    "prediction-answer-a-string": lambda tmp: _eval_argv(tmp, {"lf": "NK", "answer": "m.0b1"}),
+    "prediction-answer-an-object": lambda tmp: _eval_argv(
+        tmp, {"lf": "NK", "answer": {"literal": 5, "type": "integer"}},
+    ),
+    "mock-reply-a-number": lambda tmp: _run_argv(tmp, mock=_write(
+        tmp, "mock.json", '[{"match": {"kind": "substring", "text": ""}, "reply": 5}]',
+    )),
+    "mock-match-text-a-number": lambda tmp: _run_argv(tmp, mock=_write(
+        tmp, "mock.json", '[{"match": {"kind": "substring", "text": 5}, "reply": "NK"}]',
     )),
 }
 
@@ -454,18 +509,26 @@ def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, config):
     )
     assert code == 2
     key = next(iter(config))
-    assert capsys.readouterr().err.startswith(f"error: config file {path}: {key} must be ")
+    assert capsys.readouterr().err.startswith(f"error: config {key} must be ")
     assert not (tmp_path / "out").exists()  # stopped before any question ran
 
 
 def test_config_key_types_are_the_run_flag_types():
+    """SHAPES types each config key the way its flag parses, or as the
+    dataclass field it sets when it has no flag."""
     from kbqa_repair.cli import _FLAG_KEYS, build_parser
 
     args = build_parser().parse_args([
         "run", "--kb", "k", "--dataset", "d", "--out", "o", "--n-iter", "3", "--answerable-mode",
         "--workers", "2", "--backend", "http", "--mock", "m", "--endpoint", "e", "--model", "x",
     ])
-    assert {key: type(getattr(args, key)) for key in _FLAG_KEYS} == _FLAG_KEYS
+    shape = {key.rstrip("?"): want for key, want in SHAPES["config"].items()}
+    assert {key: type(getattr(args, key)) for key in _FLAG_KEYS} == {key: shape[key] for key in _FLAG_KEYS}
+    caps = get_type_hints(RetrievalCaps)
+    assert {key: shape[key] for key in caps} == caps
+    assert get_type_hints(VerifierSuite)["mediator_classes"] is frozenset
+    assert shape["mediator_classes"] == [str]  # a set of ids, written as a JSON list
+    assert set(shape) == {*_FLAG_KEYS, *caps, "mediator_classes"}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from kbqa_repair.query import (
     UnsupportedQuery,
     extract_entities,
     extract_relations,
+    parse,
     parse_sexpr,
     parse_sparql,
     render_sparql,
@@ -281,6 +282,33 @@ def test_unexpected_character_is_reported_after_whitespace():
     assert err.value.message == "unexpected character '@'"
     assert err.value.position == text.index("@")
     assert LogicalForm.from_text("sparql", text).parse_error == "unexpected character '@'"
+
+
+_LITERAL_SHELLS = {
+    "sparql": ("SELECT ?x WHERE { ?x ns:book.author.works_written ", " }"),
+    "sexpr": ("(JOIN book.author.works_written ", ")"),
+}
+
+
+@pytest.mark.parametrize("dialect", _LITERAL_SHELLS)
+@given(text=st.text(alphabet='"\\\nqu0 ', max_size=10), inner=st.text(alphabet='\\\nqu0 ', max_size=8))
+def test_from_text_never_raises_on_quotes_backslashes_and_newlines(dialect, text, inner):
+    """Quotes, backslashes and newlines, alone or as a string literal in a
+    query, parse or record why not; invalid escapes and raw newlines too."""
+    before, after = _LITERAL_SHELLS[dialect]
+    for surface in (text, before + '"' + inner + '"' + after):
+        lf = LogicalForm.from_text(dialect, surface)
+        assert lf.is_nk or lf.parsed != bool(lf.parse_error)
+
+
+@pytest.mark.parametrize("literal", ['"\\q"', '"a\nb"', '"\\u12"'], ids=["escape", "newline", "unicode"])
+def test_string_literal_json_rejects_is_a_syntax_error(literal):
+    for dialect, (before, after) in _LITERAL_SHELLS.items():
+        text = before + literal + after
+        with pytest.raises(QuerySyntaxError) as err:
+            parse(text, dialect)
+        assert err.value.message == "bad escape or control character in a string"
+        assert err.value.position == text.index(literal)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
