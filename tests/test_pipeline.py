@@ -442,11 +442,69 @@ def test_retriever_crash_costs_only_its_question(fig1_kb3, workers):
     assert _traced(hit[0]) == _traced(clean[0]) and _traced(hit[2]) == _traced(clean[2])
 
 
+def _fails_on_first_call(monkeypatch):
+    from kbqa_repair.gateway import GatewayError, GenerationGateway
+
+    class Broken(GenerationGateway):
+        def _complete(self, conversation):
+            raise GatewayError("timeout", "scripted outage")
+
+    return "kb3", Broken(), [retrieve_lexical]
+
+
+def _fails_in_consensus(monkeypatch):
+    import kbqa_repair.pipeline as pipeline
+    from kbqa_repair.gateway import GatewayError
+
+    def outage(*args):
+        raise GatewayError("server", "scripted outage")
+
+    monkeypatch.setattr(pipeline, "scun", outage)
+    return "kb2", MockGateway.from_file(str(FIXTURES / "fig1/mock.json")), [retrieve_lexical]
+
+
+def _retriever_raises(monkeypatch):
+    def crash(kb, question, linked, caps):
+        raise RuntimeError("retriever crashed")
+
+    return "kb3", MockGateway.from_file(str(FIXTURES / "fig1/mock.json")), [crash]
+
+
+_HEAD = ["question", "linked_entities", "iterations", "confident", "scun"]
+
+
+@pytest.mark.parametrize("setup, field, has_iterations", [
+    (_fails_on_first_call, "gateway_error", False),
+    (_fails_in_consensus, "gateway_error", True),
+    (_retriever_raises, "exception", False),
+])
+def test_failed_question_trace_layout(monkeypatch, setup, field, has_iterations):
+    name, gw, retrievers = setup(monkeypatch)
+    kb = load_kb(str(FIXTURES / f"fig1/{name}/schema.json"), str(FIXTURES / f"fig1/{name}/data.jsonl"))
+    trace = run_question(gw, kb, retrievers, fig1_example(name), FunConfig(n=3)).trace
+    assert list(trace) == _HEAD + [field, "llm", "outcome"]
+    assert list(trace["outcome"]) == ["lf", "answer", "confident", "error"]
+    assert trace["scun"] is None and trace["confident"] is False
+    assert trace["outcome"]["lf"] == "NK"
+    assert bool(trace["iterations"]) == has_iterations
+
+
 def test_mock_miss_propagates(fig1_kb3):
     from kbqa_repair.gateway import MockMiss
 
     with pytest.raises(MockMiss):
         run_question(MockGateway([]), fig1_kb3, [retrieve_lexical], fig1_example("kb3"), FunConfig(n=3))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_dataset_lets_mock_miss_out(fig1_kb3, workers):
+    from kbqa_repair.dataset import DatasetSplit
+    from kbqa_repair.gateway import MockMiss
+
+    split = DatasetSplit("t", (fig1_example("kb3"),) * 3)
+    with pytest.raises(MockMiss):
+        run_dataset(MockGateway([]), fig1_kb3, [retrieve_lexical], split, FunConfig(n=3),
+                    workers=workers)
 
 
 def test_run_dataset_order_and_workers(fig1_kb3):
