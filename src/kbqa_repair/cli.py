@@ -183,12 +183,13 @@ def cmd_run(args) -> int:
     )
     elapsed = time.time() - started
 
-    with open(out / "outcomes.jsonl", "w", encoding="utf-8") as handle:
+    failures = 0
+    with (open(out / "outcomes.jsonl", "w", encoding="utf-8") as outcomes_file,
+          open(out / "traces.jsonl", "w", encoding="utf-8") as traces_file):
         for outcome in outcomes:
-            handle.write(json.dumps(outcome.trace["outcome"], ensure_ascii=False) + "\n")
-    with open(out / "traces.jsonl", "w", encoding="utf-8") as handle:
-        for outcome in outcomes:
-            handle.write(json.dumps(outcome.trace, ensure_ascii=False) + "\n")
+            outcomes_file.write(json.dumps(outcome.trace["outcome"], ensure_ascii=False) + "\n")
+            traces_file.write(json.dumps(outcome.trace, ensure_ascii=False) + "\n")
+            failures += bool(outcome.error)
     manifest = {
         "kb": dict(zip(("schema", "data"), _kb_paths(args))),
         "dataset": args.dataset,
@@ -208,7 +209,6 @@ def cmd_run(args) -> int:
         handle.write(f"started: {time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(started))}Z\n")
         handle.write(f"elapsed_seconds: {elapsed:.3f}\n")
 
-    failures = sum(1 for o in outcomes if o.error)
     print(f"wrote {out}: {len(outcomes)} outcomes, {failures} failed")
     return 1 if failures else 0
 
@@ -257,15 +257,9 @@ def cmd_verify(args) -> int:
         mention, _, eid = item.partition("=")
         entities.append((mention, eid if eid else mention))
     suite = VerifierSuite(answerable_mode=args.answerable_mode)
-    gateway = _make_gateway(args) if args.mock or args.backend == "http" else None
-    if gateway is None:
-        gateway = _RefusingGateway()
+    gateway = _make_gateway(args) if args.mock or args.backend == "http" else _NoBackend()
     question_entities = frozenset(eid for _, eid in entities)
-    try:
-        result = run_suite(lf, args.question, question_entities, kb, gateway, suite)
-    except _NoGateway:
-        print("V3 needs a generation backend; pass --mock FIXTURE or --backend http", file=sys.stderr)
-        return 2
+    result = run_suite(lf, args.question, question_entities, kb, gateway, suite)
     for verdict in result.verdicts:
         status = "pass" if verdict.passed else "FAIL"
         print(f"{verdict.verifier_id:<8}{verdict.strength:<8}{status}")
@@ -276,13 +270,11 @@ def cmd_verify(args) -> int:
     return 0 if all(v.passed for v in result.verdicts) else 1
 
 
-class _NoGateway(Exception):
-    pass
+class _NoBackend:
+    """The gateway of a `verify` run without a backend: V3 is its only caller."""
 
-
-class _RefusingGateway:
     def complete(self, conversation, purpose="generate"):
-        raise _NoGateway()
+        raise FatalError("V3 needs a generation backend; pass --mock FIXTURE or --backend http")
 
 
 # ---------------------------------------------------------------------------

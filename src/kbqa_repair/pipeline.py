@@ -238,43 +238,27 @@ def scun(
     for c in candidates:
         if c.answer:
             groups.setdefault(c.answer, []).append(c)
-
+    pool = [c for c in candidates if not c.answer]
+    branch = "empty-answer" if pool else "no-consensus"
     if groups:
         best = max(
             groups.values(), key=lambda g: (len(g), -min(c.iteration for c in g))
         )
-        threshold = len(candidates) // 2
         info["top_supporters"] = len(best)
-        info["threshold"] = threshold
+        info["threshold"] = threshold = len(candidates) // 2
         if len(best) > threshold:
-            chosen, fallback = select_best(gateway, question, best)
-            info.update(branch="non-empty-consensus", selected_iteration=chosen.iteration,
-                        select_fallback=fallback)
-            return chosen.lf, chosen.answer, info
-
-    empties = [c for c in candidates if not c.answer]
-    if empties:
-        chosen, fallback = select_best(gateway, question, empties)
-        info.update(branch="empty-answer", selected_iteration=chosen.iteration,
-                    select_fallback=fallback)
-        return chosen.lf, None, info
-
-    info["branch"] = "no-consensus"
-    return LogicalForm.nk(), None, info
+            pool, branch = best, "non-empty-consensus"
+    info["branch"] = branch
+    if not pool:
+        return LogicalForm.nk(), None, info
+    chosen, fallback = select_best(gateway, question, pool)
+    info.update(selected_iteration=chosen.iteration, select_fallback=fallback)
+    return chosen.lf, chosen.answer or None, info
 
 
 # ---------------------------------------------------------------------------
 # End-to-end
 # ---------------------------------------------------------------------------
-
-def _abort(trace: dict, field: str, detail: str) -> tuple[LogicalForm, None]:
-    """Mark an aborted question in its trace; its result is (NK, NA)."""
-    trace["iterations"] = trace.get("iterations", [])
-    trace["confident"] = False
-    trace["scun"] = None
-    trace[field] = detail
-    return LogicalForm.nk(), None
-
 
 def run_question(
     gateway: GenerationGateway,
@@ -286,49 +270,44 @@ def run_question(
 ) -> PipelineOutcome:
     """retrieve -> generate -> repair loop -> (confident result | consensus).
 
-    A failure aborts only this question: a ``GatewayError`` is recorded as
-    ``gateway_error`` in the trace, and any other exception (a retriever
-    that crashes or times out, say) as ``exception`` with its traceback.
-    Either way ``outcome.error`` is set and nothing raises out of here,
-    except ``MockMiss``: a mock fixture with no reply for a prompt is a bug
-    in the test, so it propagates.
+    A failure aborts only this question, and its result is (NK, NA): a
+    ``GatewayError`` is recorded as ``gateway_error`` in the trace, and any
+    other exception (a retriever that crashes or times out, say) as
+    ``exception`` with its traceback.  Either way ``outcome.error`` is set
+    and nothing raises out of here, except ``MockMiss``: a mock fixture with
+    no reply for a prompt is a bug in the test, so it propagates.
     """
     recorder = RecordingGateway(gateway)
-    trace: dict = {
-        "question": example.question,
-        "linked_entities": [{"mention": m, "id": eid} for m, eid in example.linked_entities],
-    }
+    lf, answer, iterations, confident, info = LogicalForm.nk(), None, [], False, None
+    error, failure = None, {}
     try:
         ctx = retrieve_union(retrievers, kb, example.question, list(example.linked_entities), cfg.caps)
         prompt = build_pun_prompt(kb, example.question, ctx, fewshots)
         lf0 = pun_generate(recorder, prompt)
         result = fun(recorder, kb, example.question, example.question_entities(), lf0, cfg, prompt)
-        trace["iterations"] = result.iterations
-        trace["confident"] = result.confident
-        if result.confident:
+        iterations, confident = result.iterations, result.confident
+        if confident:
             lf, answer = result.lf, result.answer
-            trace["scun"] = None
         else:
             lf, answer, info = scun(recorder, example.question, result.candidates)
-            trace["scun"] = info
-        error = None
     except GatewayError as err:
-        error = str(err)
-        lf, answer = _abort(trace, "gateway_error", error)
+        error, failure = str(err), {"gateway_error": str(err)}
     except MockMiss:
         raise
     except Exception as err:  # the run outlives any one question
-        error = f"{type(err).__name__}: {err}"
-        lf, answer = _abort(trace, "exception", traceback.format_exc())
-    trace["llm"] = recorder.log
-    trace["outcome"] = {
-        "lf": "NK" if lf.is_nk else lf.surface,
-        "answer": answer_to_json(answer),
-        "confident": trace.get("confident", False),
+        error, failure = f"{type(err).__name__}: {err}", {"exception": traceback.format_exc()}
+    outcome = {"lf": lf.surface, "answer": answer_to_json(answer), "confident": confident}
+    trace = {
+        "question": example.question,
+        "linked_entities": [{"mention": m, "id": eid} for m, eid in example.linked_entities],
+        "iterations": iterations,
+        "confident": confident,
+        "scun": info,
+        **failure,
+        "llm": recorder.log,
+        "outcome": {**outcome, "error": error} if error else outcome,
     }
-    if error:
-        trace["outcome"]["error"] = error
-    return PipelineOutcome(lf, answer, trace["outcome"]["confident"], trace, error)
+    return PipelineOutcome(lf, answer, confident, trace, error)
 
 
 def run_dataset(
@@ -341,14 +320,11 @@ def run_dataset(
     workers: int = 1,
 ) -> list[PipelineOutcome]:
     """Process questions independently; output order matches input order."""
+
+    def run_one(example: QAExample) -> PipelineOutcome:
+        return run_question(gateway, kb, retrievers, example, cfg, fewshots)
+
     if workers <= 1:
-        return [
-            run_question(gateway, kb, retrievers, example, cfg, fewshots)
-            for example in split.examples
-        ]
+        return list(map(run_one, split.examples))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_question, gateway, kb, retrievers, example, cfg, fewshots)
-            for example in split.examples
-        ]
-        return [f.result() for f in futures]
+        return list(pool.map(run_one, split.examples))

@@ -24,6 +24,13 @@ class RetrievalCaps:
     max_paths: int = 5
     max_path_len: int = 2
 
+    def __post_init__(self):
+        for name in ("max_classes", "max_relations", "max_paths"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.max_path_len < 1:
+            raise ValueError("max_path_len must be >= 1")
+
 
 @dataclass(frozen=True)
 class RetrievalContext:

@@ -172,6 +172,22 @@ def test_verify_all_pass_with_mock(capsys):
     assert "V3" in out and "answer: ['m.0kgenre']" in out
 
 
+def test_verify_without_backend_stops_at_v3(capsys):
+    code = run_cli(
+        "verify", "--kb", A13 / "kb",
+        "--question", "what is the musical genre of the recording who m i (feat. 일리닛, new champ, myk)?",
+        "--lf", "SELECT DISTINCT ?x WHERE { ?x ns:music.genre.recordings ns:m.0123lk0s . "
+                "?x ns:type.object.type ns:music.genre }",
+        "--entity", "who m i=m.0123lk0s",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: V3 needs a generation backend; pass --mock FIXTURE or --backend http\n"
+    )
+
+
 def test_string_literal_json_rejects_fails_v1_in_verify_and_run(tmp_path, capsys):
     bad = 'SELECT ?x WHERE { ?x ns:book.author.works_written "\\q" }'
     assert run_cli("verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", bad) == 1
@@ -478,7 +494,9 @@ def test_run_config_caps_reach_the_prompt(tmp_path, config, caps):
     assert trace["llm"][0]["prompt"] == build_pun_prompt(kb, QUESTION, ctx)
 
 
-@pytest.mark.parametrize("config", [{"templates_dir": "prompts"}, {"n_iter": 0}, ["n_iter"]])
+@pytest.mark.parametrize("config", [
+    {"templates_dir": "prompts"}, {"n_iter": 0}, ["n_iter"], {"max_path_len": 0}, {"max_paths": -1},
+])
 def test_run_bad_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -488,6 +506,7 @@ def test_run_bad_config_exits_2(tmp_path, capsys, config):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config", [

@@ -46,6 +46,17 @@ def test_caps_enforced(fig1_kb3):
     assert len(ctx.classes) <= 2 and len(ctx.relations) <= 3 and len(ctx.paths) <= 1
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_classes", -1, "max_classes must be >= 0"),
+    ("max_relations", -1, "max_relations must be >= 0"),
+    ("max_paths", -1, "max_paths must be >= 0"),
+    ("max_path_len", 0, "max_path_len must be >= 1"),
+])
+def test_caps_out_of_range_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        RetrievalCaps(**{field: value})
+
+
 def test_paths_rooted_at_linked_entity(fig1_kb3):
     from kbqa_repair.executor import execute
 
