@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import json
+import pickle
 import random
 
 import pytest
@@ -21,6 +24,7 @@ from kbqa_repair.kb import (
     load_kb,
     load_plan,
     paths_from_entity,
+    read_jsonl,
     validate_plan,
 )
 from kbqa_repair.query import Literal, render_sparql
@@ -335,3 +339,75 @@ def test_plans_match_the_key_oracle(seed, data):
         and f.obj not in plan.entities
         and f.key() not in dead_keys
     )
+
+
+# ---------------------------------------------------------------------------
+# what KB set-up must keep: JSON errors, the collector's state, the records
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, message", [
+    ('{"id": "m.1"}\n{not json\n', "line 2: invalid JSON: Expecting property name enclosed in double quotes"),
+    ('{"a": 1} {"b": 2}\n', "line 1: invalid JSON: Extra data"),
+    ('\ufeff{"a": 1}\n', "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ('\n[1,\n', "line 2: invalid JSON: Expecting value"),
+], ids=["bad-json", "extra-data", "bom", "truncated"])
+def test_read_jsonl_error_keeps_the_json_message(tmp_path, text, message):
+    path = tmp_path / "data.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        list(read_jsonl(str(path)))
+    assert str(err.value) == message
+
+
+def test_read_jsonl_reads_records_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text('\n  \n\t\n', encoding="utf-8")
+    assert list(read_jsonl(str(path))) == []
+    path.write_text(' {"a": [1, 2.5, "x"]} \n\n7\n"s"\n', encoding="utf-8")
+    assert list(read_jsonl(str(path))) == [(1, {"a": [1, 2.5, "x"]}), (3, 7), (4, "s")]
+
+
+def _kb_files(tmp_path, data_lines):
+    tmp_path.mkdir()
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"classes": [{"id": "c.a"}], "relations": []}))
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(line + "\n" for line in data_lines))
+    return str(schema), str(data)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_kb_builders_leave_the_collector_as_they_found_it(tmp_path, fig1_kb3, enabled):
+    good = _kb_files(tmp_path / "good", ['{"id": "m.1", "classes": ["c.a"]}'])
+    bad = _kb_files(tmp_path / "bad", ['{"id": "m.1", "classes": ["c.a"]}', "", "not json"])
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert len(load_kb(*good).entities) == 1
+        assert gc.isenabled() is enabled
+        with pytest.raises(FormatError, match="^line 3: "):
+            load_kb(*bad)
+        assert gc.isenabled() is enabled
+        delete_elements(fig1_kb3, DeletionPlan(entities=("m.0b3",)))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("record, other", [
+    (Fact("m.1", "c.a.year", Literal(1999, "integer")), Fact("m.1", "c.a.year", Literal(1999, "float"))),
+    (Entity("m.1", "one", frozenset({"c.a"})), Entity("m.1", "one", frozenset({"c.b"}))),
+    (Literal("2024-01-05", "date"), Literal("2024-01-05", "string")),
+], ids=["fact", "entity", "literal"])
+def test_kb_records_are_frozen_values(record, other):
+    twin = dataclasses.replace(record)
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert record != other and len({record, twin, other}) == 2
+    assert pickle.loads(pickle.dumps(record)) == record
+    field = dataclasses.fields(record)[0].name
+    changed = dataclasses.replace(other, **{field: getattr(record, field)})
+    assert changed == other
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(other, field))
+    with pytest.raises((dataclasses.FrozenInstanceError, AttributeError)):
+        record.extra = 1
