@@ -149,6 +149,8 @@ def _run_config(args) -> pipeline.FunConfig:
         settings["mediator_classes"] = frozenset(config["mediator_classes"])
     caps = {key: config[key] for key in _CAPS_KEYS if key in config}
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ValueError("workers must be >= 1")
         return pipeline.FunConfig(
             caps=RetrievalCaps(**caps), **{k: v for k, v in settings.items() if v is not None}
         )

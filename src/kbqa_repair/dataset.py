@@ -160,21 +160,25 @@ def inject_unanswerability(
     the input KB.  Deterministic given (kb, split, plan).
     """
     validate_plan(kb, plan)
+    complete = []  # each gold query's answer on the input KB
     for example in split.examples:
         if example.gold_lf.is_nk or not example.gold_lf.parsed:
             raise PreconditionError(f"source example {example.question!r} has no executable gold query")
-        if not execute(kb, example.gold_lf.canonical):
+        answer = execute(kb, example.gold_lf.canonical)
+        if not answer:
             raise PreconditionError(
                 f"source example {example.question!r} already executes empty on the input KB"
             )
+        complete.append(answer)
 
     kb2 = delete_elements(kb, plan)
-    relabeled = [_relabel(kb, kb2, example) for example in split.examples]
+    relabeled = [_relabel(kb, kb2, example, answer) for example, answer in zip(split.examples, complete)]
     return kb2, DatasetSplit(split.name, tuple(relabeled))
 
 
-def _relabel(kb: KnowledgeBase, kb2: KnowledgeBase, example: QAExample) -> QAExample:
-    complete = execute(kb, example.gold_lf.canonical)
+def _relabel(
+    kb: KnowledgeBase, kb2: KnowledgeBase, example: QAExample, complete: frozenset
+) -> QAExample:
     q = example.gold_lf.canonical
 
     mentioned = {eid for _, eid in example.linked_entities} | extract_entities(q)
@@ -211,9 +215,8 @@ def _data_level_category(kb: KnowledgeBase, kb2: KnowledgeBase, example: QAExamp
     """missing-entity when a deleted entity appears in some original binding;
     missing-fact when only traversed facts were deleted."""
     q = example.gold_lf.canonical
-    lost_entities = {eid for eid in kb.entities if not kb2.has_entity(eid)}
     for assignment in execute_bindings(kb, q):
-        if any(isinstance(v, str) and v in lost_entities for v in assignment.values()):
+        if any(kb.has_entity(v) and not kb2.has_entity(v) for v in assignment.values()):
             return "missing-entity"
     return "missing-fact"
 

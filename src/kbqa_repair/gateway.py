@@ -8,6 +8,8 @@ HTTP client exists for live runs.
 
 from __future__ import annotations
 
+import datetime
+import email.utils
 import http.client
 import json
 import os
@@ -126,7 +128,9 @@ class HttpGateway(GenerationGateway):
     POSTs ``{model, messages, temperature: 0}`` to the endpoint, one connection
     per call; the auth token is read from an environment variable at call
     time.  Transient failures (timeouts, transport failures, 429, 5xx) retry
-    with exponential backoff up to ``max_retries``.  The proxy is read from
+    with exponential backoff up to ``max_retries``; a 429 or 503 that sends
+    ``Retry-After`` waits as long as it asks instead, capped like the
+    backoff (RFC 9110 section 10.2.3).  The proxy is read from
     ``http_proxy``/``https_proxy`` (else ``all_proxy``) at construction;
     urllib skips it for hosts that ``no_proxy`` names.  Redirects are not
     followed.
@@ -167,10 +171,12 @@ class HttpGateway(GenerationGateway):
             headers["Authorization"] = f"Bearer {token}"
         last_error = GatewayError("timeout", "no attempt made")
         for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(min(0.5 * 2 ** (attempt - 1), 8.0))
+            if attempt:  # retry_after is the last reply's, if it asked for a wait
+                wait = 0.5 * 2 ** (attempt - 1) if retry_after is None else retry_after
+                time.sleep(min(wait, 8.0))
+            retry_after = None
             try:
-                status, data = self._post(body, headers)
+                status, data, retry_header = self._post(body, headers)
             except TimeoutError:
                 last_error = GatewayError("timeout", f"request timed out after {self.timeout}s")
                 continue
@@ -179,6 +185,8 @@ class HttpGateway(GenerationGateway):
                 continue
             if status in (401, 403):
                 raise GatewayError("auth", f"endpoint returned {status}")
+            if status in (429, 503):
+                retry_after = _retry_after_seconds(retry_header)
             if status == 429:
                 last_error = GatewayError("rate-limit", "endpoint returned 429")
                 continue
@@ -197,19 +205,38 @@ class HttpGateway(GenerationGateway):
             return content
         raise last_error
 
-    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
-        """One POST: (status, body)."""
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes, str | None]:
+        """One POST: (status, body, its Retry-After header or None)."""
         request = urllib.request.Request(self._url, body, headers)
         try:
             with self._opener.open(request, timeout=self.timeout) as response:
-                return response.status, response.read()
+                return response.status, response.read(), response.headers.get("Retry-After")
         except urllib.error.HTTPError as err:
             with err:
-                return err.code, err.read()
+                return err.code, err.read(), err.headers.get("Retry-After")
         except urllib.error.URLError as err:
             # urllib wraps what failed while connecting or sending; a timeout
             # there must still read as a timeout.
             raise err.reason if isinstance(err.reason, OSError) else err
+
+
+def _retry_after_seconds(header: str | None) -> float | None:
+    """The wait a Retry-After header asks for: delta-seconds, or an HTTP-date
+    less the current time.  None when the header is absent, is neither, or
+    names a time already past (a negative wait)."""
+    if header is None:
+        return None
+    header = header.strip()
+    if header.isascii() and header.isdigit():
+        return float(header)
+    try:
+        when = email.utils.parsedate_to_datetime(header)
+    except ValueError:
+        return None
+    if when.tzinfo is None:  # an HTTP-date is GMT; its asctime form does not say so
+        when = when.replace(tzinfo=datetime.timezone.utc)
+    wait = when.timestamp() - time.time()
+    return wait if wait >= 0 else None
 
 
 class RecordingGateway:

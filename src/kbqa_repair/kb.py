@@ -4,10 +4,19 @@ The KB consists of classes, binary relations (domain/range typed), entities
 and facts.  Construction checks every referential invariant as it builds the
 indexes, so a KB value is sound; deletion returns a fresh KB with cascades
 applied, so values are always safe to share across worker threads.
+
+Building a KB makes tens of thousands of records and containers that all
+stay alive, so each pass of the cyclic garbage collector during the build
+rescans them and frees nothing.  ``load_kb`` and ``delete_elements`` pause
+the collector while they build and restore the caller's setting after,
+whether the build succeeds or raises.  The collector is paused, not frozen:
+``gc.freeze`` is process-wide and would pin unrelated objects too.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 from dataclasses import dataclass
 
@@ -46,14 +55,14 @@ class RelationDef:
         return self.range in LITERAL_DATATYPES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     id: str
     label: str = ""
     classes: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     subject: str
     relation: str
@@ -287,6 +296,9 @@ def read_json(path: str, what: str):
             raise FormatError(f"{what} {path} is not JSON: {err}") from err
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: str):
     """Yield (line number, record) for each non-blank line of a JSON Lines file."""
     with open(path, encoding="utf-8") as handle:
@@ -295,9 +307,14 @@ def read_jsonl(path: str):
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise FormatError(f"invalid JSON: {err.msg}", lineno) from err
+                record, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):  # bad JSON, extra data or a BOM: json.loads says which
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise FormatError(f"invalid JSON: {err.msg}", lineno) from err
             yield lineno, record
 
 
@@ -346,6 +363,20 @@ def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
     return entities, facts
 
 
+@contextlib.contextmanager
+def _no_gc():
+    """Pause the cyclic collector for a KB build (see the module docstring);
+    a context manager, or a decorator when called as ``@_no_gc()``."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_no_gc()
 def load_kb(schema_path: str, data_path: str) -> KnowledgeBase:
     """Load and fully validate a KB from a schema file and a data file."""
     classes, relations = load_schema(schema_path)
@@ -424,6 +455,7 @@ def validate_plan(kb: KnowledgeBase, plan: DeletionPlan) -> None:
             raise UnknownId(f"fact {fact.key()} is not in the KB")
 
 
+@_no_gc()
 def delete_elements(kb: KnowledgeBase, plan: DeletionPlan) -> KnowledgeBase:
     """Return a new KB without the planned elements, cascading as needed.
 

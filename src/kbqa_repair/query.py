@@ -50,7 +50,7 @@ class UnsupportedQuery(Exception):
     """The canonical query cannot be rendered in the requested dialect."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A typed literal value: integer, float, string or date (ISO text)."""
 

@@ -496,6 +496,7 @@ def test_run_config_caps_reach_the_prompt(tmp_path, config, caps):
 
 @pytest.mark.parametrize("config", [
     {"templates_dir": "prompts"}, {"n_iter": 0}, ["n_iter"], {"max_path_len": 0}, {"max_paths": -1},
+    {"workers": 0},
 ])
 def test_run_bad_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -506,6 +507,17 @@ def test_run_bad_config_exits_2(tmp_path, capsys, config):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_workers_below_one_exits_2(tmp_path, capsys, workers):
+    code = run_cli(
+        "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl",
+        "--mock", FIG1 / "mock.json", "--workers", workers, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: bad run setting: workers must be >= 1\n"
     assert not (tmp_path / "out").exists()
 
 

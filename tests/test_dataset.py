@@ -161,6 +161,25 @@ def test_injection_missing_entity_category(fig1_kb3):
     assert out.examples[0].category == "missing-entity"
 
 
+def test_injection_literal_binding_is_not_a_lost_entity(pairs_kb):
+    # the gold binds a literal; only a traversed fact is deleted
+    src = DatasetSplit(
+        "t",
+        (
+            example(
+                pairs_kb,
+                "SELECT ?x WHERE { ns:m.0c3 ns:geo.city.country ?k . "
+                "ns:m.0c3 ns:geo.city.population ?x }",
+                [("veldt junction", "m.0c3")],
+            ),
+        ),
+    )
+    plan = DeletionPlan(facts=(Fact("m.0c3", "geo.city.country", "m.0k2"),))
+    _, out = inject_unanswerability(pairs_kb, src, plan)
+    assert out.examples[0].label == "data-unans"
+    assert out.examples[0].category == "missing-fact"
+
+
 def test_injection_missing_topic_entity(fig1_kb3):
     src = DatasetSplit(
         "t",

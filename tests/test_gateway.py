@@ -1,4 +1,5 @@
 import base64
+import email.utils
 import http.server
 import json
 import os
@@ -6,6 +7,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import warnings
 from pathlib import Path
@@ -82,7 +84,7 @@ def test_empty_conversation_rejected():
 
 class _Handler(http.server.BaseHTTPRequestHandler):
     calls = []
-    script = []  # list of (status, body-dict or None)
+    script = []  # list of (status, body-dict or None[, extra headers])
 
     def reply(self, doc):
         return _Handler.script[min(len(_Handler.calls) - 1, len(_Handler.script) - 1)]
@@ -91,9 +93,11 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         doc = json.loads(self.rfile.read(length))
         _Handler.calls.append(doc)
-        status, body = self.reply(doc)
+        status, body, *extra = self.reply(doc)
         payload = json.dumps(body or {}).encode()
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -196,6 +200,45 @@ def test_http_server_error_exhausts_retries(http_server, backoff):
     assert err.value.kind == "server"
     assert len(_Handler.calls) == 2
     assert backoff == [0.5]
+
+
+NOW = 1_700_000_000.0  # the clock of the Retry-After date tests
+
+
+@pytest.mark.parametrize("script, slept", [
+    ([(429, None, {"Retry-After": "3"}), (503, None, {"Retry-After": "0"})], [3.0, 0.0]),
+    ([(503, None, {"Retry-After": "120"})], [8.0]),
+    ([(429, None, {"Retry-After": email.utils.formatdate(NOW + 5, usegmt=True)})], [5.0]),
+    ([(503, None, {"Retry-After": time.asctime(time.gmtime(NOW + 2))})], [2.0]),
+    ([(429, None, {"Retry-After": email.utils.formatdate(NOW + 3600, usegmt=True)})], [8.0]),
+], ids=["delta-seconds", "delta-capped", "http-date", "asctime-date", "date-capped"])
+def test_http_retry_after_sets_the_wait(http_server, backoff, monkeypatch, script, slept):
+    monkeypatch.setattr("kbqa_repair.gateway.time.time", lambda: NOW)
+    _Handler.script = script + [(200, _completion("ok"))]
+    gw = HttpGateway(http_server, "m", max_retries=3)
+    assert gw.complete([user("x")]) == "ok"
+    assert backoff == slept
+
+
+@pytest.mark.parametrize("status, header", [
+    (429, None), (429, "-3"), (503, "1.5"), (503, "soon"), (429, ""),
+    (429, email.utils.formatdate(NOW - 5, usegmt=True)), (500, "3"), (502, "3"),
+], ids=["absent", "negative", "fraction", "word", "empty", "past-date", "500", "502"])
+def test_http_retry_after_ignored_keeps_the_backoff(http_server, backoff, monkeypatch, status, header):
+    monkeypatch.setattr("kbqa_repair.gateway.time.time", lambda: NOW)
+    extra = {} if header is None else {"Retry-After": header}
+    _Handler.script = [(status, None, extra), (status, None, extra), (200, _completion("ok"))]
+    gw = HttpGateway(http_server, "m", max_retries=3)
+    assert gw.complete([user("x")]) == "ok"
+    assert backoff == [0.5, 1.0]
+
+
+def test_http_retry_after_applies_to_the_next_wait_only(http_server, backoff):
+    _Handler.script = [(429, None, {"Retry-After": "4"}), (503, None), (429, None),
+                       (200, _completion("ok"))]
+    gw = HttpGateway(http_server, "m", max_retries=3)
+    assert gw.complete([user("x")]) == "ok"
+    assert backoff == [4.0, 1.0, 2.0]
 
 
 def test_http_null_content_is_a_protocol_error(http_server, fig1_kb3):
