@@ -309,6 +309,8 @@ def _trace_lines(trace: dict) -> list[str]:
 def cmd_trace_show(args) -> int:
     traces = list(kbmod.read_jsonl(args.trace))
     if args.index is not None:
+        if not traces:
+            raise FatalError(f"--index {args.index}: {args.trace} has no trace records")
         if not 0 <= args.index < len(traces):
             raise FatalError(f"--index {args.index} out of range (0..{len(traces) - 1})")
         traces = [traces[args.index]]

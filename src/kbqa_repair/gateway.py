@@ -42,7 +42,8 @@ class GatewayError(Exception):
     - ``timeout``: the request timed out or the transport failed (retried);
     - ``auth``: the endpoint refused the credentials, 401 or 403 (not retried);
     - ``rate-limit``: the endpoint answered 429 (retried);
-    - ``server``: the endpoint answered 500 or above (retried);
+    - ``server``: the endpoint answered 500 or above; retried, except 501
+      and 505, which say the server will never serve the request;
     - ``protocol``: any other status, or a reply that is not a completion.
     """
 
@@ -127,13 +128,13 @@ class HttpGateway(GenerationGateway):
 
     POSTs ``{model, messages, temperature: 0}`` to the endpoint, one connection
     per call; the auth token is read from an environment variable at call
-    time.  Transient failures (timeouts, transport failures, 429, 5xx) retry
-    with exponential backoff up to ``max_retries``; a 429 or 503 that sends
-    ``Retry-After`` waits as long as it asks instead, capped like the
-    backoff (RFC 9110 section 10.2.3).  The proxy is read from
-    ``http_proxy``/``https_proxy`` (else ``all_proxy``) at construction;
-    urllib skips it for hosts that ``no_proxy`` names.  Redirects are not
-    followed.
+    time.  Transient failures (timeouts, transport failures, 429, and every
+    5xx but the permanent 501 and 505) retry with exponential backoff up to
+    ``max_retries``; a 429 or 503 that sends ``Retry-After`` waits as long
+    as it asks instead, capped like the backoff (RFC 9110 section 10.2.3).
+    The proxy is read from ``http_proxy``/``https_proxy`` (else
+    ``all_proxy``) at construction; urllib skips it for hosts that
+    ``no_proxy`` names.  Redirects are not followed.
     """
 
     def __init__(
@@ -190,6 +191,8 @@ class HttpGateway(GenerationGateway):
             if status == 429:
                 last_error = GatewayError("rate-limit", "endpoint returned 429")
                 continue
+            if status in (501, 505):
+                raise GatewayError("server", f"endpoint returned {status}")
             if status >= 500:
                 last_error = GatewayError("server", f"endpoint returned {status}")
                 continue

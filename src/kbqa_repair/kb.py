@@ -11,6 +11,18 @@ rescans them and frees nothing.  ``load_kb`` and ``delete_elements`` pause
 the collector while they build and restore the caller's setting after,
 whether the build succeeds or raises.  The collector is paused, not frozen:
 ``gc.freeze`` is process-wide and would pin unrelated objects too.
+
+A loaded KB holds one object per distinct value.  The JSON decoder makes a
+new string for every occurrence of an id, so a KB of 10^4 entities and
+4x10^4 facts would otherwise keep about four copies of each entity id, one
+class frozenset per entity and one datatype string per literal: more than
+half of its heap.  ``load_data`` maps each entity id, fact subject, entity
+object and relation id to the first equal string it read, and each class set
+to the first equal frozenset; ``literal_from_json`` uses the
+``LITERAL_DATATYPES`` constants; ``delete_elements`` strips each distinct
+class set once.  The table lives for one ``load_data`` call and dies with
+it, so it pins nothing after the load; ``sys.intern`` would keep every id in
+a table of the whole process.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .query import LITERAL_DATATYPES, CanonicalQuery, Literal, Term, entity as entity_term, rel, var
@@ -111,48 +124,54 @@ class KnowledgeBase:
                 raise ReferentialError(f"relation {rd.id} has unknown domain class {rd.domain}")
             if not rd.range_is_literal and rd.range not in classes:
                 raise ReferentialError(f"relation {rd.id} has unknown range class {rd.range}")
-        members: dict[str, list[str]] = {}
+        members: defaultdict[str, list[str]] = defaultdict(list)
         for ent in entities.values():
             for cid in sorted(ent.classes):
                 if cid not in classes:
                     raise ReferentialError(f"entity {ent.id} has unknown class {cid}")
-                members.setdefault(cid, []).append(ent.id)
+                members[cid].append(ent.id)
         self.by_class = {k: tuple(sorted(v)) for k, v in members.items()}
-        subj: dict[str, list[Fact]] = {}
-        obj: dict[str, list[Fact]] = {}
-        relidx: dict[str, list[Fact]] = {}
+        # Each relation's typing, read once here rather than once per fact.
+        relation_types = {
+            rid: (rd.domain, rd.range, rd.range_is_literal) for rid, rd in relations.items()
+        }
+        subj: defaultdict[str, list[Fact]] = defaultdict(list)
+        obj: defaultdict[str, list[Fact]] = defaultdict(list)
+        relidx: defaultdict[str, list[Fact]] = defaultdict(list)
         for fact in facts:
             subject = entities.get(fact.subject)
             if subject is None:
                 raise ReferentialError(f"fact subject {fact.subject} is not a known entity")
-            rd = relations.get(fact.relation)
-            if rd is None:
-                raise ReferentialError(f"fact uses unknown relation {fact.relation}")
-            if rd.domain not in subject.classes:
+            rid = fact.relation
+            types = relation_types.get(rid)
+            if types is None:
+                raise ReferentialError(f"fact uses unknown relation {rid}")
+            domain, range_, range_is_literal = types
+            if domain not in subject.classes:
                 raise ReferentialError(
-                    f"fact subject {fact.subject} lacks domain class {rd.domain} of {rd.id}"
+                    f"fact subject {fact.subject} lacks domain class {domain} of {rid}"
                 )
             target = fact.obj
             if isinstance(target, Literal):
-                if not rd.range_is_literal:
-                    raise ReferentialError(f"fact of {rd.id} has a literal object, range is {rd.range}")
-                if target.datatype != rd.range:
+                if not range_is_literal:
+                    raise ReferentialError(f"fact of {rid} has a literal object, range is {range_}")
+                if target.datatype != range_:
                     raise ReferentialError(
-                        f"fact of {rd.id} has {target.datatype} literal, range is {rd.range}"
+                        f"fact of {rid} has {target.datatype} literal, range is {range_}"
                     )
             else:
-                if rd.range_is_literal:
-                    raise ReferentialError(f"fact of {rd.id} has an entity object, range is {rd.range}")
+                if range_is_literal:
+                    raise ReferentialError(f"fact of {rid} has an entity object, range is {range_}")
                 target_entity = entities.get(target)
                 if target_entity is None:
                     raise ReferentialError(f"fact object {target} is not a known entity")
-                if rd.range not in target_entity.classes:
+                if range_ not in target_entity.classes:
                     raise ReferentialError(
-                        f"fact object {target} lacks range class {rd.range} of {rd.id}"
+                        f"fact object {target} lacks range class {range_} of {rid}"
                     )
-                obj.setdefault(target, []).append(fact)
-            subj.setdefault(fact.subject, []).append(fact)
-            relidx.setdefault(fact.relation, []).append(fact)
+                obj[target].append(fact)
+            subj[fact.subject].append(fact)
+            relidx[rid].append(fact)
         self.by_subject = {k: tuple(v) for k, v in subj.items()}
         self.by_object = {k: tuple(v) for k, v in obj.items()}
         self.by_relation = {k: tuple(v) for k, v in relidx.items()}
@@ -326,11 +345,17 @@ def load_schema(path: str) -> tuple[list[SchemaClass], list[RelationDef]]:
             [RelationDef(r["id"], r["domain"], r["range"]) for r in relations])
 
 
+# Each datatype name to its LITERAL_DATATYPES constant, so a literal read from
+# JSON holds the module's string rather than one the decoder made for it.
+_DATATYPE = {datatype: datatype for datatype in LITERAL_DATATYPES}
+
+
 def literal_from_json(obj: dict, line: int | None = None) -> Literal:
     """The literal a literal object holds, in data, plans and answers alike."""
     check(obj, "literal object", line)
+    datatype = obj.get("type", "string")
     try:
-        return Literal(obj["literal"], obj.get("type", "string"))
+        return Literal(obj["literal"], _DATATYPE.get(datatype, datatype))
     except ValueError as err:  # a value or datatype Literal rejects
         raise FormatError(str(err), line) from err
 
@@ -349,15 +374,25 @@ def _parse_fact(record, line: int | None = None) -> Fact:
 
 
 def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
+    """The entities and facts of a data file, in file order.  Each distinct
+    id and class set is one object (see the module docstring)."""
     entities: list[Entity] = []
     facts: list[Fact] = []
+    first: dict = {}  # each id str and class frozenset to the first equal one read
+    one = first.setdefault
     for lineno, record in read_jsonl(path):
         if "id" in check(record, "data record", lineno):
             check(record, "entity", lineno)
+            eid = record["id"]
             classes = frozenset(record.get("classes", ()))
-            entities.append(Entity(record["id"], record.get("label", ""), classes))
+            entities.append(Entity(one(eid, eid), record.get("label", ""), one(classes, classes)))
         elif "s" in record:
-            facts.append(_parse_fact(record, lineno))
+            check(record, "fact", lineno)
+            subject, relation = record["s"], record["r"]
+            target = _parse_object(record["o"], lineno)
+            if type(target) is str:
+                target = one(target, target)
+            facts.append(Fact(one(subject, subject), one(relation, relation), target))
         else:
             raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)
     return entities, facts
@@ -476,11 +511,14 @@ def delete_elements(kb: KnowledgeBase, plan: DeletionPlan) -> KnowledgeBase:
 
     classes = {cid: c for cid, c in kb.classes.items() if cid not in dead_classes}
     relations = {rid: r for rid, r in kb.relations.items() if rid not in dead_relations}
+    stripped: dict[frozenset[str], frozenset[str]] = {}  # each distinct class set, stripped once
     entities = {}
     for eid, ent in kb.entities.items():
         if eid in dead_entities:
             continue
-        kept = ent.classes - dead_classes
+        kept = stripped.get(ent.classes)
+        if kept is None:
+            kept = stripped[ent.classes] = ent.classes - dead_classes
         entities[eid] = Entity(ent.id, ent.label, kept) if kept != ent.classes else ent
     facts = tuple(
         f

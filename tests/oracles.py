@@ -7,7 +7,8 @@ assignment over the KB's terms; keep it dumb.  ``pruned_execute`` gives the
 same answers by backtracking, and is fast enough for criterion 3's 500 cases.
 Both share the engine's literal comparison (``_compare``, ``_values_equal``),
 so the engines agree on one rule for comparing literals.  ``same_as``
-compares two knowledge bases by value.  ``reference_tokenize`` is the
+compares two knowledge bases by value, and ``reference_indexes`` rebuilds a
+KB's lookup indexes one key at a time.  ``reference_tokenize`` is the
 tokenizer that spent one regex match on each whitespace run.
 ``render_sexpr`` writes a canonical query as an s-expression.
 """
@@ -186,6 +187,24 @@ def same_as(a: KnowledgeBase, b: KnowledgeBase) -> bool:
         and a.entities == b.entities
         and a.facts == b.facts
     )
+
+
+def reference_indexes(kb: KnowledgeBase) -> dict[str, dict]:
+    """A KB's four indexes, by attribute name, rebuilt from ``kb.entities``
+    and ``kb.facts`` one key at a time.  Keys come in order of first
+    appearance (an entity's classes in sorted order); class members are
+    sorted, and facts keep ``kb.facts``' order."""
+    entities, facts = list(kb.entities.values()), kb.facts
+    class_ids = dict.fromkeys(cid for ent in entities for cid in sorted(ent.classes))
+    subjects = dict.fromkeys(f.subject for f in facts)
+    objects = dict.fromkeys(f.obj for f in facts if not f.obj_is_literal)
+    relations = dict.fromkeys(f.relation for f in facts)
+    return {
+        "by_class": {c: tuple(sorted(e.id for e in entities if c in e.classes)) for c in class_ids},
+        "by_subject": {s: tuple(f for f in facts if f.subject == s) for s in subjects},
+        "by_object": {o: tuple(f for f in facts if not f.obj_is_literal and f.obj == o) for o in objects},
+        "by_relation": {r: tuple(f for f in facts if f.relation == r) for r in relations},
+    }
 
 
 # ---------------------------------------------------------------------------

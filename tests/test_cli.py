@@ -228,6 +228,18 @@ def test_trace_show_bad_line_exits_2(tmp_path, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_trace_show_index_on_a_file_without_traces_exits_2(tmp_path, capsys, text):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(text)
+    assert run_cli("trace", "show", "--trace", traces, "--index", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --index 0: {traces} has no trace records\n"
+    assert captured.out == ""
+    assert run_cli("trace", "show", "--trace", traces) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_eval_prediction_without_lf_exits_2(tmp_path, capsys):
     pred = tmp_path / "pred.jsonl"
     pred.write_text('{"lf": "NK", "answer": "NA"}\n{"answer": "NA", "confident": false}\n')

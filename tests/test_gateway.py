@@ -202,6 +202,18 @@ def test_http_server_error_exhausts_retries(http_server, backoff):
     assert backoff == [0.5]
 
 
+@pytest.mark.parametrize("status", [501, 505])
+def test_http_permanent_server_error_does_not_retry(http_server, backoff, status):
+    _Handler.script = [(status, None), (200, _completion("ok"))]
+    gw = HttpGateway(http_server, "m", max_retries=3)
+    with pytest.raises(GatewayError) as err:
+        gw.complete([user("x")])
+    assert err.value.kind == "server"
+    assert str(err.value) == f"server: endpoint returned {status}"
+    assert len(_Handler.calls) == 1
+    assert backoff == []
+
+
 NOW = 1_700_000_000.0  # the clock of the Retry-After date tests
 
 

@@ -3,6 +3,7 @@ import gc
 import json
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,10 +26,11 @@ from kbqa_repair.kb import (
     load_plan,
     paths_from_entity,
     read_jsonl,
+    save_kb,
     validate_plan,
 )
-from kbqa_repair.query import Literal, render_sparql
-from oracles import same_as
+from kbqa_repair.query import LITERAL_DATATYPES, Literal, render_sparql
+from oracles import reference_indexes, same_as
 from randgen import random_kb
 
 
@@ -413,3 +415,102 @@ def test_kb_records_are_frozen_values(record, other):
     # dataclasses raise TypeError for it rather than FrozenInstanceError.
     with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
         record.extra = 1
+
+
+# ---------------------------------------------------------------------------
+# a loaded KB holds one object per distinct id, class set and datatype
+# ---------------------------------------------------------------------------
+
+FIXTURE_KBS = ["fig1/kb1", "fig1/kb2", "fig1/kb3", "a13/kb", "pairs"]
+
+
+def _fixture_files(name):
+    return str(FIXTURES / name / "schema.json"), str(FIXTURES / name / "data.jsonl")
+
+
+def _random_kb_files(tmp_path, seed):
+    """A random KB (with literals and shared class lists) saved to files."""
+    schema, data = str(tmp_path / "schema.json"), str(tmp_path / "data.jsonl")
+    save_kb(random_kb(random.Random(seed), max_entities=40), schema, data)
+    return schema, data
+
+
+def _distinct(values):
+    """(distinct objects, distinct values) among ``values``."""
+    values = list(values)
+    return len({id(v) for v in values}), len(set(values))
+
+
+@pytest.mark.parametrize("name", FIXTURE_KBS + ["random-3", "random-8"])
+def test_load_kb_holds_one_object_per_value(tmp_path, name):
+    if name.startswith("random-"):
+        kb = load_kb(*_random_kb_files(tmp_path, int(name.split("-")[1])))
+    else:
+        kb = load_kb(*_fixture_files(name))
+    ids = [ent.id for ent in kb.entities.values()]
+    for fact in kb.facts:
+        ids += [fact.subject, fact.relation] + ([] if fact.obj_is_literal else [fact.obj])
+    objects, values = _distinct(ids)
+    assert objects == values
+    objects, values = _distinct(ent.classes for ent in kb.entities.values())
+    assert objects == values < len(kb.entities)
+    for fact in kb.facts:
+        if fact.obj_is_literal:
+            assert any(fact.obj.datatype is datatype for datatype in LITERAL_DATATYPES)
+
+    # Strip the class most entities have: entities that had one class set
+    # share one stripped set, and untouched entities stay the same objects.
+    counts = Counter(cid for ent in kb.entities.values() for cid in ent.classes)
+    dead = max(sorted(counts), key=counts.__getitem__)
+    out = delete_elements(kb, DeletionPlan(classes=(dead,)))
+    changed = [ent for ent in out.entities.values() if ent is not kb.entities[ent.id]]
+    assert len(changed) == counts[dead] > 1
+    assert all(dead not in ent.classes for ent in changed)
+    objects, values = _distinct(ent.classes for ent in changed)
+    assert objects == values == len({kb.entities[ent.id].classes for ent in changed})
+
+
+def test_plan_literals_hold_the_datatype_constants(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"facts": [
+        {"s": "m.1", "r": "c.a.year", "o": {"literal": 1999, "type": "integer"}},
+        {"s": "m.1", "r": "c.a.name", "o": {"literal": "one"}},
+    ]}))
+    datatypes = [fact.obj.datatype for fact in load_plan(str(plan)).facts]
+    assert datatypes == ["integer", "string"]
+    assert datatypes[0] is LITERAL_DATATYPES[0] and datatypes[1] is LITERAL_DATATYPES[2]
+
+
+# ---------------------------------------------------------------------------
+# the index pass: what it builds, and in which order
+# ---------------------------------------------------------------------------
+
+def _assert_reference_indexes(kb):
+    for name, reference in reference_indexes(kb).items():
+        assert list(getattr(kb, name).items()) == list(reference.items()), name
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_indexes_match_the_reference_before_and_after_deletion(seed, data):
+    kb = random_kb(random.Random(seed))
+    _assert_reference_indexes(kb)
+    _assert_reference_indexes(delete_elements(kb, data.draw(_plans(kb))))
+
+
+@pytest.mark.parametrize("name", FIXTURE_KBS)
+def test_facts_before_entities_load_to_the_same_kb(tmp_path, name):
+    schema, data = _fixture_files(name)
+    lines = (FIXTURES / name / "data.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    facts_first = tmp_path / "facts_first.jsonl"
+    reordered = sorted(lines, key=lambda line: "s" not in json.loads(line))  # stable: facts first
+    facts_first.write_text("".join(reordered), encoding="utf-8")
+    assert facts_first.read_text(encoding="utf-8") != "".join(lines)
+    written = []
+    for path in (data, str(facts_first)):
+        kb = load_kb(schema, path)
+        _assert_reference_indexes(kb)
+        out = tmp_path / f"saved_{len(written)}"
+        out.mkdir()
+        save_kb(kb, str(out / "schema.json"), str(out / "data.jsonl"))
+        written.append(((out / "schema.json").read_bytes(), (out / "data.jsonl").read_bytes()))
+    assert written[0] == written[1]
