@@ -41,19 +41,17 @@ def _load_kb(args) -> kbmod.KnowledgeBase:
 
 
 def _make_gateway(args):
-    backend = args.backend or "mock"
-    if backend == "mock":
-        if not args.mock:
-            raise FatalError("--backend mock requires --mock FIXTURE")
-        return MockGateway.from_file(args.mock)
-    if backend == "http":
+    """The backend ``args`` name: http, or mock when none is named."""
+    if args.backend == "http":
         if not args.endpoint or not args.model:
             raise FatalError("--backend http requires --endpoint and --model")
         try:
             return HttpGateway(args.endpoint, args.model, auth_env=args.auth_env)
         except ValueError as err:
             raise FatalError(str(err)) from err
-    raise FatalError(f"unknown backend {backend!r}")
+    if not args.mock:
+        raise FatalError("--backend mock requires --mock FIXTURE")
+    return MockGateway.from_file(args.mock)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@ def assistant(text: str) -> Message:
     return Message("assistant", text)
 
 
+def _latest_prompt(conversation: list[Message]) -> str:
+    return next(m.text for m in reversed(conversation) if m.role == "user")
+
+
 class GatewayError(Exception):
     """Backend failure.  ``kind`` is one of:
 
@@ -99,13 +103,7 @@ class MockGateway(GenerationGateway):
         return cls(matchers)
 
     def _complete(self, conversation: list[Message]) -> str:
-        prompt = None
-        for message in reversed(conversation):
-            if message.role == "user":
-                prompt = message.text
-                break
-        if prompt is None:
-            raise ValueError("conversation has no user message")
+        prompt = _latest_prompt(conversation)
         for matcher in self.matchers:
             if matcher.kind == "exact" and matcher.text == prompt:
                 return matcher.reply
@@ -251,6 +249,5 @@ class RecordingGateway:
 
     def complete(self, conversation: list[Message], purpose: str = "generate") -> str:
         reply = self.inner.complete(conversation, purpose)
-        prompt = next(m.text for m in reversed(conversation) if m.role == "user")
-        self.log.append({"purpose": purpose, "prompt": prompt, "reply": reply})
+        self.log.append({"purpose": purpose, "prompt": _latest_prompt(conversation), "reply": reply})
         return reply

@@ -248,10 +248,10 @@ SHAPES = {
     "mock fixture": [dict],
     "mock matcher": {"match": dict, "reply": str},
     "mock match": {"kind": ("exact", "substring"), "text": str},
-    "config": {"n_iter?": int, "answerable_mode?": bool, "workers?": int, "backend?": str,
-               "mock?": str, "endpoint?": str, "model?": str, "max_classes?": int,
-               "max_relations?": int, "max_paths?": int, "max_path_len?": int,
-               "mediator_classes?": [str]},
+    "config": {"n_iter?": int, "answerable_mode?": bool, "workers?": int,
+               "backend?": ("mock", "http"), "mock?": str, "endpoint?": str, "model?": str,
+               "max_classes?": int, "max_relations?": int, "max_paths?": int,
+               "max_path_len?": int, "mediator_classes?": [str]},
 }
 _NAMES = {str: "a string", int: "an integer", bool: "true or false", dict: "an object",
           object: "any JSON value"}
@@ -543,8 +543,6 @@ def paths_from_entity(kb: KnowledgeBase, eid: str, max_len: int = 2) -> list[Can
     """
     if eid not in kb.entities:
         raise UnknownId(f"entity {eid} is not in the KB")
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
 
     sequences: set[tuple[str, ...]] = set()
     by_subject = kb.by_subject

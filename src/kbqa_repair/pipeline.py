@@ -201,8 +201,6 @@ def select_best(
     """Pick the candidate whose back-translation reads closest to the
     question.  Singleton pools short-circuit without a call; an unparseable
     selection falls back to the earliest-iteration candidate (flagged)."""
-    if not candidates:
-        raise ValueError("select_best needs a non-empty candidate list")
     if len(candidates) == 1:
         return candidates[0], False
     options = "\n".join(

@@ -17,8 +17,6 @@ TYPE_ASSERT_ID = "type.object.type"
 
 LITERAL_DATATYPES = ("integer", "float", "string", "date")
 
-COMPARATORS = ("=", "!=", "<", "<=", ">", ">=")
-
 _SEXPR_COMPARATORS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 NK_TEXT = "NK"
@@ -67,9 +65,6 @@ class Literal:
             or (self.datatype == "date" and _DATE_RE.fullmatch(value) is None)
         ):
             raise ValueError(f"{self.datatype} literal has value {value!r}")
-
-    def __str__(self) -> str:
-        return f"{self.value}:{self.datatype}"
 
 
 @dataclass(frozen=True)
@@ -120,10 +115,6 @@ class Filter:
     op: str
     literal: Literal
 
-    def __post_init__(self):
-        if self.op not in COMPARATORS:
-            raise ValueError(f"unknown comparator {self.op!r}")
-
 
 @dataclass(frozen=True)
 class Aggregate:
@@ -159,15 +150,13 @@ class CanonicalQuery:
         return hash(self._key())
 
     def variables(self) -> list[str]:
-        """Variable names in first-appearance order over patterns then filters."""
+        """Variable names in first-appearance order over the patterns; a valid
+        query binds every filter variable in a pattern."""
         seen: list[str] = []
         for s, _, o in self.patterns:
             for term in (s, o):
                 if term.is_var() and term.value not in seen:
                     seen.append(term.value)
-        for f in self.filters:
-            if f.variable not in seen:
-                seen.append(f.variable)
         return seen
 
     def validate(self) -> None:
@@ -175,8 +164,6 @@ class CanonicalQuery:
         for s, p, o in self.patterns:
             if s.kind not in ("var", "entity"):
                 raise QuerySyntaxError(f"pattern subject must be a variable or entity, got {s.kind}")
-            if p.kind not in ("relation", "type_assert"):
-                raise QuerySyntaxError(f"pattern predicate must be a relation, got {p.kind}")
             if p.kind == "type_assert" and o.kind != "class":
                 raise QuerySyntaxError("object of a type assertion must be a class id")
             for term in (s, o):
@@ -455,7 +442,7 @@ def _render_sparql(q: CanonicalQuery) -> str:
         head += f"?{q.projection}"
     parts = [" . ".join(_render_sparql_pattern(p) for p in q.patterns)]
     for f in q.filters:
-        value = _render_literal(f.literal, "xsd:date")
+        value = _render_literal(f.literal)
         parts.append(f"FILTER(?{f.variable} {f.op} {value})")
     body = " . ".join(part for part in parts if part)
     return f"{head} WHERE {{ {body} }}"
@@ -469,16 +456,15 @@ def _render_sparql_term(term: Term) -> str:
     if term.kind == "var":
         return f"?{term.value}"
     if term.kind == "literal":
-        return _render_literal(term.literal, "xsd:date")
+        return _render_literal(term.literal)
     return f"ns:{term.value}"
 
 
-def _render_literal(literal: Literal, date_type: str) -> str:
-    """Literal text shared by both dialects; they differ only in the date tag."""
+def _render_literal(literal: Literal) -> str:
     if literal.datatype in ("integer", "float"):
         return str(literal.value)
     if literal.datatype == "date":
-        return f'"{literal.value}"^^{date_type}'
+        return f'"{literal.value}"^^xsd:date'
     return json.dumps(literal.value)
 
 
@@ -502,8 +488,6 @@ _SEXPR_TOKEN_RE = re.compile(
 
 
 def _read_sexpr(tokens: list[_Tok], i: int) -> tuple[object, int]:
-    if i >= len(tokens):
-        raise QuerySyntaxError("unexpected end of input, unbalanced parentheses", 0)
     tok = tokens[i]
     if tok.kind == "open":
         items = []

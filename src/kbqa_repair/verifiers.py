@@ -182,7 +182,8 @@ def v2b_schema_presence(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def v2c_literal_casting(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
-    """Fails iff a literal's datatype mismatches the range of the relation it meets."""
+    """Fails iff a literal's datatype mismatches the range of the relation it
+    meets.  It runs after V2b, so every relation is in the KB."""
     q = lf.canonical
     problems: list[str] = []
 
@@ -201,9 +202,7 @@ def v2c_literal_casting(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     for s, p, o in q.patterns:
         if p.kind != "relation":
             continue
-        rd = kb.relations.get(p.value)
-        if rd is None:
-            continue
+        rd = kb.relations[p.value]
         if o.kind == "literal":
             check(o.literal, rd, "given to")
         if o.kind == "var":

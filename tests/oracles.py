@@ -245,6 +245,13 @@ def reference_tokenize(regex: re.Pattern, text: str) -> list[ReferenceTok]:
 # S-expression rendering
 # ---------------------------------------------------------------------------
 
+def _sexpr_literal(literal: Literal) -> str:
+    """A literal as SPARQL writes it, but with the s-expression date tag."""
+    if literal.datatype == "date":
+        return f'"{literal.value}"^^date'
+    return _render_literal(literal)
+
+
 def render_sexpr(q: CanonicalQuery) -> str:
     """Render a tree-shaped canonical query as an s-expression.
 
@@ -271,7 +278,7 @@ def render_sexpr(q: CanonicalQuery) -> str:
         if term.kind == "entity":
             return term.value
         if term.kind == "literal":
-            return _render_literal(term.literal, "date")
+            return _sexpr_literal(term.literal)
         raise UnsupportedQuery(f"cannot render {term.kind} term as an s-expression leaf")
 
     def comparator_part(name: str, idx: int, pattern: Pattern) -> str | None:
@@ -288,7 +295,7 @@ def render_sexpr(q: CanonicalQuery) -> str:
             return None
         consumed.add(idx)
         consumed_filters.add(id(f))
-        value = _render_literal(f.literal, "date")
+        value = _sexpr_literal(f.literal)
         return f"({op_name} {p.value} {value})"
 
     def expr_for(name: str) -> str:

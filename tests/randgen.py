@@ -17,14 +17,25 @@ from kbqa_repair.query import (
     Filter,
     Literal,
     QuerySyntaxError,
+    Term,
     cls,
     entity,
-    lit,
     rel,
     var,
 )
 
 LITERAL_RANGES = ("integer", "float", "string", "date")
+
+
+def _random_literal(rng: random.Random, datatype: str) -> Literal:
+    """A literal of the datatype from a small domain, so equal values recur."""
+    if datatype == "integer":
+        return Literal(rng.randint(0, 50), "integer")
+    if datatype == "float":
+        return Literal(round(rng.uniform(0, 50), 1), "float")
+    if datatype == "string":
+        return Literal(rng.choice(("alpha", "beta", "gamma", "delta")), "string")
+    return Literal(f"20{rng.randint(20, 24)}-0{rng.randint(1, 3)}-15", "date")
 
 
 def random_kb(rng: random.Random, max_entities: int = 30) -> KnowledgeBase:
@@ -36,7 +47,7 @@ def random_kb(rng: random.Random, max_entities: int = 30) -> KnowledgeBase:
     for i in range(rng.randint(2, 5)):
         domain = rng.choice(class_ids)
         if rng.random() < 0.25:
-            range_ = rng.choice(LITERAL_RANGES[:2])  # numeric literals only
+            range_ = rng.choice(LITERAL_RANGES)
         else:
             range_ = rng.choice(class_ids)
         relations.append(RelationDef(f"dom.c.r{i}", domain, range_))
@@ -58,10 +69,8 @@ def random_kb(rng: random.Random, max_entities: int = 30) -> KnowledgeBase:
         if not subjects:
             continue
         subject = rng.choice(subjects).id
-        if rd.range == "integer":
-            obj = Literal(rng.randint(0, 50), "integer")
-        elif rd.range == "float":
-            obj = Literal(round(rng.uniform(0, 50), 1), "float")
+        if rd.range_is_literal:
+            obj = _random_literal(rng, rd.range)
         else:
             targets = by_class[rd.range]
             if not targets:
@@ -106,11 +115,7 @@ def random_query(rng: random.Random, kb: KnowledgeBase, max_patterns: int = 3) -
             subject = _random_term(rng, kb, variables, True)
             if rd is not None and rd.range_is_literal:
                 if rng.random() < 0.5:
-                    value = (
-                        lit(rng.randint(0, 50), "integer")
-                        if rd.range == "integer"
-                        else lit(round(rng.uniform(0, 50), 1), "float")
-                    )
+                    value = Term("literal", None, _random_literal(rng, rd.range))
                     patterns.append((subject, rel(rid), value))
                 else:
                     obj = var(f"v{len(variables)}") if len(variables) < 3 else var(variables[-1])
@@ -119,7 +124,9 @@ def random_query(rng: random.Random, kb: KnowledgeBase, max_patterns: int = 3) -
                     patterns.append((subject, rel(rid), obj))
                     if rng.random() < 0.6:
                         op = rng.choice(("<", "<=", ">", ">=", "=", "!="))
-                        filters.append(Filter(obj.value, op, Literal(rng.randint(0, 50), "integer")))
+                        # Mostly of the range's datatype; else any, which compares false.
+                        datatype = rd.range if rng.random() < 0.8 else rng.choice(LITERAL_RANGES)
+                        filters.append(Filter(obj.value, op, _random_literal(rng, datatype)))
             else:
                 obj = _random_term(rng, kb, variables, True)
                 patterns.append((subject, rel(rid), obj))
@@ -128,9 +135,19 @@ def random_query(rng: random.Random, kb: KnowledgeBase, max_patterns: int = 3) -
         aggregate = None
         if rng.random() < 0.15:
             aggregate = Aggregate("count")
-        elif rng.random() < 0.08 and relation_ids:
+        elif rng.random() < 0.2 and relation_ids:
             kind = rng.choice(("argmax", "argmin"))
-            aggregate = Aggregate(kind, (rng.choice(relation_ids),))
+            # Mostly a path that ends in a number and, half the time, a hop
+            # before it whose range is that relation's domain.
+            numeric = [r for r in relation_ids if kb.relations[r].range in ("integer", "float")]
+            path = (rng.choice(numeric if numeric and rng.random() < 0.8 else relation_ids),)
+            hops = [r for r in relation_ids if kb.relations[r].range == kb.relations[path[0]].domain]
+            if hops and rng.random() < 0.5:
+                path = (rng.choice(hops),) + path
+            if rng.random() < 0.5:  # rank every entity of the path's domain, so ties occur
+                variables, filters = ["v0"], []
+                patterns = [(var("v0"), TYPE_ASSERT, cls(kb.relations[path[0]].domain))]
+            aggregate = Aggregate(kind, path)
         query = CanonicalQuery(
             rng.choice(variables), True, tuple(patterns), tuple(filters), aggregate
         )

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import FIXTURES
 from kbqa_repair.cli import main
-from kbqa_repair.kb import SHAPES, load_kb
+from kbqa_repair.dataset import make_random_plan
+from kbqa_repair.kb import SHAPES, load_kb, load_plan
 from kbqa_repair.pipeline import build_pun_prompt
 from kbqa_repair.retrieval import RetrievalCaps, retrieve_lexical
 from kbqa_repair.verifiers import VerifierSuite
@@ -80,6 +81,18 @@ def test_dataset_inject_and_sample(tmp_path, capsys):
         "--seed", "7", "--out", tmp_path / "shots.jsonl",
     ) == 0
     assert len((tmp_path / "shots.jsonl").read_text().splitlines()) == 3
+
+
+def test_dataset_inject_seed_writes_a_plan_that_reruns_byte_identical(tmp_path, capsys):
+    argv = ("dataset", "inject", "--kb", FIG1 / "kb3", "--split", FIG1 / "dataset_kb3.jsonl")
+    assert run_cli(*argv, "--seed", "7", "--delete-facts", "2", "--out", tmp_path / "seeded") == 0
+    plan = tmp_path / "seeded" / "plan.json"
+    kb = load_kb(str(FIG1 / "kb3" / "schema.json"), str(FIG1 / "kb3" / "data.jsonl"))
+    assert load_plan(str(plan)) == make_random_plan(kb, 7, n_relations=1, n_entities=1, n_facts=2)
+    assert json.loads(plan.read_text())["seed"] == 7
+    assert run_cli(*argv, "--plan", plan, "--out", tmp_path / "planned") == 0
+    for name in ("schema.json", "data.jsonl", "split.jsonl", "plan.json"):
+        assert (tmp_path / "planned" / name).read_bytes() == (tmp_path / "seeded" / name).read_bytes()
 
 
 def test_run_writes_outcomes_and_traces(tmp_path, capsys):
@@ -302,79 +315,144 @@ def _eval_argv(tmp_path, prediction):
     return ("eval", "--kb", FIG1 / "kb3", "--pred", pred, "--gold", FIG1 / "dataset_kb3.jsonl")
 
 
-# Each builds, under tmp_path, one input file of the wrong shape (one is not
-# JSON at all) and returns the command line that reads it.
+# Each entry: a builder that makes, under tmp_path, the input the program
+# refuses (a file of the wrong shape or content, or a command line) and
+# returns the command line, and the one line the program writes after
+# "error: ", in which "{tmp}" stands for tmp_path.
 MALFORMED_INPUTS = {
-    "schema-relation-without-domain": lambda tmp: (
+    "schema-relation-without-domain": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, schema=lambda doc: doc["relations"][0].pop("domain")),
-    ),
-    "data-entity-classes-not-a-list": lambda tmp: (
+    ), "relation has no domain"),
+    "data-entity-classes-not-a-list": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "m.new", "classes": 5}'),
-    ),
-    "plan-fact-without-r": lambda tmp: _delete_argv(
+    ), "line 21: entity classes must be a list of strings, not 5"),
+    "plan-fact-without-r": (lambda tmp: _delete_argv(
         tmp, _write(tmp, "plan.json", '{"facts": [{"s": "m.0auth", "o": {"entity": "m.0b1"}}]}'),
-    ),
-    "plan-is-a-list": lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '["book.author"]')),
-    "schema-class-id-a-list": lambda tmp: (
+    ), "fact has no r"),
+    "plan-is-a-list": (lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '["book.author"]')),
+                       'plan must be an object, not ["book.author"]'),
+    "schema-class-id-a-list": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, schema=lambda doc: doc["classes"].append({"id": ["c"]})),
-    ),
-    "data-entity-id-a-list": lambda tmp: (
+    ), 'class id must be a string, not ["c"]'),
+    "data-entity-id-a-list": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": ["m.x"], "classes": []}'),
-    ),
-    "data-entity-classes-mixed": lambda tmp: (
+    ), 'line 21: entity id must be a string, not ["m.x"]'),
+    "data-entity-classes-mixed": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "m.x", "classes": ["book.author", 1]}'),
-    ),
-    "data-fact-relation-a-list": lambda tmp: (
+    ), 'line 21: entity classes must be a list of strings, not ["book.author", 1]'),
+    "data-fact-relation-a-list": (lambda tmp: (
         "kb", "validate", "--kb",
         _kb_copy(tmp, data_line='{"s": "m.0auth", "r": ["x"], "o": {"entity": "m.0b1"}}'),
-    ),
-    "data-entity-classes-a-string": lambda tmp: (
+    ), 'line 21: fact r must be a string, not ["x"]'),
+    "data-entity-classes-a-string": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "m.x", "classes": "book.author"}'),
-    ),
-    "data-integer-literal-a-list": lambda tmp: (
+    ), 'line 21: entity classes must be a list of strings, not "book.author"'),
+    "data-integer-literal-a-list": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
             '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": [1], "type": "integer"}}'
         )),
-    ),
-    "data-integer-literal-a-word": lambda tmp: (
+    ), "line 23: integer literal has value [1]"),
+    "data-integer-literal-a-word": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
             '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": "many", "type": "integer"}}'
         )),
-    ),
-    "plan-entity-a-list": lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '{"entities": [["m.0b1"]]}')),
-    "mock-matcher-kind-regex": lambda tmp: _run_argv(tmp, mock=_write(
+    ), "line 23: integer literal has value 'many'"),
+    "data-literal-type-boolean": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
+            '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": true, "type": "boolean"}}'
+        )),
+    ), "line 23: unknown literal datatype 'boolean'"),
+    "data-record-neither-entity-nor-fact": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"label": "m.x"}'),
+    ), "line 21: record is neither an entity ({id,...}) nor a fact ({s,r,o})"),
+    "data-duplicate-entity": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "m.0auth", "classes": []}'),
+    ), "duplicate entity id m.0auth"),
+    "schema-duplicate-class": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, schema=lambda doc: doc["classes"].append(doc["classes"][0])),
+    ), "duplicate class id award.award"),
+    "schema-duplicate-relation": (lambda tmp: (
+        "kb", "validate", "--kb",
+        _kb_copy(tmp, schema=lambda doc: doc["relations"].append(doc["relations"][0])),
+    ), "duplicate relation id book.author.awards_won"),
+    "schema-class-id-empty": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, schema=lambda doc: doc["classes"].append({"id": ""})),
+    ), "class with empty id"),
+    "plan-entity-a-list": (lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '{"entities": [["m.0b1"]]}')),
+                           'plan entities must be a list of strings, not [["m.0b1"]]'),
+    "mock-matcher-kind-regex": (lambda tmp: _run_argv(tmp, mock=_write(
         tmp, "mock.json", '[{"match": {"kind": "regex", "text": "x"}, "reply": "NK"}]',
-    )),
-    "mock-not-json": lambda tmp: _run_argv(tmp, mock=_write(tmp, "mock.json", "{not json")),
-    "dataset-gold-lf-a-string": lambda tmp: _run_argv(tmp, dataset=_write(
+    )), 'mock match kind must be "exact" or "substring", not "regex"'),
+    "mock-not-json": (lambda tmp: _run_argv(tmp, mock=_write(tmp, "mock.json", "{not json")),
+                      "mock fixture {tmp}/mock.json is not JSON: Expecting property name enclosed "
+                      "in double quotes: line 1 column 2 (char 1)"),
+    "dataset-gold-lf-a-string": (lambda tmp: _run_argv(tmp, dataset=_write(
         tmp, "dataset.jsonl",
         '{"question": "q?", "gold_lf": "SELECT ?x WHERE { ?x ns:r ns:m.1 }", "gold_answer": []}\n',
-    )),
-    "dataset-answer-a-string": lambda tmp: _inject_argv(tmp, gold_answer="m.0b1"),
-    "dataset-answer-an-object": lambda tmp: _inject_argv(
+    )), 'line 1: dataset example gold_lf must be "NK" or an object, not '
+        '"SELECT ?x WHERE { ?x ns:r ns:m.1 }"'),
+    "dataset-answer-a-string": (lambda tmp: _inject_argv(tmp, gold_answer="m.0b1"),
+                                'line 1: dataset example gold_answer must be "NA" or a list of '
+                                'strings and objects, not "m.0b1"'),
+    "dataset-answer-an-object": (lambda tmp: _inject_argv(
         tmp, complete_kb_answer={"literal": 5, "type": "integer"},
-    ),
-    "dataset-linked-entity-id-a-list": lambda tmp: _inject_argv(tmp, id=["m.0auth"]),
-    "dataset-mention-a-number": lambda tmp: _inject_argv(tmp, mention=5),
-    "dataset-question-a-number": lambda tmp: _inject_argv(tmp, question=5),
-    "prediction-answer-a-string": lambda tmp: _eval_argv(tmp, {"lf": "NK", "answer": "m.0b1"}),
-    "prediction-answer-an-object": lambda tmp: _eval_argv(
+    ), 'line 1: dataset example complete_kb_answer must be "NA" or a list of strings and objects, '
+       'not {"literal": 5, "type": "integer"}'),
+    "dataset-linked-entity-id-a-list": (lambda tmp: _inject_argv(tmp, id=["m.0auth"]),
+                                        'line 1: linked entity id must be a string, not ["m.0auth"]'),
+    "dataset-mention-a-number": (lambda tmp: _inject_argv(tmp, mention=5),
+                                 "line 1: linked entity mention must be a string, not 5"),
+    "dataset-question-a-number": (lambda tmp: _inject_argv(tmp, question=5),
+                                  "line 1: dataset example question must be a string, not 5"),
+    "dataset-unknown-label": (lambda tmp: _inject_argv(tmp, label="maybe"),
+                              "line 1: unknown label 'maybe'"),
+    "dataset-unknown-category": (lambda tmp: _inject_argv(tmp, category="missing-everything"),
+                                 "line 1: unknown category 'missing-everything'"),
+    "dataset-data-unans-nk-gold": (lambda tmp: _inject_argv(
+        tmp, label="data-unans", gold_lf="NK", gold_answer="NA",
+    ), "line 1: data-unans example must keep a concrete gold_lf"),
+    "dataset-data-unans-with-an-answer": (lambda tmp: _inject_argv(tmp, label="data-unans"),
+                                          "line 1: data-unans example must have gold_answer = NA"),
+    "inject-nk-gold-source": (lambda tmp: _inject_argv(tmp, gold_lf="NK"),
+                              "source example 'which books did j r hart write?' has no executable "
+                              "gold query"),
+    "inject-without-plan-or-seed": (lambda tmp: _inject_argv(tmp)[:-4] + ("--out", tmp / "out"),
+                                    "provide --plan FILE or --seed N"),
+    "sample-too-few-unanswerable": (lambda tmp: (
+        "dataset", "sample", "--split", FIG1 / "dataset_kb3.jsonl", "--n-ans", "1", "--n-unans", "1",
+        "--seed", "0", "--out", tmp / "out",
+    ), "need 1 unanswerable examples, split has 0"),
+    "prediction-answer-a-string": (lambda tmp: _eval_argv(tmp, {"lf": "NK", "answer": "m.0b1"}),
+                                   'line 1: prediction answer must be "NA" or a list of strings and '
+                                   'objects, not "m.0b1"'),
+    "prediction-answer-an-object": (lambda tmp: _eval_argv(
         tmp, {"lf": "NK", "answer": {"literal": 5, "type": "integer"}},
-    ),
-    "mock-reply-a-number": lambda tmp: _run_argv(tmp, mock=_write(
+    ), 'line 1: prediction answer must be "NA" or a list of strings and objects, '
+       'not {"literal": 5, "type": "integer"}'),
+    "mock-reply-a-number": (lambda tmp: _run_argv(tmp, mock=_write(
         tmp, "mock.json", '[{"match": {"kind": "substring", "text": ""}, "reply": 5}]',
-    )),
-    "mock-match-text-a-number": lambda tmp: _run_argv(tmp, mock=_write(
+    )), "mock matcher reply must be a string, not 5"),
+    "mock-match-text-a-number": (lambda tmp: _run_argv(tmp, mock=_write(
         tmp, "mock.json", '[{"match": {"kind": "substring", "text": 5}, "reply": "NK"}]',
-    )),
+    )), "mock match text must be a string, not 5"),
+    "run-without-mock": (lambda tmp: _run_argv(tmp)[:-4] + ("--out", tmp / "out"),
+                         "--backend mock requires --mock FIXTURE"),
+    "run-http-without-endpoint": (lambda tmp: (*_run_argv(tmp), "--backend", "http", "--model", "m"),
+                                  "--backend http requires --endpoint and --model"),
+    "config-backend-unknown": (lambda tmp: (
+        *_run_argv(tmp), "--config", _write(tmp, "config.json", '{"backend": "foo"}'),
+    ), 'config backend must be "mock" or "http", not "foo"'),
+    "trace-show-index-out-of-range": (lambda tmp: (
+        "trace", "show", "--trace", FIXTURES / "golden_runs" / "a13" / "traces.jsonl", "--index", "1",
+    ), "--index 1 out of range (0..0)"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_INPUTS)
 def test_malformed_input_exits_2(tmp_path, capsys, case):
-    assert run_cli(*MALFORMED_INPUTS[case](tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    build, message = MALFORMED_INPUTS[case]
+    assert run_cli(*build(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
     assert not (tmp_path / "out").exists()  # stopped before writing anything
 
 
@@ -383,6 +461,23 @@ def test_plan_fact_object_error_names_no_line(tmp_path, capsys):
                   '{"facts": [{"s": "m.0auth", "r": "book.author.works_written", "o": {"x": 1}}]}')
     assert run_cli(*_delete_argv(tmp_path, plan)) == 2
     assert capsys.readouterr().err == "error: fact object must be {entity: id} or {literal, type}\n"
+
+
+def test_run_fewshots_add_each_shot_to_the_generation_prompt(tmp_path, capsys):
+    shot = {"question": "who wrote the silent river?", "gold_answer": ["m.0auth"],
+            "gold_lf": {"dialect": "sexpr", "text": "(JOIN book.author.works_written m.0b1)"}}
+    shots = _write(tmp_path, "shots.jsonl", json.dumps(shot) + "\n")
+    mock = _write(tmp_path, "mock.json", '[{"match": {"kind": "substring", "text": ""}, "reply": "NK"}]')
+    prompts = []
+    for name, flags in (("plain", ()), ("shots", ("--fewshots", shots))):
+        assert run_cli(*_run_argv(tmp_path, mock=mock)[:-1], tmp_path / name, "--n-iter", "1", *flags) == 0
+        first_call = json.loads((tmp_path / name / "traces.jsonl").read_text().splitlines()[0])["llm"][0]
+        assert first_call["purpose"] == "generate"
+        prompts.append(first_call["prompt"])
+    plain, with_shot = prompts
+    block = ("Question: who wrote the silent river?\n"
+             "sparql:SELECT DISTINCT ?x WHERE { ?x ns:book.author.works_written ns:m.0b1 }\n\n")
+    assert with_shot.count(block) == 1 and with_shot.replace(block, "") == plain
 
 
 @pytest.mark.parametrize("gold_lf, message", [
@@ -566,7 +661,9 @@ def test_config_key_types_are_the_run_flag_types():
         "--workers", "2", "--backend", "http", "--mock", "m", "--endpoint", "e", "--model", "x",
     ])
     shape = {key.rstrip("?"): want for key, want in SHAPES["config"].items()}
-    assert {key: type(getattr(args, key)) for key in _FLAG_KEYS} == {key: shape[key] for key in _FLAG_KEYS}
+    # --backend takes one of its choices, which the config names as exact strings.
+    flags = {key: type(getattr(args, key)) for key in _FLAG_KEYS} | {"backend": ("mock", "http")}
+    assert flags == {key: shape[key] for key in _FLAG_KEYS}
     caps = get_type_hints(RetrievalCaps)
     assert {key: shape[key] for key in caps} == caps
     assert get_type_hints(VerifierSuite)["mediator_classes"] is frozenset

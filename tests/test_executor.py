@@ -80,6 +80,11 @@ def test_argmax_argmin_with_ties(pairs_kb):
     q3 = parse_sexpr("(ARGMAX (AND geo.river (JOIN geo.river.countries m.0k1)) geo.river.length)")
     assert execute(pairs_kb, q3) == {"m.0r1"}
     assert brute_force_execute(pairs_kb, q3) == {"m.0r1"}
+    # a path of three relations ranks each city by its country's capital, so
+    # the two cities of m.0k1 tie
+    q4 = parse_sexpr("(ARGMAX geo.city geo.city.country geo.country.capital geo.city.population)")
+    assert execute(pairs_kb, q4) == {"m.0c1", "m.0c2"}
+    assert brute_force_execute(pairs_kb, q4) == {"m.0c1", "m.0c2"}
 
 
 def test_brute_force_size_limit(pairs_kb):

@@ -84,7 +84,7 @@ def test_empty_conversation_rejected():
 
 class _Handler(http.server.BaseHTTPRequestHandler):
     calls = []
-    script = []  # list of (status, body-dict or None[, extra headers])
+    script = []  # list of (status, JSON body, raw bytes or None[, extra headers])
 
     def reply(self, doc):
         return _Handler.script[min(len(_Handler.calls) - 1, len(_Handler.script) - 1)]
@@ -94,7 +94,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         doc = json.loads(self.rfile.read(length))
         _Handler.calls.append(doc)
         status, body, *extra = self.reply(doc)
-        payload = json.dumps(body or {}).encode()
+        payload = body if isinstance(body, bytes) else json.dumps(body or {}).encode()
         self.send_response(status)
         for name, value in (extra[0] if extra else {}).items():
             self.send_header(name, value)
@@ -264,6 +264,21 @@ def test_http_null_content_is_a_protocol_error(http_server, fig1_kb3):
     outcome = run_question(gw, fig1_kb3, [retrieve_lexical], example, FunConfig(n=3))
     assert outcome.error and outcome.error.startswith("protocol")
     assert outcome.lf.is_nk and outcome.answer is None
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    ({}, "'choices'"),
+    ({"choices": []}, "list index out of range"),
+    ([1], "list indices must be integers or slices, not str"),
+], ids=["not-json", "no-choices", "empty-choices", "a-list"])
+def test_http_malformed_completion_is_a_protocol_error(http_server, backoff, body, message):
+    _Handler.script = [(200, body)]
+    gw = HttpGateway(http_server, "m")
+    with pytest.raises(GatewayError) as err:
+        gw.complete([user("x")])
+    assert str(err.value) == f"protocol: malformed completion response: {message}"
+    assert len(_Handler.calls) == 1 and backoff == []  # not retried
 
 
 class _RedirectHandler(_Handler):

@@ -276,11 +276,17 @@ def test_revalidation_after_any_deletion(fig1_kb3):
 
 def _twin(fact):
     """The KB fact with its object's kind or literal type changed.  An
-    integer literal holds an int, so a float's twin is its integer part."""
+    integer literal holds an int, so a float's twin is its integer part; a
+    date's twin is a string of its text, and a string's an entity id."""
     if isinstance(fact.obj, Literal):
-        if fact.obj.datatype == "integer":
-            return Fact(fact.subject, fact.relation, Literal(fact.obj.value, "float"))
-        return Fact(fact.subject, fact.relation, Literal(int(fact.obj.value), "integer"))
+        value, datatype = fact.obj.value, fact.obj.datatype
+        if datatype == "integer":
+            return Fact(fact.subject, fact.relation, Literal(value, "float"))
+        if datatype == "float":
+            return Fact(fact.subject, fact.relation, Literal(int(value), "integer"))
+        if datatype == "date":
+            return Fact(fact.subject, fact.relation, Literal(value, "string"))
+        return Fact(fact.subject, fact.relation, value)
     return Fact(fact.subject, fact.relation, Literal(fact.obj, "string"))
 
 

@@ -143,7 +143,9 @@ def _random_instance(seed):
     return kb, random_query(rng, kb)
 
 
+# Seed 248 draws a string and a date literal.
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=248)
 def test_sparql_roundtrip_property(seed):
     _, q = _random_instance(seed)
     try:
@@ -227,6 +229,25 @@ def test_extract_rejects_nk():
         extract_relations(LogicalForm.nk())
 
 
+def test_extract_rejects_an_unparsed_form():
+    broken = LogicalForm.from_text("sparql", "SELECT")
+    with pytest.raises(ValueError) as err:
+        extract_relations(broken)
+    assert str(err.value) == "logical form did not parse: expected a variable, found 'end of input'"
+
+
+def test_parse_rejects_an_unknown_dialect():
+    with pytest.raises(ValueError) as err:
+        parse(GENRE_SPARQL, "sql")
+    assert str(err.value) == "unknown dialect 'sql'"
+
+
+def test_a_query_equals_no_value_of_another_type():
+    q = parse_sparql(GENRE_SPARQL)
+    assert q.__eq__(GENRE_SPARQL) is NotImplemented
+    assert q != GENRE_SPARQL and q != None  # noqa: E711
+
+
 def test_logical_form_from_text():
     lf = LogicalForm.from_text("sparql", GENRE_SPARQL)
     assert lf.parsed and not lf.is_nk
@@ -234,6 +255,45 @@ def test_logical_form_from_text():
     assert nk.is_nk
     broken = LogicalForm.from_text("sparql", "SELECT gibberish {")
     assert not broken.parsed and broken.parse_error
+
+
+# One row per parse-error branch: the message is the V1 feedback a model
+# repairs against, so each is pinned as written.
+PARSE_ERRORS = [
+    ("sparql", "SELECT ?x WHERE ?x", "expected '{', found '?x'"),
+    ("sparql", "SELECT ?x WHERE { ?x ns:a.b ?y } LIMIT", "unexpected trailing input 'LIMIT'"),
+    ("sparql", "SELECT ?x WHERE { ?x ?p ?y }",
+     "expected a relation id in predicate position, found '?p'"),
+    ("sparql", "SELECT ?x WHERE { 5 ns:a.b ?y }", "expected a subject term, found '5'"),
+    ("sparql", "SELECT ?x WHERE { ?x ns:a.b ?y . FILTER(?y ns:c 3) }",
+     "expected a comparator, found 'ns:c'"),
+    ("sparql", "SELECT ?x WHERE { ?x ns:a.b ?y . FILTER(?y > ?x) }",
+     "expected a literal in FILTER, found '?x'"),
+    ("sparql", "SELECT ?x WHERE { ?x ns:a.b ?y foo }", "word foo not defined"),
+    ("sparql", "SELECT ?x WHERE { ?x ns:type.object.type ?y }",
+     "object of a type assertion must be a class id"),
+    ("sparql", "SELECT ?x WHERE { ?x ns:a.b ?y . FILTER(?z > 3) }",
+     "filter variable ?z is not bound in any pattern"),
+    ("sexpr", "()", "empty expression"),
+    ("sexpr", "((JOIN a b) c)", "expression head must be a function name"),
+    ("sexpr", "(JOIN a)", "JOIN takes a relation and an argument"),
+    ("sexpr", "(AND a)", "AND takes two arguments"),
+    ("sexpr", "(AND c.d m.x)", "AND with a class needs a set-valued argument"),
+    ("sexpr", "(AND m.x m.y)", "AND arguments must be set-valued"),
+    ("sexpr", "(lt a)", "lt takes a relation and a literal"),
+    ("sexpr", "(AND (COUNT a.b) a.b)", "COUNT is only allowed at the top level"),
+    ("sexpr", "(JOIN (X a) m.x)", "expected a relation id or (R relation)"),
+    ("sexpr", "(COUNT a b)", "COUNT takes one argument"),
+    ("sexpr", "(ARGMAX a)", "ARGMAX takes an expression and a relation path"),
+    ("sexpr", "(ARGMAX a.b (R c))", "aggregate relation path must be relation ids"),
+    ("sexpr", ")", "unexpected ')'"),
+    ("sexpr", "(JOIN (R a.b) 5)", "pattern subject must be a variable or entity, got literal"),
+]
+
+
+@pytest.mark.parametrize("dialect, text, message", PARSE_ERRORS)
+def test_parse_error_message(dialect, text, message):
+    assert LogicalForm.from_text(dialect, text).parse_error == message
 
 
 # ---------------------------------------------------------------------------

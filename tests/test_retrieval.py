@@ -93,6 +93,12 @@ def test_union_merges_and_dedups(fig1_kb3):
     assert union.relations == ("book.author.publisher", "book.author.influenced")
 
 
+def test_union_needs_a_retriever(fig1_kb3):
+    with pytest.raises(ValueError) as err:
+        retrieve_union([], fig1_kb3, "q", [])
+    assert str(err.value) == "at least one retriever is required"
+
+
 def test_union_recaps(fig1_kb3):
     def fat(kb, question, linked, caps):
         return RetrievalContext(classes=tuple(f"c.{i}" for i in range(30)))
@@ -113,6 +119,15 @@ def test_render_context_fields(fig1_kb3):
     assert fields["relations"] == "book.author.works_written (type:book.author R type:book.written_work)"
     assert fields["classes"] == "book.author"
     assert fields["paths"].startswith("SELECT DISTINCT ?x WHERE")
+
+
+def test_a_relation_the_kb_lacks_is_rendered_as_its_id(fig1_kb3):
+    """A retriever may return a relation the KB no longer has; the prompt
+    then shows its bare id, with no signature."""
+    ctx = RetrievalContext(relations=("book.author.works_written", "ghost.relation"))
+    assert render_context_fields(fig1_kb3, ctx)["relations"] == (
+        "book.author.works_written (type:book.author R type:book.written_work) | ghost.relation"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,16 @@ def lf(text: str) -> LogicalForm:
     return LogicalForm.from_text("sparql", text)
 
 
+@pytest.mark.parametrize("passed, feedback, message", [
+    (True, "fix it", "a passing verdict must not carry feedback"),
+    (False, "", "a failing verdict must carry feedback"),
+])
+def test_a_verdict_carries_feedback_exactly_when_it_fails(passed, feedback, message):
+    with pytest.raises(ValueError) as err:
+        Verdict("V1", "strong", passed, feedback)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # V1
 # ---------------------------------------------------------------------------
@@ -260,6 +270,15 @@ def test_v2c_date_against_integer_range_fails(pairs_kb):
     verdict = v2c_literal_casting(bad, pairs_kb)
     assert not verdict.passed
     assert "integer" in verdict.feedback
+
+
+def test_v2c_literal_given_to_an_entity_ranged_relation_fails(pairs_kb):
+    verdict = v2c_literal_casting(lf('SELECT ?x WHERE { ?x ns:geo.city.country "ardenia" }'), pairs_kb)
+    assert not verdict.passed
+    assert verdict.feedback == _kb_inconsistency(
+        "Literals are not correctly type cast for the KB: the literal 'ardenia' given to "
+        "geo.city.country, whose range is the entity type geo.country."
+    )
 
 
 def test_v2c_filter_literal_checked(pairs_kb):
