@@ -1,9 +1,18 @@
 """In-memory knowledge base: schema plus data, immutable after load.
 
 The KB consists of classes, binary relations (domain/range typed), entities
-and facts.  Construction checks every referential invariant as it builds the
+and facts.  Construction checks every referential invariant, then builds the
 indexes, so a KB value is sound; deletion returns a fresh KB with cascades
 applied, so values are always safe to share across worker threads.
+
+Every run loads a KB and then builds a reduced copy, so both steps skip
+work that gives nothing new.  ``load_data`` tests each data line, and its
+fact object, with the type tests ``check`` makes, written inline; it calls
+``check`` only when a test fails, so ``check`` still builds every message.
+``delete_elements`` finds the dead facts through the parent's indexes and
+derives the child's from them, keeping the parent's tuple for every key that
+lost no fact; it runs the same referential checks on the child as
+construction does.
 
 Building a KB makes tens of thousands of records and containers that all
 stay alive, so each pass of the cyclic garbage collector during the build
@@ -115,10 +124,21 @@ class KnowledgeBase:
         entities: dict[str, Entity],
         facts: tuple[Fact, ...],
     ):
-        self.classes = classes
-        self.relations = relations
-        self.entities = entities
-        self.facts = facts
+        by_class = self._check_references(classes, relations, entities, facts)
+        self._set(classes, relations, entities, facts, by_class, *_index_facts(facts))
+
+    def _set(self, classes, relations, entities, facts, by_class, by_subject, by_object,
+             by_relation) -> KnowledgeBase:
+        """Set every field; ``__init__`` and ``delete_elements`` both build through here."""
+        self.classes, self.relations, self.entities, self.facts = classes, relations, entities, facts
+        self.by_class, self.by_subject, self.by_object = by_class, by_subject, by_object
+        self.by_relation = by_relation
+        return self
+
+    @staticmethod
+    def _check_references(classes, relations, entities, facts) -> dict[str, tuple[str, ...]]:
+        """Raise the first ReferentialError, in the order the class docstring
+        gives; return ``by_class``."""
         for rd in relations.values():
             if rd.domain not in classes:
                 raise ReferentialError(f"relation {rd.id} has unknown domain class {rd.domain}")
@@ -130,14 +150,10 @@ class KnowledgeBase:
                 if cid not in classes:
                     raise ReferentialError(f"entity {ent.id} has unknown class {cid}")
                 members[cid].append(ent.id)
-        self.by_class = {k: tuple(sorted(v)) for k, v in members.items()}
         # Each relation's typing, read once here rather than once per fact.
         relation_types = {
             rid: (rd.domain, rd.range, rd.range_is_literal) for rid, rd in relations.items()
         }
-        subj: defaultdict[str, list[Fact]] = defaultdict(list)
-        obj: defaultdict[str, list[Fact]] = defaultdict(list)
-        relidx: defaultdict[str, list[Fact]] = defaultdict(list)
         for fact in facts:
             subject = entities.get(fact.subject)
             if subject is None:
@@ -169,12 +185,7 @@ class KnowledgeBase:
                     raise ReferentialError(
                         f"fact object {target} lacks range class {range_} of {rid}"
                     )
-                obj[target].append(fact)
-            subj[fact.subject].append(fact)
-            relidx[rid].append(fact)
-        self.by_subject = {k: tuple(v) for k, v in subj.items()}
-        self.by_object = {k: tuple(v) for k, v in obj.items()}
-        self.by_relation = {k: tuple(v) for k, v in relidx.items()}
+        return {k: tuple(sorted(v)) for k, v in members.items()}
 
     # -- total lookups ------------------------------------------------------
 
@@ -196,7 +207,22 @@ class KnowledgeBase:
         return ent.label if ent is not None and ent.label else eid
 
 
+def _index_facts(facts: tuple[Fact, ...]) -> tuple[dict, dict, dict]:
+    """``by_subject``, ``by_object`` and ``by_relation``, each key's facts in order."""
+    subj: defaultdict[str, list[Fact]] = defaultdict(list)
+    obj: defaultdict[str, list[Fact]] = defaultdict(list)
+    relidx: defaultdict[str, list[Fact]] = defaultdict(list)
+    for fact in facts:
+        subj[fact.subject].append(fact)
+        if not isinstance(fact.obj, Literal):
+            obj[fact.obj].append(fact)
+        relidx[fact.relation].append(fact)
+    return tuple({k: tuple(v) for k, v in index.items()} for index in (subj, obj, relidx))
+
+
 def _keyed(elements: list, what: str) -> dict:
+    if not all(element.id for element in elements):
+        raise FormatError(f"{what} with empty id")
     by_id = {}
     for element in elements:
         if element.id in by_id:
@@ -211,8 +237,6 @@ def build_kb(
     entities: list[Entity],
     facts: list[Fact],
 ) -> KnowledgeBase:
-    if not all(c.id for c in classes):
-        raise FormatError("class with empty id")
     return KnowledgeBase(_keyed(classes, "class"), _keyed(relations, "relation"),
                          _keyed(entities, "entity"), tuple(facts))
 
@@ -226,7 +250,9 @@ def build_kb(
 # (an object), ``object`` (any JSON value), an exact string, ``[t, ...]`` for
 # a list of t's, or a tuple of such alternatives; a kind given a type instead of
 # fields is a document of that type.  A literal's value is left to Literal,
-# which checks it against its datatype.
+# which checks it against its datatype.  ``load_data`` tests the data kinds
+# (data record to literal object) inline and calls ``check`` only to raise;
+# a differential test in tests/test_kb.py ties those tests to this table.
 ANSWER = ("NA", [str, dict])  # "NA", or entity ids and literal objects
 SHAPES = {
     "schema": {"classes?": [dict], "relations?": [dict]},
@@ -291,8 +317,7 @@ def _show(value) -> str:
 
 def check(record, kind: str, line: int | None = None):
     """``record``, if it has the shape SHAPES gives ``kind``; otherwise a
-    FormatError naming the kind, the field and the JSON value found.  Each
-    test is inline: this runs for every line of a data file."""
+    FormatError naming the kind, the field and the JSON value found."""
     (types, items, _, want), fields = _RULES[kind]
     if type(record) not in types or items is not None and not items.issuperset(map(type, record)):
         raise FormatError(f"{kind} must be {want}, not {_show(record)}", line)
@@ -352,8 +377,9 @@ _DATATYPE = {datatype: datatype for datatype in LITERAL_DATATYPES}
 
 def literal_from_json(obj: dict, line: int | None = None) -> Literal:
     """The literal a literal object holds, in data, plans and answers alike."""
-    check(obj, "literal object", line)
-    datatype = obj.get("type", "string")
+    datatype = obj.get("type", "string") if type(obj) is dict and "literal" in obj else None
+    if type(datatype) is not str:
+        check(obj, "literal object", line)
     try:
         return Literal(obj["literal"], _DATATYPE.get(datatype, datatype))
     except ValueError as err:  # a value or datatype Literal rejects
@@ -362,7 +388,10 @@ def literal_from_json(obj: dict, line: int | None = None) -> Literal:
 
 def _parse_object(obj: dict, line: int | None = None) -> str | Literal:
     if "entity" in obj:
-        return check(obj, "entity object", line)["entity"]
+        target = obj["entity"]
+        if type(target) is not str:
+            check(obj, "entity object", line)
+        return target
     if "literal" in obj:
         return literal_from_json(obj, line)
     raise FormatError("fact object must be {entity: id} or {literal, type}", line)
@@ -373,6 +402,9 @@ def _parse_fact(record, line: int | None = None) -> Fact:
     return Fact(record["s"], record["r"], _parse_object(record["o"], line))
 
 
+_STRINGS = frozenset({str})
+
+
 def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
     """The entities and facts of a data file, in file order.  Each distinct
     id and class set is one object (see the module docstring)."""
@@ -381,15 +413,21 @@ def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
     first: dict = {}  # each id str and class frozenset to the first equal one read
     one = first.setdefault
     for lineno, record in read_jsonl(path):
-        if "id" in check(record, "data record", lineno):
-            check(record, "entity", lineno)
-            eid = record["id"]
-            classes = frozenset(record.get("classes", ()))
-            entities.append(Entity(one(eid, eid), record.get("label", ""), one(classes, classes)))
+        # Each test is check's, inline; check runs only to raise the error.
+        if type(record) is not dict:
+            check(record, "data record", lineno)
+        if "id" in record:
+            eid, label, classes = record["id"], record.get("label", ""), record.get("classes", [])
+            if (type(eid) is not str or type(label) is not str or type(classes) is not list
+                    or not _STRINGS.issuperset(map(type, classes))):
+                check(record, "entity", lineno)
+            classes = frozenset(classes)
+            entities.append(Entity(one(eid, eid), label, one(classes, classes)))
         elif "s" in record:
-            check(record, "fact", lineno)
-            subject, relation = record["s"], record["r"]
-            target = _parse_object(record["o"], lineno)
+            subject, relation, target = record["s"], record.get("r"), record.get("o")
+            if type(subject) is not str or type(relation) is not str or type(target) is not dict:
+                check(record, "fact", lineno)
+            target = _parse_object(target, lineno)
             if type(target) is str:
                 target = one(target, target)
             facts.append(Fact(one(subject, subject), one(relation, relation), target))
@@ -507,7 +545,6 @@ def delete_elements(kb: KnowledgeBase, plan: DeletionPlan) -> KnowledgeBase:
         if rd.domain in dead_classes or rd.range in dead_classes:
             dead_relations.add(rd.id)
     dead_entities = set(plan.entities)
-    dead_facts = set(plan.facts)
 
     classes = {cid: c for cid, c in kb.classes.items() if cid not in dead_classes}
     relations = {rid: r for rid, r in kb.relations.items() if rid not in dead_relations}
@@ -520,15 +557,32 @@ def delete_elements(kb: KnowledgeBase, plan: DeletionPlan) -> KnowledgeBase:
         if kept is None:
             kept = stripped[ent.classes] = ent.classes - dead_classes
         entities[eid] = Entity(ent.id, ent.label, kept) if kept != ent.classes else ent
-    facts = tuple(
-        f
-        for f in kb.facts
-        if f.relation not in dead_relations
-        and f.subject not in dead_entities
-        and (isinstance(f.obj, Literal) or f.obj not in dead_entities)
-        and f not in dead_facts
+    # The dead facts, found through the parent's indexes and then known by identity.
+    by_subject, by_object = kb.by_subject, kb.by_object
+    dead = [f for rid in dead_relations for f in kb.by_relation.get(rid, ())]
+    for eid in dead_entities:
+        dead += by_subject.get(eid, ()) + by_object.get(eid, ())
+    for fact in plan.facts:
+        dead += [f for f in by_subject.get(fact.subject, ()) if f == fact]
+    gone = {id(f) for f in dead}
+    facts = tuple(f for f in kb.facts if id(f) not in gone)
+    by_class = KnowledgeBase._check_references(classes, relations, entities, facts)
+    return object.__new__(KnowledgeBase)._set(
+        classes, relations, entities, facts, by_class,
+        _without(by_subject, gone, dead, facts, lambda fs: (f.subject for f in fs)),
+        _without(by_object, gone, dead, facts,
+                 lambda fs: (f.obj for f in fs if not isinstance(f.obj, Literal))),
+        _without(kb.by_relation, gone, dead, facts, lambda fs: (f.relation for f in fs)),
     )
-    return KnowledgeBase(classes, relations, entities, facts)
+
+
+def _without(index: dict, gone: set[int], dead: list[Fact], facts: tuple[Fact, ...], keys) -> dict:
+    """A parent's fact index less its ``dead`` facts, whose ids are ``gone``;
+    ``keys(facts)`` gives each fact's key in this index.  A key that lost no
+    fact keeps the parent's tuple; keys are in order of first appearance in
+    the child's ``facts``, as ``__init__`` orders them."""
+    kept = {k: tuple(f for f in index[k] if id(f) not in gone) for k in set(keys(dead))}
+    return {k: kept.get(k) or index[k] for k in dict.fromkeys(keys(facts))}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ same answers by backtracking, and is fast enough for criterion 3's 500 cases.
 Both share the engine's literal comparison (``_compare``, ``_values_equal``),
 so the engines agree on one rule for comparing literals.  ``same_as``
 compares two knowledge bases by value, and ``reference_indexes`` rebuilds a
-KB's lookup indexes one key at a time.  ``reference_tokenize`` is the
+KB's lookup indexes one key at a time.  ``reference_load_data`` reads a data
+file by ``kb.check`` alone, the route ``load_data``'s inline tests shortcut.  ``reference_tokenize`` is the
 tokenizer that spent one regex match on each whitespace run.
 ``render_sexpr`` writes a canonical query as an s-expression.
 """
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from kbqa_repair.executor import _NUMERIC, _compare, _values_equal
-from kbqa_repair.kb import KnowledgeBase
+from kbqa_repair.kb import Entity, Fact, FormatError, KnowledgeBase, check, read_jsonl
 from kbqa_repair.query import (
     _SEXPR_COMPARATORS,
     Aggregate,
@@ -205,6 +206,34 @@ def reference_indexes(kb: KnowledgeBase) -> dict[str, dict]:
         "by_object": {o: tuple(f for f in facts if not f.obj_is_literal and f.obj == o) for o in objects},
         "by_relation": {r: tuple(f for f in facts if f.relation == r) for r in relations},
     }
+
+
+def reference_load_data(path: str) -> tuple[list[Entity], list[Fact]]:
+    """A data file's entities and facts, each line checked by ``check``
+    against SHAPES: the data record, then the entity or fact, then the entity
+    or literal object; then ``Literal`` checks a literal's value."""
+    entities, facts = [], []
+    for lineno, record in read_jsonl(path):
+        if "id" in check(record, "data record", lineno):
+            check(record, "entity", lineno)
+            classes = frozenset(record.get("classes", ()))
+            entities.append(Entity(record["id"], record.get("label", ""), classes))
+        elif "s" in record:
+            obj = check(record, "fact", lineno)["o"]
+            if "entity" in obj:
+                target = check(obj, "entity object", lineno)["entity"]
+            elif "literal" in obj:
+                check(obj, "literal object", lineno)
+                try:
+                    target = Literal(obj["literal"], obj.get("type", "string"))
+                except ValueError as err:
+                    raise FormatError(str(err), lineno) from err
+            else:
+                raise FormatError("fact object must be {entity: id} or {literal, type}", lineno)
+            facts.append(Fact(record["s"], record["r"], target))
+        else:
+            raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)
+    return entities, facts
 
 
 # ---------------------------------------------------------------------------

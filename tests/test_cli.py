@@ -378,6 +378,32 @@ MALFORMED_INPUTS = {
     "schema-class-id-empty": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, schema=lambda doc: doc["classes"].append({"id": ""})),
     ), "class with empty id"),
+    "schema-relation-id-empty": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, schema=lambda doc: doc["relations"].append(
+            {"id": "", "domain": "book.author", "range": "book.author"})),
+    ), "relation with empty id"),
+    "data-entity-id-empty": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "", "classes": ["book.author"]}'),
+    ), "entity with empty id"),
+    "data-line-not-an-object": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, data_line='["m.x"]'),
+    ), 'line 21: data record must be an object, not ["m.x"]'),
+    "data-entity-label-a-number": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "m.x", "label": 5}'),
+    ), "line 21: entity label must be a string, not 5"),
+    "data-fact-object-a-string": (lambda tmp: (
+        "kb", "validate", "--kb",
+        _kb_copy(tmp, data_line='{"s": "m.0auth", "r": "book.author.works_written", "o": "m.0b1"}'),
+    ), 'line 21: fact o must be an object, not "m.0b1"'),
+    "data-entity-object-a-number": (lambda tmp: (
+        "kb", "validate", "--kb",
+        _kb_copy(tmp, data_line='{"s": "m.0auth", "r": "book.author.works_written", "o": {"entity": 5}}'),
+    ), 'line 21: entity object entity must be a string, not 5'),
+    "data-literal-type-a-number": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
+            '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": 1, "type": 5}}'
+        )),
+    ), "line 23: literal object type must be a string, not 5"),
     "plan-entity-a-list": (lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '{"entities": [["m.0b1"]]}')),
                            'plan entities must be a list of strings, not [["m.0b1"]]'),
     "mock-matcher-kind-regex": (lambda tmp: _run_argv(tmp, mock=_write(

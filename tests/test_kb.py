@@ -3,10 +3,11 @@ import gc
 import json
 import pickle
 import random
+import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
 from kbqa_repair.executor import execute
@@ -15,6 +16,7 @@ from kbqa_repair.kb import (
     Entity,
     Fact,
     FormatError,
+    KnowledgeBase,
     RelationDef,
     ReferentialError,
     SchemaClass,
@@ -30,7 +32,7 @@ from kbqa_repair.kb import (
     validate_plan,
 )
 from kbqa_repair.query import LITERAL_DATATYPES, Literal, render_sparql
-from oracles import reference_indexes, same_as
+from oracles import reference_indexes, reference_load_data, same_as
 from randgen import random_kb
 
 
@@ -496,11 +498,122 @@ def _assert_reference_indexes(kb):
         assert list(getattr(kb, name).items()) == list(reference.items()), name
 
 
+INDEXES = ("by_class", "by_subject", "by_object", "by_relation")
+
+
+def _indexes(kb):
+    return {name: list(getattr(kb, name).items()) for name in INDEXES}
+
+
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_indexes_match_the_reference_before_and_after_deletion(seed, data):
     kb = random_kb(random.Random(seed))
     _assert_reference_indexes(kb)
-    _assert_reference_indexes(delete_elements(kb, data.draw(_plans(kb))))
+    kb2 = delete_elements(kb, data.draw(_plans(kb)))
+    _assert_reference_indexes(kb2)
+    assert _indexes(kb2) == _indexes(KnowledgeBase(kb2.classes, kb2.relations, kb2.entities, kb2.facts))
+
+
+# ---------------------------------------------------------------------------
+# deletion derives the child's indexes from the parent's
+# ---------------------------------------------------------------------------
+
+def _moving_kb():
+    """Deleting the first fact moves subject m.1, object m.3 and relation
+    c.a.r1 behind m.2, m.4 and c.a.r2, which first appear in the second."""
+    return build_kb(
+        classes=[SchemaClass("c.a"), SchemaClass("c.b")],
+        relations=[RelationDef("c.a.r1", "c.a", "c.b"), RelationDef("c.a.r2", "c.a", "c.b")],
+        entities=[Entity("m.1", "", frozenset({"c.a"})), Entity("m.2", "", frozenset({"c.a"})),
+                  Entity("m.3", "", frozenset({"c.b"})), Entity("m.4", "", frozenset({"c.b"}))],
+        facts=[Fact("m.1", "c.a.r1", "m.3"), Fact("m.2", "c.a.r2", "m.4"),
+               Fact("m.1", "c.a.r1", "m.4"), Fact("m.2", "c.a.r1", "m.3")],
+    )
+
+
+def test_a_key_whose_first_fact_goes_moves_behind_later_keys():
+    kb = _moving_kb()
+    before = _indexes(kb)
+    out = delete_elements(kb, DeletionPlan(facts=(Fact("m.1", "c.a.r1", "m.3"),)))
+    assert out.facts == kb.facts[1:]
+    assert list(out.by_subject) == ["m.2", "m.1"]
+    assert list(out.by_object) == ["m.4", "m.3"]
+    assert list(out.by_relation) == ["c.a.r2", "c.a.r1"]
+    _assert_reference_indexes(out)
+    # A key that lost no fact holds the parent's tuple; the parent is unchanged.
+    assert out.by_subject["m.2"] is kb.by_subject["m.2"]
+    assert out.by_object["m.4"] is kb.by_object["m.4"]
+    assert out.by_relation["c.a.r2"] is kb.by_relation["c.a.r2"]
+    assert _indexes(kb) == before
+
+
+def test_deleting_an_entity_leaves_the_parent_indexes_as_they_were(fig1_kb3):
+    before = _indexes(fig1_kb3)
+    plan = DeletionPlan(entities=("m.0auth",), relations=("book.author.awards_won",))
+    out = delete_elements(fig1_kb3, plan)
+    assert "m.0auth" not in out.by_subject and "m.0auth" not in out.by_object
+    _assert_reference_indexes(out)
+    assert _indexes(fig1_kb3) == before
+
+
+def test_an_empty_plan_keeps_every_index_tuple(fig1_kb3):
+    out = delete_elements(fig1_kb3, DeletionPlan())
+    assert out is not fig1_kb3 and same_as(out, fig1_kb3)
+    assert _indexes(out) == _indexes(fig1_kb3)
+    for name in ("by_subject", "by_object", "by_relation"):
+        index = getattr(fig1_kb3, name)
+        assert all(facts is index[key] for key, facts in getattr(out, name).items())
+
+
+def test_a_fact_named_twice_is_deleted_once():
+    kb = _moving_kb()
+    fact = Fact("m.2", "c.a.r1", "m.3")
+    once = delete_elements(kb, DeletionPlan(facts=(fact,)))
+    twice = delete_elements(kb, DeletionPlan(facts=(fact, fact)))
+    assert twice.facts == once.facts == kb.facts[:3]
+    assert _indexes(twice) == _indexes(once)
+    _assert_reference_indexes(twice)
+
+
+# ---------------------------------------------------------------------------
+# load_data's inline tests against the SHAPES route
+# ---------------------------------------------------------------------------
+
+DATA_LINES = [line for name in FIXTURE_KBS
+              for line in (FIXTURES / name / "data.jsonl").read_text(encoding="utf-8").splitlines()
+              if line.strip()]
+# A value of each JSON type, a literal value of each datatype among them.
+JSON_VALUES = (None, True, False, 0, 7, -0.0, 2.5, "", "m.x", "2024-01-05",
+               [], ["c.a"], [1], [None], {}, {"entity": "m.1"}, {"literal": 1})
+
+
+def _outcome(load, path):
+    try:
+        return repr(load(path))
+    except FormatError as err:
+        return f"FormatError: {err}"
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_load_data_agrees_with_the_shapes_route(data):
+    line = [json.loads(data.draw(st.sampled_from(DATA_LINES), label="line"))]
+    record = line[0]
+    # The line, each of its fields, each element of its classes, each field of its object.
+    slots = [(line, 0)] + [(record, key) for key in record]
+    slots += [(record["o"], key) for key in record.get("o", {})]
+    slots += [(record["classes"], i) for i in range(len(record.get("classes", ())))]
+    parent, key = data.draw(st.sampled_from(slots), label="slot")
+    value = data.draw(st.sampled_from(JSON_VALUES), label="value")
+    if type(parent) is dict and data.draw(st.booleans(), label="remove"):
+        del parent[key]
+    else:
+        parent[key] = value
+    with tempfile.TemporaryDirectory() as scratch:
+        path = f"{scratch}/data.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(line[0]) + "\n")
+        assert _outcome(load_data, path) == _outcome(reference_load_data, path)
 
 
 @pytest.mark.parametrize("name", FIXTURE_KBS)
