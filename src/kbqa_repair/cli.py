@@ -84,30 +84,28 @@ def cmd_kb_delete(args) -> int:
 # dataset
 # ---------------------------------------------------------------------------
 
+# make_random_plan's counts, each set by --delete-<what> and defaulted there.
+_DELETE_COUNTS = ("n_classes", "n_relations", "n_entities", "n_facts")
+
+
 def cmd_dataset_inject(args) -> int:
+    counts = {key: getattr(args, key) for key in _DELETE_COUNTS if getattr(args, key) is not None}
+    if args.plan is not None and counts:
+        raise FatalError("the --delete-* counts apply only with --seed, not with --plan")
     kb = _load_kb(args)
     split = ds.load_split(args.split)
-    if args.plan:
-        plan = kbmod.load_plan(args.plan)
-    elif args.seed is not None:
-        plan = ds.make_random_plan(
-            kb,
-            args.seed,
-            n_classes=args.delete_classes,
-            n_relations=args.delete_relations,
-            n_entities=args.delete_entities,
-            n_facts=args.delete_facts,
-        )
+    if args.plan is None:
+        plan = ds.make_random_plan(kb, args.seed, **counts)
     else:
-        raise FatalError("provide --plan FILE or --seed N")
+        plan = kbmod.load_plan(args.plan)
     kb2, split2 = ds.inject_unanswerability(kb, split, plan)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kbmod.save_kb(kb2, str(out / "schema.json"), str(out / "data.jsonl"))
     ds.save_split(split2, str(out / "split.jsonl"))
     kbmod.save_plan(plan, str(out / "plan.json"))
-    counts = Counter(example.label for example in split2.examples)
-    print(f"wrote {out}: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
+    labels = Counter(example.label for example in split2.examples)
+    print(f"wrote {out}: " + ", ".join(f"{k}={v}" for k, v in sorted(labels.items())))
     return 0
 
 
@@ -183,13 +181,9 @@ def cmd_run(args) -> int:
     )
     elapsed = time.time() - started
 
-    failures = 0
-    with (open(out / "outcomes.jsonl", "w", encoding="utf-8") as outcomes_file,
-          open(out / "traces.jsonl", "w", encoding="utf-8") as traces_file):
-        for outcome in outcomes:
-            outcomes_file.write(json.dumps(outcome.trace["outcome"], ensure_ascii=False) + "\n")
-            traces_file.write(json.dumps(outcome.trace, ensure_ascii=False) + "\n")
-            failures += bool(outcome.error)
+    kbmod.write_jsonl(out / "outcomes.jsonl", (outcome.trace["outcome"] for outcome in outcomes))
+    kbmod.write_jsonl(out / "traces.jsonl", (outcome.trace for outcome in outcomes))
+    failures = sum(bool(outcome.error) for outcome in outcomes)
     manifest = {
         "kb": dict(zip(("schema", "data"), _kb_paths(args))),
         "dataset": args.dataset,
@@ -340,6 +334,13 @@ def _add_backend_flags(parser) -> None:
                         help="environment variable holding the auth token")
 
 
+def _count(text: str) -> int:
+    """The value of a count flag: a whole number, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a whole number, 0 or more, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kbqa-repair")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -360,18 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = ds_sub.add_parser("inject", help="inject unanswerability by KB deletion")
     _add_kb_flags(p)
     p.add_argument("--split", required=True)
-    p.add_argument("--plan")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--delete-classes", type=int, default=0)
-    p.add_argument("--delete-relations", type=int, default=1)
-    p.add_argument("--delete-entities", type=int, default=1)
-    p.add_argument("--delete-facts", type=int, default=1)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--plan", help="deletion plan JSON file")
+    source.add_argument("--seed", type=int, help="seed of a random deletion plan")
+    for key in _DELETE_COUNTS:
+        p.add_argument(f"--delete-{key[2:]}", dest=key, type=_count, metavar="N",
+                       help=f"how many {key[2:]} the --seed plan deletes")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dataset_inject)
     p = ds_sub.add_parser("sample", help="stratified few-shot sampling")
     p.add_argument("--split", required=True)
-    p.add_argument("--n-ans", type=int, required=True)
-    p.add_argument("--n-unans", type=int, required=True)
+    p.add_argument("--n-ans", type=_count, required=True)
+    p.add_argument("--n-unans", type=_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dataset_sample)

@@ -10,13 +10,12 @@ lenient F1 variant credits.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 
 from .executor import execute, execute_bindings
 from .kb import DeletionPlan, FormatError, KnowledgeBase, delete_elements, read_jsonl, validate_plan
-from .kb import check, literal_from_json
+from .kb import check, literal_from_json, literal_to_json, write_jsonl
 from .query import (
     Literal,
     LogicalForm,
@@ -88,7 +87,7 @@ def answer_to_json(answer: frozenset | None):
     literals = sorted(
         (v for v in answer if isinstance(v, Literal)), key=lambda l: (l.datatype, str(l.value))
     )
-    return entities + [{"literal": l.value, "type": l.datatype} for l in literals]
+    return entities + [literal_to_json(l) for l in literals]
 
 
 def answer_from_json(doc, line: int | None = None) -> frozenset | None:
@@ -142,9 +141,7 @@ def load_split(path: str, name: str = "test") -> DatasetSplit:
 
 
 def save_split(split: DatasetSplit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for example in split.examples:
-            handle.write(json.dumps(example_to_record(example), ensure_ascii=False) + "\n")
+    write_jsonl(path, map(example_to_record, split.examples))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +180,12 @@ def _relabel(
 
     mentioned = {eid for _, eid in example.linked_entities} | extract_entities(q)
     schema_checks = (
-        ("missing-class", extract_classes(q), kb2.has_class),
-        ("missing-relation", extract_relations(q), kb2.has_relation),
-        ("missing-topic-entity", mentioned, kb2.has_entity),
+        ("missing-class", extract_classes(q), kb2.classes),
+        ("missing-relation", extract_relations(q), kb2.relations),
+        ("missing-topic-entity", mentioned, kb2.entities),
     )
     for category, ids, present in schema_checks:
-        if not all(present(i) for i in ids):
+        if not all(i in present for i in ids):
             return replace(
                 example,
                 gold_lf=LogicalForm.nk(),
@@ -216,7 +213,7 @@ def _data_level_category(kb: KnowledgeBase, kb2: KnowledgeBase, example: QAExamp
     missing-fact when only traversed facts were deleted."""
     q = example.gold_lf.canonical
     for assignment in execute_bindings(kb, q):
-        if any(kb.has_entity(v) and not kb2.has_entity(v) for v in assignment.values()):
+        if any(v in kb.entities and v not in kb2.entities for v in assignment.values()):
             return "missing-entity"
     return "missing-fact"
 

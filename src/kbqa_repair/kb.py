@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import itertools
 import json
 from collections import defaultdict
 from dataclasses import dataclass
@@ -188,15 +189,6 @@ class KnowledgeBase:
         return {k: tuple(sorted(v)) for k, v in members.items()}
 
     # -- total lookups ------------------------------------------------------
-
-    def has_class(self, cid: str) -> bool:
-        return cid in self.classes
-
-    def has_relation(self, rid: str) -> bool:
-        return rid in self.relations
-
-    def has_entity(self, eid: str) -> bool:
-        return eid in self.entities
 
     def entity_classes(self, eid: str) -> frozenset[str]:
         ent = self.entities.get(eid)
@@ -362,6 +354,13 @@ def read_jsonl(path: str):
             yield lineno, record
 
 
+def write_jsonl(path: str, records) -> None:
+    """Write each record as one line of JSON, in order."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def load_schema(path: str) -> tuple[list[SchemaClass], list[RelationDef]]:
     doc = check(read_json(path, "schema file"), "schema")
     classes = [check(c, "class") for c in doc.get("classes", ())]
@@ -384,6 +383,11 @@ def literal_from_json(obj: dict, line: int | None = None) -> Literal:
         return Literal(obj["literal"], _DATATYPE.get(datatype, datatype))
     except ValueError as err:  # a value or datatype Literal rejects
         raise FormatError(str(err), line) from err
+
+
+def literal_to_json(literal: Literal) -> dict:
+    """The literal object ``literal_from_json`` reads back as ``literal``."""
+    return {"literal": literal.value, "type": literal.datatype}
 
 
 def _parse_object(obj: dict, line: int | None = None) -> str | Literal:
@@ -467,19 +471,13 @@ def save_kb(kb: KnowledgeBase, schema_path: str, data_path: str) -> None:
     with open(schema_path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, ensure_ascii=False)
         handle.write("\n")
-    with open(data_path, "w", encoding="utf-8") as handle:
-        for ent in kb.entities.values():
-            record = {"id": ent.id, "label": ent.label, "classes": sorted(ent.classes)}
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-        for fact in kb.facts:
-            handle.write(json.dumps(_fact_to_json(fact), ensure_ascii=False) + "\n")
+    entities = ({"id": e.id, "label": e.label, "classes": sorted(e.classes)}
+                for e in kb.entities.values())
+    write_jsonl(data_path, itertools.chain(entities, map(_fact_to_json, kb.facts)))
 
 
 def _fact_to_json(fact: Fact) -> dict:
-    if fact.obj_is_literal:
-        obj = {"literal": fact.obj.value, "type": fact.obj.datatype}
-    else:
-        obj = {"entity": fact.obj}
+    obj = literal_to_json(fact.obj) if fact.obj_is_literal else {"entity": fact.obj}
     return {"s": fact.subject, "r": fact.relation, "o": obj}
 
 

@@ -4,16 +4,17 @@ The logical-form check (em_s) treats two queries as matching when their
 relation sets, entity sets and executed answers all agree; it is necessary
 but not sufficient for true equivalence, and it is dialect-agnostic.  Answer
 F1 comes in a regular and a lenient variant: the lenient one also credits a
-prediction that exactly reproduces the complete (pre-deletion) KB's answer.
+prediction that exactly reproduces the complete (pre-deletion) KB's answer,
+when that answer is non-empty.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .dataset import QAExample
+from .dataset import CATEGORIES, LABELS, QAExample
 from .executor import execute
 from .kb import KnowledgeBase
 from .query import LogicalForm, extract_entities, extract_relations
@@ -43,18 +44,9 @@ class Report:
     total: int
 
 
-SLICE_ORDER = (
-    "overall",
-    "answerable",
-    "unanswerable",
-    "schema-unans",
-    "data-unans",
-    "missing-class",
-    "missing-relation",
-    "missing-topic-entity",
-    "missing-entity",
-    "missing-fact",
-)
+# Both sides of answerability, each unanswerable label and each category but
+# "n/a"; LABELS lists "answerable" first and CATEGORIES lists "n/a" last.
+SLICE_ORDER = ("overall", "answerable", "unanswerable", *LABELS[1:], *CATEGORIES[:-1])
 
 
 def em_s(pred: LogicalForm, gold: LogicalForm, kb: KnowledgeBase) -> int:
@@ -69,11 +61,12 @@ def em_s(pred: LogicalForm, gold: LogicalForm, kb: KnowledgeBase) -> int:
         return 0
     if not pred.parsed or not gold.parsed:
         return 0
-    if extract_relations(pred) != extract_relations(gold):
+    p, g = pred.canonical, gold.canonical
+    if extract_relations(p) != extract_relations(g):
         return 0
-    if extract_entities(pred) != extract_entities(gold):
+    if extract_entities(p) != extract_entities(g):
         return 0
-    return 1 if execute(kb, pred.canonical) == execute(kb, gold.canonical) else 0
+    return 1 if execute(kb, p) == execute(kb, g) else 0
 
 
 def f1_answers(
@@ -85,10 +78,11 @@ def f1_answers(
     """Set F1 between answers; None means NA.
 
     Both NA scores 1; exactly one NA scores 0.  With ``lenient`` the score is
-    1 whenever the prediction equals the complete-KB answer exactly,
-    regardless of the gold answer.
+    1 whenever the prediction equals a non-empty complete-KB answer exactly,
+    regardless of the gold answer.  An empty one means "unknown": injection
+    refuses a gold query that executes empty, so it is never a real answer.
     """
-    if lenient and complete_kb_answer is not None and pred == complete_kb_answer:
+    if lenient and complete_kb_answer and pred == complete_kb_answer:
         return 1.0
     if pred is None and gold is None:
         return 1.0
@@ -161,18 +155,6 @@ def aggregate(records: list[EvaluationRecord]) -> Report:
     return Report(slices=slices, total=len(records))
 
 
-def report_to_json(report: Report) -> dict:
-    doc = {"total": report.total, "slices": {}}
-    for name, stats in report.slices.items():
-        doc["slices"][name] = {
-            "count": stats.count,
-            "em_s": stats.em_s,
-            "f1_r": stats.f1_r,
-            "f1_l": stats.f1_l,
-        }
-    return doc
-
-
 def _pct(value: float | None) -> str:
     return "n/a" if value is None else f"{100 * value:5.1f}"
 
@@ -190,7 +172,7 @@ def render_table(report: Report) -> str:
 
 def save_report(report: Report, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report_to_json(report), handle, indent=2, sort_keys=True)
+        json.dump(asdict(report), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 

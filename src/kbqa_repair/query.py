@@ -40,10 +40,6 @@ class QuerySyntaxError(Exception):
         self.position = position
 
 
-class NKInput(Exception):
-    """An operation that needs a concrete query was given the NK sentinel."""
-
-
 class UnsupportedQuery(Exception):
     """The canonical query cannot be rendered in the requested dialect."""
 
@@ -668,34 +664,21 @@ def parse(text: str, dialect: str) -> CanonicalQuery:
     raise ValueError(f"unknown dialect {dialect!r}")
 
 
-def _canonical_of(lf: "LogicalForm | CanonicalQuery") -> CanonicalQuery:
-    if isinstance(lf, CanonicalQuery):
-        return lf
-    if lf.is_nk:
-        raise NKInput("the NK sentinel has no canonical query")
-    if lf.canonical is None:
-        raise ValueError(f"logical form did not parse: {lf.parse_error}")
-    return lf.canonical
-
-
-def extract_relations(lf: "LogicalForm | CanonicalQuery") -> frozenset[str]:
+def extract_relations(q: CanonicalQuery) -> frozenset[str]:
     """Relation ids used by the query (type assertions excluded)."""
-    q = _canonical_of(lf)
     found = {p.value for _, p, _ in q.patterns if p.kind == "relation"}
     if q.aggregate is not None:
         found.update(q.aggregate.path)
     return frozenset(found)
 
 
-def extract_entities(lf: "LogicalForm | CanonicalQuery") -> frozenset[str]:
+def extract_entities(q: CanonicalQuery) -> frozenset[str]:
     """Entity ids used by the query (class objects of type assertions excluded)."""
-    q = _canonical_of(lf)
     return frozenset(
         term.value for s, _, o in q.patterns for term in (s, o) if term.kind == "entity"
     )
 
 
-def extract_classes(lf: "LogicalForm | CanonicalQuery") -> frozenset[str]:
+def extract_classes(q: CanonicalQuery) -> frozenset[str]:
     """Class ids asserted by the query."""
-    q = _canonical_of(lf)
     return frozenset(o.value for _, p, o in q.patterns if p.kind == "type_assert")

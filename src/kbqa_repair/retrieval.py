@@ -119,7 +119,7 @@ def retrieve_lexical(
         if score > 0
     )
 
-    linked = tuple((m, eid) for m, eid in linked_entities if kb.has_entity(eid))
+    linked = tuple((m, eid) for m, eid in linked_entities if eid in kb.entities)
     scored_paths = []
     for _, eid in linked:
         for path in paths_from_entity(kb, eid, caps.max_path_len):

@@ -99,7 +99,7 @@ def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     for s, p, o in lf.canonical.patterns:
         subject = induced[s.kind, s.value] if s.kind in ("var", "entity") else []
         if p.kind == "type_assert":
-            if o.kind == "class" and kb.has_class(o.value):
+            if o.kind == "class" and o.value in kb.classes:
                 subject.append((f"type.object.type {o.value}", o.value))
             continue
         obj = induced[o.kind, o.value] if o.kind in ("var", "entity") else []
@@ -116,7 +116,7 @@ def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
             classes = list(dict.fromkeys([class_id for _, class_id in constraints]))
             if kind == "entity":
                 # an entity not in the KB is V2b's to report
-                if not kb.has_entity(key) or all(c in kb.entity_classes(key) for c in classes):
+                if key not in kb.entities or all(c in kb.entity_classes(key) for c in classes):
                     continue
                 term, why = "entity", "These types are not associated with this entity in the KB."
             else:
@@ -148,16 +148,16 @@ def v2b_schema_presence(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
             bucket.append(value)
 
     for s, p, o in q.patterns:
-        if p.kind == "relation" and not kb.has_relation(p.value):
+        if p.kind == "relation" and p.value not in kb.relations:
             note(missing_relations, p.value)
-        if p.kind == "type_assert" and o.kind == "class" and not kb.has_class(o.value):
+        if p.kind == "type_assert" and o.kind == "class" and o.value not in kb.classes:
             note(missing_classes, o.value)
         for term in (s, o):
-            if term.kind == "entity" and not kb.has_entity(term.value):
+            if term.kind == "entity" and term.value not in kb.entities:
                 note(missing_entities, term.value)
     if q.aggregate is not None:
         for rid in q.aggregate.path:
-            if not kb.has_relation(rid):
+            if rid not in kb.relations:
                 note(missing_relations, rid)
 
     if not (missing_relations or missing_classes or missing_entities):
@@ -279,7 +279,7 @@ def v4_answer_consistency(
     else:
         v4a = Verdict("V4a", STRONG, True)
 
-    answer_entities = [v for v in answer if isinstance(v, str) and kb.has_entity(v)]
+    answer_entities = [v for v in answer if isinstance(v, str) and v in kb.entities]
     mediator_only = (
         bool(suite.mediator_classes)
         and bool(answer_entities)

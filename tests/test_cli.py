@@ -151,6 +151,16 @@ def test_eval_reports_means(tmp_path, capsys):
     assert (tmp_path / "records.csv").read_text().startswith("index,label,category")
 
 
+def test_eval_lenient_f1_never_credits_an_empty_answer(tmp_path, capsys):
+    record = json.loads((FIG1 / "dataset_kb3.jsonl").read_text())
+    del record["complete_kb_answer"]  # read as empty: the complete-KB answer is unknown
+    gold = _write(tmp_path, "gold.jsonl", json.dumps(record) + "\n")
+    pred = _write(tmp_path, "pred.jsonl", '{"lf": "NK", "answer": []}\n')
+    assert run_cli("eval", "--kb", FIG1 / "kb3", "--pred", pred, "--gold", gold) == 0
+    overall = capsys.readouterr().out.splitlines()[2]
+    assert overall.split() == ["overall", "1", "0.0", "0.0", "0.0"]  # n, F1(R), F1(L), EM-s
+
+
 def test_eval_length_mismatch_is_fatal(tmp_path, capsys):
     pred = tmp_path / "pred.jsonl"
     pred.write_text('{"lf": "NK", "answer": "NA", "confident": false}\n' * 2)
@@ -442,8 +452,8 @@ MALFORMED_INPUTS = {
     "inject-nk-gold-source": (lambda tmp: _inject_argv(tmp, gold_lf="NK"),
                               "source example 'which books did j r hart write?' has no executable "
                               "gold query"),
-    "inject-without-plan-or-seed": (lambda tmp: _inject_argv(tmp)[:-4] + ("--out", tmp / "out"),
-                                    "provide --plan FILE or --seed N"),
+    "inject-plan-with-a-delete-count": (lambda tmp: (*_inject_argv(tmp), "--delete-classes", "9"),
+                                        "the --delete-* counts apply only with --seed, not with --plan"),
     "sample-too-few-unanswerable": (lambda tmp: (
         "dataset", "sample", "--split", FIG1 / "dataset_kb3.jsonl", "--n-ans", "1", "--n-unans", "1",
         "--seed", "0", "--out", tmp / "out",
@@ -480,6 +490,38 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert run_cli(*build(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
     assert not (tmp_path / "out").exists()  # stopped before writing anything
+
+
+# Each entry: a builder of a command line that argparse refuses, and the last
+# line argparse writes.
+ARGUMENT_ERRORS = {
+    "inject-without-plan-or-seed": (
+        lambda tmp: _inject_argv(tmp)[:-4] + ("--out", tmp / "out"),
+        "kbqa-repair dataset inject: error: one of the arguments --plan --seed is required"),
+    "inject-plan-and-seed": (
+        lambda tmp: (*_inject_argv(tmp), "--seed", "4", "--delete-classes", "9"),
+        "kbqa-repair dataset inject: error: argument --seed: not allowed with argument --plan"),
+    "inject-negative-delete-count": (
+        lambda tmp: (*_inject_argv(tmp)[:-4], "--seed", "1", "--delete-entities", "-1",
+                     "--out", tmp / "out"),
+        "kbqa-repair dataset inject: error: argument --delete-entities: must be a whole number, "
+        "0 or more, not '-1'"),
+    "sample-negative-n-ans": (lambda tmp: (
+        "dataset", "sample", "--split", FIG1 / "dataset_kb3.jsonl", "--n-ans", "-1", "--n-unans", "0",
+        "--seed", "0", "--out", tmp / "out",
+    ), "kbqa-repair dataset sample: error: argument --n-ans: must be a whole number, 0 or more, "
+       "not '-1'"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+def test_argument_error_exits_2(tmp_path, capsys, case):
+    build, message = ARGUMENT_ERRORS[case]
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*build(tmp_path))
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_plan_fact_object_error_names_no_line(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_fact_domain_violation_rejected():
 
 
 def test_load_kb_fig1_fixture(fig1_kb3):
-    assert fig1_kb3.has_relation("book.author.works_written")
+    assert "book.author.works_written" in fig1_kb3.relations
     assert fig1_kb3.entity_classes("m.0auth") == {"book.author"}
     assert len(fig1_kb3.facts) == 13
 
@@ -185,16 +185,16 @@ def test_lookup_is_total(fig1_kb3):
 
 def test_delete_relation_removes_its_facts(fig1_kb3):
     kb2 = delete_elements(fig1_kb3, DeletionPlan(relations=("book.author.works_written",)))
-    assert not kb2.has_relation("book.author.works_written")
+    assert "book.author.works_written" not in kb2.relations
     assert all(f.relation != "book.author.works_written" for f in kb2.facts)
 
 
 def test_delete_class_cascades_to_relations_and_entities(fig1_kb3):
     kb2 = delete_elements(fig1_kb3, DeletionPlan(classes=("book.publisher",)))
-    assert not kb2.has_class("book.publisher")
-    assert not kb2.has_relation("book.author.publisher")
-    assert not kb2.has_relation("book.publisher.books_published")
-    assert kb2.has_entity("m.0pub")  # no cascade to entities
+    assert "book.publisher" not in kb2.classes
+    assert "book.author.publisher" not in kb2.relations
+    assert "book.publisher.books_published" not in kb2.relations
+    assert "m.0pub" in kb2.entities  # no cascade to entities
     assert kb2.entity_classes("m.0pub") == frozenset()
 
 

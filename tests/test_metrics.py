@@ -13,7 +13,7 @@ from kbqa_repair.metrics import (
     evaluate,
     f1_answers,
     render_table,
-    report_to_json,
+    save_report,
 )
 from kbqa_repair.query import LogicalForm
 
@@ -176,9 +176,85 @@ def test_aggregate_empty_slice_is_na():
 
 
 def test_aggregate_deterministic():
-    a = report_to_json(aggregate(_records()))
-    b = report_to_json(aggregate(_records()))
-    assert a == b
+    assert aggregate(_records()) == aggregate(_records())
+
+
+REPORT_BYTES = """\
+{
+  "slices": {
+    "answerable": {
+      "count": 1,
+      "em_s": 1.0,
+      "f1_l": 1.0,
+      "f1_r": 1.0
+    },
+    "data-unans": {
+      "count": 1,
+      "em_s": 0.0,
+      "f1_l": 1.0,
+      "f1_r": 0.25
+    },
+    "missing-class": {
+      "count": 0,
+      "em_s": null,
+      "f1_l": null,
+      "f1_r": null
+    },
+    "missing-entity": {
+      "count": 0,
+      "em_s": null,
+      "f1_l": null,
+      "f1_r": null
+    },
+    "missing-fact": {
+      "count": 1,
+      "em_s": 0.0,
+      "f1_l": 1.0,
+      "f1_r": 0.25
+    },
+    "missing-relation": {
+      "count": 0,
+      "em_s": null,
+      "f1_l": null,
+      "f1_r": null
+    },
+    "missing-topic-entity": {
+      "count": 0,
+      "em_s": null,
+      "f1_l": null,
+      "f1_r": null
+    },
+    "overall": {
+      "count": 2,
+      "em_s": 0.5,
+      "f1_l": 1.0,
+      "f1_r": 0.625
+    },
+    "schema-unans": {
+      "count": 0,
+      "em_s": null,
+      "f1_l": null,
+      "f1_r": null
+    },
+    "unanswerable": {
+      "count": 1,
+      "em_s": 0.0,
+      "f1_l": 1.0,
+      "f1_r": 0.25
+    }
+  },
+  "total": 2
+}
+"""
+
+
+def test_save_report_writes_sorted_indented_json_with_null_for_an_empty_slice(tmp_path):
+    report = aggregate([
+        EvaluationRecord(0, "answerable", "n/a", 1, 1.0, 1.0),
+        EvaluationRecord(1, "data-unans", "missing-fact", 0, 0.25, 1.0),
+    ])
+    save_report(report, tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_bytes() == REPORT_BYTES.encode()
 
 
 def test_slice_counts_sum():

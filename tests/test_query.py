@@ -12,7 +12,6 @@ from kbqa_repair.query import (
     Filter,
     Literal,
     LogicalForm,
-    NKInput,
     QuerySyntaxError,
     UnsupportedQuery,
     extract_entities,
@@ -222,18 +221,6 @@ def test_extract_invariant_under_variable_renaming():
         a, b = parse_sparql(text), parse_sparql(renamed)
         assert extract_relations(a) == extract_relations(b)
         assert extract_entities(a) == extract_entities(b)
-
-
-def test_extract_rejects_nk():
-    with pytest.raises(NKInput):
-        extract_relations(LogicalForm.nk())
-
-
-def test_extract_rejects_an_unparsed_form():
-    broken = LogicalForm.from_text("sparql", "SELECT")
-    with pytest.raises(ValueError) as err:
-        extract_relations(broken)
-    assert str(err.value) == "logical form did not parse: expected a variable, found 'end of input'"
 
 
 def test_parse_rejects_an_unknown_dialect():

@@ -172,7 +172,7 @@ def _oracle_retrieve(kb, question, linked_entities, caps=RetrievalCaps()):
         for rid, score in sorted(relation_scores.items(), key=lambda kv: (-kv[1], kv[0]))
         if score > 0
     )
-    linked = tuple((m, eid) for m, eid in linked_entities if kb.has_entity(eid))
+    linked = tuple((m, eid) for m, eid in linked_entities if eid in kb.entities)
     scored_paths = []
     for _, eid in linked:
         for path in paths_from_entity(kb, eid, caps.max_path_len):

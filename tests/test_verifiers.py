@@ -134,7 +134,7 @@ def _v2a_two_pass(form: LogicalForm, kb) -> Verdict:
     for s, p, o in form.canonical.patterns:
         touch(s)
         if p.kind == "type_assert":
-            if o.kind == "class" and kb.has_class(o.value):
+            if o.kind == "class" and o.value in kb.classes:
                 note(s, f"type.object.type {o.value}", o.value)
             continue
         rd = kb.relations.get(p.value)
@@ -156,7 +156,7 @@ def _v2a_two_pass(form: LogicalForm, kb) -> Verdict:
                 if class_id not in classes:
                     classes.append(class_id)
             if kind == "entity":
-                if not kb.has_entity(key) or all(c in kb.entity_classes(key) for c in classes):
+                if key not in kb.entities or all(c in kb.entity_classes(key) for c in classes):
                     continue
                 description = (
                     "The types of relations don't match for entity in the query. "
@@ -231,6 +231,18 @@ def test_v2b_unknown_entity(a13_kb):
     assert "m.unknown" in verdict.feedback
 
 
+def test_v2b_feedback_lists_relations_then_types_then_entities_each_once(pairs_kb):
+    bad = LogicalForm.from_text(
+        "sexpr", "(ARGMAX (AND geo.lake (JOIN geo.city.mayor m.0nope)) geo.city.mayor)"
+    )
+    assert v2b_schema_presence(bad, pairs_kb).feedback == (
+        "The generated sparql has a semantic issue warning:  The sparql hallucinates schema "
+        "elements that do not exist in the KB: relations ['geo.city.mayor'], entity types "
+        "['geo.lake'], entities ['m.0nope']. Please generate again a different executable sparql "
+        "using the same context and constraints. DO NOT APOLOGIZE - just return the best you can try."
+    )
+
+
 def test_v2b_containment_property_randomized():
     rng = random.Random(424242)
     checked = 0
@@ -287,6 +299,18 @@ def test_v2c_filter_literal_checked(pairs_kb):
     assert not verdict.passed
     ok = lf('SELECT ?x WHERE { ?x ns:geo.river.length ?l . FILTER(?l < 300.0) }')
     assert v2c_literal_casting(ok, pairs_kb).passed
+
+
+def test_v2c_feedback_names_a_pattern_literal_then_a_filter_literal(pairs_kb):
+    bad = lf("SELECT ?x WHERE { ?x ns:geo.river.length 410 . ?x ns:geo.river.length ?l . "
+             "FILTER(?l < 300) }")
+    assert v2c_literal_casting(bad, pairs_kb).feedback == (
+        "The generated sparql has a semantic issue warning:  Literals are not correctly type cast "
+        "for the KB: the literal 410 given to geo.river.length is typed integer; cast it as float; "
+        "the literal 300 compared with ?l of geo.river.length is typed integer; cast it as float. "
+        "Please generate again a different executable sparql using the same context and "
+        "constraints. DO NOT APOLOGIZE - just return the best you can try."
+    )
 
 
 # ---------------------------------------------------------------------------
