@@ -3,8 +3,8 @@
 Subcommands: kb validate|delete, dataset inject|sample, run, eval, verify,
 trace.  Output files written by `run` and `eval` carry no timestamps (those
 are quarantined to log.txt) so reruns against the mock backend are
-byte-identical.  Exit codes: 0 success, 1 per-item failures present, 2 fatal
-configuration error.
+byte-identical.  Exit codes: 0 success, 1 per-item failures present, 2 an
+input the command cannot use (a FormatError) or a backend that fails it.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ from .retrieval import RetrievalCaps, retrieve_lexical
 from .verifiers import VerifierSuite, run_suite
 
 
-class FatalError(Exception):
-    pass
-
-
 def _kb_paths(args) -> tuple[str, str]:
     base = Path(args.kb)
     return str(base / "schema.json"), str(base / "data.jsonl")
@@ -44,13 +40,13 @@ def _make_gateway(args):
     """The backend ``args`` name: http, or mock when none is named."""
     if args.backend == "http":
         if not args.endpoint or not args.model:
-            raise FatalError("--backend http requires --endpoint and --model")
+            raise kbmod.FormatError("--backend http requires --endpoint and --model")
         try:
             return HttpGateway(args.endpoint, args.model, auth_env=args.auth_env)
         except ValueError as err:
-            raise FatalError(str(err)) from err
+            raise kbmod.FormatError(str(err)) from err
     if not args.mock:
-        raise FatalError("--backend mock requires --mock FIXTURE")
+        raise kbmod.FormatError("--backend mock requires --mock FIXTURE")
     return MockGateway.from_file(args.mock)
 
 
@@ -91,7 +87,7 @@ _DELETE_COUNTS = ("n_classes", "n_relations", "n_entities", "n_facts")
 def cmd_dataset_inject(args) -> int:
     counts = {key: getattr(args, key) for key in _DELETE_COUNTS if getattr(args, key) is not None}
     if args.plan is not None and counts:
-        raise FatalError("the --delete-* counts apply only with --seed, not with --plan")
+        raise kbmod.FormatError("the --delete-* counts apply only with --seed, not with --plan")
     kb = _load_kb(args)
     split = ds.load_split(args.split)
     if args.plan is None:
@@ -136,7 +132,7 @@ def _run_config(args) -> pipeline.FunConfig:
         config = kbmod.check(kbmod.read_json(args.config, "config file"), "config")
         unknown = sorted(set(config) - _CONFIG_KEYS)
         if unknown:
-            raise FatalError(f"config file {args.config}: unknown keys {unknown}")
+            raise kbmod.FormatError(f"config file {args.config}: unknown keys {unknown}")
     for key in _FLAG_KEYS:
         if getattr(args, key) is None and key in config:
             setattr(args, key, config[key])
@@ -151,7 +147,7 @@ def _run_config(args) -> pipeline.FunConfig:
             caps=RetrievalCaps(**caps), **{k: v for k, v in settings.items() if v is not None}
         )
     except ValueError as err:
-        raise FatalError(f"bad run setting: {err}") from err
+        raise kbmod.FormatError(f"bad run setting: {err}") from err
 
 
 def cmd_run(args) -> int:
@@ -225,7 +221,7 @@ def cmd_eval(args) -> int:
     gold = ds.load_split(args.gold)
     predictions = _load_predictions(args.pred)
     if len(predictions) != len(gold.examples):
-        raise FatalError(
+        raise kbmod.FormatError(
             f"{args.pred} has {len(predictions)} predictions, {args.gold} has "
             f"{len(gold.examples)} examples"
         )
@@ -268,32 +264,36 @@ class _NoBackend:
     """The gateway of a `verify` run without a backend: V3 is its only caller."""
 
     def complete(self, conversation, purpose="generate"):
-        raise FatalError("V3 needs a generation backend; pass --mock FIXTURE or --backend http")
+        raise kbmod.FormatError(
+            "V3 needs a generation backend; pass --mock FIXTURE or --backend http")
 
 
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
 
-def _trace_lines(trace: dict) -> list[str]:
+def _trace_lines(trace, line: int) -> list[str]:
+    """What `trace show` prints for the trace record on ``line``."""
+    kbmod.check(trace, "trace", line)
     lines = [f"question: {trace['question']}"]
-    for it in trace.get("iterations", []):
+    for it in trace["iterations"]:
+        kbmod.check(it, "iteration", line)
         lines.append(f"  iteration {it['iteration']}: {it['lf']}")
         for v in it["verdicts"]:
+            kbmod.check(v, "verdict", line)
             mark = "pass" if v["passed"] else "FAIL"
             lines.append(f"    {v['verifier']:<8}{v['strength']:<8}{mark}")
-        if it.get("answer") is not None:
+        if it["answer"] is not None:
             lines.append(f"    answer: {it['answer']}")
-    scun_info = trace.get("scun")
-    if scun_info:
-        lines.append(f"  consensus: {scun_info}")
-    outcome = trace.get("outcome", {})
-    lines.append(f"  outcome: lf={outcome.get('lf')!r} answer={outcome.get('answer')} "
-                 f"confident={outcome.get('confident')}")
-    calls = Counter(call["purpose"] for call in trace.get("llm", []))
+    if trace["scun"]:
+        lines.append(f"  consensus: {trace['scun']}")
+    outcome = kbmod.check(trace["outcome"], "outcome", line)
+    lines.append(f"  outcome: lf={outcome['lf']!r} answer={outcome['answer']} "
+                 f"confident={outcome['confident']}")
+    calls = Counter(kbmod.check(call, "llm call", line)["purpose"] for call in trace["llm"])
     by_purpose = ", ".join(f"{purpose} {count}" for purpose, count in calls.items())
     lines.append(f"  llm calls: {sum(calls.values())}" + (f" ({by_purpose})" if calls else ""))
-    surfaces = [it["lf"] for it in trace.get("iterations", [])]
+    surfaces = [it["lf"] for it in trace["iterations"]]
     lines.append(f"  reused verifications: {len(surfaces) - len(set(surfaces))}")
     return lines
 
@@ -302,16 +302,11 @@ def cmd_trace_show(args) -> int:
     traces = list(kbmod.read_jsonl(args.trace))
     if args.index is not None:
         if not traces:
-            raise FatalError(f"--index {args.index}: {args.trace} has no trace records")
+            raise kbmod.FormatError(f"--index {args.index}: {args.trace} has no trace records")
         if not 0 <= args.index < len(traces):
-            raise FatalError(f"--index {args.index} out of range (0..{len(traces) - 1})")
+            raise kbmod.FormatError(f"--index {args.index} out of range (0..{len(traces) - 1})")
         traces = [traces[args.index]]
-    lines = []
-    for lineno, trace in traces:
-        try:
-            lines.extend(_trace_lines(trace))
-        except (KeyError, TypeError, AttributeError) as err:
-            raise kbmod.FormatError(f"not a trace record: {err!r}", lineno) from err
+    lines = [text for lineno, trace in traces for text in _trace_lines(trace, lineno)]
     for line in lines:
         print(line)
     return 0
@@ -422,8 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FatalError, kbmod.FormatError, kbmod.ReferentialError, kbmod.UnknownId,
-            ds.PreconditionError, ds.InsufficientExamples, GatewayError, MockMiss, OSError) as err:
+    except (kbmod.FormatError, GatewayError, MockMiss, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

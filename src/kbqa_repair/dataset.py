@@ -35,14 +35,6 @@ CATEGORIES = (
 )
 
 
-class PreconditionError(Exception):
-    pass
-
-
-class InsufficientExamples(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class QAExample:
     question: str
@@ -52,19 +44,6 @@ class QAExample:
     complete_kb_answer: frozenset | None
     label: str = "answerable"
     category: str = "n/a"
-
-    def validate(self) -> None:
-        if self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
-        if self.category not in CATEGORIES:
-            raise ValueError(f"unknown category {self.category!r}")
-        if self.label == "schema-unans" and not self.gold_lf.is_nk:
-            raise ValueError("schema-unans example must have gold_lf = NK")
-        if self.label == "data-unans":
-            if self.gold_lf.is_nk:
-                raise ValueError("data-unans example must keep a concrete gold_lf")
-            if self.gold_answer is not None:
-                raise ValueError("data-unans example must have gold_answer = NA")
 
     def question_entities(self) -> frozenset[str]:
         return frozenset(eid for _, eid in self.linked_entities)
@@ -107,7 +86,7 @@ def example_to_record(example: QAExample) -> dict:
         "linked_entities": [{"mention": m, "id": eid} for m, eid in example.linked_entities],
         "gold_lf": gold_lf,
         "gold_answer": answer_to_json(example.gold_answer),
-        "complete_kb_answer": answer_to_json(example.complete_kb_answer) if example.complete_kb_answer is not None else [],
+        "complete_kb_answer": answer_to_json(example.complete_kb_answer),
         "label": example.label,
         "category": example.category,
     }
@@ -119,20 +98,21 @@ def record_to_example(record, line: int | None = None) -> QAExample:
     gold = {"text": "NK"} if gold == "NK" else check(gold, "gold query", line)
     gold_lf = LogicalForm.from_text(gold.get("dialect", "sparql"), gold["text"])
     linked = [check(item, "linked entity", line) for item in record.get("linked_entities", ())]
-    example = QAExample(
-        question=record["question"],
-        linked_entities=tuple((item["mention"], item["id"]) for item in linked),
-        gold_lf=gold_lf,
-        gold_answer=answer_from_json(record["gold_answer"], line),
-        complete_kb_answer=answer_from_json(record.get("complete_kb_answer", []), line),
-        label=record.get("label", "answerable"),
-        category=record.get("category", "n/a"),
-    )
-    try:
-        example.validate()
-    except ValueError as err:
-        raise FormatError(str(err), line) from err
-    return example
+    gold_answer = answer_from_json(record["gold_answer"], line)
+    complete_kb_answer = answer_from_json(record.get("complete_kb_answer", []), line)
+    label, category = record.get("label", "answerable"), record.get("category", "n/a")
+    if label not in LABELS:
+        raise FormatError(f"unknown label {label!r}", line)
+    if category not in CATEGORIES:
+        raise FormatError(f"unknown category {category!r}", line)
+    if label == "schema-unans" and not gold_lf.is_nk:
+        raise FormatError("schema-unans example must have gold_lf = NK", line)
+    if label == "data-unans" and gold_lf.is_nk:
+        raise FormatError("data-unans example must keep a concrete gold_lf", line)
+    if label == "data-unans" and gold_answer is not None:
+        raise FormatError("data-unans example must have gold_answer = NA", line)
+    return QAExample(record["question"], tuple((item["mention"], item["id"]) for item in linked),
+                     gold_lf, gold_answer, complete_kb_answer, label, category)
 
 
 def load_split(path: str, name: str = "test") -> DatasetSplit:
@@ -160,10 +140,10 @@ def inject_unanswerability(
     complete = []  # each gold query's answer on the input KB
     for example in split.examples:
         if example.gold_lf.is_nk or not example.gold_lf.parsed:
-            raise PreconditionError(f"source example {example.question!r} has no executable gold query")
+            raise FormatError(f"source example {example.question!r} has no executable gold query")
         answer = execute(kb, example.gold_lf.canonical)
         if not answer:
-            raise PreconditionError(
+            raise FormatError(
                 f"source example {example.question!r} already executes empty on the input KB"
             )
         complete.append(answer)
@@ -251,13 +231,9 @@ def sample_fewshots(split: DatasetSplit, n_ans: int, n_unans: int, seed: int) ->
     answerable = [e for e in split.examples if e.label == "answerable"]
     unanswerable = [e for e in split.examples if e.label != "answerable"]
     if len(answerable) < n_ans:
-        raise InsufficientExamples(
-            f"need {n_ans} answerable examples, split has {len(answerable)}"
-        )
+        raise FormatError(f"need {n_ans} answerable examples, split has {len(answerable)}")
     if len(unanswerable) < n_unans:
-        raise InsufficientExamples(
-            f"need {n_unans} unanswerable examples, split has {len(unanswerable)}"
-        )
+        raise FormatError(f"need {n_unans} unanswerable examples, split has {len(unanswerable)}")
     rng = random.Random(seed)
     chosen = rng.sample(answerable, n_ans) + rng.sample(unanswerable, n_unans)
     return DatasetSplit("fewshot", tuple(chosen))

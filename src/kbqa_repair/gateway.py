@@ -198,7 +198,7 @@ class HttpGateway(GenerationGateway):
                 raise GatewayError("protocol", f"endpoint returned {status}")
             try:
                 content = json.loads(data)["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as err:
+            except (ValueError, KeyError, IndexError, TypeError, RecursionError) as err:
                 raise GatewayError("protocol", f"malformed completion response: {err}") from err
             if not isinstance(content, str):
                 kind = type(content).__name__

@@ -47,18 +47,12 @@ from .query import LITERAL_DATATYPES, CanonicalQuery, Literal, Term, entity as e
 
 
 class FormatError(Exception):
-    """Malformed input; the message starts with the line number when known."""
+    """Input the program cannot use: malformed input, an id that is not
+    there, or an input that is not what the command needs.  The message
+    starts with the line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
-
-
-class ReferentialError(Exception):
-    """A schema or data element references an id that does not exist."""
-
-
-class UnknownId(Exception):
-    """An operation was given an id that is not in the KB."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,7 @@ class DeletionPlan:
 class KnowledgeBase:
     """Typed schema plus entity/fact data with lookup indexes.
 
-    Construction raises ReferentialError at the first element that names an
+    Construction raises FormatError at the first element that names an
     unknown id or breaks a domain/range type: relations first, then entity
     classes, then facts.  Read-only after construction; ``delete_elements``
     produces a new value.
@@ -138,18 +132,18 @@ class KnowledgeBase:
 
     @staticmethod
     def _check_references(classes, relations, entities, facts) -> dict[str, tuple[str, ...]]:
-        """Raise the first ReferentialError, in the order the class docstring
+        """Raise the first FormatError, in the order the class docstring
         gives; return ``by_class``."""
         for rd in relations.values():
             if rd.domain not in classes:
-                raise ReferentialError(f"relation {rd.id} has unknown domain class {rd.domain}")
+                raise FormatError(f"relation {rd.id} has unknown domain class {rd.domain}")
             if not rd.range_is_literal and rd.range not in classes:
-                raise ReferentialError(f"relation {rd.id} has unknown range class {rd.range}")
+                raise FormatError(f"relation {rd.id} has unknown range class {rd.range}")
         members: defaultdict[str, list[str]] = defaultdict(list)
         for ent in entities.values():
             for cid in sorted(ent.classes):
                 if cid not in classes:
-                    raise ReferentialError(f"entity {ent.id} has unknown class {cid}")
+                    raise FormatError(f"entity {ent.id} has unknown class {cid}")
                 members[cid].append(ent.id)
         # Each relation's typing, read once here rather than once per fact.
         relation_types = {
@@ -158,34 +152,30 @@ class KnowledgeBase:
         for fact in facts:
             subject = entities.get(fact.subject)
             if subject is None:
-                raise ReferentialError(f"fact subject {fact.subject} is not a known entity")
+                raise FormatError(f"fact subject {fact.subject} is not a known entity")
             rid = fact.relation
             types = relation_types.get(rid)
             if types is None:
-                raise ReferentialError(f"fact uses unknown relation {rid}")
+                raise FormatError(f"fact uses unknown relation {rid}")
             domain, range_, range_is_literal = types
             if domain not in subject.classes:
-                raise ReferentialError(
-                    f"fact subject {fact.subject} lacks domain class {domain} of {rid}"
-                )
+                raise FormatError(f"fact subject {fact.subject} lacks domain class {domain} "
+                                  f"of {rid}")
             target = fact.obj
             if isinstance(target, Literal):
                 if not range_is_literal:
-                    raise ReferentialError(f"fact of {rid} has a literal object, range is {range_}")
+                    raise FormatError(f"fact of {rid} has a literal object, range is {range_}")
                 if target.datatype != range_:
-                    raise ReferentialError(
-                        f"fact of {rid} has {target.datatype} literal, range is {range_}"
-                    )
+                    raise FormatError(f"fact of {rid} has {target.datatype} literal, "
+                                      f"range is {range_}")
             else:
                 if range_is_literal:
-                    raise ReferentialError(f"fact of {rid} has an entity object, range is {range_}")
+                    raise FormatError(f"fact of {rid} has an entity object, range is {range_}")
                 target_entity = entities.get(target)
                 if target_entity is None:
-                    raise ReferentialError(f"fact object {target} is not a known entity")
+                    raise FormatError(f"fact object {target} is not a known entity")
                 if range_ not in target_entity.classes:
-                    raise ReferentialError(
-                        f"fact object {target} lacks range class {range_} of {rid}"
-                    )
+                    raise FormatError(f"fact object {target} lacks range class {range_} of {rid}")
         return {k: tuple(sorted(v)) for k, v in members.items()}
 
     # -- total lookups ------------------------------------------------------
@@ -270,6 +260,13 @@ SHAPES = {
                "backend?": ("mock", "http"), "mock?": str, "endpoint?": str, "model?": str,
                "max_classes?": int, "max_relations?": int, "max_paths?": int,
                "max_path_len?": int, "mediator_classes?": [str]},
+    # A trace record of `run`, as `trace show` reads it; ``object`` may be null.
+    "trace": {"question": str, "iterations": [dict], "scun": object, "outcome": dict,
+              "llm": [dict]},
+    "iteration": {"iteration": int, "lf": str, "verdicts": [dict], "answer": object},
+    "verdict": {"verifier": str, "strength": str, "passed": bool},
+    "outcome": {"lf": str, "answer": ANSWER, "confident": bool},
+    "llm call": {"purpose": str},
 }
 _NAMES = {str: "a string", int: "an integer", bool: "true or false", dict: "an object",
           object: "any JSON value"}
@@ -330,6 +327,8 @@ def read_json(path: str, what: str):
             return json.load(handle)
         except json.JSONDecodeError as err:
             raise FormatError(f"{what} {path} is not JSON: {err}") from err
+        except RecursionError as err:
+            raise FormatError(f"{what} {path} is not JSON: nested too deeply") from err
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -346,6 +345,8 @@ def read_jsonl(path: str):
                 record, end = _raw_decode(line)
             except json.JSONDecodeError:
                 end = None
+            except RecursionError as err:
+                raise FormatError("invalid JSON: nested too deeply", lineno) from err
             if end != len(line):  # bad JSON, extra data or a BOM: json.loads says which
                 try:
                     record = json.loads(line)
@@ -514,16 +515,16 @@ def validate_plan(kb: KnowledgeBase, plan: DeletionPlan) -> None:
     """Check that every plan id resolves against this (pre-deletion) KB."""
     for cid in plan.classes:
         if cid not in kb.classes:
-            raise UnknownId(f"class {cid} is not in the KB")
+            raise FormatError(f"class {cid} is not in the KB")
     for rid in plan.relations:
         if rid not in kb.relations:
-            raise UnknownId(f"relation {rid} is not in the KB")
+            raise FormatError(f"relation {rid} is not in the KB")
     for eid in plan.entities:
         if eid not in kb.entities:
-            raise UnknownId(f"entity {eid} is not in the KB")
+            raise FormatError(f"entity {eid} is not in the KB")
     for fact in plan.facts:
         if fact not in kb.by_subject.get(fact.subject, ()):
-            raise UnknownId(f"fact {fact.key()} is not in the KB")
+            raise FormatError(f"fact {fact.key()} is not in the KB")
 
 
 @_no_gc()
@@ -594,7 +595,7 @@ def paths_from_entity(kb: KnowledgeBase, eid: str, max_len: int = 2) -> list[Can
     returned in lexicographic order of their relation-id sequence.
     """
     if eid not in kb.entities:
-        raise UnknownId(f"entity {eid} is not in the KB")
+        raise FormatError(f"entity {eid} is not in the KB")
 
     sequences: set[tuple[str, ...]] = set()
     by_subject = kb.by_subject

@@ -602,29 +602,32 @@ def parse_sexpr(text: str) -> CanonicalQuery:
     tokens = _tokenize(_SEXPR_TOKEN_RE, text)
     if not tokens:
         raise QuerySyntaxError("empty input")
-    tree, i = _read_sexpr(tokens, 0)
-    if i != len(tokens):
-        raise QuerySyntaxError("unexpected trailing input", tokens[i].pos)
+    try:
+        tree, i = _read_sexpr(tokens, 0)
+        if i != len(tokens):
+            raise QuerySyntaxError("unexpected trailing input", tokens[i].pos)
 
-    aggregate = None
-    if isinstance(tree, list) and tree and tree[0] == "COUNT":
-        if len(tree) != 2:
-            raise QuerySyntaxError("COUNT takes one argument")
-        aggregate = Aggregate("count")
-        tree = tree[1]
-    elif isinstance(tree, list) and tree and tree[0] in ("ARGMAX", "ARGMIN"):
-        if len(tree) < 3:
-            raise QuerySyntaxError(f"{tree[0]} takes an expression and a relation path")
-        path = tree[2:]
-        if not all(isinstance(p, str) for p in path):
-            raise QuerySyntaxError("aggregate relation path must be relation ids")
-        aggregate = Aggregate(tree[0].lower(), tuple(path))
-        tree = tree[1]
+        aggregate = None
+        if isinstance(tree, list) and tree and tree[0] == "COUNT":
+            if len(tree) != 2:
+                raise QuerySyntaxError("COUNT takes one argument")
+            aggregate = Aggregate("count")
+            tree = tree[1]
+        elif isinstance(tree, list) and tree and tree[0] in ("ARGMAX", "ARGMIN"):
+            if len(tree) < 3:
+                raise QuerySyntaxError(f"{tree[0]} takes an expression and a relation path")
+            path = tree[2:]
+            if not all(isinstance(p, str) for p in path):
+                raise QuerySyntaxError("aggregate relation path must be relation ids")
+            aggregate = Aggregate(tree[0].lower(), tuple(path))
+            tree = tree[1]
 
-    lowerer = _SexprLowerer()
-    out = lowerer.lower(tree)
-    if not out.is_var():
-        raise QuerySyntaxError("top-level expression must be set-valued")
+        lowerer = _SexprLowerer()
+        out = lowerer.lower(tree)
+        if not out.is_var():
+            raise QuerySyntaxError("top-level expression must be set-valued")
+    except RecursionError:
+        raise QuerySyntaxError("expression nested too deeply") from None
     query = CanonicalQuery(
         out.value, True, tuple(lowerer.patterns), tuple(lowerer.filters), aggregate
     )

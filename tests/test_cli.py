@@ -83,6 +83,18 @@ def test_dataset_inject_and_sample(tmp_path, capsys):
     assert len((tmp_path / "shots.jsonl").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("complete", ["NA", [], ["m.0b1", "m.0b2"], [{"literal": 5, "type": "integer"}]],
+                         ids=["na", "empty", "entities", "literal"])
+def test_dataset_sample_keeps_the_record(tmp_path, capsys, complete):
+    record = {**json.loads((FIG1 / "dataset_kb3.jsonl").read_text()), "complete_kb_answer": complete}
+    split = _write(tmp_path, "split.jsonl", json.dumps(record) + "\n")
+    assert run_cli(
+        "dataset", "sample", "--split", split, "--n-ans", "1", "--n-unans", "0", "--seed", "1",
+        "--out", tmp_path / "out.jsonl",
+    ) == 0
+    assert json.loads((tmp_path / "out.jsonl").read_text()) == record
+
+
 def test_dataset_inject_seed_writes_a_plan_that_reruns_byte_identical(tmp_path, capsys):
     argv = ("dataset", "inject", "--kb", FIG1 / "kb3", "--split", FIG1 / "dataset_kb3.jsonl")
     assert run_cli(*argv, "--seed", "7", "--delete-facts", "2", "--out", tmp_path / "seeded") == 0
@@ -239,12 +251,16 @@ def test_trace_show(tmp_path, capsys):
 
 def test_trace_show_bad_line_exits_2(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
+    golden = (FIXTURES / "golden_runs" / "a13" / "traces.jsonl").read_text(encoding="utf-8")
+    record = json.loads(golden)
+    del record["iterations"][1]["verdicts"][2]["strength"]
     for line, message in (
         ("{not json", "invalid JSON"),
-        ('{"iterations": []}', "not a trace record: KeyError"),
-        ("[1]", "not a trace record: TypeError"),
+        ('{"iterations": []}', "trace has no question\n"),
+        ("[1]", "trace must be an object, not [1]\n"),
+        (json.dumps(record), "verdict has no strength\n"),
     ):
-        traces.write_text('{"question": "q?"}\n' + line + "\n")
+        traces.write_text(golden + line + "\n", encoding="utf-8")
         assert run_cli("trace", "show", "--trace", traces) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: line 2: {message}")
@@ -318,6 +334,11 @@ def _inject_argv(tmp_path, **change):
     split = _write(tmp_path, "split.jsonl", json.dumps(record) + "\n")
     return ("dataset", "inject", "--kb", FIG1 / "kb3", "--split", split,
             "--plan", FIG1 / "plan_kb1.json", "--out", tmp_path / "out")
+
+
+# Input nested deeper than a parser recurses.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+DEEP_SEXPR = "(JOIN r " * 3000 + "m.x" + ")" * 3000
 
 
 def _eval_argv(tmp_path, prediction):
@@ -414,6 +435,11 @@ MALFORMED_INPUTS = {
             '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": 1, "type": 5}}'
         )),
     ), "line 23: literal object type must be a string, not 5"),
+    "data-nested-too-deeply": (lambda tmp: ("kb", "validate", "--kb", _kb_copy(tmp, data_line=DEEP_JSON)),
+                               "line 21: invalid JSON: nested too deeply"),
+    "plan-nested-too-deeply": (lambda tmp: _delete_argv(
+        tmp, _write(tmp, "plan.json", '{"classes": ' + DEEP_JSON + "}"),
+    ), "plan file {tmp}/plan.json is not JSON: nested too deeply"),
     "plan-entity-a-list": (lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '{"entities": [["m.0b1"]]}')),
                            'plan entities must be a list of strings, not [["m.0b1"]]'),
     "mock-matcher-kind-regex": (lambda tmp: _run_argv(tmp, mock=_write(
@@ -490,6 +516,27 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert run_cli(*build(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
     assert not (tmp_path / "out").exists()  # stopped before writing anything
+
+
+def test_sexpr_nested_too_deeply_does_not_parse(tmp_path, capsys):
+    """A prediction, a gold query and a `verify` query nested deeper than the
+    parser recurses each read as a query that does not parse."""
+    pred = json.loads((FIXTURES / "golden_runs" / "fig1_kb3" / "outcomes.jsonl").read_text())
+    gold = json.loads((FIG1 / "dataset_kb3.jsonl").read_text())
+    deep_pred = {"dialect": "sexpr", "lf": DEEP_SEXPR, "answer": pred["answer"]}
+    deep_gold = {**gold, "gold_lf": {"dialect": "sexpr", "text": DEEP_SEXPR}}
+    for p, g in ((deep_pred, gold), (pred, deep_gold)):
+        assert run_cli(
+            "eval", "--kb", FIG1 / "kb3", "--pred", _write(tmp_path, "pred.jsonl", json.dumps(p)),
+            "--gold", _write(tmp_path, "gold.jsonl", json.dumps(g)), "--csv", tmp_path / "r.csv",
+        ) == 0
+        assert (tmp_path / "r.csv").read_text().splitlines()[1] == "0,answerable,n/a,0,1.000000,1.000000"
+    assert capsys.readouterr().err == ""
+    assert run_cli(
+        "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--dialect", "sexpr", "--lf", DEEP_SEXPR,
+    ) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("V1      strong  FAIL\n") and "Virtuoso error: expression nested too deeply" in out
 
 
 # Each entry: a builder of a command line that argparse refuses, and the last

@@ -5,8 +5,6 @@ import pytest
 from conftest import FIXTURES
 from kbqa_repair.dataset import (
     DatasetSplit,
-    InsufficientExamples,
-    PreconditionError,
     QAExample,
     inject_unanswerability,
     load_split,
@@ -230,7 +228,7 @@ def test_injection_requires_answerable_source(fig1_kb3):
             ),
         ),
     )
-    with pytest.raises(PreconditionError):
+    with pytest.raises(FormatError, match=r"^source example 'q\?' already executes empty on the input KB$"):
         inject_unanswerability(fig1_kb3, src, DeletionPlan())
 
 
@@ -278,7 +276,7 @@ def test_sample_fewshots_exact_and_reproducible():
     a = sample_fewshots(split, 3, 3, seed=42)
     b = sample_fewshots(split, 3, 3, seed=42)
     assert a == b
-    with pytest.raises(InsufficientExamples):
+    with pytest.raises(FormatError, match=r"^need 2 answerable examples, split has 1$"):
         sample_fewshots(tiny, 2, 1, seed=0)
 
 

@@ -271,7 +271,9 @@ def test_http_null_content_is_a_protocol_error(http_server, fig1_kb3):
     ({}, "'choices'"),
     ({"choices": []}, "list index out of range"),
     ([1], "list indices must be integers or slices, not str"),
-], ids=["not-json", "no-choices", "empty-choices", "a-list"])
+    (b"[" * 100_000 + b"]" * 100_000,
+     "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+], ids=["not-json", "no-choices", "empty-choices", "a-list", "nested-too-deeply"])
 def test_http_malformed_completion_is_a_protocol_error(http_server, backoff, body, message):
     _Handler.script = [(200, body)]
     gw = HttpGateway(http_server, "m")

@@ -1,7 +1,7 @@
 """Every input file is checked against kb.SHAPES before it is used.
 
 The property takes one record of a fixture file (schema, data, plan,
-dataset, mock, config or predictions), replaces one field or one list
+dataset, mock, config, predictions or traces), replaces one field or one list
 element with a value of another JSON type, and runs the command that reads
 the file through ``cli.main``.  The command exits 0, or exits 2 with exactly
 one ``error: ...`` line; it never raises and never exits 1.
@@ -82,6 +82,8 @@ FILES = {
            ("fig1_kb1", FIG1 / "kb1", FIG1 / "dataset_kb1.jsonl"),
            ("fig1_kb3", FIG1 / "kb3", FIG1 / "dataset_kb3.jsonl"),
            ("a13", A13 / "kb", A13 / "dataset.jsonl"))},
+    "a13-traces": _file(GOLDEN / "a13" / "traces.jsonl", "traces.jsonl",
+                        "trace", "show", "--trace", "FILE"),
 }
 
 # One value of each JSON type, and an empty one of each container.

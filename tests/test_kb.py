@@ -18,9 +18,7 @@ from kbqa_repair.kb import (
     FormatError,
     KnowledgeBase,
     RelationDef,
-    ReferentialError,
     SchemaClass,
-    UnknownId,
     build_kb,
     delete_elements,
     load_data,
@@ -96,7 +94,7 @@ def test_fact_with_unknown_relation_is_referential_error(case):
     part, element, message = REFERENTIAL_ERRORS[case]
     parts = _kb_parts()
     parts[part].append(element)
-    with pytest.raises(ReferentialError) as err:
+    with pytest.raises(FormatError) as err:
         build_kb(**parts)
     assert str(err.value) == message
 
@@ -105,7 +103,7 @@ def test_relation_error_is_reported_before_fact_error():
     parts = _kb_parts()
     parts["relations"].append(RelationDef("c.a.r", "c.a", "c.x"))
     parts["facts"].append(Fact("m.1", "ghost.rel", "m.2"))
-    with pytest.raises(ReferentialError) as err:
+    with pytest.raises(FormatError) as err:
         build_kb(**parts)
     assert str(err.value) == "relation c.a.r has unknown range class c.x"
 
@@ -113,13 +111,13 @@ def test_relation_error_is_reported_before_fact_error():
 def test_entity_unknown_classes_reported_in_sorted_order():
     parts = _kb_parts()
     parts["entities"].append(Entity("m.3", "", frozenset({"c.z", "c.y", "c.x"})))
-    with pytest.raises(ReferentialError) as err:
+    with pytest.raises(FormatError) as err:
         build_kb(**parts)
     assert str(err.value) == "entity m.3 has unknown class c.x"
 
 
 def test_fact_domain_violation_rejected():
-    with pytest.raises(ReferentialError):
+    with pytest.raises(FormatError, match=r"^fact subject m\.1 lacks domain class c\.a of c\.a\.to_b$"):
         build_kb(
             classes=[SchemaClass("c.a"), SchemaClass("c.b")],
             relations=[RelationDef("c.a.to_b", "c.a", "c.b")],
@@ -205,7 +203,7 @@ def test_delete_entity_clears_indexes(fig1_kb3):
 
 
 def test_validate_plan_unknown_id_raises(fig1_kb3):
-    with pytest.raises(UnknownId):
+    with pytest.raises(FormatError, match=r"^relation ghost\.rel is not in the KB$"):
         validate_plan(fig1_kb3, DeletionPlan(relations=("ghost.rel",)))
     validate_plan(fig1_kb3, DeletionPlan(relations=("book.author.influenced",)))
 
@@ -258,7 +256,7 @@ def test_paths_execute_non_empty(fig1_kb3, fig1_kb1, pairs_kb):
 
 
 def test_paths_unknown_entity(fig1_kb3):
-    with pytest.raises(UnknownId):
+    with pytest.raises(FormatError, match=r"^entity m\.nope is not in the KB$"):
         paths_from_entity(fig1_kb3, "m.nope")
 
 
@@ -333,7 +331,7 @@ def test_plans_match_the_key_oracle(seed, data):
     try:
         validate_plan(kb, plan)
         accepted = True
-    except UnknownId:
+    except FormatError:
         accepted = False
     assert accepted == known
 

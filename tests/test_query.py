@@ -275,12 +275,24 @@ PARSE_ERRORS = [
     ("sexpr", "(ARGMAX a.b (R c))", "aggregate relation path must be relation ids"),
     ("sexpr", ")", "unexpected ')'"),
     ("sexpr", "(JOIN (R a.b) 5)", "pattern subject must be a variable or entity, got literal"),
+    pytest.param("sexpr", "(JOIN r " * 3000 + "m.x" + ")" * 3000, "expression nested too deeply",
+                 id="sexpr-nested-too-deeply"),
 ]
 
 
 @pytest.mark.parametrize("dialect, text, message", PARSE_ERRORS)
 def test_parse_error_message(dialect, text, message):
     assert LogicalForm.from_text(dialect, text).parse_error == message
+
+
+def test_a_recursion_error_in_the_sexpr_reader_is_a_syntax_error(monkeypatch):
+    """The sexpr-nested-too-deeply row above, with the reader's own frame
+    raising: Python unsets a line hook that meets the stack's limit, so only
+    this route lets a traced run (tools/linecov.py) see the handler."""
+    def too_deep(tokens, i):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(query, "_read_sexpr", too_deep)
+    assert LogicalForm.from_text("sexpr", "(JOIN r m.x)").parse_error == "expression nested too deeply"
 
 
 # ---------------------------------------------------------------------------

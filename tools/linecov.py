@@ -4,6 +4,8 @@
 A line counts as executable when some code object compiled from its file
 lists it in `co_lines()`. The hook is `sys.settrace` plus
 `threading.settrace`, so lines run on worker and server threads count too.
+Python unsets a hook that raises, as it does when a test recurses to the
+stack's limit, so the hook is set again before each test.
 The hooked run is about three times slower than tier-1.
 
 Run from the repo root: python tools/linecov.py
@@ -32,6 +34,12 @@ def _call(frame, event, arg):
     return _line if frame.f_code.co_filename.startswith(str(SRC)) else None
 
 
+class _Rearm:
+    @staticmethod
+    def pytest_runtest_call(item):
+        sys.settrace(_call)
+
+
 def _executable(code) -> set[int]:
     lines = {line for _, _, line in code.co_lines() if line}
     for const in code.co_consts:
@@ -45,7 +53,7 @@ def main() -> int:
     sys.settrace(_call)
     threading.settrace(_call)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[_Rearm()])
     finally:
         sys.settrace(None)
         threading.settrace(None)
