@@ -325,10 +325,10 @@ def read_json(path: str, what: str):
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as err:
-            raise FormatError(f"{what} {path} is not JSON: {err}") from err
         except RecursionError as err:
             raise FormatError(f"{what} {path} is not JSON: nested too deeply") from err
+        except ValueError as err:  # bad JSON, or a number past the int digit limit
+            raise FormatError(f"{what} {path} is not JSON: {err}") from err
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -347,6 +347,8 @@ def read_jsonl(path: str):
                 end = None
             except RecursionError as err:
                 raise FormatError("invalid JSON: nested too deeply", lineno) from err
+            except ValueError as err:  # a number past the int digit limit
+                raise FormatError(f"invalid JSON: {err}", lineno) from err
             if end != len(line):  # bad JSON, extra data or a BOM: json.loads says which
                 try:
                     record = json.loads(line)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import NamedTuple
 
 TYPE_ASSERT_ID = "type.object.type"
@@ -22,8 +24,10 @@ _SEXPR_COMPARATORS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 NK_TEXT = "NK"
 
 # The Python types a literal's value may have, by datatype; a bool is never
-# a number, and a date is ISO ``YYYY-MM-DD`` text.
+# a number, a number fits a float (so NaN and the infinities do not), and a
+# date is ISO ``YYYY-MM-DD`` text.
 _VALUE_TYPES = {"integer": int, "float": (int, float), "string": str, "date": str}
+_FLOAT_MAX = sys.float_info.max
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
 
 
@@ -58,6 +62,7 @@ class Literal:
         if (
             not isinstance(value, _VALUE_TYPES[self.datatype])
             or isinstance(value, bool)
+            or (self.datatype in ("integer", "float") and not -_FLOAT_MAX <= value <= _FLOAT_MAX)
             or (self.datatype == "date" and _DATE_RE.fullmatch(value) is None)
         ):
             raise ValueError(f"{self.datatype} literal has value {value!r}")
@@ -261,7 +266,6 @@ def _tokenize(regex: re.Pattern, text: str) -> list[_Tok]:
 
 class _SparqlParser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(_TOKEN_RE, text) + [_Tok("eof", "", len(text))]
         self.i = 0
 
@@ -276,67 +280,53 @@ class _SparqlParser:
     def fail(self, message: str) -> None:
         raise QuerySyntaxError(message, self.peek().pos)
 
-    def expect_word(self, word: str) -> None:
+    def accept(self, want: str) -> bool:
+        """Consume the next token if it is the keyword (any case) or punctuation ``want``."""
         tok = self.peek()
-        if tok.kind == "word" and tok.text.upper() == word:
-            self.next()
-            return
-        if tok.kind == "word":
-            self.fail(f"word {tok.text} not defined, expected {word}")
-        self.fail(f"expected {word}, found {tok.text or 'end of input'!r}")
+        if tok.kind == "word" and tok.text.upper() == want or tok.kind == "punct" and tok.text == want:
+            self.i += 1
+            return True
+        return False
 
-    def expect_punct(self, ch: str) -> None:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == ch:
-            self.next()
+    def expect(self, want: str) -> None:
+        if self.accept(want):
             return
+        tok = self.peek()
+        shown = want if want.isalpha() else repr(want)
         if tok.kind == "word":
-            self.fail(f"word {tok.text} not defined, expected {ch!r}")
-        self.fail(f"expected {ch!r}, found {tok.text or 'end of input'!r}")
+            self.fail(f"word {tok.text} not defined, expected {shown}")
+        self.fail(f"expected {shown}, found {tok.text or 'end of input'!r}")
 
     def parse(self) -> CanonicalQuery:
-        self.expect_word("SELECT")
-        distinct = False
-        if self.peek().kind == "word" and self.peek().text.upper() == "DISTINCT":
-            self.next()
-            distinct = True
+        self.expect("SELECT")
+        distinct = self.accept("DISTINCT")
         aggregate = None
-        if self.peek().kind == "word" and self.peek().text.upper() == "COUNT":
-            self.next()
-            self.expect_punct("(")
-            if self.peek().kind == "word" and self.peek().text.upper() == "DISTINCT":
-                self.next()
-                distinct = True
+        if self.accept("COUNT"):
+            self.expect("(")
+            distinct = self.accept("DISTINCT") or distinct
             projection = self._variable()
-            self.expect_punct(")")
+            self.expect(")")
             aggregate = Aggregate("count")
         else:
             projection = self._variable()
-        if self.peek().kind == "word" and self.peek().text.upper() == "WHERE":
-            self.next()
-        self.expect_punct("{")
+        self.accept("WHERE")
+        self.expect("{")
         patterns: list[Pattern] = []
         filters: list[Filter] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "}":
-                self.next()
-                break
-            if tok.kind == "punct" and tok.text == ".":
-                self.next()
+        while not self.accept("}"):
+            if self.accept("."):
                 continue
+            tok = self.peek()
             if tok.kind == "eof":
                 self.fail("unexpected end of input, expected '}'")
-            if tok.kind == "word" and tok.text.upper() == "FILTER":
-                self.next()
+            if self.accept("FILTER"):
                 filters.append(self._filter())
             elif tok.kind == "word":
                 self.fail(f"word {tok.text} not defined")
             else:
                 patterns.append(self._triple())
         if self.peek().kind != "eof":
-            tok = self.peek()
-            self.fail(f"unexpected trailing input {tok.text!r}")
+            self.fail(f"unexpected trailing input {self.peek().text!r}")
         query = CanonicalQuery(projection, distinct, tuple(patterns), tuple(filters), aggregate)
         query.validate()
         return query
@@ -379,7 +369,7 @@ class _SparqlParser:
         self.fail(f"expected a {position} term, found {tok.text or 'end of input'!r}")
 
     def _filter(self) -> Filter:
-        self.expect_punct("(")
+        self.expect("(")
         variable = self._variable()
         tok = self.peek()
         if tok.kind != "op":
@@ -390,7 +380,7 @@ class _SparqlParser:
         if literal is None:
             self.fail(f"expected a literal in FILTER, found {self.peek().text!r}")
         self.next()
-        self.expect_punct(")")
+        self.expect(")")
         return Filter(variable, op, literal)
 
 
@@ -398,9 +388,12 @@ def _literal(tok: _Tok) -> Literal | None:
     """The literal a number, date or string token denotes (both dialects);
     None for any other token."""
     if tok.kind == "number":
-        if "." in tok.text:
-            return Literal(float(tok.text), "float")
-        return Literal(int(tok.text), "integer")
+        try:
+            if "." in tok.text:
+                return Literal(float(tok.text), "float")
+            return Literal(int(tok.text), "integer")
+        except ValueError:  # past the int digit limit, or no float holds it
+            raise QuerySyntaxError("number out of range", tok.pos) from None
     if tok.kind == "date":
         return Literal(tok.text[1:11], "date")
     if tok.kind == "string":
@@ -457,8 +450,11 @@ def _render_sparql_term(term: Term) -> str:
 
 
 def _render_literal(literal: Literal) -> str:
-    if literal.datatype in ("integer", "float"):
+    if literal.datatype == "integer":
         return str(literal.value)
+    if literal.datatype == "float":  # positional, as the number token reads it: 1e-05 is 0.00001
+        text = format(Decimal(repr(literal.value)), "f")
+        return text if "." in text else text + ".0"
     if literal.datatype == "date":
         return f'"{literal.value}"^^xsd:date'
     return json.dumps(literal.value)
@@ -483,9 +479,16 @@ _SEXPR_TOKEN_RE = re.compile(
 )
 
 
-def _read_sexpr(tokens: list[_Tok], i: int) -> tuple[object, int]:
+# Parentheses an s-expression may nest, so the text alone decides whether it
+# parses, not the caller's stack depth; this bounds the lowerer's recursion too.
+_MAX_DEPTH = 100
+
+
+def _read_sexpr(tokens: list[_Tok], i: int, depth: int) -> tuple[object, int]:
     tok = tokens[i]
     if tok.kind == "open":
+        if depth == _MAX_DEPTH:
+            raise QuerySyntaxError("expression nested too deeply", tok.pos)
         items = []
         i += 1
         while True:
@@ -493,7 +496,7 @@ def _read_sexpr(tokens: list[_Tok], i: int) -> tuple[object, int]:
                 raise QuerySyntaxError("unexpected end of input, unbalanced parentheses", tok.pos)
             if tokens[i].kind == "close":
                 return items, i + 1
-            item, i = _read_sexpr(tokens, i)
+            item, i = _read_sexpr(tokens, i, depth + 1)
             items.append(item)
     if tok.kind == "close":
         raise QuerySyntaxError("unexpected ')'", tok.pos)
@@ -602,32 +605,29 @@ def parse_sexpr(text: str) -> CanonicalQuery:
     tokens = _tokenize(_SEXPR_TOKEN_RE, text)
     if not tokens:
         raise QuerySyntaxError("empty input")
-    try:
-        tree, i = _read_sexpr(tokens, 0)
-        if i != len(tokens):
-            raise QuerySyntaxError("unexpected trailing input", tokens[i].pos)
+    tree, i = _read_sexpr(tokens, 0, 0)
+    if i != len(tokens):
+        raise QuerySyntaxError("unexpected trailing input", tokens[i].pos)
 
-        aggregate = None
-        if isinstance(tree, list) and tree and tree[0] == "COUNT":
-            if len(tree) != 2:
-                raise QuerySyntaxError("COUNT takes one argument")
-            aggregate = Aggregate("count")
-            tree = tree[1]
-        elif isinstance(tree, list) and tree and tree[0] in ("ARGMAX", "ARGMIN"):
-            if len(tree) < 3:
-                raise QuerySyntaxError(f"{tree[0]} takes an expression and a relation path")
-            path = tree[2:]
-            if not all(isinstance(p, str) for p in path):
-                raise QuerySyntaxError("aggregate relation path must be relation ids")
-            aggregate = Aggregate(tree[0].lower(), tuple(path))
-            tree = tree[1]
+    aggregate = None
+    if isinstance(tree, list) and tree and tree[0] == "COUNT":
+        if len(tree) != 2:
+            raise QuerySyntaxError("COUNT takes one argument")
+        aggregate = Aggregate("count")
+        tree = tree[1]
+    elif isinstance(tree, list) and tree and tree[0] in ("ARGMAX", "ARGMIN"):
+        if len(tree) < 3:
+            raise QuerySyntaxError(f"{tree[0]} takes an expression and a relation path")
+        path = tree[2:]
+        if not all(isinstance(p, str) for p in path):
+            raise QuerySyntaxError("aggregate relation path must be relation ids")
+        aggregate = Aggregate(tree[0].lower(), tuple(path))
+        tree = tree[1]
 
-        lowerer = _SexprLowerer()
-        out = lowerer.lower(tree)
-        if not out.is_var():
-            raise QuerySyntaxError("top-level expression must be set-valued")
-    except RecursionError:
-        raise QuerySyntaxError("expression nested too deeply") from None
+    lowerer = _SexprLowerer()
+    out = lowerer.lower(tree)
+    if not out.is_var():
+        raise QuerySyntaxError("top-level expression must be set-valued")
     query = CanonicalQuery(
         out.value, True, tuple(lowerer.patterns), tuple(lowerer.filters), aggregate
     )

@@ -67,14 +67,12 @@ def v1_syntax(lf: LogicalForm) -> Verdict:
             'word NK not defined; instead of returning "NK", attempt a concrete sparql query '
             "for the question using the provided candidates"
         )
-        feedback = render_prompt("fb-syntax", {"sparql": lf.surface, "error": error})
-        return Verdict("V1", STRONG, False, feedback)
-    if not lf.parsed:
-        feedback = render_prompt(
-            "fb-syntax", {"sparql": lf.surface, "error": lf.parse_error or "parse failure"}
-        )
-        return Verdict("V1", STRONG, False, feedback)
-    return Verdict("V1", STRONG, True)
+    elif not lf.parsed:
+        error = lf.parse_error or "parse failure"
+    else:
+        return Verdict("V1", STRONG, True)
+    feedback = render_prompt("fb-syntax", {"dialect": lf.dialect, "query": lf.surface, "error": error})
+    return Verdict("V1", STRONG, False, feedback)
 
 
 # ---------------------------------------------------------------------------

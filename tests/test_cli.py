@@ -388,6 +388,33 @@ MALFORMED_INPUTS = {
             '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": "many", "type": "integer"}}'
         )),
     ), "line 23: integer literal has value 'many'"),
+    "data-float-literal-nan": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
+            '{"s": "m.0r1", "r": "geo.river.length", "o": {"literal": NaN, "type": "float"}}'
+        )),
+    ), "line 23: float literal has value nan"),
+    "data-float-literal-past-float": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
+            '{"s": "m.0r1", "r": "geo.river.length", "o": {"literal": 1e400, "type": "float"}}'
+        )),
+    ), "line 23: float literal has value inf"),
+    "data-integer-literal-past-float": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
+            '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": 1%s, "type": "integer"}}'
+            % ("0" * 400)
+        )),
+    ), "line 23: integer literal has value 1" + "0" * 400),
+    "data-integer-literal-past-digit-limit": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
+            '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": 1%s, "type": "integer"}}'
+            % ("0" * 5000)
+        )),
+    ), "line 23: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+       "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    "plan-integer-past-digit-limit": (lambda tmp: _delete_argv(
+        tmp, _write(tmp, "plan.json", '{"classes": [], "limit": 1%s}' % ("0" * 5000)),
+    ), "plan file {tmp}/plan.json is not JSON: Exceeds the limit (4300 digits) for integer string "
+       "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
     "data-literal-type-boolean": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
             '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": true, "type": "boolean"}}'
@@ -537,6 +564,7 @@ def test_sexpr_nested_too_deeply_does_not_parse(tmp_path, capsys):
     ) == 1
     out = capsys.readouterr().out
     assert out.startswith("V1      strong  FAIL\n") and "Virtuoso error: expression nested too deeply" in out
+    assert "Correct the syntax of the following sexpr query" in out and "\nsexpr: (JOIN r (JOIN" in out
 
 
 # Each entry: a builder of a command line that argparse refuses, and the last

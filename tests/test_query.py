@@ -277,6 +277,14 @@ PARSE_ERRORS = [
     ("sexpr", "(JOIN (R a.b) 5)", "pattern subject must be a variable or entity, got literal"),
     pytest.param("sexpr", "(JOIN r " * 3000 + "m.x" + ")" * 3000, "expression nested too deeply",
                  id="sexpr-nested-too-deeply"),
+    pytest.param("sparql", "SELECT ?x WHERE { ?x ns:a.b " + "9" * 309 + " }", "number out of range",
+                 id="sparql-integer-past-float"),
+    pytest.param("sparql", "SELECT ?x WHERE { ?x ns:a.b ?y . FILTER(?y > " + "9" * 5000 + ") }",
+                 "number out of range", id="sparql-integer-past-digit-limit"),
+    pytest.param("sparql", "SELECT ?x WHERE { ?x ns:a.b -" + "9" * 309 + ".0 }", "number out of range",
+                 id="sparql-float-past-float"),
+    pytest.param("sexpr", "(lt a.b " + "9" * 5000 + ")", "number out of range",
+                 id="sexpr-integer-past-digit-limit"),
 ]
 
 
@@ -285,14 +293,53 @@ def test_parse_error_message(dialect, text, message):
     assert LogicalForm.from_text(dialect, text).parse_error == message
 
 
-def test_a_recursion_error_in_the_sexpr_reader_is_a_syntax_error(monkeypatch):
-    """The sexpr-nested-too-deeply row above, with the reader's own frame
-    raising: Python unsets a line hook that meets the stack's limit, so only
-    this route lets a traced run (tools/linecov.py) see the handler."""
-    def too_deep(tokens, i):
-        raise RecursionError("maximum recursion depth exceeded")
-    monkeypatch.setattr(query, "_read_sexpr", too_deep)
-    assert LogicalForm.from_text("sexpr", "(JOIN r m.x)").parse_error == "expression nested too deeply"
+def _chain(depth):
+    return "(JOIN r " * depth + "m.x" + ")" * depth
+
+
+def _from_text_frames_down(frames, text):
+    if frames:
+        return _from_text_frames_down(frames - 1, text)
+    return LogicalForm.from_text("sexpr", text)
+
+
+@pytest.mark.parametrize("frames", [0, 150])
+def test_sexpr_depth_bound_is_the_same_at_any_stack_depth(frames):
+    assert _from_text_frames_down(frames, _chain(query._MAX_DEPTH)).parsed
+    too_deep = _from_text_frames_down(frames, _chain(query._MAX_DEPTH + 1))
+    assert too_deep.parse_error == "expression nested too deeply"
+
+
+def test_sexpr_nested_too_deeply_is_reported_at_the_opening_parenthesis():
+    text = _chain(query._MAX_DEPTH + 1)
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_sexpr(text)
+    assert err.value.position == len("(JOIN r ") * query._MAX_DEPTH
+
+
+def test_number_out_of_range_is_reported_at_the_token():
+    number = "1" + "0" * 400
+    text = "SELECT ?x WHERE { ?x ns:a.b ?y . FILTER(?y < " + number + ") }"
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_sparql(text)
+    assert (err.value.message, err.value.position) == ("number out of range", text.index(number))
+
+
+@pytest.mark.parametrize("value", [1e-05, 1e20, -2.5e-7, 1e308])
+def test_render_sparql_writes_a_float_the_parser_reads_back(value):
+    q = parse_sparql("SELECT ?x WHERE { ?x ns:a.b ?y . FILTER(?y > 1.5) }")
+    q = CanonicalQuery(q.projection, q.distinct, q.patterns, (Filter("y", ">", Literal(value, "float")),))
+    text = render_sparql(q)
+    assert "e" not in text.split("FILTER")[1]
+    back = parse_sparql(text).filters[0].literal
+    assert back == Literal(value, "float") and type(back.value) is float
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**309, -10**309])
+def test_a_number_literal_fits_a_float(value):
+    for datatype in ("integer", "float") if type(value) is int else ("float",):
+        with pytest.raises(ValueError):
+            Literal(value, datatype)
 
 
 # ---------------------------------------------------------------------------
