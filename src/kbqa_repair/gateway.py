@@ -3,20 +3,16 @@
 Two backends share one interface: an HTTP client for chat-completion style
 services, and a scripted mock that replays fixture replies deterministically.
 The deterministic pipeline core is exercised entirely through the mock; the
-HTTP client exists for live runs.
+HTTP client exists for live runs.  It imports the standard library's network
+modules (urllib, http.client, ssl, email) when one is built, not when this
+module is, so a mock run never loads them.
 """
 
 from __future__ import annotations
 
-import datetime
-import email.utils
-import http.client
 import json
 import os
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 
 from .kb import check, read_json
@@ -114,13 +110,6 @@ class MockGateway(GenerationGateway):
         raise MockMiss(f"no matcher fired for prompt: {head!r}")
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Leaves a 3xx reply to the caller instead of following it."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
 class HttpGateway(GenerationGateway):
     """Chat-completion HTTP client on the standard library.
 
@@ -143,6 +132,15 @@ class HttpGateway(GenerationGateway):
         max_retries: int = 3,
         timeout: float = 60.0,
     ):
+        import urllib.parse
+        import urllib.request
+
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            """Leaves a 3xx reply to the caller instead of following it."""
+
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                return None
+
         self.model = model
         self.auth_env = auth_env
         self.max_retries = max_retries
@@ -154,10 +152,12 @@ class HttpGateway(GenerationGateway):
         proxies = urllib.request.getproxies()
         proxy = proxies.get(url.scheme) or proxies.get("all")
         self._opener = urllib.request.build_opener(
-            urllib.request.ProxyHandler({url.scheme: proxy} if proxy else {}), _NoRedirect()
+            urllib.request.ProxyHandler({url.scheme: proxy} if proxy else {}), NoRedirect()
         )
 
     def _complete(self, conversation: list[Message]) -> str:
+        import http.client
+
         payload = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.text} for m in conversation],
@@ -208,6 +208,9 @@ class HttpGateway(GenerationGateway):
 
     def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes, str | None]:
         """One POST: (status, body, its Retry-After header or None)."""
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(self._url, body, headers)
         try:
             with self._opener.open(request, timeout=self.timeout) as response:
@@ -225,6 +228,9 @@ def _retry_after_seconds(header: str | None) -> float | None:
     """The wait a Retry-After header asks for: delta-seconds, or an HTTP-date
     less the current time.  None when the header is absent, is neither, or
     names a time already past (a negative wait)."""
+    import datetime
+    import email.utils
+
     if header is None:
         return None
     header = header.strip()

@@ -43,7 +43,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .query import LITERAL_DATATYPES, CanonicalQuery, Literal, Term, entity as entity_term, rel, var
+from .query import LITERAL_DATATYPES, CanonicalQuery, Literal, Term, entity as entity_term, rel, shorten, var
 
 
 class FormatError(Exception):
@@ -300,8 +300,7 @@ _RULES = {
 
 
 def _show(value) -> str:
-    text = json.dumps(value, ensure_ascii=False)
-    return text if len(text) <= 80 else text[:77] + "..."
+    return shorten(json.dumps(value, ensure_ascii=False))
 
 
 def check(record, kind: str, line: int | None = None):
@@ -327,8 +326,10 @@ def read_json(path: str, what: str):
             return json.load(handle)
         except RecursionError as err:
             raise FormatError(f"{what} {path} is not JSON: nested too deeply") from err
-        except ValueError as err:  # bad JSON, or a number past the int digit limit
+        except json.JSONDecodeError as err:
             raise FormatError(f"{what} {path} is not JSON: {err}") from err
+        except ValueError as err:  # an integer past the interpreter's digit limit
+            raise FormatError(f"{what} {path} is not JSON: number too long") from err
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -347,8 +348,8 @@ def read_jsonl(path: str):
                 end = None
             except RecursionError as err:
                 raise FormatError("invalid JSON: nested too deeply", lineno) from err
-            except ValueError as err:  # a number past the int digit limit
-                raise FormatError(f"invalid JSON: {err}", lineno) from err
+            except ValueError as err:  # an integer past the interpreter's digit limit
+                raise FormatError("invalid JSON: number too long", lineno) from err
             if end != len(line):  # bad JSON, extra data or a BOM: json.loads says which
                 try:
                     record = json.loads(line)

@@ -16,8 +16,9 @@ regenerates a query the loop already checked, the round reuses that suite
 result: its record, its admission to the pool and the feedback it sends are
 those of the first check, and no verifier, execution or V3 call runs again.
 The reuse is exact when the gateway's replies depend on the prompt alone, as
-the mock's do and the HTTP backend's at temperature 0.  Nothing is shared
-between questions.
+the mock's do and the HTTP backend's at temperature 0.  A repair reply that
+repeats an earlier one of the same question is parsed once.  Nothing is
+shared between questions.
 """
 
 from __future__ import annotations
@@ -141,11 +142,13 @@ def fun(
 ) -> FunResult:
     """At most cfg.n verify-and-repair rounds over a growing conversation
     that opens with the generation ``prompt`` and its reply ``lf0``.  A
-    round whose query was already checked reuses that check's suite result."""
+    round whose query was already checked reuses that check's suite result,
+    and a repeated reply reuses its parse."""
     conversation: list[Message] = [user(prompt), assistant(lf0.surface)]
     candidates: list[Candidate] = []
     iterations: list[dict] = []
     checked: dict[tuple[str, str], SuiteResult] = {}
+    parsed: dict[str, LogicalForm] = {}
     lf = lf0
 
     for iteration in range(1, cfg.n + 2):
@@ -184,7 +187,9 @@ def fun(
         conversation.append(user("\n".join(v.feedback for v in failures)))
         reply = gateway.complete(conversation)
         conversation.append(assistant(reply))
-        lf = parse_reply(reply)
+        if reply not in parsed:
+            parsed[reply] = parse_reply(reply)
+        lf = parsed[reply]
 
     return FunResult(False, lf, None, candidates, iterations)
 

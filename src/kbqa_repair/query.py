@@ -31,6 +31,12 @@ _FLOAT_MAX = sys.float_info.max
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
 
 
+def shorten(text: str) -> str:
+    """``text`` as an error message shows it: cut to 77 characters and "..."
+    when it is longer than 80."""
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 class QuerySyntaxError(Exception):
     """Raised when surface text cannot be parsed.
 
@@ -65,7 +71,7 @@ class Literal:
             or (self.datatype in ("integer", "float") and not -_FLOAT_MAX <= value <= _FLOAT_MAX)
             or (self.datatype == "date" and _DATE_RE.fullmatch(value) is None)
         ):
-            raise ValueError(f"{self.datatype} literal has value {value!r}")
+            raise ValueError(f"{self.datatype} literal has value {shorten(repr(value))}")
 
 
 @dataclass(frozen=True)

@@ -403,18 +403,16 @@ MALFORMED_INPUTS = {
             '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": 1%s, "type": "integer"}}'
             % ("0" * 400)
         )),
-    ), "line 23: integer literal has value 1" + "0" * 400),
+    ), "line 23: integer literal has value 1" + "0" * 76 + "..."),
     "data-integer-literal-past-digit-limit": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
             '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": 1%s, "type": "integer"}}'
             % ("0" * 5000)
         )),
-    ), "line 23: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
-       "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ), "line 23: invalid JSON: number too long"),
     "plan-integer-past-digit-limit": (lambda tmp: _delete_argv(
         tmp, _write(tmp, "plan.json", '{"classes": [], "limit": 1%s}' % ("0" * 5000)),
-    ), "plan file {tmp}/plan.json is not JSON: Exceeds the limit (4300 digits) for integer string "
-       "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ), "plan file {tmp}/plan.json is not JSON: number too long"),
     "data-literal-type-boolean": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, source=FIXTURES / "pairs", data_line=(
             '{"s": "m.0c1", "r": "geo.city.population", "o": {"literal": true, "type": "boolean"}}'

@@ -478,3 +478,28 @@ def test_package_imports_no_third_party_http_stack():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_mock_run_loads_no_http_stack_until_an_http_gateway_is_built(tmp_path):
+    # A fresh interpreter: this one has the stack loaded by the tests above.
+    # Counted against the modules loaded before the import, as above.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    fig1 = FIXTURES / "fig1"
+    argv = ["run", "--kb", fig1 / "kb3", "--dataset", fig1 / "dataset_kb3.jsonl", "--backend", "mock",
+            "--mock", fig1 / "mock.json", "--n-iter", "3", "--out", tmp_path / "out"]
+    stack = ["email.utils", "http.client", "ssl", "urllib.request"]
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import kbqa_repair, kbqa_repair.cli\n"
+        f"def loaded(): return sorted(set(sys.modules) - before & {set(stack)!r})\n"
+        f"code = kbqa_repair.cli.main({[str(a) for a in argv]!r})\n"
+        "after_run = loaded()\n"
+        "kbqa_repair.gateway.HttpGateway('http://127.0.0.1:9/v1', 'm')\n"
+        "print(json.dumps([code, after_run, loaded()]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, [], stack]

@@ -634,6 +634,24 @@ def test_suite_runs_once_per_distinct_query(fig1_kb3, monkeypatch):
     assert checked == [it["lf"] for it in result.iterations[:2]]
 
 
+def test_repeated_reply_is_parsed_once(fig1_kb3, monkeypatch):
+    import kbqa_repair.pipeline as pipeline
+
+    replies = []
+
+    def counting(reply):
+        replies.append(reply)
+        return parse_reply(reply)
+
+    monkeypatch.setattr(pipeline, "parse_reply", counting)
+    result = run_fun(fun, repeat_gateway(), fig1_kb3, fig1_example("kb3"))
+    surfaces = [it["lf"] for it in result.iterations]
+    assert surfaces[2:] == surfaces[:2]
+    # The generation reply, then the repair replies of rounds 2 and 3; round
+    # 4's reply repeats round 2's and is not parsed again.
+    assert replies == surfaces[:3]
+
+
 def _fun_checking_every_round(gateway, kb, question, question_entities, lf0, cfg, prompt):
     """The repair loop as it was before suite results were reused: the suite
     runs on every round, and a strong failure sends its feedback alone while
