@@ -247,7 +247,7 @@ def cmd_verify(args) -> int:
         mention, _, eid = item.partition("=")
         entities.append((mention, eid if eid else mention))
     suite = VerifierSuite(answerable_mode=args.answerable_mode)
-    gateway = _make_gateway(args) if args.mock or args.backend == "http" else _NoBackend()
+    gateway = _make_gateway(args) if args.backend or args.mock else _NoBackend()
     question_entities = frozenset(eid for _, eid in entities)
     result = run_suite(lf, args.question, question_entities, kb, gateway, suite)
     for verdict in result.verdicts:

@@ -1,11 +1,12 @@
 """Per-question orchestration: biased generation, the verify-and-repair loop,
 and consensus over the candidate set.
 
-The repair loop keeps one growing conversation per question: the generation
-prompt, each generated query, and each round's feedback.  A query that fails
-a strong verifier is rejected outright; one that passes all strong checks and
-at least one weak check joins the candidate pool.  Passing everything ends
-the loop confidently.  Otherwise the next round's feedback is that of every
+The repair loop holds one growing conversation per question.  It starts at
+the generation prompt; each assistant turn is a reply as received, and each
+later user turn is a round's feedback.  A query that fails a strong verifier
+is rejected outright; one that passes all strong checks and at least one
+weak check joins the candidate pool.  Passing everything ends the loop
+confidently.  Otherwise the next round's feedback is that of every
 failed verdict; a strong failure ends the suite, so it is always the only
 failure and its feedback goes alone.  When the loop ends without confidence,
 the consensus step votes over candidate answers (strict majority of the
@@ -16,9 +17,9 @@ regenerates a query the loop already checked, the round reuses that suite
 result: its record, its admission to the pool and the feedback it sends are
 those of the first check, and no verifier, execution or V3 call runs again.
 The reuse is exact when the gateway's replies depend on the prompt alone, as
-the mock's do and the HTTP backend's at temperature 0.  A repair reply that
-repeats an earlier one of the same question is parsed once.  Nothing is
-shared between questions.
+the mock's do and the HTTP backend's at temperature 0.  A reply that repeats
+an earlier one of the same question, the generation reply included, is
+parsed once.  Nothing is shared between questions.
 """
 
 from __future__ import annotations
@@ -121,12 +122,6 @@ def parse_reply(reply: str) -> LogicalForm:
     return LogicalForm.from_text("sparql", text)
 
 
-def pun_generate(gateway: GenerationGateway, prompt: str) -> LogicalForm:
-    """One biased generation call on the rendered prompt; the reply is
-    parsed, never validated here."""
-    return parse_reply(gateway.complete([user(prompt)]))
-
-
 # ---------------------------------------------------------------------------
 # The verify-and-repair loop
 # ---------------------------------------------------------------------------
@@ -136,26 +131,28 @@ def fun(
     kb: KnowledgeBase,
     question: str,
     question_entities: frozenset,
-    lf0: LogicalForm,
     cfg: FunConfig,
     prompt: str,
 ) -> FunResult:
-    """At most cfg.n verify-and-repair rounds over a growing conversation
-    that opens with the generation ``prompt`` and its reply ``lf0``.  A
-    round whose query was already checked reuses that check's suite result,
-    and a repeated reply reuses its parse."""
-    conversation: list[Message] = [user(prompt), assistant(lf0.surface)]
+    """The generation call and at most cfg.n repair rounds, over one growing
+    conversation that opens with the generation ``prompt``.  Each assistant
+    turn is the reply as received.  A repeated reply reuses its parse, and a
+    query already checked reuses that check's suite result."""
+    conversation: list[Message] = [user(prompt)]
     candidates: list[Candidate] = []
     iterations: list[dict] = []
-    checked: dict[tuple[str, str], SuiteResult] = {}
+    checked: dict[str, SuiteResult] = {}
     parsed: dict[str, LogicalForm] = {}
-    lf = lf0
 
     for iteration in range(1, cfg.n + 2):
-        key = (lf.dialect, lf.surface)
-        if key not in checked:
-            checked[key] = run_suite(lf, question, question_entities, kb, gateway, cfg)
-        result = checked[key]
+        reply = gateway.complete(conversation)
+        conversation.append(assistant(reply))
+        if reply not in parsed:
+            parsed[reply] = parse_reply(reply)
+        lf = parsed[reply]
+        if lf.surface not in checked:
+            checked[lf.surface] = run_suite(lf, question, question_entities, kb, gateway, cfg)
+        result = checked[lf.surface]
         failures = [v for v in result.verdicts if not v.passed]
         admitted = bool(failures) and any(v.passed and v.strength == WEAK for v in result.verdicts)
         record = {
@@ -182,14 +179,7 @@ def fun(
             return FunResult(True, lf, result.answer, candidates, iterations)
         if admitted:
             candidates.append(Candidate(lf, result.answer, result.back_translation, iteration))
-        if iteration == cfg.n + 1:
-            break
         conversation.append(user("\n".join(v.feedback for v in failures)))
-        reply = gateway.complete(conversation)
-        conversation.append(assistant(reply))
-        if reply not in parsed:
-            parsed[reply] = parse_reply(reply)
-        lf = parsed[reply]
 
     return FunResult(False, lf, None, candidates, iterations)
 
@@ -286,8 +276,7 @@ def run_question(
     try:
         ctx = retrieve_union(retrievers, kb, example.question, list(example.linked_entities), cfg.caps)
         prompt = build_pun_prompt(kb, example.question, ctx, fewshots)
-        lf0 = pun_generate(recorder, prompt)
-        result = fun(recorder, kb, example.question, example.question_entities(), lf0, cfg, prompt)
+        result = fun(recorder, kb, example.question, example.question_entities(), cfg, prompt)
         iterations, confident = result.iterations, result.confident
         if confident:
             lf, answer = result.lf, result.answer

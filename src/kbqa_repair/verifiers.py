@@ -6,8 +6,11 @@ disagreement, empty answers).  A failed verdict carries the templated
 feedback string that drives the next repair round.  A suite run's verdict
 list is its whole record: the strong checks stop at their first failure, so
 a failed strong verdict is always the last verdict and the only failure, and
-the weak checks run only after every strong one has passed.  These checks
-never see gold logical forms, gold answers or answerability labels.
+the weak checks run only after every strong one has passed.  A V4 verdict's
+strength alone places it: a strong one runs before V3, a weak one after.
+Answerable mode acts only through that strength, which makes V4b strong.
+These checks never see gold logical forms, gold answers or answerability
+labels.
 """
 
 from __future__ import annotations
@@ -331,15 +334,11 @@ def run_suite(
     if (stops(v1_syntax(lf)) or stops(v2a_type_compatibility(lf, kb))
             or stops(v2b_schema_presence(lf, kb)) or stops(v2c_literal_casting(lf, kb))):
         return result
-    v4a, v4a_int, v4b, result.answer = v4_answer_consistency(lf, kb, question_entities, suite)
-    if suite.answerable_mode:
-        strong, after_v3 = (v4a, v4a_int, v4b), ()
-    else:
-        strong, after_v3 = (v4a, v4a_int), (v4b,)
-    if any(map(stops, strong)):
+    *v4, result.answer = v4_answer_consistency(lf, kb, question_entities, suite)
+    if any(stops(v) for v in v4 if v.strength == STRONG):
         return result
 
     v3 = v3_question_lf_agreement(lf, question, gateway)
     result.back_translation = v3.payload
-    result.verdicts += (v3, *after_v3)
+    result.verdicts += [v3, *(v for v in v4 if v.strength == WEAK)]
     return result

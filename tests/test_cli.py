@@ -524,6 +524,10 @@ MALFORMED_INPUTS = {
     )), "mock match text must be a string, not 5"),
     "run-without-mock": (lambda tmp: _run_argv(tmp)[:-4] + ("--out", tmp / "out"),
                          "--backend mock requires --mock FIXTURE"),
+    "verify-mock-without-fixture": (lambda tmp: (
+        "verify", "--kb", FIG1 / "kb3", "--backend", "mock", "--question", "q?", "--lf",
+        "SELECT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }",
+    ), "--backend mock requires --mock FIXTURE"),
     "run-http-without-endpoint": (lambda tmp: (*_run_argv(tmp), "--backend", "http", "--model", "m"),
                                   "--backend http requires --endpoint and --model"),
     "config-backend-unknown": (lambda tmp: (
@@ -539,8 +543,10 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     build, message = MALFORMED_INPUTS[case]
     assert run_cli(*build(tmp_path)) == 2
-    assert capsys.readouterr().err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
-    assert not (tmp_path / "out").exists()  # stopped before writing anything
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
+    assert captured.out == ""  # stopped before printing anything
+    assert not (tmp_path / "out").exists()  # or writing anything
 
 
 def test_sexpr_nested_too_deeply_does_not_parse(tmp_path, capsys):

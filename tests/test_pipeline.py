@@ -1,10 +1,14 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
 from kbqa_repair.dataset import QAExample, answer_to_json, load_split
-from kbqa_repair.gateway import Matcher, MockGateway, RecordingGateway, assistant, user
+from kbqa_repair.gateway import (
+    GenerationGateway, Matcher, MockGateway, RecordingGateway, assistant, user,
+)
 from kbqa_repair.kb import load_kb
 from kbqa_repair.pipeline import (
     Candidate,
@@ -13,7 +17,6 @@ from kbqa_repair.pipeline import (
     build_pun_prompt,
     fun,
     parse_reply,
-    pun_generate,
     run_dataset,
     run_question,
     scun,
@@ -49,15 +52,6 @@ def test_parse_reply_sparql_and_garbage():
     assert fenced.parsed
     bad = parse_reply("I think the answer is 42")
     assert not bad.parsed and not bad.is_nk and bad.parse_error
-
-
-def test_pun_generate_nk_and_lf(fig1_kb3):
-    ctx = RetrievalContext(linked_entities=(("j r hart", "m.0auth"),))
-    nk_gw = MockGateway([Matcher("substring", "sparql:", "NK")])
-    prompt = build_pun_prompt(fig1_kb3, "q?", ctx)
-    assert pun_generate(nk_gw, prompt).is_nk
-    lf_gw = MockGateway([Matcher("substring", "sparql:", "SELECT ?x WHERE { ?x ns:a.b ns:m.01 }")])
-    assert pun_generate(lf_gw, prompt).parsed
 
 
 def test_pun_prompt_matches_golden():
@@ -278,9 +272,7 @@ def test_fun_confident_on_complete_kb(fig1_kb3):
     example = fig1_example("kb3")
     ctx = retrieve_lexical(fig1_kb3, example.question, list(example.linked_entities))
     prompt = build_pun_prompt(fig1_kb3, example.question, ctx)
-    lf0 = pun_generate(gw, prompt)
-    result = fun(gw, fig1_kb3, example.question, example.question_entities(), lf0,
-                 FunConfig(n=3), prompt)
+    result = fun(gw, fig1_kb3, example.question, example.question_entities(), FunConfig(n=3), prompt)
     assert result.confident
     assert result.answer == {"m.0b1", "m.0b2"}
     assert len(result.iterations) == 3
@@ -292,9 +284,7 @@ def test_fun_exhausts_without_confidence(fig1_kb1):
     example = fig1_example("kb1")
     ctx = retrieve_lexical(fig1_kb1, example.question, list(example.linked_entities))
     prompt = build_pun_prompt(fig1_kb1, example.question, ctx)
-    lf0 = pun_generate(gw, prompt)
-    result = fun(gw, fig1_kb1, example.question, example.question_entities(), lf0,
-                 FunConfig(n=3), prompt)
+    result = fun(gw, fig1_kb1, example.question, example.question_entities(), FunConfig(n=3), prompt)
     assert not result.confident
     assert len(result.iterations) == 4
     answers = [c.answer for c in result.candidates]
@@ -307,9 +297,8 @@ def test_fun_strong_failure_admits_nothing(fig1_kb3):
     gw = MockGateway([Matcher("substring", "", "not a query at all")])
     example = fig1_example("kb3")
     ctx = RetrievalContext(linked_entities=example.linked_entities)
-    lf0 = parse_reply("also not a query")
-    result = fun(gw, fig1_kb3, example.question, example.question_entities(), lf0,
-                 FunConfig(n=2), build_pun_prompt(fig1_kb3, example.question, ctx))
+    result = fun(gw, fig1_kb3, example.question, example.question_entities(), FunConfig(n=2),
+                 build_pun_prompt(fig1_kb3, example.question, ctx))
     assert not result.confident
     assert result.candidates == []
     assert len(result.iterations) == 3  # n + 1 logical forms checked
@@ -319,16 +308,17 @@ def test_fun_strong_failure_admits_nothing(fig1_kb3):
 def test_fun_sends_the_feedback_of_every_failed_verdict(fig1_kb2):
     # kb2 lost the works_written facts, so the answer is empty (V4b fails),
     # and the back-translation disagrees with the question (V3 fails)
-    gw = RecordingGateway(MockGateway([Matcher("substring", "", "they are different")]))
+    gw = RecordingGateway(MockGateway([
+        Matcher("exact", "prompt", "SELECT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }"),
+        Matcher("substring", "", "they are different"),
+    ]))
     example = fig1_example("kb2")
-    lf0 = parse_reply("SELECT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }")
-    result = fun(gw, fig1_kb2, example.question, example.question_entities(), lf0,
-                 FunConfig(n=1), "prompt")
+    result = fun(gw, fig1_kb2, example.question, example.question_entities(), FunConfig(n=1), "prompt")
     first = result.iterations[0]
     failed = [v for v in first["verdicts"] if not v["passed"]]
     assert [v["verifier"] for v in failed] == ["V3", "V4b"] and not first["admitted"]
-    repairs = [call["prompt"] for call in gw.log if call["purpose"] == "generate"]
-    assert repairs == ["\n".join(v["feedback"] for v in failed)]
+    generations = [call["prompt"] for call in gw.log if call["purpose"] == "generate"]
+    assert generations == ["prompt", "\n".join(v["feedback"] for v in failed)]
 
 
 def test_candidate_admission_invariant(fig1_kb2):
@@ -336,9 +326,7 @@ def test_candidate_admission_invariant(fig1_kb2):
     example = fig1_example("kb2")
     ctx = retrieve_lexical(fig1_kb2, example.question, list(example.linked_entities))
     prompt = build_pun_prompt(fig1_kb2, example.question, ctx)
-    lf0 = pun_generate(gw, prompt)
-    result = fun(gw, fig1_kb2, example.question, example.question_entities(), lf0,
-                 FunConfig(n=3), prompt)
+    result = fun(gw, fig1_kb2, example.question, example.question_entities(), FunConfig(n=3), prompt)
     by_iter = {it["iteration"]: it for it in result.iterations}
     for cand in result.candidates:
         record = by_iter[cand.iteration]
@@ -366,6 +354,27 @@ def test_feedback_accumulates_in_one_conversation(fig1_kb3):
     generation_shapes = [roles for roles in transcript if roles[0] == "user" and len(roles) % 2 == 1]
     grown = [roles for roles in generation_shapes if len(roles) >= 3]
     assert grown and all(roles[-1] == "user" for roles in grown)
+
+
+def test_each_assistant_turn_is_the_reply_as_received(fig1_kb3):
+    query = "SELECT ?x WHERE { ns:m.0auth ns:book.author.no_such_relation ?x }"
+    reply = f"  ```sparql\n{query}\n```  \n"
+    conversations = []
+
+    class Spy(MockGateway):
+        def complete(self, conversation, purpose="generate"):
+            if purpose == "generate":
+                conversations.append(list(conversation))
+            return super().complete(conversation, purpose)
+
+    gw = Spy([Matcher("exact", "prompt", reply), Matcher("substring", "", "NK")])
+    example = fig1_example("kb3")
+    result = fun(gw, fig1_kb3, example.question, example.question_entities(), FunConfig(n=1), "prompt")
+    first = result.iterations[0]
+    assert first["lf"] == query and first["parsed"]
+    feedback = "\n".join(v["feedback"] for v in first["verdicts"] if not v["passed"])
+    assert len(conversations) == 2
+    assert conversations[1] == [user("prompt"), assistant(reply), user(feedback)]
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +580,55 @@ def test_select_best_call_purpose():
     assert [c["purpose"] for c in recorder.log] == ["scun-select"]
 
 
+# Property: whatever the backend replies, a question's LLM calls stay within
+# the loop's budget.  Replies are drawn per call from each fixture's own
+# replies, dressed as a model might send them, plus NK and garbage.
+def _dressed(text):
+    return st.sampled_from([text, f"  {text}\n", f"```sparql\n{text}\n```", f'"{text}"'])
+
+
+class _ScriptedGateway(GenerationGateway):
+    def __init__(self, data, replies):
+        self.data, self.replies = data, replies
+
+    def complete(self, conversation, purpose="generate"):
+        return self.data.draw(self.replies[purpose], label=purpose)
+
+
+@pytest.mark.parametrize("kb_name, dataset, mock", [
+    ("fig1_kb3", "fig1/dataset_kb3.jsonl", "fig1/mock.json"),
+    ("a13_kb", "a13/dataset.jsonl", "a13/mock.json"),
+])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_llm_calls_stay_within_the_budget(request, kb_name, dataset, mock, data):
+    kb = request.getfixturevalue(kb_name)
+    example = load_split(str(FIXTURES / dataset)).examples[0]
+    texts = sorted({m.reply for m in MockGateway.from_file(str(FIXTURES / mock)).matchers})
+    replies = {
+        "generate": st.sampled_from([*texts, "NK", "not a query"]).flatmap(_dressed),
+        "v3-naturalize": st.sampled_from(texts),
+        "v3-backtranslate": st.sampled_from([*texts, example.question]),
+        "v3-equivalence": st.sampled_from(["they are same", "they are different", "no idea"]),
+        "scun-select": st.sampled_from(["1", "2", "3", "none"]),
+    }
+    cfg = FunConfig(n=4)
+    trace = run_question(_ScriptedGateway(data, replies), kb, [retrieve_lexical], example, cfg).trace
+    calls = Counter(call["purpose"] for call in trace["llm"])
+    iterations = trace["iterations"]
+    assert "exception" not in trace
+    assert calls["generate"] == len(iterations) <= 1 + cfg.n
+    strong_passed = {
+        it["lf"] for it in iterations
+        if all(v["passed"] for v in it["verdicts"] if v["strength"] == "strong")
+    }
+    assert calls["v3-naturalize"] == calls["v3-backtranslate"] == len(strong_passed)
+    assert calls["v3-equivalence"] <= len(strong_passed)
+    assert calls["scun-select"] <= 1
+    assert not calls["scun-select"] or trace["scun"]["pool"] >= 2
+    assert sum(calls.values()) <= 21
+
+
 # ---------------------------------------------------------------------------
 # a repair round that regenerates a query already checked
 # ---------------------------------------------------------------------------
@@ -588,8 +646,7 @@ def repeat_gateway():
 def run_fun(fun_impl, gw, kb, example):
     ctx = retrieve_lexical(kb, example.question, list(example.linked_entities))
     prompt = build_pun_prompt(kb, example.question, ctx)
-    lf0 = pun_generate(gw, prompt)
-    return fun_impl(gw, kb, example.question, example.question_entities(), lf0, FunConfig(n=3), prompt)
+    return fun_impl(gw, kb, example.question, example.question_entities(), FunConfig(n=3), prompt)
 
 
 def test_repeated_query_makes_one_call_per_v3_purpose(fig1_kb3):
@@ -647,19 +704,21 @@ def test_repeated_reply_is_parsed_once(fig1_kb3, monkeypatch):
     result = run_fun(fun, repeat_gateway(), fig1_kb3, fig1_example("kb3"))
     surfaces = [it["lf"] for it in result.iterations]
     assert surfaces[2:] == surfaces[:2]
-    # The generation reply, then the repair replies of rounds 2 and 3; round
-    # 4's reply repeats round 2's and is not parsed again.
-    assert replies == surfaces[:3]
+    # The generation reply and round 2's reply; rounds 3 and 4 repeat them
+    # and are not parsed again.
+    assert replies == surfaces[:2]
 
 
-def _fun_checking_every_round(gateway, kb, question, question_entities, lf0, cfg, prompt):
+def _fun_checking_every_round(gateway, kb, question, question_entities, cfg, prompt):
     """The repair loop as it was before suite results were reused: the suite
     runs on every round, and a strong failure sends its feedback alone while
     otherwise any weak pass admits the round and the weak failures' feedback
     is sent.  Kept here as the oracle for ``fun`` and its one feedback rule."""
-    conversation = [user(prompt), assistant(lf0.surface)]
+    conversation = [user(prompt)]
+    reply = gateway.complete(conversation)
+    conversation.append(assistant(reply))
+    lf = parse_reply(reply)
     candidates, iterations = [], []
-    lf = lf0
     for iteration in range(1, cfg.n + 2):
         result = run_suite(lf, question, question_entities, kb, gateway, cfg)
         record = {
