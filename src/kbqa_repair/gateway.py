@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import time
 from dataclasses import dataclass
 
@@ -116,9 +117,10 @@ class HttpGateway(GenerationGateway):
     POSTs ``{model, messages, temperature: 0}`` to the endpoint, one connection
     per call; the auth token is read from an environment variable at call
     time.  Transient failures (timeouts, transport failures, 429, and every
-    5xx but the permanent 501 and 505) retry with exponential backoff up to
-    ``max_retries``; a 429 or 503 that sends ``Retry-After`` waits as long
-    as it asks instead, capped like the backoff (RFC 9110 section 10.2.3).
+    5xx but the permanent 501 and 505) retry up to ``max_retries`` times
+    after a wait drawn uniformly below an exponential cap (full jitter); a
+    429 or 503 that sends ``Retry-After`` waits as long as it asks instead,
+    capped like the backoff (RFC 9110 section 10.2.3).
     The proxy is read from ``http_proxy``/``https_proxy`` (else
     ``all_proxy``) at construction; urllib skips it for hosts that
     ``no_proxy`` names.  Redirects are not followed.
@@ -171,8 +173,8 @@ class HttpGateway(GenerationGateway):
         last_error = GatewayError("timeout", "no attempt made")
         for attempt in range(self.max_retries + 1):
             if attempt:  # retry_after is the last reply's, if it asked for a wait
-                wait = 0.5 * 2 ** (attempt - 1) if retry_after is None else retry_after
-                time.sleep(min(wait, 8.0))
+                cap = 0.5 * 2 ** min(attempt - 1, 4)  # 0.5 s doubling to 8 s; 2**1024 is no float
+                time.sleep(random.uniform(0, cap) if retry_after is None else min(retry_after, 8.0))
             retry_after = None
             try:
                 status, data, retry_header = self._post(body, headers)

@@ -158,11 +158,18 @@ def test_http_payload_shape_and_reply(http_server, monkeypatch):
 
 
 @pytest.fixture
-def backoff(monkeypatch):
+def sleeps(monkeypatch):
     """Record the retry sleeps instead of sleeping."""
     slept = []
     monkeypatch.setattr("kbqa_repair.gateway.time.sleep", slept.append)
     return slept
+
+
+@pytest.fixture
+def backoff(sleeps, monkeypatch):
+    """As ``sleeps``, with each full-jitter draw pinned to its upper bound."""
+    monkeypatch.setattr("kbqa_repair.gateway.random.uniform", lambda low, high: high)
+    return sleeps
 
 
 def test_http_retries_transient_then_succeeds(http_server, backoff):
@@ -224,12 +231,12 @@ NOW = 1_700_000_000.0  # the clock of the Retry-After date tests
     ([(503, None, {"Retry-After": time.asctime(time.gmtime(NOW + 2))})], [2.0]),
     ([(429, None, {"Retry-After": email.utils.formatdate(NOW + 3600, usegmt=True)})], [8.0]),
 ], ids=["delta-seconds", "delta-capped", "http-date", "asctime-date", "date-capped"])
-def test_http_retry_after_sets_the_wait(http_server, backoff, monkeypatch, script, slept):
+def test_http_retry_after_sets_the_wait(http_server, sleeps, monkeypatch, script, slept):
     monkeypatch.setattr("kbqa_repair.gateway.time.time", lambda: NOW)
     _Handler.script = script + [(200, _completion("ok"))]
     gw = HttpGateway(http_server, "m", max_retries=3)
     assert gw.complete([user("x")]) == "ok"
-    assert backoff == slept
+    assert sleeps == slept
 
 
 @pytest.mark.parametrize("status, header", [
@@ -251,6 +258,22 @@ def test_http_retry_after_applies_to_the_next_wait_only(http_server, backoff):
     gw = HttpGateway(http_server, "m", max_retries=3)
     assert gw.complete([user("x")]) == "ok"
     assert backoff == [4.0, 1.0, 2.0]
+
+
+def test_http_backoff_is_full_jitter_below_the_cap(sleeps):
+    # 1,100 retries: past 2**1024, which no float holds.
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    gw = HttpGateway(f"http://127.0.0.1:{port}/v1/chat", "m", max_retries=1100)
+    with pytest.raises(GatewayError) as err:
+        gw.complete([user("x")])
+    assert err.value.kind == "timeout"
+    caps = [0.5, 1.0, 2.0, 4.0] + [8.0] * 1096
+    assert len(sleeps) == 1100
+    assert all(0 <= wait <= cap for wait, cap in zip(sleeps, caps))
+    capped = sleeps[4:]
+    assert len(set(capped)) > 1 and 3.0 < sum(capped) / len(capped) < 5.0
 
 
 def test_http_null_content_is_a_protocol_error(http_server, fig1_kb3):
