@@ -43,7 +43,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .query import LITERAL_DATATYPES, CanonicalQuery, Literal, Term, entity as entity_term, rel, shorten, var
+from .query import LITERAL_DATATYPES, Literal, shorten
 
 
 class FormatError(Exception):
@@ -591,11 +591,13 @@ def _without(index: dict, gone: set[int], dead: list[Fact], facts: tuple[Fact, .
 # Path enumeration
 # ---------------------------------------------------------------------------
 
-def paths_from_entity(kb: KnowledgeBase, eid: str, max_len: int = 2) -> list[CanonicalQuery]:
-    """Chain queries rooted at an entity, each guaranteed non-empty on kb.
+def paths_from_entity(kb: KnowledgeBase, eid: str, max_len: int = 2) -> list[tuple[str, ...]]:
+    """Relation-id sequences of the fact chains rooted at an entity, sorted.
 
-    Paths follow facts forward from the entity up to ``max_len`` hops and are
-    returned in lexicographic order of their relation-id sequence.
+    A sequence of 1 to ``max_len`` relation ids is returned when a chain of
+    facts starts at ``eid`` and follows those relations in order, every
+    object but the last an entity; its chain query is therefore non-empty
+    on kb.
     """
     if eid not in kb.entities:
         raise FormatError(f"entity {eid} is not in the KB")
@@ -619,22 +621,4 @@ def paths_from_entity(kb: KnowledgeBase, eid: str, max_len: int = 2) -> list[Can
                 walk(targets, seq)
 
     walk({eid}, ())
-
-    # Terms are immutable, so the paths share one term per id and variable.
-    root = entity_term(eid)
-    inner = [var(f"x{hop}") for hop in range(max_len - 1)]
-    last = var("x")
-    relations: dict[str, Term] = {}
-    queries = []
-    for seq in sorted(sequences):
-        patterns = []
-        subject = root
-        for hop, rid in enumerate(seq):
-            obj = last if hop == len(seq) - 1 else inner[hop]
-            predicate = relations.get(rid)
-            if predicate is None:
-                predicate = relations[rid] = rel(rid)
-            patterns.append((subject, predicate, obj))
-            subject = obj
-        queries.append(CanonicalQuery("x", True, tuple(patterns)))
-    return queries
+    return sorted(sequences)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .kb import KnowledgeBase, paths_from_entity
-from .query import CanonicalQuery, render_sparql
+from .query import CanonicalQuery, Term, entity, rel, render_sparql, var
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,9 @@ def retrieve_lexical(
 ) -> RetrievalContext:
     """Lexical baseline: rank schema elements by label/id similarity to the
     question, rank entity paths by summed relation scores.  Zero-scoring
-    classes and relations are dropped; ties break by id."""
+    classes and relations are dropped; ties break by id.  Each distinct
+    linked entity's paths are enumerated once, as relation-id sequences, and
+    a chain query is built only for each of the top ``caps.max_paths``."""
     q_tokens, q_trigrams = _tokens(question), _trigrams(question)
     class_scores = {
         c.id: _score(q_tokens, q_trigrams, f"{c.label} {c.id}") for c in kb.classes.values()
@@ -121,15 +123,25 @@ def retrieve_lexical(
 
     linked = tuple((m, eid) for m, eid in linked_entities if eid in kb.entities)
     scored_paths = []
-    for _, eid in linked:
-        for path in paths_from_entity(kb, eid, caps.max_path_len):
-            rels = tuple(p.value for _, p, _ in path.patterns)
+    for eid in dict.fromkeys(eid for _, eid in linked):
+        root = entity(eid)
+        for rels in paths_from_entity(kb, eid, caps.max_path_len):
             score = sum(relation_scores.get(rid, 0.0) for rid in rels)
-            scored_paths.append((-score, rels, path))
+            scored_paths.append((-score, rels, root))
     scored_paths.sort(key=lambda item: (item[0], item[1]))
-    paths = tuple(path for _, _, path in scored_paths)
+    variables = [var(f"x{hop}") for hop in range(caps.max_path_len - 1)] + [var("x")]
+    paths = tuple(
+        _chain_query(root, rels, variables) for _, rels, root in scored_paths[: caps.max_paths]
+    )
 
     return RetrievalContext(classes, relations, paths, linked).capped(caps)
+
+
+def _chain_query(root: Term, rels: tuple[str, ...], variables: list[Term]) -> CanonicalQuery:
+    """``?x`` along ``rels`` from the entity term ``root``; ``variables``
+    holds the intermediate hops' ``?x0 ?x1 ...`` and then ``?x``."""
+    nodes = [root, *variables[: len(rels) - 1], variables[-1]]
+    return CanonicalQuery("x", True, tuple(zip(nodes, map(rel, rels), nodes[1:])))
 
 
 def retrieve_union(

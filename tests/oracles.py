@@ -7,9 +7,11 @@ assignment over the KB's terms; keep it dumb.  ``pruned_execute`` gives the
 same answers by backtracking, and is fast enough for criterion 3's 500 cases.
 Both share the engine's literal comparison (``_compare``, ``_values_equal``),
 so the engines agree on one rule for comparing literals.  ``same_as``
-compares two knowledge bases by value, and ``reference_indexes`` rebuilds a
-KB's lookup indexes one key at a time.  ``reference_load_data`` reads a data
-file by ``kb.check`` alone, the route ``load_data``'s inline tests shortcut.  ``reference_tokenize`` is the
+compares two knowledge bases by value, ``reference_indexes`` rebuilds a
+KB's lookup indexes one key at a time, and ``reference_paths`` finds an
+entity's relation paths by scanning every fact at each hop.
+``reference_load_data`` reads a data file by ``kb.check`` alone, the route
+``load_data``'s inline tests shortcut.  ``reference_tokenize`` is the
 tokenizer that spent one regex match on each whitespace run.
 ``render_sexpr`` writes a canonical query as an s-expression.
 """
@@ -206,6 +208,20 @@ def reference_indexes(kb: KnowledgeBase) -> dict[str, dict]:
         "by_object": {o: tuple(f for f in facts if not f.obj_is_literal and f.obj == o) for o in objects},
         "by_relation": {r: tuple(f for f in facts if f.relation == r) for r in relations},
     }
+
+
+def reference_paths(kb: KnowledgeBase, eid: str, max_len: int) -> list[tuple[str, ...]]:
+    """The sorted relation-id sequences of the chains of 1 to ``max_len``
+    facts from ``eid``, each fact's subject the previous fact's object.  A
+    literal is never a subject, so chains pass only through entity objects."""
+    found: set[tuple[str, ...]] = set()
+    chains = {((), eid)}
+    for _ in range(max_len):
+        chains = {
+            (rels + (f.relation,), f.obj) for rels, node in chains for f in kb.facts if f.subject == node
+        }
+        found.update(rels for rels, _ in chains)
+    return sorted(found)
 
 
 def reference_load_data(path: str) -> tuple[list[Entity], list[Fact]]:

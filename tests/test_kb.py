@@ -29,8 +29,8 @@ from kbqa_repair.kb import (
     save_kb,
     validate_plan,
 )
-from kbqa_repair.query import LITERAL_DATATYPES, Literal, render_sparql
-from oracles import reference_indexes, reference_load_data, same_as
+from kbqa_repair.query import LITERAL_DATATYPES, CanonicalQuery, Literal, entity, rel, render_sparql, var
+from oracles import reference_indexes, reference_load_data, reference_paths, same_as
 from randgen import random_kb
 
 
@@ -219,6 +219,12 @@ def test_delete_is_idempotent(fig1_kb3):
         assert same_as(once, twice)
 
 
+def _chain_query(eid, rels):
+    """``?x`` along the relations ``rels`` from entity ``eid``."""
+    nodes = [entity(eid)] + [var(f"x{hop}") for hop in range(len(rels) - 1)] + [var("x")]
+    return CanonicalQuery("x", True, tuple(zip(nodes, map(rel, rels), nodes[1:])))
+
+
 def test_paths_from_star_graph():
     kb = build_kb(
         classes=[SchemaClass("c.a"), SchemaClass("c.b")],
@@ -230,9 +236,8 @@ def test_paths_from_star_graph():
         ],
         facts=[Fact("m.e", "c.a.r", "m.a"), Fact("m.e", "c.a.r", "m.b")],
     )
-    paths = paths_from_entity(kb, "m.e", max_len=1)
-    assert len(paths) == 1  # one relation, one path query
-    assert execute(kb, paths[0]) == {"m.a", "m.b"}
+    assert paths_from_entity(kb, "m.e", max_len=1) == [("c.a.r",)]  # one relation, one path
+    assert execute(kb, _chain_query("m.e", ("c.a.r",))) == {"m.a", "m.b"}
 
 
 def test_paths_from_isolated_entity(fig1_kb3):
@@ -241,18 +246,28 @@ def test_paths_from_isolated_entity(fig1_kb3):
 
 def test_paths_include_author_books_path(fig1_kb3):
     paths = paths_from_entity(fig1_kb3, "m.0auth", max_len=2)
-    rendered = [render_sparql(p) for p in paths]
-    assert any("ns:m.0auth ns:book.author.works_written ?x" in r for r in rendered)
-    # deterministic order: lexicographic by relation-id sequence
-    sequences = [tuple(p.value for _, p, _ in path.patterns) for path in paths]
-    assert sequences == sorted(sequences)
+    assert ("book.author.works_written",) in paths
+    assert all(isinstance(rels, tuple) and 1 <= len(rels) <= 2 for rels in paths)
+    assert paths == sorted(paths)  # deterministic order: lexicographic
 
 
 def test_paths_execute_non_empty(fig1_kb3, fig1_kb1, pairs_kb):
     for kb in (fig1_kb3, fig1_kb1, pairs_kb):
         for eid in kb.entities:
-            for path in paths_from_entity(kb, eid, max_len=2):
-                assert execute(kb, path), render_sparql(path)
+            for rels in paths_from_entity(kb, eid, max_len=2):
+                query = _chain_query(eid, rels)
+                assert execute(kb, query), render_sparql(query)
+
+
+@given(seed=st.integers(0, 2**32 - 1), max_len=st.integers(1, 3), data=st.data())
+def test_paths_match_the_reference_before_and_after_deletion(seed, max_len, data):
+    kb = random_kb(random.Random(seed))
+    for this in (kb, delete_elements(kb, data.draw(_plans(kb)))):
+        for eid in this.entities:
+            paths = paths_from_entity(this, eid, max_len)
+            assert paths == reference_paths(this, eid, max_len)
+            for rels in paths:
+                assert execute(this, _chain_query(eid, rels)), (eid, rels)
 
 
 def test_paths_unknown_entity(fig1_kb3):

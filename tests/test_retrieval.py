@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kbqa_repair import retrieval
-from kbqa_repair.kb import DeletionPlan, delete_elements, paths_from_entity
+from kbqa_repair.kb import DeletionPlan, delete_elements
 from kbqa_repair.retrieval import (
     RetrievalCaps,
     RetrievalContext,
@@ -15,7 +15,7 @@ from kbqa_repair.retrieval import (
     retrieve_lexical,
     retrieve_union,
 )
-from kbqa_repair.query import parse_sparql, render_sparql
+from kbqa_repair.query import CanonicalQuery, Literal, entity, parse_sparql, rel, render_sparql, var
 from randgen import random_kb
 
 
@@ -130,9 +130,55 @@ def test_a_relation_the_kb_lacks_is_rendered_as_its_id(fig1_kb3):
     )
 
 
+def test_an_entity_linked_twice_gets_its_paths_once(fig1_kb3):
+    """Paths are enumerated per distinct entity, so a second mention of the
+    same id takes no path slot; both mentions stay linked."""
+    question = "which books did j r hart write?"
+    mentions = [("j r hart", "m.0auth"), ("hart", "m.0auth")]
+    once = retrieve_union([retrieve_lexical], fig1_kb3, question, mentions[:1])
+    twice = retrieve_union([retrieve_lexical], fig1_kb3, question, mentions)
+    assert len(once.paths) == 5
+    assert twice.paths == once.paths
+    assert twice.linked_entities == tuple(mentions)
+
+
 # ---------------------------------------------------------------------------
 # Oracle: retrieve_lexical as it was before schema features were memoized
+# and before paths were enumerated as relation sequences
 # ---------------------------------------------------------------------------
+
+def _oracle_paths(kb, eid, max_len):
+    """Chain queries rooted at an entity, sorted by relation-id sequence:
+    path enumeration as it was when it built a query for every path."""
+    sequences = set()
+
+    def walk(frontier, prefix):
+        if len(prefix) >= max_len:
+            return
+        next_rels = {}
+        for node in frontier:
+            for fact in kb.by_subject.get(node, ()):
+                targets = next_rels.setdefault(fact.relation, set())
+                if not isinstance(fact.obj, Literal):
+                    targets.add(fact.obj)
+        for rid, targets in next_rels.items():
+            seq = prefix + (rid,)
+            sequences.add(seq)
+            if targets:
+                walk(targets, seq)
+
+    walk({eid}, ())
+    queries = []
+    for seq in sorted(sequences):
+        patterns = []
+        subject = entity(eid)
+        for hop, rid in enumerate(seq):
+            obj = var("x") if hop == len(seq) - 1 else var(f"x{hop}")
+            patterns.append((subject, rel(rid), obj))
+            subject = obj
+        queries.append(CanonicalQuery("x", True, tuple(patterns)))
+    return queries
+
 
 def _oracle_lexical_score(question, label, some_id):
     def tokens(text):
@@ -174,8 +220,8 @@ def _oracle_retrieve(kb, question, linked_entities, caps=RetrievalCaps()):
     )
     linked = tuple((m, eid) for m, eid in linked_entities if eid in kb.entities)
     scored_paths = []
-    for _, eid in linked:
-        for path in paths_from_entity(kb, eid, caps.max_path_len):
+    for eid in dict.fromkeys(eid for _, eid in linked):
+        for path in _oracle_paths(kb, eid, caps.max_path_len):
             rels = tuple(p.value for _, p, _ in path.patterns)
             score = sum(relation_scores.get(rid, 0.0) for rid in rels)
             scored_paths.append((-score, rels, path))
@@ -212,9 +258,10 @@ def _questions(kb):
 
 
 def _linked(data, kb):
+    """Up to three mentions; an id may be linked under more than one."""
     ids = sorted(kb.entities)[:20] + ["m.ghost"]
-    picked = data.draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
-    return [(f"mention {eid}", eid) for eid in picked]
+    picked = data.draw(st.lists(st.sampled_from(ids), max_size=3))
+    return [(f"mention {i}", eid) for i, eid in enumerate(picked)]
 
 
 def _assert_matches_oracle(kb, question, linked):

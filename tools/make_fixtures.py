@@ -37,6 +37,7 @@ from kbqa_repair.kb import (  # noqa: E402
     delete_elements,
     save_kb,
     save_plan,
+    write_jsonl,
 )
 from kbqa_repair.pipeline import build_pun_prompt  # noqa: E402
 from kbqa_repair.query import Literal, parse_sparql  # noqa: E402
@@ -49,9 +50,7 @@ FIXTURES = ROOT / "tests" / "fixtures"
 
 def jsonl(path: Path, records: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(str(path), records)
 
 
 def write_mock(path: Path, matchers: list[tuple[str, str]]) -> None:
