@@ -22,12 +22,18 @@ whether the build succeeds or raises.  The collector is paused, not frozen:
 ``gc.freeze`` is process-wide and would pin unrelated objects too.
 
 A loaded KB holds one object per distinct value.  The JSON decoder makes a
-new string for every occurrence of an id, so a KB of 10^4 entities and
-4x10^4 facts would otherwise keep about four copies of each entity id, one
-class frozenset per entity and one datatype string per literal: more than
-half of its heap.  ``load_data`` maps each entity id, fact subject, entity
-object and relation id to the first equal string it read, and each class set
-to the first equal frozenset; ``literal_from_json`` uses the
+new string for every occurrence of an id or label, so a KB of 10^4 entities
+and 4x10^4 facts would otherwise keep about four copies of each entity id,
+one label string and one class frozenset per entity, and one ``Literal`` per
+literal fact: more than half of its heap.  ``load_data`` maps each entity
+id, label, fact subject, entity object and relation id to the first equal
+string it read, and each class set to the first equal frozenset.  It keys
+each literal object on its datatype and the ``repr`` of its value, and a
+literal whose key it has seen reuses the first ``Literal`` built for that
+key without building another.  The key is exact where ``Literal`` equality
+is not: ``1`` and ``1.0``, ``-0.0`` and ``0.0`` stay two objects, and so do
+``"1999"`` and ``1999`` or a date and a string of the same text, so every
+literal keeps the value it was written with.  ``literal_from_json`` uses the
 ``LITERAL_DATATYPES`` constants; ``delete_elements`` strips each distinct
 class set once.  The table lives for one ``load_data`` call and dies with
 it, so it pins nothing after the load; ``sys.intern`` would keep every id in
@@ -415,10 +421,12 @@ _STRINGS = frozenset({str})
 
 def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
     """The entities and facts of a data file, in file order.  Each distinct
-    id and class set is one object (see the module docstring)."""
+    id, label, class set and literal is one object (see the module docstring)."""
     entities: list[Entity] = []
     facts: list[Fact] = []
-    first: dict = {}  # each id str and class frozenset to the first equal one read
+    # Each id and label str and class frozenset to the first equal one read,
+    # and each literal's key to the first literal read with that key.
+    first: dict = {}
     one = first.setdefault
     for lineno, record in read_jsonl(path):
         # Each test is check's, inline; check runs only to raise the error.
@@ -430,14 +438,23 @@ def load_data(path: str) -> tuple[list[Entity], list[Fact]]:
                     or not _STRINGS.issuperset(map(type, classes))):
                 check(record, "entity", lineno)
             classes = frozenset(classes)
-            entities.append(Entity(one(eid, eid), label, one(classes, classes)))
+            entities.append(Entity(one(eid, eid), one(label, label), one(classes, classes)))
         elif "s" in record:
             subject, relation, target = record["s"], record.get("r"), record.get("o")
             if type(subject) is not str or type(relation) is not str or type(target) is not dict:
                 check(record, "fact", lineno)
-            target = _parse_object(target, lineno)
-            if type(target) is str:
+            if "entity" in target or "literal" not in target:
+                target = _parse_object(target, lineno)
                 target = one(target, target)
+            else:
+                # Keyed on the datatype and the value's repr, which tell 1 from
+                # 1.0, -0.0 from 0.0 and "1999" from 1999.  A key enters the
+                # table only with the Literal built from it, so a repeat is valid.
+                datatype = target.get("type", "string")
+                key = (datatype, repr(target["literal"])) if type(datatype) is str else None
+                if key not in first:
+                    first[key] = literal_from_json(target, lineno)
+                target = first[key]
             facts.append(Fact(one(subject, subject), one(relation, relation), target))
         else:
             raise FormatError("record is neither an entity ({id,...}) nor a fact ({s,r,o})", lineno)

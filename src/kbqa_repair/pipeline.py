@@ -20,13 +20,16 @@ The reuse is exact when the gateway's replies depend on the prompt alone, as
 the mock's do and the HTTP backend's at temperature 0.  A reply that repeats
 an earlier one of the same question, the generation reply included, is
 parsed once.  Nothing is shared between questions.
+
+``run_dataset`` imports the thread pool only for more than one worker, and
+``run_question`` imports ``traceback`` only to format a question's failure,
+so a one-worker run never loads them, nor ``logging`` and ``textwrap``,
+which they import.
 """
 
 from __future__ import annotations
 
 import re
-import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .dataset import DatasetSplit, QAExample, answer_to_json
@@ -287,6 +290,8 @@ def run_question(
     except MockMiss:
         raise
     except Exception as err:  # the run outlives any one question
+        import traceback
+
         error, failure = f"{type(err).__name__}: {err}", {"exception": traceback.format_exc()}
     outcome = {"lf": lf.surface, "answer": answer_to_json(answer), "confident": confident}
     trace = {
@@ -318,5 +323,7 @@ def run_dataset(
 
     if workers <= 1:
         return list(map(run_one, split.examples))
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_one, split.examples))

@@ -439,7 +439,8 @@ def test_kb_records_are_frozen_values(record, other):
 
 
 # ---------------------------------------------------------------------------
-# a loaded KB holds one object per distinct id, class set and datatype
+# a loaded KB holds one object per distinct id, label, class set, literal
+# and datatype
 # ---------------------------------------------------------------------------
 
 FIXTURE_KBS = ["fig1/kb1", "fig1/kb2", "fig1/kb3", "a13/kb", "pairs"]
@@ -456,16 +457,60 @@ def _random_kb_files(tmp_path, seed):
     return schema, data
 
 
-def _distinct(values):
-    """(distinct objects, distinct values) among ``values``."""
+# Pairs of literals that are equal as Literals but not the same value, each
+# side twice, on two entities of one label and class set; in save_kb's layout.
+EXACT_SCHEMA = {
+    "classes": [{"id": "c.a", "label": "A"}],
+    "relations": [{"id": f"c.a.{datatype}", "domain": "c.a", "range": datatype}
+                  for datatype in LITERAL_DATATYPES],
+}
+EXACT_PAIRS = [(1, "float"), (1.0, "float"), (-0.0, "float"), (0.0, "float"),
+               ("1999", "string"), (1999, "integer"), ("2024-01-05", "date"),
+               ("2024-01-05", "string")]
+
+
+def _exact_kb_files(tmp_path):
+    """Paths to the schema and data files of the literal pairs."""
+    lines = [{"id": eid, "label": "Same", "classes": ["c.a"]} for eid in ("m.1", "m.2")]
+    lines += [{"s": eid, "r": f"c.a.{datatype}", "o": {"literal": value, "type": datatype}}
+              for eid in ("m.1", "m.2") for value, datatype in EXACT_PAIRS]
+    schema, data = tmp_path / "schema.json", tmp_path / "data.jsonl"
+    schema.write_text(json.dumps(EXACT_SCHEMA, indent=2) + "\n", encoding="utf-8")
+    data.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    return str(schema), str(data)
+
+
+def _exact(literal):
+    """A literal's datatype and value, told apart where Literal equality is not."""
+    return literal.datatype, repr(literal.value)
+
+
+def _distinct(values, key=lambda value: value):
+    """(distinct objects, distinct keys) among ``values``."""
     values = list(values)
-    return len({id(v) for v in values}), len(set(values))
+    return len({id(v) for v in values}), len(set(map(key, values)))
 
 
-@pytest.mark.parametrize("name", FIXTURE_KBS + ["random-3", "random-8"])
+def test_each_side_of_an_equal_literal_pair_keeps_its_own_object(tmp_path):
+    schema, data = _exact_kb_files(tmp_path)
+    kb = load_kb(schema, data)
+    first = [fact.obj for fact in kb.by_subject["m.1"]]
+    assert [(lit.value, lit.datatype) for lit in first] == EXACT_PAIRS
+    assert [repr(lit.value) for lit in first] == [repr(value) for value, _ in EXACT_PAIRS]
+    assert len({id(lit) for lit in first}) == len(EXACT_PAIRS)
+    out = tmp_path / "saved"
+    out.mkdir()
+    save_kb(kb, str(out / "schema.json"), str(out / "data.jsonl"))
+    assert (out / "schema.json").read_bytes() == (tmp_path / "schema.json").read_bytes()
+    assert (out / "data.jsonl").read_bytes() == (tmp_path / "data.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", FIXTURE_KBS + ["random-3", "random-8", "exact-pairs"])
 def test_load_kb_holds_one_object_per_value(tmp_path, name):
     if name.startswith("random-"):
         kb = load_kb(*_random_kb_files(tmp_path, int(name.split("-")[1])))
+    elif name == "exact-pairs":
+        kb = load_kb(*_exact_kb_files(tmp_path))
     else:
         kb = load_kb(*_fixture_files(name))
     ids = [ent.id for ent in kb.entities.values()]
@@ -473,11 +518,15 @@ def test_load_kb_holds_one_object_per_value(tmp_path, name):
         ids += [fact.subject, fact.relation] + ([] if fact.obj_is_literal else [fact.obj])
     objects, values = _distinct(ids)
     assert objects == values
+    objects, values = _distinct(ent.label for ent in kb.entities.values())
+    assert objects == values
     objects, values = _distinct(ent.classes for ent in kb.entities.values())
     assert objects == values < len(kb.entities)
-    for fact in kb.facts:
-        if fact.obj_is_literal:
-            assert any(fact.obj.datatype is datatype for datatype in LITERAL_DATATYPES)
+    literals = [fact.obj for fact in kb.facts if fact.obj_is_literal]
+    objects, values = _distinct(literals, _exact)
+    assert objects == values
+    for literal in literals:
+        assert any(literal.datatype is datatype for datatype in LITERAL_DATATYPES)
 
     # Strip the class most entities have: entities that had one class set
     # share one stripped set, and untouched entities stay the same objects.
@@ -610,7 +659,8 @@ def _outcome(load, path):
 @settings(max_examples=300)
 @given(data=st.data())
 def test_load_data_agrees_with_the_shapes_route(data):
-    line = [json.loads(data.draw(st.sampled_from(DATA_LINES), label="line"))]
+    original = data.draw(st.sampled_from(DATA_LINES), label="line")
+    line = [json.loads(original)]
     record = line[0]
     # The line, each of its fields, each element of its classes, each field of its object.
     slots = [(line, 0)] + [(record, key) for key in record]
@@ -622,10 +672,11 @@ def test_load_data_agrees_with_the_shapes_route(data):
         del parent[key]
     else:
         parent[key] = value
+    # The valid line first, so a repeat of its ids or literal meets the load's table.
     with tempfile.TemporaryDirectory() as scratch:
         path = f"{scratch}/data.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(line[0]) + "\n")
+            handle.write(original + "\n" + json.dumps(line[0]) + "\n")
         assert _outcome(load_data, path) == _outcome(reference_load_data, path)
 
 

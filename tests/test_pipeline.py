@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -524,6 +528,47 @@ def test_run_dataset_order_and_workers(fig1_kb3):
     threaded = run_dataset(gw, fig1_kb3, [retrieve_lexical], split, FunConfig(n=3), workers=3)
     assert [o.trace["outcome"] for o in serial] == [o.trace["outcome"] for o in threaded]
     assert len(serial) == 3
+
+
+def test_one_worker_run_loads_no_thread_pool(tmp_path):
+    # A fresh interpreter: this one has the pool loaded by the tests above.
+    # Counted against the modules loaded before the import, as site hooks of
+    # the interpreter may load some of these names on their own.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    fig1 = FIXTURES / "fig1"
+    kb3 = [str(fig1 / "kb3" / "schema.json"), str(fig1 / "kb3" / "data.jsonl")]
+
+    def argv(workers):
+        return [str(a) for a in [
+            "run", "--kb", fig1 / "kb3", "--dataset", fig1 / "dataset_kb3.jsonl", "--backend", "mock",
+            "--mock", fig1 / "mock.json", "--n-iter", "3", "--workers", workers,
+            "--out", tmp_path / f"out{workers}"]]
+
+    pool = ["concurrent.futures", "logging", "traceback"]
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import kbqa_repair.cli\n"
+        "from kbqa_repair import dataset, gateway, kb, pipeline\n"
+        f"def loaded(): return sorted(set(sys.modules) - before & {set(pool)!r})\n"
+        f"codes = [kbqa_repair.cli.main({argv(1)!r})]\n"
+        "one_worker = loaded()\n"
+        "def crash(*args): raise RuntimeError('retriever crashed')\n"
+        f"example = dataset.load_split({str(fig1 / 'dataset_kb3.jsonl')!r}).examples[0]\n"
+        f"crashed = pipeline.run_question(gateway.MockGateway([]), kb.load_kb(*{kb3!r}), [crash],\n"
+        "                                example).trace['exception']\n"
+        f"codes.append(kbqa_repair.cli.main({argv(2)!r}))\n"
+        "print(json.dumps([codes, one_worker, crashed, loaded()]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    codes, one_worker, crashed, two_workers = json.loads(out.splitlines()[-1])
+    assert codes == [0, 0] and one_worker == []
+    assert crashed.startswith("Traceback (most recent call last):\n")
+    assert crashed.endswith("RuntimeError: retriever crashed\n")
+    assert "concurrent.futures" in two_workers
 
 
 def test_empty_dataset():
