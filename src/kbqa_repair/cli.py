@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: kb validate|delete, dataset inject|sample, run, eval, verify,
+Subcommands: kb validate, dataset inject|sample, run, eval, verify,
 trace.  Output files written by `run` and `eval` carry no timestamps (those
 are quarantined to log.txt) so reruns against the mock backend are
 byte-identical.  Exit codes: 0 success, 1 per-item failures present, 2 an
@@ -54,25 +54,10 @@ def _make_gateway(args):
 # kb
 # ---------------------------------------------------------------------------
 
-def _sizes(kb: kbmod.KnowledgeBase) -> str:
-    return (f"{len(kb.classes)} classes, {len(kb.relations)} relations, "
-            f"{len(kb.entities)} entities, {len(kb.facts)} facts")
-
-
 def cmd_kb_validate(args) -> int:
-    print(f"OK: {_sizes(_load_kb(args))}")
-    return 0
-
-
-def cmd_kb_delete(args) -> int:
     kb = _load_kb(args)
-    plan = kbmod.load_plan(args.plan)
-    kbmod.validate_plan(kb, plan)
-    kb2 = kbmod.delete_elements(kb, plan)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    kbmod.save_kb(kb2, str(out / "schema.json"), str(out / "data.jsonl"))
-    print(f"wrote {out}: {_sizes(kb2)}")
+    print(f"OK: {len(kb.classes)} classes, {len(kb.relations)} relations, "
+          f"{len(kb.entities)} entities, {len(kb.facts)} facts")
     return 0
 
 
@@ -207,27 +192,32 @@ def cmd_run(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _load_predictions(path: str) -> list[tuple[LogicalForm, frozenset | None]]:
-    predictions = []
+def _load_predictions(path: str) -> tuple[list[tuple[LogicalForm, frozenset | None]], frozenset[int]]:
+    """The predictions in ``path``, and the indices of the failed ones: the
+    lines that carry ``error``."""
+    predictions, failed = [], set()
     for lineno, record in kbmod.read_jsonl(path):
         kbmod.check(record, "prediction", lineno)
+        if "error" in record:
+            failed.add(len(predictions))
         lf = LogicalForm.from_text(record.get("dialect", "sparql"), record["lf"])
         predictions.append((lf, ds.answer_from_json(record["answer"], lineno)))
-    return predictions
+    return predictions, frozenset(failed)
 
 
 def cmd_eval(args) -> int:
     kb = _load_kb(args)
     gold = ds.load_split(args.gold)
-    predictions = _load_predictions(args.pred)
+    predictions, failed = _load_predictions(args.pred)
     if len(predictions) != len(gold.examples):
         raise kbmod.FormatError(
             f"{args.pred} has {len(predictions)} predictions, {args.gold} has "
             f"{len(gold.examples)} examples"
         )
-    records = metrics.evaluate(predictions, list(gold.examples), kb)
+    records = metrics.evaluate(predictions, list(gold.examples), kb, failed)
     report = metrics.aggregate(records)
     print(metrics.render_table(report))
+    print(f"failed: {len(failed)} (each scored as a miss)")
     if args.out:
         metrics.save_report(report, args.out)
     if args.csv:
@@ -345,11 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = kb_sub.add_parser("validate", help="load a KB and check every invariant")
     _add_kb_flags(p)
     p.set_defaults(func=cmd_kb_validate)
-    p = kb_sub.add_parser("delete", help="apply a deletion plan")
-    _add_kb_flags(p)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_kb_delete)
 
     ds_parser = sub.add_parser("dataset", help="dataset utilities")
     ds_sub = ds_parser.add_subparsers(dest="dataset_command", required=True)

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .kb import check, read_json
+from .query import shorten
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ class MockGateway(GenerationGateway):
         for matcher in self.matchers:
             if matcher.kind == "substring" and matcher.text in prompt:
                 return matcher.reply
-        head = prompt if len(prompt) <= 400 else prompt[:400] + "..."
-        raise MockMiss(f"no matcher fired for prompt: {head!r}")
+        raise MockMiss(f"no matcher fired for prompt: {shorten(prompt, 400)!r}")
 
 
 class HttpGateway(GenerationGateway):

@@ -258,7 +258,7 @@ SHAPES = {
                         "category?": str},
     "linked entity": {"mention": str, "id": str},
     "gold query": {"dialect?": ("sparql", "sexpr"), "text": str},
-    "prediction": {"dialect?": ("sparql", "sexpr"), "lf": str, "answer": ANSWER},
+    "prediction": {"dialect?": ("sparql", "sexpr"), "lf": str, "answer": ANSWER, "error?": str},
     "mock fixture": [dict],
     "mock matcher": {"match": dict, "reply": str},
     "mock match": {"kind": ("exact", "substring"), "text": str},
@@ -365,8 +365,9 @@ def read_jsonl(path: str):
 
 
 def write_jsonl(path: str, records) -> None:
-    """Write each record as one line of JSON, in order."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write each record as one line of JSON, in order.  A lone surrogate,
+    which UTF-8 cannot encode, is written as its JSON escape (``\\ud800``)."""
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as handle:
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 

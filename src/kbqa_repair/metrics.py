@@ -104,24 +104,26 @@ def evaluate(
     predictions: list[tuple[LogicalForm, frozenset | None]],
     examples: list[QAExample],
     kb: KnowledgeBase,
+    failed: frozenset[int] = frozenset(),
 ) -> list[EvaluationRecord]:
-    """Score aligned (prediction, example) pairs against the evaluation KB."""
+    """Score aligned (prediction, example) pairs against the evaluation KB.
+
+    The predictions at the indices in ``failed`` are those of questions that
+    failed; each is a miss, scoring 0 on every metric, whatever it holds.
+    """
     if len(predictions) != len(examples):
         raise ValueError(
             f"{len(predictions)} predictions but {len(examples)} gold examples"
         )
     records = []
     for index, ((lf, answer), example) in enumerate(zip(predictions, examples)):
-        records.append(
-            EvaluationRecord(
-                index=index,
-                label=example.label,
-                category=example.category,
-                em_s=em_s(lf, example.gold_lf, kb),
-                f1_r=f1_answers(answer, example.gold_answer, example.complete_kb_answer, False),
-                f1_l=f1_answers(answer, example.gold_answer, example.complete_kb_answer, True),
-            )
-        )
+        if index in failed:
+            scores = (0, 0.0, 0.0)
+        else:
+            scores = (em_s(lf, example.gold_lf, kb),
+                      f1_answers(answer, example.gold_answer, example.complete_kb_answer, False),
+                      f1_answers(answer, example.gold_answer, example.complete_kb_answer, True))
+        records.append(EvaluationRecord(index, example.label, example.category, *scores))
     return records
 
 

@@ -210,9 +210,12 @@ def select_best(
     )
     reply = gateway.complete([user(prompt)], "scun-select")
     match = re.search(r"\d+", reply)
-    if match:
-        index = int(match.group())
-        if 1 <= index <= len(candidates):
+    # Leading zeros aside, an index has no more digits than the pool's size: a
+    # longer number is out of range, and may be past int()'s digit limit.
+    digits = match.group().lstrip("0") if match else ""
+    if digits and len(digits) <= len(str(len(candidates))):
+        index = int(digits)
+        if index <= len(candidates):
             return candidates[index - 1], False
     earliest = min(candidates, key=lambda c: c.iteration)
     return earliest, True

@@ -31,10 +31,10 @@ _FLOAT_MAX = sys.float_info.max
 _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
 
 
-def shorten(text: str) -> str:
-    """``text`` as an error message shows it: cut to 77 characters and "..."
-    when it is longer than 80."""
-    return text if len(text) <= 80 else text[:77] + "..."
+def shorten(text: str, width: int = 80) -> str:
+    """``text`` as an error message shows it: cut to ``width`` characters,
+    the last three "...", when it is longer."""
+    return text if len(text) <= width else text[:width - 3] + "..."
 
 
 class QuerySyntaxError(Exception):

@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import shutil
+import socket
 import subprocess
 import sys
 from typing import get_type_hints
@@ -7,7 +10,7 @@ from typing import get_type_hints
 import pytest
 
 from conftest import FIXTURES
-from kbqa_repair.cli import main
+from kbqa_repair.cli import build_parser, main
 from kbqa_repair.dataset import make_random_plan
 from kbqa_repair.kb import SHAPES, load_kb, load_plan
 from kbqa_repair.pipeline import build_pun_prompt
@@ -33,10 +36,10 @@ def test_kb_validate_missing_path_names_it(capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_kb_delete_roundtrip(tmp_path, capsys):
+def test_dataset_inject_plan_writes_kb1_byte_identical(tmp_path, capsys):
     assert run_cli(
-        "kb", "delete", "--kb", FIG1 / "kb3", "--plan", FIG1 / "plan_kb1.json",
-        "--out", tmp_path / "kb1",
+        "dataset", "inject", "--kb", FIG1 / "kb3", "--split", _write(tmp_path, "empty.jsonl", ""),
+        "--plan", FIG1 / "plan_kb1.json", "--out", tmp_path / "kb1",
     ) == 0
     produced = (tmp_path / "kb1" / "schema.json").read_bytes()
     expected = (FIG1 / "kb1" / "schema.json").read_bytes()
@@ -124,6 +127,28 @@ def test_run_writes_outcomes_and_traces(tmp_path, capsys):
     assert (tmp_path / "out" / "log.txt").exists()
 
 
+def test_run_writes_a_lone_surrogate_in_a_reply_as_its_json_escape(tmp_path, capsys):
+    """A reply may end in a lone surrogate, as JSON's "\\ud800" decodes; every
+    file is still written whole, in UTF-8, and reads back to the same reply."""
+    mock = json.loads((FIG1 / "mock.json").read_text())
+    for item in mock:
+        if item["reply"].startswith("The question we answer"):  # V3's last call
+            item["reply"] += "\ud800"
+    replies = {item["reply"] for item in mock}
+    fixture = _write(tmp_path, "mock.json", json.dumps(mock))
+    assert run_cli(
+        "run", "--kb", FIG1 / "kb2", "--dataset", FIG1 / "dataset_kb2.jsonl",
+        "--mock", fixture, "--n-iter", "3", "--out", tmp_path / "out",
+    ) == 0
+    out = tmp_path / "out"
+    assert (out / "manifest.json").exists() and (out / "log.txt").exists()
+    text = (out / "traces.jsonl").read_text(encoding="utf-8")
+    assert "\\ud800" in text
+    (trace,) = map(json.loads, text.splitlines())
+    assert any(call["reply"].endswith("\ud800") for call in trace["llm"])
+    assert {call["reply"] for call in trace["llm"]} <= replies
+
+
 def test_run_missing_kb_path_exits_2(tmp_path, capsys):
     code = run_cli(
         "run", "--kb", tmp_path / "missing", "--dataset", FIG1 / "dataset_kb3.jsonl",
@@ -171,6 +196,27 @@ def test_eval_lenient_f1_never_credits_an_empty_answer(tmp_path, capsys):
     assert run_cli("eval", "--kb", FIG1 / "kb3", "--pred", pred, "--gold", gold) == 0
     overall = capsys.readouterr().out.splitlines()[2]
     assert overall.split() == ["overall", "1", "0.0", "0.0", "0.0"]  # n, F1(R), F1(L), EM-s
+
+
+def test_eval_scores_a_failed_question_as_a_miss(tmp_path, capsys, monkeypatch):
+    """A run against a refused port fails its kb1 question with (NK, NA), the
+    gold outcome; eval scores that line 0 on every metric all the same."""
+    monkeypatch.setattr("kbqa_repair.gateway.time.sleep", lambda seconds: None)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    assert run_cli(
+        "run", "--kb", FIG1 / "kb1", "--dataset", FIG1 / "dataset_kb1.jsonl", "--backend", "http",
+        "--endpoint", f"http://127.0.0.1:{port}/v1", "--model", "m", "--out", tmp_path / "out",
+    ) == 1
+    outcome = json.loads((tmp_path / "out" / "outcomes.jsonl").read_text())
+    assert (outcome["lf"], outcome["answer"]) == ("NK", "NA") and outcome["error"].startswith("timeout: ")
+    capsys.readouterr()
+    assert run_cli("eval", "--kb", FIG1 / "kb1", "--pred", tmp_path / "out" / "outcomes.jsonl",
+                   "--gold", FIG1 / "dataset_kb1.jsonl") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split() == ["overall", "1", "0.0", "0.0", "0.0"]  # n, F1(R), F1(L), EM-s
+    assert lines[-1] == "failed: 1 (each scored as a miss)"
 
 
 def test_eval_length_mismatch_is_fatal(tmp_path, capsys):
@@ -315,7 +361,10 @@ def _run_argv(tmp_path, dataset=FIG1 / "dataset_kb3.jsonl", mock=FIG1 / "mock.js
 
 
 def _delete_argv(tmp_path, plan):
-    return ("kb", "delete", "--kb", FIG1 / "kb3", "--plan", plan, "--out", tmp_path / "out")
+    """`dataset inject` of ``plan`` on kb3, with an empty split."""
+    split = _write(tmp_path, "split.jsonl", "")
+    return ("dataset", "inject", "--kb", FIG1 / "kb3", "--split", split,
+            "--plan", plan, "--out", tmp_path / "out")
 
 
 def _inject_argv(tmp_path, **change):
@@ -844,3 +893,17 @@ def test_trace_show_counts_reused_verifications(tmp_path, capsys):
         "scun-select 1)",
         "  reused verifications: 2",
     ]
+
+
+def test_every_readme_command_parses(capsys):
+    """Each `kbqa-repair` command in README's sh blocks, its continuation
+    lines joined, names a subcommand and flags that exist."""
+    readme = (FIXTURES.parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("kbqa-repair ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}\n{capsys.readouterr().err}")

@@ -68,6 +68,14 @@ def test_mock_miss_is_loud():
         gw.complete([user("unscripted prompt")])
 
 
+@pytest.mark.parametrize("length, shown", [(400, "x" * 400), (401, "x" * 397 + "...")],
+                         ids=["at-the-width", "one-past-it"])
+def test_mock_miss_shows_a_prompt_of_at_most_400_characters_whole(length, shown):
+    with pytest.raises(MockMiss) as miss:
+        MockGateway([]).complete([user("x" * length)])
+    assert str(miss.value) == f"no matcher fired for prompt: {shown!r}"
+
+
 def test_mock_determinism():
     matchers = [Matcher("substring", "q", "the reply")]
     conv = [user("q1")]

@@ -62,7 +62,8 @@ FILES = {
                          ("pairs", FIXTURES / "pairs"))
        for name in ("schema.json", "data.jsonl")},
     **{f"fig1-{plan}": _file(FIG1 / f"{plan}.json", "plan.json",
-                             "kb", "delete", "--kb", FIG1 / "kb3", "--plan", "FILE", "--out", "OUT")
+                             "dataset", "inject", "--kb", FIG1 / "kb3", "--split",
+                             FIG1 / "dataset_kb3.jsonl", "--plan", "FILE", "--out", "OUT")
        for plan in ("plan_kb1", "plan_kb2")},
     **{f"fig1-dataset_{kb}": _file(FIG1 / f"dataset_{kb}.jsonl", "split.jsonl", "dataset", "inject",
                                    "--kb", FIG1 / kb, "--split", "FILE", "--seed", "0", "--out", "OUT")

@@ -263,6 +263,18 @@ def test_select_best_out_of_range_index_falls_back():
     assert chosen.iteration == 1 and fallback
 
 
+@pytest.mark.parametrize("reply, iteration, fallback", [
+    ("1" + "0" * 5000, 1, True),  # past int()'s digit limit: out of range
+    ("0" * 5000 + "2", 2, False),  # leading zeros name the index they end in
+    ("0", 1, True),
+], ids=["past-the-digit-limit", "leading-zeros", "zero"])
+def test_select_best_reads_a_number_of_any_length(reply, iteration, fallback):
+    gw = MockGateway([Matcher("substring", "orig_nl_qn", reply)])
+    pool = [candidate(1, {"m.a"}), candidate(2, {"m.b"})]
+    chosen, flagged = select_best(gw, "q?", pool)
+    assert (chosen.iteration, flagged) == (iteration, fallback)
+
+
 # ---------------------------------------------------------------------------
 # the repair loop on the golden fixtures
 # ---------------------------------------------------------------------------
