@@ -10,6 +10,8 @@ input the command cannot use (a FormatError) or a backend that fails it.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import shutil
 import sys
@@ -155,16 +157,6 @@ def cmd_run(args) -> int:
             fewshots.append(shot)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    started = time.time()
-    outcomes = pipeline.run_dataset(
-        gateway, kb, [retrieve_lexical], split, cfg, tuple(fewshots), workers=workers
-    )
-    elapsed = time.time() - started
-
-    kbmod.write_jsonl(out / "outcomes.jsonl", (outcome.trace["outcome"] for outcome in outcomes))
-    kbmod.write_jsonl(out / "traces.jsonl", (outcome.trace for outcome in outcomes))
-    failures = sum(bool(outcome.error) for outcome in outcomes)
     manifest = {
         "kb": dict(zip(("schema", "data"), _kb_paths(args))),
         "dataset": args.dataset,
@@ -180,11 +172,22 @@ def cmd_run(args) -> int:
         handle.write("\n")
     if args.config:
         shutil.copyfile(args.config, out / "config.json")
+    started, failures = time.time(), 0
+    outcomes = pipeline.iter_outcomes(
+        gateway, kb, [retrieve_lexical], split, cfg, tuple(fewshots), workers=workers
+    )
+    with (kbmod.jsonl_writer(out / "outcomes.jsonl") as write_outcomes,
+          kbmod.jsonl_writer(out / "traces.jsonl") as write_traces, contextlib.closing(outcomes)):
+        for outcome in outcomes:
+            write_outcomes([outcome.trace["outcome"]])
+            write_traces([outcome.trace])
+            failures += bool(outcome.error)
+    elapsed = time.time() - started
     with open(out / "log.txt", "w", encoding="utf-8") as handle:
         handle.write(f"started: {time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(started))}Z\n")
         handle.write(f"elapsed_seconds: {elapsed:.3f}\n")
 
-    print(f"wrote {out}: {len(outcomes)} outcomes, {failures} failed")
+    print(f"wrote {out}: {len(split.examples)} outcomes, {failures} failed")
     return 1 if failures else 0
 
 
@@ -398,6 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    for stream in (sys.stdout, sys.stderr):  # a lone surrogate prints as its escape
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .executor import execute, execute_bindings
 from .kb import DeletionPlan, FormatError, KnowledgeBase, delete_elements, read_jsonl, validate_plan
-from .kb import check, literal_from_json, literal_to_json, write_jsonl
+from .kb import check, jsonl_writer, literal_from_json, literal_to_json
 from .query import (
     Literal,
     LogicalForm,
@@ -121,7 +121,8 @@ def load_split(path: str, name: str = "test") -> DatasetSplit:
 
 
 def save_split(split: DatasetSplit, path: str) -> None:
-    write_jsonl(path, map(example_to_record, split.examples))
+    with jsonl_writer(path) as write:
+        write(map(example_to_record, split.examples))
 
 
 # ---------------------------------------------------------------------------

@@ -364,12 +364,18 @@ def read_jsonl(path: str):
             yield lineno, record
 
 
-def write_jsonl(path: str, records) -> None:
-    """Write each record as one line of JSON, in order.  A lone surrogate,
+@contextlib.contextmanager
+def jsonl_writer(path: str):
+    """Open ``path`` for JSON Lines and yield ``write(records)``, which writes
+    each record as one line of JSON, in order, and flushes.  A lone surrogate,
     which UTF-8 cannot encode, is written as its JSON escape (``\\ud800``)."""
     with open(path, "w", encoding="utf-8", errors="backslashreplace") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        def write(records) -> None:
+            for record in records:
+                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.flush()
+
+        yield write
 
 
 def load_schema(path: str) -> tuple[list[SchemaClass], list[RelationDef]]:
@@ -495,7 +501,8 @@ def save_kb(kb: KnowledgeBase, schema_path: str, data_path: str) -> None:
         handle.write("\n")
     entities = ({"id": e.id, "label": e.label, "classes": sorted(e.classes)}
                 for e in kb.entities.values())
-    write_jsonl(data_path, itertools.chain(entities, map(_fact_to_json, kb.facts)))
+    with jsonl_writer(data_path) as write:
+        write(itertools.chain(entities, map(_fact_to_json, kb.facts)))
 
 
 def _fact_to_json(fact: Fact) -> dict:

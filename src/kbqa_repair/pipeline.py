@@ -21,7 +21,7 @@ the mock's do and the HTTP backend's at temperature 0.  A reply that repeats
 an earlier one of the same question, the generation reply included, is
 parsed once.  Nothing is shared between questions.
 
-``run_dataset`` imports the thread pool only for more than one worker, and
+``iter_outcomes`` imports the thread pool only for more than one worker, and
 ``run_question`` imports ``traceback`` only to format a question's failure,
 so a one-worker run never loads them, nor ``logging`` and ``textwrap``,
 which they import.
@@ -30,6 +30,7 @@ which they import.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .dataset import DatasetSplit, QAExample, answer_to_json
@@ -310,23 +311,27 @@ def run_question(
     return PipelineOutcome(lf, answer, confident, trace, error)
 
 
-def run_dataset(
-    gateway: GenerationGateway,
-    kb: KnowledgeBase,
-    retrievers: list,
-    split: DatasetSplit,
-    cfg: FunConfig = FunConfig(),
-    fewshots: tuple[QAExample, ...] = (),
-    workers: int = 1,
-) -> list[PipelineOutcome]:
-    """Process questions independently; output order matches input order."""
+def iter_outcomes(gateway: GenerationGateway, kb: KnowledgeBase, retrievers: list, split: DatasetSplit,
+                  cfg: FunConfig = FunConfig(), fewshots: tuple[QAExample, ...] = (),
+                  workers: int = 1) -> Iterator[PipelineOutcome]:
+    """Process questions independently and yield each outcome in input order
+    as soon as it and those before it are done.  Closing the iterator, or an
+    exception out of it, cancels every question not yet started."""
 
     def run_one(example: QAExample) -> PipelineOutcome:
         return run_question(gateway, kb, retrievers, example, cfg, fewshots)
 
     if workers <= 1:
-        return list(map(run_one, split.examples))
+        yield from map(run_one, split.examples)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, split.examples))
+        yield from pool.map(run_one, split.examples)
+
+
+def run_dataset(gateway: GenerationGateway, kb: KnowledgeBase, retrievers: list, split: DatasetSplit,
+                cfg: FunConfig = FunConfig(), fewshots: tuple[QAExample, ...] = (),
+                workers: int = 1) -> list[PipelineOutcome]:
+    """Every outcome of ``iter_outcomes``, in input order."""
+    return list(iter_outcomes(gateway, kb, retrievers, split, cfg, fewshots, workers))

@@ -1,15 +1,18 @@
 import json
+import os
 import re
 import shlex
 import shutil
 import socket
 import subprocess
 import sys
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
 from conftest import FIXTURES
+from kbqa_repair import pipeline
 from kbqa_repair.cli import build_parser, main
 from kbqa_repair.dataset import make_random_plan
 from kbqa_repair.kb import SHAPES, load_kb, load_plan
@@ -169,6 +172,80 @@ def test_run_twice_byte_identical(tmp_path):
         assert (tmp_path / "one" / filename).read_bytes() == (tmp_path / "two" / filename).read_bytes()
 
 
+# fig1's question and three rewordings, each linked to j r hart: on kb3 at
+# --n-iter 3 the mock answers the first with the books, the second with the
+# awards and the third with NK, and has no reply for the fourth's prompts.
+BOOKS, AWARDS, UNKNOWN, UNSCRIPTED = (
+    "which books did j r hart write?", "which awards has j r hart won?", "who is j r hart?",
+    "what did j r hart write?",
+)
+
+
+def _kb3_run_argv(tmp_path, name, questions, workers="1"):
+    """`run` on kb3 of a dataset of ``questions``, into ``tmp_path / name``."""
+    record = json.loads((FIG1 / "dataset_kb3.jsonl").read_text())
+    dataset = _write(tmp_path, f"{name}.jsonl",
+                     "".join(json.dumps(dict(record, question=q)) + "\n" for q in questions))
+    return ("run", "--kb", FIG1 / "kb3", "--dataset", dataset, "--mock", FIG1 / "mock.json",
+            "--n-iter", "3", "--workers", workers, "--out", tmp_path / name)
+
+
+def test_run_writes_each_question_before_the_next_starts(tmp_path, capsys, monkeypatch):
+    out, seen, inner = tmp_path / "out", [], pipeline.run_question
+
+    def run_question(*args):
+        seen.append([(out / "manifest.json").exists(), not (out / "log.txt").exists()]
+                    + [len((out / name).read_text().splitlines())
+                       for name in ("outcomes.jsonl", "traces.jsonl")])
+        return inner(*args)
+
+    monkeypatch.setattr(pipeline, "run_question", run_question)
+    assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS, AWARDS, UNKNOWN])) == 0
+    assert seen == [[True, True, 0, 0], [True, True, 1, 1], [True, True, 2, 2]]
+    assert (out / "log.txt").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_stopped_by_an_error_keeps_the_lines_before_it(tmp_path, capsys, workers):
+    """The third question has no mock reply, so the run stops with exit 2.
+    The two questions before it keep their lines, byte for byte those of a
+    clean run over them; log.txt, written when a run finishes, is absent."""
+    stopped = _kb3_run_argv(tmp_path, "stopped", [BOOKS, AWARDS, UNSCRIPTED, UNKNOWN], workers)
+    assert run_cli(*stopped) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run_cli(*_kb3_run_argv(tmp_path, "clean", [BOOKS, AWARDS], workers)) == 0
+    assert (tmp_path / "stopped" / "manifest.json").exists()
+    assert not (tmp_path / "stopped" / "log.txt").exists()
+    for filename in ("outcomes.jsonl", "traces.jsonl"):
+        lines = (tmp_path / "stopped" / filename).read_bytes()
+        assert lines.count(b"\n") == 2
+        assert lines == (tmp_path / "clean" / filename).read_bytes()
+
+
+def test_run_files_are_the_same_for_any_worker_count_and_hash_seed(tmp_path):
+    """Four questions with three distinct outcomes, one of them NK, run with
+    1 and 2 workers in an interpreter for each of two hash seeds: all four
+    runs write the same outcomes.jsonl and traces.jsonl, byte for byte."""
+    src = str(FIXTURES.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outs = []
+    for seed in ("0", "1"):
+        argvs = [[str(a) for a in _kb3_run_argv(tmp_path, f"seed{seed}-workers{workers}",
+                                                [AWARDS, BOOKS, UNKNOWN, AWARDS], workers)]
+                 for workers in ("1", "2")]
+        probe = "from kbqa_repair.cli import main\n" + "".join(
+            f"assert main({argv!r}) == 0\n" for argv in argvs)
+        subprocess.run([sys.executable, "-c", probe], env=dict(env, PYTHONHASHSEED=seed),
+                       capture_output=True, check=True, timeout=60)
+        outs += [Path(argv[-1]) for argv in argvs]
+    files = {tuple((out / name).read_bytes() for name in ("outcomes.jsonl", "traces.jsonl"))
+             for out in outs}
+    assert len(outs) == 4 and len(files) == 1
+    (outcomes, _), = files
+    distinct = set(outcomes.splitlines())
+    assert len(distinct) == 3 and json.loads(outcomes.splitlines()[2])["lf"] == "NK"
+
+
 def test_eval_reports_means(tmp_path, capsys):
     assert run_cli(
         "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl",
@@ -293,6 +370,16 @@ def test_trace_show(tmp_path, capsys):
     assert run_cli("trace", "show", "--trace", tmp_path / "out" / "traces.jsonl", "--index", "0") == 0
     shown = capsys.readouterr().out
     assert "iteration 1" in shown and "no-consensus" in shown
+
+
+def test_trace_show_prints_a_lone_surrogate_as_its_escape(tmp_path, capsys):
+    """A reply may end in a lone surrogate, which the run writes as the JSON
+    escape "\\ud800"; `trace show` prints it as that escape, too."""
+    record = json.loads((FIXTURES / "golden_runs" / "a13" / "traces.jsonl").read_text(encoding="utf-8"))
+    record["iterations"][0]["lf"] += "\ud800"
+    traces = _write(tmp_path, "traces.jsonl", json.dumps(record) + "\n")
+    assert run_cli("trace", "show", "--trace", traces) == 0
+    assert "\\ud800\n" in capsys.readouterr().out
 
 
 def test_trace_show_bad_line_exits_2(tmp_path, capsys):

@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from kbqa_repair.pipeline import (
     FunResult,
     build_pun_prompt,
     fun,
+    iter_outcomes,
     parse_reply,
     run_dataset,
     run_question,
@@ -540,6 +543,41 @@ def test_run_dataset_order_and_workers(fig1_kb3):
     threaded = run_dataset(gw, fig1_kb3, [retrieve_lexical], split, FunConfig(n=3), workers=3)
     assert [o.trace["outcome"] for o in serial] == [o.trace["outcome"] for o in threaded]
     assert len(serial) == 3
+
+
+def test_closing_iter_outcomes_cancels_the_questions_not_started(monkeypatch):
+    """Closed after its first outcome, a 2-worker stream of 20 questions
+    cancels each question not yet started and waits only for those running,
+    so at most 3 start and the close returns."""
+    from concurrent.futures import ThreadPoolExecutor
+    from kbqa_repair import pipeline
+    from kbqa_repair.dataset import DatasetSplit
+
+    started, release = [], threading.Event()
+
+    def run_question(gateway, kb, retrievers, example, cfg, fewshots):
+        started.append(example.question)
+        if example.question != "0":
+            release.wait(timeout=2)  # a bound only: set once the close has cancelled
+        return example.question
+
+    shutdown = ThreadPoolExecutor.shutdown
+
+    def release_then_shut_down(pool, *args, **kwargs):
+        release.set()  # the close has cancelled what had not started
+        return shutdown(pool, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_question", run_question)
+    monkeypatch.setattr(ThreadPoolExecutor, "shutdown", release_then_shut_down)
+    example = fig1_example("kb3")
+    split = DatasetSplit("t", tuple(replace(example, question=str(i)) for i in range(20)))
+    outcomes = iter_outcomes(None, None, [], split, workers=2)
+    assert next(outcomes) == "0"
+    closer = threading.Thread(target=outcomes.close)
+    closer.start()
+    closer.join(timeout=5)
+    assert not closer.is_alive()
+    assert started[0] == "0" and len(started) <= 3
 
 
 def test_one_worker_run_loads_no_thread_pool(tmp_path):

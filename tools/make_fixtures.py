@@ -37,7 +37,7 @@ from kbqa_repair.kb import (  # noqa: E402
     delete_elements,
     save_kb,
     save_plan,
-    write_jsonl,
+    jsonl_writer,
 )
 from kbqa_repair.pipeline import build_pun_prompt  # noqa: E402
 from kbqa_repair.query import Literal, parse_sparql  # noqa: E402
@@ -50,7 +50,8 @@ FIXTURES = ROOT / "tests" / "fixtures"
 
 def jsonl(path: Path, records: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_jsonl(str(path), records)
+    with jsonl_writer(str(path)) as write:
+        write(records)
 
 
 def write_mock(path: Path, matchers: list[tuple[str, str]]) -> None:
