@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import io
 import json
-import shutil
 import sys
 import time
 from collections import Counter
@@ -157,6 +156,12 @@ def cmd_run(args) -> int:
             fewshots.append(shot)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # An earlier run's log.txt and config.json go, so a missing log.txt marks
+    # a stopped run and config.json is this run's or absent.  --config is read
+    # first, since it may name that config.json.
+    config_bytes = Path(args.config).read_bytes() if args.config else None
+    for name in ("log.txt", "config.json"):
+        (out / name).unlink(missing_ok=True)
     manifest = {
         "kb": dict(zip(("schema", "data"), _kb_paths(args))),
         "dataset": args.dataset,
@@ -170,8 +175,8 @@ def cmd_run(args) -> int:
     with open(out / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    if args.config:
-        shutil.copyfile(args.config, out / "config.json")
+    if config_bytes is not None:
+        (out / "config.json").write_bytes(config_bytes)
     started, failures = time.time(), 0
     outcomes = pipeline.iter_outcomes(
         gateway, kb, [retrieve_lexical], split, cfg, tuple(fewshots), workers=workers

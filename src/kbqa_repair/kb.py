@@ -1,18 +1,20 @@
 """In-memory knowledge base: schema plus data, immutable after load.
 
 The KB consists of classes, binary relations (domain/range typed), entities
-and facts.  Construction checks every referential invariant, then builds the
+and facts.  Construction checks every referential invariant and builds the
 indexes, so a KB value is sound; deletion returns a fresh KB with cascades
 applied, so values are always safe to share across worker threads.
 
-Every run loads a KB and then builds a reduced copy, so both steps skip
-work that gives nothing new.  ``load_data`` tests each data line, and its
-fact object, with the type tests ``check`` makes, written inline; it calls
-``check`` only when a test fails, so ``check`` still builds every message.
-``delete_elements`` finds the dead facts through the parent's indexes and
-derives the child's from them, keeping the parent's tuple for every key that
-lost no fact; it runs the same referential checks on the child as
-construction does.
+The constructor is the one place that sets a KB's fields.  It checks the
+relations, then the entities' classes, then each fact in order, and appends
+each fact to its index lists in that same pass; then it turns each key's
+list into its tuple in place, so an index never holds a list and its tuple
+at once.  ``delete_elements`` picks the surviving facts with one test per
+fact and builds its result through the constructor, so a reduced KB is
+checked and indexed by the same code as a loaded one.  ``load_data`` tests
+each data line, and its fact object, with the type tests ``check`` makes,
+written inline; it calls ``check`` only when a test fails, so ``check``
+still builds every message.
 
 Building a KB makes tens of thousands of records and containers that all
 stay alive, so each pass of the cyclic garbage collector during the build
@@ -46,7 +48,6 @@ import contextlib
 import gc
 import itertools
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .query import LITERAL_DATATYPES, Literal, shorten
@@ -125,36 +126,22 @@ class KnowledgeBase:
         entities: dict[str, Entity],
         facts: tuple[Fact, ...],
     ):
-        by_class = self._check_references(classes, relations, entities, facts)
-        self._set(classes, relations, entities, facts, by_class, *_index_facts(facts))
-
-    def _set(self, classes, relations, entities, facts, by_class, by_subject, by_object,
-             by_relation) -> KnowledgeBase:
-        """Set every field; ``__init__`` and ``delete_elements`` both build through here."""
-        self.classes, self.relations, self.entities, self.facts = classes, relations, entities, facts
-        self.by_class, self.by_subject, self.by_object = by_class, by_subject, by_object
-        self.by_relation = by_relation
-        return self
-
-    @staticmethod
-    def _check_references(classes, relations, entities, facts) -> dict[str, tuple[str, ...]]:
-        """Raise the first FormatError, in the order the class docstring
-        gives; return ``by_class``."""
         for rd in relations.values():
             if rd.domain not in classes:
                 raise FormatError(f"relation {rd.id} has unknown domain class {rd.domain}")
             if not rd.range_is_literal and rd.range not in classes:
                 raise FormatError(f"relation {rd.id} has unknown range class {rd.range}")
-        members: defaultdict[str, list[str]] = defaultdict(list)
+        by_class = {}
         for ent in entities.values():
             for cid in sorted(ent.classes):
                 if cid not in classes:
                     raise FormatError(f"entity {ent.id} has unknown class {cid}")
-                members[cid].append(ent.id)
+                by_class.setdefault(cid, []).append(ent.id)
         # Each relation's typing, read once here rather than once per fact.
         relation_types = {
             rid: (rd.domain, rd.range, rd.range_is_literal) for rid, rd in relations.items()
         }
+        by_subject, by_object, by_relation = {}, {}, {}
         for fact in facts:
             subject = entities.get(fact.subject)
             if subject is None:
@@ -182,7 +169,18 @@ class KnowledgeBase:
                     raise FormatError(f"fact object {target} is not a known entity")
                 if range_ not in target_entity.classes:
                     raise FormatError(f"fact object {target} lacks range class {range_} of {rid}")
-        return {k: tuple(sorted(v)) for k, v in members.items()}
+                by_object.setdefault(target, []).append(fact)
+            by_subject.setdefault(fact.subject, []).append(fact)
+            by_relation.setdefault(rid, []).append(fact)
+        # Each key's list becomes its tuple in place, so no index is held twice.
+        for members in by_class.values():
+            members.sort()
+        for index in (by_class, by_subject, by_object, by_relation):
+            for key, items in index.items():
+                index[key] = tuple(items)
+        self.classes, self.relations, self.entities, self.facts = classes, relations, entities, facts
+        self.by_class, self.by_subject, self.by_object = by_class, by_subject, by_object
+        self.by_relation = by_relation
 
     # -- total lookups ------------------------------------------------------
 
@@ -193,19 +191,6 @@ class KnowledgeBase:
     def label_of(self, eid: str) -> str:
         ent = self.entities.get(eid)
         return ent.label if ent is not None and ent.label else eid
-
-
-def _index_facts(facts: tuple[Fact, ...]) -> tuple[dict, dict, dict]:
-    """``by_subject``, ``by_object`` and ``by_relation``, each key's facts in order."""
-    subj: defaultdict[str, list[Fact]] = defaultdict(list)
-    obj: defaultdict[str, list[Fact]] = defaultdict(list)
-    relidx: defaultdict[str, list[Fact]] = defaultdict(list)
-    for fact in facts:
-        subj[fact.subject].append(fact)
-        if not isinstance(fact.obj, Literal):
-            obj[fact.obj].append(fact)
-        relidx[fact.relation].append(fact)
-    return tuple({k: tuple(v) for k, v in index.items()} for index in (subj, obj, relidx))
 
 
 def _keyed(elements: list, what: str) -> dict:
@@ -378,6 +363,14 @@ def jsonl_writer(path: str):
         yield write
 
 
+def write_json(path: str, doc) -> None:
+    """Write ``doc`` to ``path`` as JSON indented by 2, then a newline; a lone
+    surrogate is written as its JSON escape, as ``jsonl_writer`` writes it."""
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as handle:
+        json.dump(doc, handle, indent=2, ensure_ascii=False)
+        handle.write("\n")
+
+
 def load_schema(path: str) -> tuple[list[SchemaClass], list[RelationDef]]:
     doc = check(read_json(path, "schema file"), "schema")
     classes = [check(c, "class") for c in doc.get("classes", ())]
@@ -496,9 +489,7 @@ def save_kb(kb: KnowledgeBase, schema_path: str, data_path: str) -> None:
             {"id": r.id, "domain": r.domain, "range": r.range} for r in kb.relations.values()
         ],
     }
-    with open(schema_path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+    write_json(schema_path, doc)
     entities = ({"id": e.id, "label": e.label, "classes": sorted(e.classes)}
                 for e in kb.entities.values())
     with jsonl_writer(data_path) as write:
@@ -530,9 +521,7 @@ def save_plan(plan: DeletionPlan, path: str) -> None:
     }
     if plan.seed is not None:
         doc["seed"] = plan.seed
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+    write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -584,32 +573,14 @@ def delete_elements(kb: KnowledgeBase, plan: DeletionPlan) -> KnowledgeBase:
         if kept is None:
             kept = stripped[ent.classes] = ent.classes - dead_classes
         entities[eid] = Entity(ent.id, ent.label, kept) if kept != ent.classes else ent
-    # The dead facts, found through the parent's indexes and then known by identity.
-    by_subject, by_object = kb.by_subject, kb.by_object
-    dead = [f for rid in dead_relations for f in kb.by_relation.get(rid, ())]
-    for eid in dead_entities:
-        dead += by_subject.get(eid, ()) + by_object.get(eid, ())
-    for fact in plan.facts:
-        dead += [f for f in by_subject.get(fact.subject, ()) if f == fact]
-    gone = {id(f) for f in dead}
-    facts = tuple(f for f in kb.facts if id(f) not in gone)
-    by_class = KnowledgeBase._check_references(classes, relations, entities, facts)
-    return object.__new__(KnowledgeBase)._set(
-        classes, relations, entities, facts, by_class,
-        _without(by_subject, gone, dead, facts, lambda fs: (f.subject for f in fs)),
-        _without(by_object, gone, dead, facts,
-                 lambda fs: (f.obj for f in fs if not isinstance(f.obj, Literal))),
-        _without(kb.by_relation, gone, dead, facts, lambda fs: (f.relation for f in fs)),
-    )
-
-
-def _without(index: dict, gone: set[int], dead: list[Fact], facts: tuple[Fact, ...], keys) -> dict:
-    """A parent's fact index less its ``dead`` facts, whose ids are ``gone``;
-    ``keys(facts)`` gives each fact's key in this index.  A key that lost no
-    fact keeps the parent's tuple; keys are in order of first appearance in
-    the child's ``facts``, as ``__init__`` orders them."""
-    kept = {k: tuple(f for f in index[k] if id(f) not in gone) for k in set(keys(dead))}
-    return {k: kept.get(k) or index[k] for k in dict.fromkeys(keys(facts))}
+    # One test per fact: a dead relation, subject or entity object, or equal to a
+    # plan fact, which only a fact of a plan fact's subject can be.
+    plan_subjects = {fact.subject for fact in plan.facts}
+    facts = tuple(f for f in kb.facts if not (
+        f.relation in dead_relations or f.subject in dead_entities
+        or not isinstance(f.obj, Literal) and f.obj in dead_entities
+        or f.subject in plan_subjects and f in plan.facts))
+    return KnowledgeBase(classes, relations, entities, facts)
 
 
 # ---------------------------------------------------------------------------

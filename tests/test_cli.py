@@ -50,6 +50,25 @@ def test_dataset_inject_plan_writes_kb1_byte_identical(tmp_path, capsys):
     assert (tmp_path / "kb1" / "data.jsonl").read_bytes() == (FIG1 / "kb1" / "data.jsonl").read_bytes()
 
 
+def test_dataset_inject_writes_a_lone_surrogate_label_as_its_escape(tmp_path, capsys):
+    """A class label may hold a lone surrogate, as JSON's "\\ud800" decodes;
+    the reduced KB's schema.json is written whole, with that escape, and
+    reads back to the same label."""
+    kb = tmp_path / "kb"
+    shutil.copytree(FIG1 / "kb3", kb)
+    schema = json.loads((kb / "schema.json").read_text(encoding="utf-8"))
+    schema["classes"][0]["label"] = "\ud800"
+    (kb / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    assert run_cli("kb", "validate", "--kb", kb) == 0
+    assert run_cli(
+        "dataset", "inject", "--kb", kb, "--split", FIG1 / "dataset_kb3.jsonl",
+        "--plan", FIG1 / "plan_kb1.json", "--out", tmp_path / "out",
+    ) == 0
+    assert '"label": "\\ud800"' in (tmp_path / "out" / "schema.json").read_text(encoding="utf-8")
+    reduced = load_kb(str(tmp_path / "out" / "schema.json"), str(tmp_path / "out" / "data.jsonl"))
+    assert reduced.classes[schema["classes"][0]["id"]].label == "\ud800"
+
+
 def test_dataset_inject_and_sample(tmp_path, capsys):
     src = tmp_path / "src.jsonl"
     src.write_text(
@@ -220,6 +239,29 @@ def test_run_stopped_by_an_error_keeps_the_lines_before_it(tmp_path, capsys, wor
         lines = (tmp_path / "stopped" / filename).read_bytes()
         assert lines.count(b"\n") == 2
         assert lines == (tmp_path / "clean" / filename).read_bytes()
+
+
+def test_a_run_removes_an_earlier_runs_log_and_config(tmp_path, capsys):
+    """A finished run with --config, then a run without it into the same
+    directory, stopped by a question the mock has no reply for: neither
+    log.txt nor config.json is left, so nothing marks the run finished."""
+    out, config = tmp_path / "out", _write(tmp_path, "config.json", '{"n_iter": 3}')
+    assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS]), "--config", config) == 0
+    assert (out / "log.txt").exists() and (out / "config.json").exists()
+    assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS, UNSCRIPTED])) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "log.txt").exists() and not (out / "config.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["config"] is None
+
+
+def test_a_run_may_take_its_config_from_the_directory_it_writes(tmp_path, capsys):
+    """Rerunning with the config.json an earlier run copied into --out keeps
+    that file: it is read before the earlier run's files are removed."""
+    out, config = tmp_path / "out", _write(tmp_path, "config.json", '{"n_iter": 3}')
+    assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS]), "--config", config) == 0
+    assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS]), "--config", out / "config.json") == 0
+    assert (out / "config.json").read_bytes() == config.read_bytes()
+    assert (out / "log.txt").exists()
 
 
 def test_run_files_are_the_same_for_any_worker_count_and_hash_seed(tmp_path):

@@ -17,7 +17,6 @@ Run from the repo root: python tools/make_fixtures.py
 
 from __future__ import annotations
 
-import json
 import shutil
 import sys
 import tempfile
@@ -38,6 +37,7 @@ from kbqa_repair.kb import (  # noqa: E402
     save_kb,
     save_plan,
     jsonl_writer,
+    write_json,
 )
 from kbqa_repair.pipeline import build_pun_prompt  # noqa: E402
 from kbqa_repair.query import Literal, parse_sparql  # noqa: E402
@@ -57,9 +57,7 @@ def jsonl(path: Path, records: list[dict]) -> None:
 def write_mock(path: Path, matchers: list[tuple[str, str]]) -> None:
     doc = [{"match": {"kind": "substring", "text": key}, "reply": reply} for key, reply in matchers]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+    write_json(str(path), doc)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +486,7 @@ def build_pairs() -> None:
     pairs = [
         {"sparql": text, "sexpr": render_sexpr(parse_sparql(text))} for text in PAIR_SPARQLS
     ]
-    with open(out / "paired_dialects.json", "w", encoding="utf-8") as handle:
-        json.dump(pairs, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+    write_json(str(out / "paired_dialects.json"), pairs)
 
 
 # ---------------------------------------------------------------------------
