@@ -1,8 +1,9 @@
 """Evaluate canonical queries over a knowledge base.
 
-``execute`` is the engine (index-driven, left-to-right joins).  The
-brute-force oracle it is tested against lives in ``tests/oracles.py`` and
-shares this module's literal comparison (``_compare``, ``_values_equal``).
+``execute`` is the engine (left-to-right joins; each pattern reads one index
+in one pass).  The brute-force oracle it is tested against lives in
+``tests/oracles.py`` and shares this module's literal comparison
+(``_compare``, ``_values_equal``).
 
 Answers are plain frozensets of entity ids and/or typed literals.  The empty
 set is a legal answer, distinct from any error.  Patterns over ids absent
@@ -12,10 +13,14 @@ not an execution error.
 
 from __future__ import annotations
 
+import operator
+
 from .kb import KnowledgeBase
-from .query import CanonicalQuery, Filter, Literal, Pattern, Term
+from .query import Aggregate, CanonicalQuery, Filter, Literal, Pattern, Term
 
 _NUMERIC = ("integer", "float")
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
 
 
 def _values_equal(a: object, b: object) -> bool:
@@ -30,22 +35,10 @@ def _values_equal(a: object, b: object) -> bool:
 def _compare(a: Literal, op: str, b: Literal) -> bool:
     """Filter comparison; cross-kind comparisons match nothing."""
     if a.datatype in _NUMERIC and b.datatype in _NUMERIC:
-        left, right = float(a.value), float(b.value)
-    elif a.datatype == b.datatype and a.datatype in ("string", "date"):
-        left, right = a.value, b.value
-    else:
-        return False
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+        return _OPS[op](float(a.value), float(b.value))
+    if a.datatype == b.datatype and a.datatype in ("string", "date"):
+        return _OPS[op](a.value, b.value)
+    return False
 
 
 def _resolve(term: Term, binding: dict) -> object | None:
@@ -62,40 +55,31 @@ def _match_pattern(kb: KnowledgeBase, pattern: Pattern, binding: dict) -> list[d
     subject = _resolve(s, binding)
 
     if p.kind == "type_assert":
-        class_id = o.value
-        if subject is None:
-            out = []
-            for eid in kb.by_class.get(class_id, ()):
-                extended = dict(binding)
-                extended[s.value] = eid
-                out.append(extended)
-            return out
-        if isinstance(subject, str) and class_id in kb.entity_classes(subject):
-            return [binding]
-        return []
+        if subject is not None:
+            return [binding] if o.value in kb.entity_classes(subject) else []
+        out = []
+        for eid in kb.by_class.get(o.value, ()):
+            extended = dict(binding)
+            extended[s.value] = eid
+            out.append(extended)
+        return out
 
-    facts = kb.by_relation.get(p.value, ())
-    if isinstance(subject, str):
-        facts = tuple(f for f in kb.by_subject.get(subject, ()) if f.relation == p.value)
+    rid = p.value
+    target = _resolve(o, binding)
+    if subject is not None:
+        facts = kb.by_subject.get(subject, ())
+    elif isinstance(target, str):
+        facts = kb.by_object.get(target, ())
     else:
-        target = _resolve(o, binding)
-        if isinstance(target, str):
-            facts = tuple(f for f in kb.by_object.get(target, ()) if f.relation == p.value)
-
+        facts = kb.by_relation.get(rid, ())
     out = []
     for fact in facts:
-        extended = binding
-        fact_subject = fact.subject
-        if subject is None:
-            extended = dict(extended)
-            extended[s.value] = fact_subject
-        elif not _values_equal(subject, fact_subject):
+        if fact.relation != rid:
             continue
-        obj = _resolve(o, extended)
+        extended = binding if subject is not None else {**binding, s.value: fact.subject}
+        obj = _resolve(o, extended)  # after the subject, so `?x r ?x` holds
         if obj is None:
-            if extended is binding:
-                extended = dict(extended)
-            extended[o.value] = fact.obj
+            extended = {**extended, o.value: fact.obj}
         elif not _values_equal(obj, fact.obj):
             continue
         out.append(extended)
@@ -139,32 +123,22 @@ def _path_values(kb: KnowledgeBase, start: object, path: tuple[str, ...]) -> lis
     return values
 
 
-def _aggregate(kb: KnowledgeBase, q: CanonicalQuery, projected: set) -> frozenset:
-    agg = q.aggregate
+def _aggregate(kb: KnowledgeBase, agg: Aggregate, projected: set) -> frozenset:
     if agg.kind == "count":
         return frozenset({Literal(len(projected), "integer")})
-    best = None
-    attainers: list[object] = []
+    best_of = max if agg.kind == "argmax" else min
+    scores = {}
     for value in projected:
-        candidates = _path_values(kb, value, agg.path)
-        if not candidates:
-            continue
-        numbers = [float(c.value) for c in candidates]
-        score = max(numbers) if agg.kind == "argmax" else min(numbers)
-        if best is None or (agg.kind == "argmax" and score > best) or (
-            agg.kind == "argmin" and score < best
-        ):
-            best = score
-            attainers = [value]
-        elif score == best:
-            attainers.append(value)
-    return frozenset(attainers)
+        numbers = [float(c.value) for c in _path_values(kb, value, agg.path)]
+        if numbers:
+            scores[value] = best_of(numbers)
+    best = best_of(scores.values(), default=None)
+    return frozenset(value for value, score in scores.items() if score == best)
 
 
 def execute(kb: KnowledgeBase, q: CanonicalQuery) -> frozenset:
     """Answer set for q over kb; set semantics, aggregates applied last."""
-    bindings = execute_bindings(kb, q)
-    projected = {b[q.projection] for b in bindings}
+    projected = {b[q.projection] for b in execute_bindings(kb, q)}
     if q.aggregate is not None:
-        return _aggregate(kb, q, projected)
+        return _aggregate(kb, q.aggregate, projected)
     return frozenset(projected)

@@ -19,6 +19,7 @@ from kbqa_repair.kb import SHAPES, load_kb, load_plan
 from kbqa_repair.pipeline import build_pun_prompt
 from kbqa_repair.retrieval import RetrievalCaps, retrieve_lexical
 from kbqa_repair.verifiers import VerifierSuite
+from test_gateway import _MockServingHandler, serve  # noqa: F401 (serve is a fixture)
 
 FIG1 = FIXTURES / "fig1"
 A13 = FIXTURES / "a13"
@@ -1024,15 +1025,45 @@ def test_trace_show_counts_reused_verifications(tmp_path, capsys):
     ]
 
 
-def test_every_readme_command_parses(capsys):
+def _readme_commands() -> list[list[str]]:
     """Each `kbqa-repair` command in README's sh blocks, its continuation
-    lines joined, names a subcommand and flags that exist."""
+    lines joined, as an argv."""
     readme = (FIXTURES.parent.parent / "README.md").read_text(encoding="utf-8")
     lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ").splitlines()
-    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("kbqa-repair ")]
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("kbqa-repair ")]
+
+
+def test_every_readme_command_parses(capsys):
+    """Each README command names a subcommand and flags that exist."""
+    commands = _readme_commands()
     assert len(commands) >= 8
     for argv in commands:
         try:
             build_parser().parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}\n{capsys.readouterr().err}")
+
+
+def test_every_readme_command_runs(serve, tmp_path, monkeypatch, capsys):
+    """Each README command runs, in README's order, in a directory where each
+    input placeholder names a copy of a fig1 file: DIR is kb3, src.jsonl and
+    test.jsonl its dataset, and dev.jsonl holds 50 answerable and 50
+    unanswerable fig1 lines.  The live run's endpoint is a local server that
+    answers from fig1's mock.  A command may report a problem (exit 1), but
+    none is a usage error (exit 2) and none raises."""
+    shutil.copytree(FIG1, tmp_path / "tests" / "fixtures" / "fig1")
+    shutil.copytree(FIG1 / "kb3", tmp_path / "DIR")
+    for name in ("src.jsonl", "test.jsonl"):
+        shutil.copy(FIG1 / "dataset_kb3.jsonl", tmp_path / name)
+    answerable = (FIG1 / "dataset_kb3.jsonl").read_text(encoding="utf-8")
+    unanswerable = (FIG1 / "dataset_kb2.jsonl").read_text(encoding="utf-8")
+    (tmp_path / "dev.jsonl").write_text(answerable * 50 + unanswerable * 50, encoding="utf-8")
+    url = serve(_MockServingHandler)
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_commands():
+        if "--endpoint" in argv:
+            argv[argv.index("--endpoint") + 1] = url
+        code = main(argv[1:])
+        assert code in (0, 1), f"{shlex.join(argv)} exited {code}\n{capsys.readouterr().err}"
+    assert len((tmp_path / "shots.jsonl").read_text(encoding="utf-8").splitlines()) == 100
+    assert (tmp_path / "out" / "live" / "outcomes.jsonl").read_text(encoding="utf-8")

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from kbqa_repair.executor import execute
-from kbqa_repair.kb import DeletionPlan, delete_elements
+from kbqa_repair.executor import _compare, execute
+from kbqa_repair.kb import DeletionPlan, Entity, Fact, RelationDef, SchemaClass, build_kb, delete_elements
 from kbqa_repair.query import Literal, parse_sexpr, parse_sparql
 from oracles import SizeLimit, brute_force_execute, pruned_execute
 from randgen import random_kb, random_query
@@ -56,6 +56,61 @@ def test_filters(pairs_kb):
         'SELECT ?x WHERE { ?x ns:geo.city.population ?p . FILTER(?p < "2024-01-01"^^xsd:date) }'
     )
     assert execute(pairs_kb, cross_kind) == frozenset()
+
+
+# Each case: left, right, then the expected result of =, !=, <, <=, >, >=.
+COMPARISONS = {
+    "integer<integer": (Literal(2, "integer"), Literal(3, "integer"),
+                        (False, True, True, True, False, False)),
+    "integer>float": (Literal(3, "integer"), Literal(2.5, "float"),
+                      (False, True, False, False, True, True)),
+    "float<integer": (Literal(2.5, "float"), Literal(3, "integer"),
+                      (False, True, True, True, False, False)),
+    "string<string": (Literal("abc", "string"), Literal("abd", "string"),
+                      (False, True, True, True, False, False)),
+    "date>date": (Literal("2024-05-01", "date"), Literal("2023-12-31", "date"),
+                  (False, True, False, False, True, True)),
+    "integer=integer": (Literal(4, "integer"), Literal(4, "integer"),
+                        (True, False, False, True, False, True)),
+    "float=integer": (Literal(2.0, "float"), Literal(2, "integer"),
+                      (True, False, False, True, False, True)),
+    "string=string": (Literal("abc", "string"), Literal("abc", "string"),
+                      (True, False, False, True, False, True)),
+    "date=date": (Literal("2024-01-01", "date"), Literal("2024-01-01", "date"),
+                  (True, False, False, True, False, True)),
+    # across kinds every operator is False, != included
+    "string~date": (Literal("2024-01-01", "string"), Literal("2024-01-01", "date"), (False,) * 6),
+    "date~string": (Literal("2024-01-01", "date"), Literal("2023-01-01", "string"), (False,) * 6),
+    "integer~string": (Literal(1, "integer"), Literal("1", "string"), (False,) * 6),
+    "date~integer": (Literal("2024-01-01", "date"), Literal(2024, "integer"), (False,) * 6),
+}
+
+
+@pytest.mark.parametrize("left, right, expected", COMPARISONS.values(), ids=COMPARISONS)
+def test_compare_table(left, right, expected):
+    got = tuple(_compare(left, op, right) for op in ("=", "!=", "<", "<=", ">", ">="))
+    assert got == expected
+
+
+def test_literal_subject_reads_no_relation_index():
+    """A variable bound to a literal matches nothing as a subject, and finding
+    that out reads no relation's facts."""
+
+    class NoRead(dict):
+        def get(self, key, default=None):
+            pytest.fail(f"by_relation read for {key}")
+
+    kb = build_kb(
+        classes=[SchemaClass("c.a")],
+        relations=[RelationDef("c.a.r1", "c.a", "integer"), RelationDef("c.a.r2", "c.a", "c.a")],
+        entities=[Entity("m.e", "e", frozenset({"c.a"})), Entity("m.f", "f", frozenset({"c.a"}))],
+        facts=[Fact("m.e", "c.a.r1", Literal(1, "integer")), Fact("m.e", "c.a.r1", Literal(2, "integer")),
+               Fact("m.e", "c.a.r2", "m.f"), Fact("m.f", "c.a.r2", "m.e")],
+    )
+    q = parse_sparql("SELECT ?z WHERE { ns:m.e ns:c.a.r1 ?y . ?y ns:c.a.r2 ?z }")
+    assert pruned_execute(kb, q) == frozenset()
+    kb.by_relation = NoRead(kb.by_relation)
+    assert execute(kb, q) == frozenset()
 
 
 def test_numeric_coercion_in_filters(pairs_kb):
