@@ -38,8 +38,14 @@ def _load_kb(args) -> kbmod.KnowledgeBase:
 
 
 def _make_gateway(args):
-    """The backend ``args`` name: http, or mock when none is named."""
-    if args.backend == "http":
+    """The backend ``args`` name: http, or mock when none is named.  A
+    setting, from a flag or a ``--config`` key, that this backend never reads
+    is an error."""
+    backend = args.backend or "mock"
+    for name, reader in (("mock", "mock"), ("endpoint", "http"), ("model", "http")):
+        if getattr(args, name) is not None and backend != reader:
+            raise kbmod.FormatError(f"--{name} applies only to --backend {reader}")
+    if backend == "http":
         if not args.endpoint or not args.model:
             raise kbmod.FormatError("--backend http requires --endpoint and --model")
         try:
@@ -245,7 +251,8 @@ def cmd_verify(args) -> int:
         mention, _, eid = item.partition("=")
         entities.append((mention, eid if eid else mention))
     suite = VerifierSuite(answerable_mode=args.answerable_mode)
-    gateway = _make_gateway(args) if args.backend or args.mock else _NoBackend()
+    backend_set = any((args.backend, args.mock, args.endpoint, args.model))
+    gateway = _make_gateway(args) if backend_set else _NoBackend()
     question_entities = frozenset(eid for _, eid in entities)
     result = run_suite(lf, args.question, question_entities, kb, gateway, suite)
     for verdict in result.verdicts:

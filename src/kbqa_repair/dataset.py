@@ -159,7 +159,7 @@ def _relabel(
 ) -> QAExample:
     q = example.gold_lf.canonical
 
-    mentioned = {eid for _, eid in example.linked_entities} | extract_entities(q)
+    mentioned = {eid for _, eid in example.linked_entities}.union(extract_entities(q))
     schema_checks = (
         ("missing-class", extract_classes(q), kb2.classes),
         ("missing-relation", extract_relations(q), kb2.relations),

@@ -62,9 +62,9 @@ def em_s(pred: LogicalForm, gold: LogicalForm, kb: KnowledgeBase) -> int:
     if not pred.parsed or not gold.parsed:
         return 0
     p, g = pred.canonical, gold.canonical
-    if extract_relations(p) != extract_relations(g):
+    if set(extract_relations(p)) != set(extract_relations(g)):
         return 0
-    if extract_entities(p) != extract_entities(g):
+    if set(extract_entities(p)) != set(extract_entities(g)):
         return 0
     return 1 if execute(kb, p) == execute(kb, g) else 0
 

@@ -416,15 +416,7 @@ def parse_sparql(text: str) -> CanonicalQuery:
 
 
 def render_sparql(q: CanonicalQuery) -> str:
-    """The query's SPARQL text.  A query is immutable, so the text is kept on
-    the instance, outside its fields, the first time it is rendered."""
-    text = q.__dict__.get("_sparql")
-    if text is None:
-        text = q.__dict__["_sparql"] = _render_sparql(q)
-    return text
-
-
-def _render_sparql(q: CanonicalQuery) -> str:
+    """The query's SPARQL text."""
     if q.aggregate is not None and q.aggregate.kind in ("argmax", "argmin"):
         raise UnsupportedQuery("argmax/argmin cannot be rendered in the sparql dialect")
     if q.aggregate is not None and q.aggregate.kind == "count":
@@ -673,21 +665,23 @@ def parse(text: str, dialect: str) -> CanonicalQuery:
     raise ValueError(f"unknown dialect {dialect!r}")
 
 
-def extract_relations(q: CanonicalQuery) -> frozenset[str]:
-    """Relation ids used by the query (type assertions excluded)."""
-    found = {p.value for _, p, _ in q.patterns if p.kind == "relation"}
+def extract_relations(q: CanonicalQuery) -> tuple[str, ...]:
+    """Relation ids used by the query (type assertions excluded), each once,
+    in first-appearance order over the patterns, then the aggregate path."""
+    found = [p.value for _, p, _ in q.patterns if p.kind == "relation"]
     if q.aggregate is not None:
-        found.update(q.aggregate.path)
-    return frozenset(found)
+        found += q.aggregate.path
+    return tuple(dict.fromkeys(found))
 
 
-def extract_entities(q: CanonicalQuery) -> frozenset[str]:
-    """Entity ids used by the query (class objects of type assertions excluded)."""
-    return frozenset(
+def extract_entities(q: CanonicalQuery) -> tuple[str, ...]:
+    """Entity ids used by the query (class objects of type assertions
+    excluded), each once, in first-appearance order over the patterns."""
+    return tuple(dict.fromkeys(
         term.value for s, _, o in q.patterns for term in (s, o) if term.kind == "entity"
-    )
+    ))
 
 
-def extract_classes(q: CanonicalQuery) -> frozenset[str]:
-    """Class ids asserted by the query."""
-    return frozenset(o.value for _, p, o in q.patterns if p.kind == "type_assert")
+def extract_classes(q: CanonicalQuery) -> tuple[str, ...]:
+    """Class ids asserted by the query, each once, in first-appearance order."""
+    return tuple(dict.fromkeys(o.value for _, p, o in q.patterns if p.kind == "type_assert"))

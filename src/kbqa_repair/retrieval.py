@@ -1,7 +1,8 @@
 """Retrieval context assembly for generation prompts.
 
 A retrieval context holds the top classes, relations and entity-rooted data
-paths for a question, plus the linked entities.  Retrievers are pluggable:
+paths for a question, plus the linked entities; each path is the SPARQL text
+of a chain query, as the generation prompt shows it.  Retrievers are pluggable:
 any in-process callable ``retriever(kb, question, linked_entities, caps) ->
 context`` works, and ``retrieve_union`` merges several.  The built-in
 baseline is purely lexical.
@@ -17,6 +18,12 @@ from .kb import KnowledgeBase, paths_from_entity
 from .query import CanonicalQuery, Term, entity, rel, render_sparql, var
 
 
+# The longest path retrieval walks.  The paths from an entity grow
+# exponentially with their length (on a 7-entity KB, 169 sequences of up to
+# 8 relations and 5,554 of up to 16), so a larger cap would stall the run.
+_MAX_PATH_LEN = 4
+
+
 @dataclass(frozen=True)
 class RetrievalCaps:
     max_classes: int = 10
@@ -30,13 +37,15 @@ class RetrievalCaps:
                 raise ValueError(f"{name} must be >= 0")
         if self.max_path_len < 1:
             raise ValueError("max_path_len must be >= 1")
+        if self.max_path_len > _MAX_PATH_LEN:
+            raise ValueError(f"max_path_len must be <= {_MAX_PATH_LEN}")
 
 
 @dataclass(frozen=True)
 class RetrievalContext:
     classes: tuple[str, ...] = ()
     relations: tuple[str, ...] = ()
-    paths: tuple[CanonicalQuery, ...] = ()
+    paths: tuple[str, ...] = ()  # SPARQL text
     linked_entities: tuple[tuple[str, str], ...] = ()  # (mention, entity id)
 
     def capped(self, caps: RetrievalCaps) -> "RetrievalContext":
@@ -102,7 +111,8 @@ def retrieve_lexical(
     question, rank entity paths by summed relation scores.  Zero-scoring
     classes and relations are dropped; ties break by id.  Each distinct
     linked entity's paths are enumerated once, as relation-id sequences, and
-    a chain query is built only for each of the top ``caps.max_paths``."""
+    a chain query is built and rendered only for each of the top
+    ``caps.max_paths``."""
     q_tokens, q_trigrams = _tokens(question), _trigrams(question)
     class_scores = {
         c.id: _score(q_tokens, q_trigrams, f"{c.label} {c.id}") for c in kb.classes.values()
@@ -110,16 +120,8 @@ def retrieve_lexical(
     relation_scores = {
         r.id: _score(q_tokens, q_trigrams, f" {r.id}") for r in kb.relations.values()
     }
-    classes = tuple(
-        cid
-        for cid, score in sorted(class_scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        if score > 0
-    )
-    relations = tuple(
-        rid
-        for rid, score in sorted(relation_scores.items(), key=lambda kv: (-kv[1], kv[0]))
-        if score > 0
-    )
+    classes = _ranked(class_scores)
+    relations = _ranked(relation_scores)
 
     linked = tuple((m, eid) for m, eid in linked_entities if eid in kb.entities)
     scored_paths = []
@@ -131,10 +133,17 @@ def retrieve_lexical(
     scored_paths.sort(key=lambda item: (item[0], item[1]))
     variables = [var(f"x{hop}") for hop in range(caps.max_path_len - 1)] + [var("x")]
     paths = tuple(
-        _chain_query(root, rels, variables) for _, rels, root in scored_paths[: caps.max_paths]
+        render_sparql(_chain_query(root, rels, variables))
+        for _, rels, root in scored_paths[: caps.max_paths]
     )
 
     return RetrievalContext(classes, relations, paths, linked).capped(caps)
+
+
+def _ranked(scores: dict[str, float]) -> tuple[str, ...]:
+    """The ids that score above zero, best first, ties by id."""
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return tuple(some_id for some_id, score in ranked if score > 0)
 
 
 def _chain_query(root: Term, rels: tuple[str, ...], variables: list[Term]) -> CanonicalQuery:
@@ -156,21 +165,19 @@ def retrieve_union(
     re-capped."""
     if not retrievers:
         raise ValueError("at least one retriever is required")
-    # Dicts keep first-occurrence order; paths are keyed by their SPARQL
-    # text, which stays on each path for render_context_fields.
+    # Dicts keep first-occurrence order.
     classes: dict[str, None] = {}
     relations: dict[str, None] = {}
-    paths: dict[str, CanonicalQuery] = {}
+    paths: dict[str, None] = {}
     linked: dict[tuple[str, str], None] = {}
     for retriever in retrievers:
         ctx = retriever(kb, question, linked_entities, caps)
         classes.update(dict.fromkeys(ctx.classes))
         relations.update(dict.fromkeys(ctx.relations))
-        for path in ctx.paths:
-            paths.setdefault(render_sparql(path), path)
+        paths.update(dict.fromkeys(ctx.paths))
         linked.update(dict.fromkeys(ctx.linked_entities))
     return RetrievalContext(
-        tuple(classes), tuple(relations), tuple(paths.values()), tuple(linked)
+        tuple(classes), tuple(relations), tuple(paths), tuple(linked)
     ).capped(caps)
 
 
@@ -188,7 +195,7 @@ def render_relation_signature(kb: KnowledgeBase, rid: str) -> str:
 def render_context_fields(kb: KnowledgeBase, ctx: RetrievalContext) -> dict:
     """Bindings for the generation prompt template."""
     entities = " | ".join(f"{m} {eid}" for m, eid in ctx.linked_entities)
-    paths = " | ".join(render_sparql(p) for p in ctx.paths)
+    paths = " | ".join(ctx.paths)
     classes = " | ".join(ctx.classes)
     relations = " | ".join(render_relation_signature(kb, r) for r in ctx.relations)
     return {

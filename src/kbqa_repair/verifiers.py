@@ -22,7 +22,7 @@ from .executor import execute
 from .gateway import GenerationGateway, user
 from .kb import KnowledgeBase
 from .prompts import render_prompt
-from .query import Literal, LogicalForm
+from .query import Literal, LogicalForm, extract_classes, extract_entities, extract_relations
 
 STRONG = "strong"
 WEAK = "weak"
@@ -140,36 +140,14 @@ def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
 def v2b_schema_presence(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     """Fails iff the query references a class, relation or entity not in the KB."""
     q = lf.canonical
-    missing_relations: list[str] = []
-    missing_classes: list[str] = []
-    missing_entities: list[str] = []
-
-    def note(bucket: list[str], value: str) -> None:
-        if value not in bucket:
-            bucket.append(value)
-
-    for s, p, o in q.patterns:
-        if p.kind == "relation" and p.value not in kb.relations:
-            note(missing_relations, p.value)
-        if p.kind == "type_assert" and o.kind == "class" and o.value not in kb.classes:
-            note(missing_classes, o.value)
-        for term in (s, o):
-            if term.kind == "entity" and term.value not in kb.entities:
-                note(missing_entities, term.value)
-    if q.aggregate is not None:
-        for rid in q.aggregate.path:
-            if rid not in kb.relations:
-                note(missing_relations, rid)
-
-    if not (missing_relations or missing_classes or missing_entities):
+    missing = {
+        "relations": [rid for rid in extract_relations(q) if rid not in kb.relations],
+        "entity types": [cid for cid in extract_classes(q) if cid not in kb.classes],
+        "entities": [eid for eid in extract_entities(q) if eid not in kb.entities],
+    }
+    parts = [f"{what} {_fmt_list(ids)}" for what, ids in missing.items() if ids]
+    if not parts:
         return Verdict("V2b", STRONG, True)
-    parts = []
-    if missing_relations:
-        parts.append(f"relations {_fmt_list(missing_relations)}")
-    if missing_classes:
-        parts.append(f"entity types {_fmt_list(missing_classes)}")
-    if missing_entities:
-        parts.append(f"entities {_fmt_list(missing_entities)}")
     description = (
         "The sparql hallucinates schema elements that do not exist in the KB: "
         + ", ".join(parts)

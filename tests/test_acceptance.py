@@ -158,8 +158,8 @@ def test_criterion_4_verifier_properties():
     while checked < 200:
         kb = random_kb(rng, max_entities=12)
         q = random_query(rng, kb)
-        relations = sorted(extract_relations(q) & frozenset(kb.relations))
-        entities = sorted(extract_entities(q) & frozenset(kb.entities))
+        relations = sorted(set(extract_relations(q)) & frozenset(kb.relations))
+        entities = sorted(set(extract_entities(q)) & frozenset(kb.entities))
         if not relations and not entities:
             continue
         from kbqa_repair.kb import DeletionPlan, delete_elements

@@ -707,8 +707,32 @@ MALFORMED_INPUTS = {
         "verify", "--kb", FIG1 / "kb3", "--backend", "mock", "--question", "q?", "--lf",
         "SELECT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }",
     ), "--backend mock requires --mock FIXTURE"),
-    "run-http-without-endpoint": (lambda tmp: (*_run_argv(tmp), "--backend", "http", "--model", "m"),
-                                  "--backend http requires --endpoint and --model"),
+    "run-http-without-endpoint": (lambda tmp: (
+        "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl", "--backend", "http",
+        "--model", "m", "--out", tmp / "out",
+    ), "--backend http requires --endpoint and --model"),
+    "run-http-with-mock": (lambda tmp: (
+        *_run_argv(tmp), "--backend", "http", "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
+    ), "--mock applies only to --backend mock"),
+    "run-mock-with-endpoint-and-model": (lambda tmp: (
+        *_run_argv(tmp), "--endpoint", "http://example.invalid/", "--model", "gpt",
+    ), "--endpoint applies only to --backend http"),
+    "run-mock-with-model": (lambda tmp: (*_run_argv(tmp), "--model", "gpt"),
+                            "--model applies only to --backend http"),
+    "config-endpoint-with-mock": (lambda tmp: (
+        *_run_argv(tmp), "--config", _write(tmp, "config.json", '{"endpoint": "http://example.invalid/"}'),
+    ), "--endpoint applies only to --backend http"),
+    "config-http-with-mock-flag": (lambda tmp: (*_run_argv(tmp), "--config", _write(
+        tmp, "config.json", '{"backend": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m"}',
+    )), "--mock applies only to --backend mock"),
+    "verify-endpoint-without-backend": (lambda tmp: (
+        "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK",
+        "--endpoint", "http://example.invalid/", "--model", "gpt",
+    ), "--endpoint applies only to --backend http"),
+    "verify-model-with-mock": (lambda tmp: (
+        "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK",
+        "--mock", FIG1 / "mock.json", "--model", "gpt",
+    ), "--model applies only to --backend http"),
     "config-backend-unknown": (lambda tmp: (
         *_run_argv(tmp), "--config", _write(tmp, "config.json", '{"backend": "foo"}'),
     ), 'config backend must be "mock" or "http", not "foo"'),
@@ -929,7 +953,7 @@ def test_run_config_caps_reach_the_prompt(tmp_path, config, caps):
 
 @pytest.mark.parametrize("config", [
     {"templates_dir": "prompts"}, {"n_iter": 0}, ["n_iter"], {"max_path_len": 0}, {"max_paths": -1},
-    {"workers": 0},
+    {"workers": 0}, {"max_path_len": 100},
 ])
 def test_run_bad_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -962,8 +986,11 @@ def test_run_workers_below_one_exits_2(tmp_path, capsys, workers):
     {"n_iter": True},
     {"answerable_mode": 1},
     {"mock": None},
+    {"endpoint": 5},
+    {"model": ["m"]},
 ], ids=["max_paths-string", "workers-string", "mediator_classes-string",
-        "mediator_classes-number-item", "n_iter-bool", "answerable_mode-int", "mock-null"])
+        "mediator_classes-number-item", "n_iter-bool", "answerable_mode-int", "mock-null",
+        "endpoint-number", "model-list"])
 def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -25,7 +25,7 @@ A13 = FIXTURES / "a13"
 GOLDEN = FIXTURES / "golden_runs"
 CONFIG = {
     "n_iter": 1, "answerable_mode": False, "workers": 1, "backend": "mock",
-    "mock": str(FIG1 / "mock.json"), "endpoint": "http://127.0.0.1:9/v1", "model": "m",
+    "mock": str(FIG1 / "mock.json"),
     "max_classes": 10, "max_relations": 10, "max_paths": 5, "max_path_len": 2,
     "mediator_classes": ["book.written_work"],
 }

@@ -63,7 +63,6 @@ def test_parse_reply_sparql_and_garbage():
 
 def test_pun_prompt_matches_golden():
     from kbqa_repair.kb import Entity, Fact, RelationDef, SchemaClass, build_kb
-    from kbqa_repair.query import parse_sparql
 
     kb = build_kb(
         classes=[
@@ -94,10 +93,8 @@ def test_pun_prompt_matches_golden():
         classes=("education.school_newspaper", "book.newspaper"),
         relations=("education.school_newspaper.school", "book.newspaper_issue.newspaper"),
         paths=(
-            parse_sparql(
-                "SELECT DISTINCT ?x WHERE { ns:m.0hpsvmv ns:book.newspaper.circulation_areas ?x0 . "
-                "?x0 ns:periodicals.newspapers ?x . ?x ns:type.object.type ns:book.newspaper }"
-            ),
+            "SELECT DISTINCT ?x WHERE { ns:m.0hpsvmv ns:book.newspaper.circulation_areas ?x0 . "
+            "?x0 ns:periodicals.newspapers ?x . ?x ns:type.object.type ns:book.newspaper }",
         ),
         linked_entities=(("the onion", "m.0hpsvmv"),),
     )

@@ -14,6 +14,7 @@ from kbqa_repair.query import (
     LogicalForm,
     QuerySyntaxError,
     UnsupportedQuery,
+    extract_classes,
     extract_entities,
     extract_relations,
     parse,
@@ -195,13 +196,30 @@ def test_dialect_agreement_corpus():
 
 def test_extract_sets():
     q = parse_sparql(GENRE_SPARQL)
-    assert extract_relations(q) == {"music.genre.recordings"}
-    assert extract_entities(q) == {"m.0123lk0s"}
+    assert extract_relations(q) == ("music.genre.recordings",)
+    assert extract_entities(q) == ("m.0123lk0s",)
+    assert extract_classes(q) == ("music.genre",)
+    # Each id once, in first-appearance order over the patterns, which is
+    # not the sorted order here.
+    q = parse_sparql(
+        "SELECT ?x WHERE { ns:m.2 ns:r.b ?x . ?x ns:r.a ns:m.1 . ns:m.2 ns:r.a ?y . "
+        "?x ns:type.object.type ns:c.z . ?y ns:type.object.type ns:c.a . ?y ns:r.b ns:m.1 . "
+        "?y ns:type.object.type ns:c.z }"
+    )
+    assert extract_relations(q) == ("r.b", "r.a")
+    assert extract_entities(q) == ("m.2", "m.1")
+    assert extract_classes(q) == ("c.z", "c.a")
+    # The aggregate path comes after the patterns' relations.
+    q = parse_sexpr("(ARGMAX (AND c.z (JOIN r.b (JOIN r.a m.2))) r.c r.b)")
+    assert extract_relations(q) == ("r.a", "r.b", "r.c")
+    assert extract_entities(q) == ("m.2",)
+    assert extract_classes(q) == ("c.z",)
 
 
 def test_extract_empty_entity_set():
     q = parse_sparql("SELECT ?x WHERE { ?x ns:rel.a ?y }")
-    assert extract_entities(q) == frozenset()
+    assert extract_entities(q) == ()
+    assert extract_classes(q) == ()
 
 
 def test_extract_same_sets_across_dialects():

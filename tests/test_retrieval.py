@@ -15,7 +15,7 @@ from kbqa_repair.retrieval import (
     retrieve_lexical,
     retrieve_union,
 )
-from kbqa_repair.query import CanonicalQuery, Literal, entity, parse_sparql, rel, render_sparql, var
+from kbqa_repair.query import Literal, parse_sparql
 from randgen import random_kb
 
 
@@ -51,6 +51,7 @@ def test_caps_enforced(fig1_kb3):
     ("max_relations", -1, "max_relations must be >= 0"),
     ("max_paths", -1, "max_paths must be >= 0"),
     ("max_path_len", 0, "max_path_len must be >= 1"),
+    ("max_path_len", 5, "max_path_len must be <= 4"),
 ])
 def test_caps_out_of_range_rejected(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -63,9 +64,8 @@ def test_paths_rooted_at_linked_entity(fig1_kb3):
     ctx = retrieve_lexical(fig1_kb3, "which books did j r hart write?", [("j r hart", "m.0auth")])
     assert ctx.paths
     for path in ctx.paths:
-        assert execute(fig1_kb3, path)
-    rendered = " | ".join(render_sparql(p) for p in ctx.paths)
-    assert "ns:m.0auth ns:book.author.works_written ?x" in rendered
+        assert execute(fig1_kb3, parse_sparql(path))
+    assert "SELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }" in ctx.paths
 
 
 def test_absent_linked_entities_dropped(fig1_kb1):
@@ -82,15 +82,23 @@ def test_union_single_retriever_identity(fig1_kb3):
 
 
 def test_union_merges_and_dedups(fig1_kb3):
+    written, influenced, published = (
+        f"SELECT DISTINCT ?x WHERE {{ ns:m.0auth ns:book.author.{rid} ?x }}"
+        for rid in ("works_written", "influenced", "publisher")
+    )
+
     def fake_a(kb, question, linked, caps):
-        return RetrievalContext(classes=("book.author", "award.award"), relations=("book.author.publisher",))
+        return RetrievalContext(classes=("book.author", "award.award"), relations=("book.author.publisher",),
+                                paths=(written, influenced))
 
     def fake_b(kb, question, linked, caps):
-        return RetrievalContext(classes=("award.award", "book.publisher"), relations=("book.author.publisher", "book.author.influenced"))
+        return RetrievalContext(classes=("award.award", "book.publisher"), relations=("book.author.publisher", "book.author.influenced"),
+                                paths=(influenced, published))
 
     union = retrieve_union([fake_a, fake_b], fig1_kb3, "q", [])
     assert union.classes == ("book.author", "award.award", "book.publisher")
     assert union.relations == ("book.author.publisher", "book.author.influenced")
+    assert union.paths == (written, influenced, published)
 
 
 def test_union_needs_a_retriever(fig1_kb3):
@@ -111,14 +119,20 @@ def test_render_context_fields(fig1_kb3):
     ctx = RetrievalContext(
         classes=("book.author",),
         relations=("book.author.works_written",),
-        paths=(parse_sparql("SELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }"),),
+        paths=(
+            "SELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }",
+            "SELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.influenced ?x }",
+        ),
         linked_entities=(("j r hart", "m.0auth"),),
     )
     fields = render_context_fields(fig1_kb3, ctx)
     assert fields["entities"] == "j r hart m.0auth"
     assert fields["relations"] == "book.author.works_written (type:book.author R type:book.written_work)"
     assert fields["classes"] == "book.author"
-    assert fields["paths"].startswith("SELECT DISTINCT ?x WHERE")
+    assert fields["paths"] == (
+        "SELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x } | "
+        "SELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.influenced ?x }"
+    )
 
 
 def test_a_relation_the_kb_lacks_is_rendered_as_its_id(fig1_kb3):
@@ -148,8 +162,9 @@ def test_an_entity_linked_twice_gets_its_paths_once(fig1_kb3):
 # ---------------------------------------------------------------------------
 
 def _oracle_paths(kb, eid, max_len):
-    """Chain queries rooted at an entity, sorted by relation-id sequence:
-    path enumeration as it was when it built a query for every path."""
+    """(relation-id sequence, SPARQL text) of each chain query rooted at an
+    entity, sorted by sequence: path enumeration as it was when it built a
+    query for every path, with the text written out here."""
     sequences = set()
 
     def walk(frontier, prefix):
@@ -168,16 +183,16 @@ def _oracle_paths(kb, eid, max_len):
                 walk(targets, seq)
 
     walk({eid}, ())
-    queries = []
+    paths = []
     for seq in sorted(sequences):
         patterns = []
-        subject = entity(eid)
+        subject = f"ns:{eid}"
         for hop, rid in enumerate(seq):
-            obj = var("x") if hop == len(seq) - 1 else var(f"x{hop}")
-            patterns.append((subject, rel(rid), obj))
+            obj = "?x" if hop == len(seq) - 1 else f"?x{hop}"
+            patterns.append(f"{subject} ns:{rid} {obj}")
             subject = obj
-        queries.append(CanonicalQuery("x", True, tuple(patterns)))
-    return queries
+        paths.append((seq, f"SELECT DISTINCT ?x WHERE {{ {' . '.join(patterns)} }}"))
+    return paths
 
 
 def _oracle_lexical_score(question, label, some_id):
@@ -221,8 +236,7 @@ def _oracle_retrieve(kb, question, linked_entities, caps=RetrievalCaps()):
     linked = tuple((m, eid) for m, eid in linked_entities if eid in kb.entities)
     scored_paths = []
     for eid in dict.fromkeys(eid for _, eid in linked):
-        for path in _oracle_paths(kb, eid, caps.max_path_len):
-            rels = tuple(p.value for _, p, _ in path.patterns)
+        for rels, path in _oracle_paths(kb, eid, caps.max_path_len):
             score = sum(relation_scores.get(rid, 0.0) for rid in rels)
             scored_paths.append((-score, rels, path))
     scored_paths.sort(key=lambda item: (item[0], item[1]))

@@ -250,8 +250,8 @@ def test_v2b_containment_property_randomized():
         kb = random_kb(rng, max_entities=10)
         q = random_query(rng, kb)
         form = LogicalForm("sparql", "synthetic", q)
-        missing = (not extract_relations(q) <= frozenset(kb.relations)) or (
-            not extract_entities(q) <= frozenset(kb.entities)
+        missing = (not set(extract_relations(q)) <= frozenset(kb.relations)) or (
+            not set(extract_entities(q)) <= frozenset(kb.entities)
         )
         verdict = v2b_schema_presence(form, kb)
         if missing:

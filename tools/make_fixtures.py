@@ -522,10 +522,8 @@ def build_golden_prompt() -> None:
         classes=("education.school_newspaper", "book.newspaper"),
         relations=("education.school_newspaper.school", "book.newspaper_issue.newspaper"),
         paths=(
-            parse_sparql(
-                "SELECT DISTINCT ?x WHERE { ns:m.0hpsvmv ns:book.newspaper.circulation_areas ?x0 . "
-                "?x0 ns:periodicals.newspapers ?x . ?x ns:type.object.type ns:book.newspaper }"
-            ),
+            "SELECT DISTINCT ?x WHERE { ns:m.0hpsvmv ns:book.newspaper.circulation_areas ?x0 . "
+            "?x0 ns:periodicals.newspapers ?x . ?x ns:type.object.type ns:book.newspaper }",
         ),
         linked_entities=(("the onion", "m.0hpsvmv"),),
     )
