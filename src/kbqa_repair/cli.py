@@ -42,14 +42,15 @@ def _make_gateway(args):
     setting, from a flag or a ``--config`` key, that this backend never reads
     is an error."""
     backend = args.backend or "mock"
-    for name, reader in (("mock", "mock"), ("endpoint", "http"), ("model", "http")):
+    for name, reader in (("mock", "mock"), ("endpoint", "http"), ("model", "http"), ("auth_env", "http")):
         if getattr(args, name) is not None and backend != reader:
-            raise kbmod.FormatError(f"--{name} applies only to --backend {reader}")
+            raise kbmod.FormatError(f"--{name.replace('_', '-')} applies only to --backend {reader}")
     if backend == "http":
         if not args.endpoint or not args.model:
             raise kbmod.FormatError("--backend http requires --endpoint and --model")
+        options = {} if args.auth_env is None else {"auth_env": args.auth_env}
         try:
-            return HttpGateway(args.endpoint, args.model, auth_env=args.auth_env)
+            return HttpGateway(args.endpoint, args.model, **options)
         except ValueError as err:
             raise kbmod.FormatError(str(err)) from err
     if not args.mock:
@@ -251,8 +252,8 @@ def cmd_verify(args) -> int:
         mention, _, eid = item.partition("=")
         entities.append((mention, eid if eid else mention))
     suite = VerifierSuite(answerable_mode=args.answerable_mode)
-    backend_set = any((args.backend, args.mock, args.endpoint, args.model))
-    gateway = _make_gateway(args) if backend_set else _NoBackend()
+    backend_flags = (args.backend, args.mock, args.endpoint, args.model, args.auth_env)
+    gateway = _make_gateway(args) if any(flag is not None for flag in backend_flags) else _NoBackend()
     question_entities = frozenset(eid for _, eid in entities)
     result = run_suite(lf, args.question, question_entities, kb, gateway, suite)
     for verdict in result.verdicts:
@@ -330,8 +331,7 @@ def _add_backend_flags(parser) -> None:
     parser.add_argument("--mock", help="mock fixture JSON file")
     parser.add_argument("--endpoint", help="chat-completion endpoint URL")
     parser.add_argument("--model", help="model name for the http backend")
-    parser.add_argument("--auth-env", default="KBQA_REPAIR_TOKEN",
-                        help="environment variable holding the auth token")
+    parser.add_argument("--auth-env", help="environment variable holding the http backend's auth token")
 
 
 def _count(text: str) -> int:

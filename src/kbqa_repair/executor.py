@@ -43,11 +43,7 @@ def _compare(a: Literal, op: str, b: Literal) -> bool:
 
 def _resolve(term: Term, binding: dict) -> object | None:
     """Ground a term against a binding; None means still free."""
-    if term.kind == "var":
-        return binding.get(term.value)
-    if term.kind == "literal":
-        return term.literal
-    return term.value  # entity or class id
+    return binding.get(term.value) if term.kind == "var" else term.value
 
 
 def _match_pattern(kb: KnowledgeBase, pattern: Pattern, binding: dict) -> list[dict]:

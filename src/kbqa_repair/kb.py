@@ -48,6 +48,7 @@ import contextlib
 import gc
 import itertools
 import json
+import re
 from dataclasses import dataclass
 
 from .query import LITERAL_DATATYPES, Literal, shorten
@@ -310,17 +311,26 @@ def check(record, kind: str, line: int | None = None):
     return record
 
 
+# A byte that is not UTF-8, as a file opened with errors="surrogateescape"
+# reads it: byte b is chr(0xdc00 + b).
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
 def read_json(path: str, what: str):
     """The JSON document in the file at ``path``, which ``what`` names."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except RecursionError as err:
-            raise FormatError(f"{what} {path} is not JSON: nested too deeply") from err
-        except json.JSONDecodeError as err:
-            raise FormatError(f"{what} {path} is not JSON: {err}") from err
-        except ValueError as err:  # an integer past the interpreter's digit limit
-            raise FormatError(f"{what} {path} is not JSON: number too long") from err
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        text = handle.read()
+    if not text.isascii() and (bad := _NOT_UTF8.search(text)) is not None:
+        line = text.count("\n", 0, bad.start()) + 1
+        raise FormatError(f"{what} {path} is not UTF-8: byte 0x{ord(bad[0]) - 0xdc00:02x} on line {line}")
+    try:
+        return json.loads(text)
+    except RecursionError as err:
+        raise FormatError(f"{what} {path} is not JSON: nested too deeply") from err
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{what} {path} is not JSON: {err}") from err
+    except ValueError as err:  # an integer past the interpreter's digit limit
+        raise FormatError(f"{what} {path} is not JSON: number too long") from err
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -328,11 +338,13 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 def read_jsonl(path: str):
     """Yield (line number, record) for each non-blank line of a JSON Lines file."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii() and (bad := _NOT_UTF8.search(line)) is not None:
+                raise FormatError(f"not UTF-8: byte 0x{ord(bad[0]) - 0xdc00:02x}", lineno)
             try:
                 record, end = _raw_decode(line)
             except json.JSONDecodeError:

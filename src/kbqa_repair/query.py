@@ -76,19 +76,15 @@ class Literal:
 
 @dataclass(frozen=True)
 class Term:
-    """One position of a triple pattern.
+    """One position of a triple pattern: a kind and one value.
 
     ``kind`` is one of ``var``, ``entity``, ``class``, ``relation``,
-    ``literal``, ``type_assert``; exactly one payload field is populated.
-    Use the module-level constructors rather than instantiating directly.
+    ``literal``, ``type_assert``.  ``value`` is the variable name or the id,
+    and a literal term's ``value`` is its ``Literal``.
     """
 
     kind: str
-    value: str | None = None
-    literal: Literal | None = None
-
-    def is_var(self) -> bool:
-        return self.kind == "var"
+    value: str | Literal
 
 
 def var(name: str) -> Term:
@@ -108,7 +104,7 @@ def rel(rid: str) -> Term:
 
 
 def lit(value: object, datatype: str) -> Term:
-    return Term("literal", None, Literal(value, datatype))
+    return Term("literal", Literal(value, datatype))
 
 
 TYPE_ASSERT = Term("type_assert", TYPE_ASSERT_ID)
@@ -162,7 +158,7 @@ class CanonicalQuery:
         seen: list[str] = []
         for s, _, o in self.patterns:
             for term in (s, o):
-                if term.is_var() and term.value not in seen:
+                if term.kind == "var" and term.value not in seen:
                     seen.append(term.value)
         return seen
 
@@ -174,7 +170,7 @@ class CanonicalQuery:
             if p.kind == "type_assert" and o.kind != "class":
                 raise QuerySyntaxError("object of a type assertion must be a class id")
             for term in (s, o):
-                if term.is_var():
+                if term.kind == "var":
                     pattern_vars.add(term.value)
         if self.projection not in pattern_vars:
             raise QuerySyntaxError(
@@ -371,7 +367,7 @@ class _SparqlParser:
         literal = _literal(tok) if position == "object" else None
         if literal is not None:
             self.next()
-            return Term("literal", None, literal)
+            return Term("literal", literal)
         self.fail(f"expected a {position} term, found {tok.text or 'end of input'!r}")
 
     def _filter(self) -> Filter:
@@ -443,7 +439,7 @@ def _render_sparql_term(term: Term) -> str:
     if term.kind == "var":
         return f"?{term.value}"
     if term.kind == "literal":
-        return _render_literal(term.literal)
+        return _render_literal(term.value)
     return f"ns:{term.value}"
 
 
@@ -502,11 +498,10 @@ def _read_sexpr(tokens: list[_Tok], i: int, depth: int) -> tuple[object, int]:
     return (tok.text if literal is None else literal), i + 1
 
 
-_MID_RE = re.compile(r"^[mg]\.")
-
-
-def _is_mid(symbol: str) -> bool:
-    return bool(_MID_RE.match(symbol))
+def _is_set(node: object) -> bool:
+    """Whether an s-expression node denotes a set: anything but a literal or
+    a machine id (m./g. prefix), which each denote one value."""
+    return not (isinstance(node, Literal) or isinstance(node, str) and node.startswith(("m.", "g.")))
 
 
 class _SexprLowerer:
@@ -514,6 +509,9 @@ class _SexprLowerer:
 
     Bare symbols follow the Freebase convention: machine ids (m./g. prefix)
     denote entities, dotted names denote classes read as instance sets.
+    ``bind(node, out)`` adds the patterns and filters that put the variable
+    ``out`` in the set ``node`` denotes; a JOIN gives its argument a fresh
+    variable only when that argument is a set.
     """
 
     def __init__(self):
@@ -525,16 +523,12 @@ class _SexprLowerer:
         self.counter += 1
         return var(f"v{self.counter}")
 
-    def lower(self, node: object) -> Term:
-        if isinstance(node, Literal):
-            return Term("literal", None, node)
+    def bind(self, node: object, out: Term) -> None:
+        """``node`` is a set (see ``_is_set``): a class symbol or an expression."""
         if isinstance(node, str):
-            if _is_mid(node):
-                return entity(node)
-            out = self.fresh()
             self.patterns.append((out, TYPE_ASSERT, cls(node)))
-            return out
-        if not isinstance(node, list) or not node:
+            return
+        if not node:
             raise QuerySyntaxError("empty expression")
         head = node[0]
         if not isinstance(head, str):
@@ -543,45 +537,37 @@ class _SexprLowerer:
             if len(node) != 3:
                 raise QuerySyntaxError("JOIN takes a relation and an argument")
             relation, inverted = self._relation(node[1])
-            target = self.lower(node[2])
-            out = self.fresh()
-            if inverted:
-                self.patterns.append((target, rel(relation), out))
+            arg = node[2]
+            if _is_set(arg):
+                target = self.fresh()
+                self.bind(arg, target)
             else:
-                self.patterns.append((out, rel(relation), target))
-            return out
+                target = Term("literal" if isinstance(arg, Literal) else "entity", arg)
+            self.patterns.append((target, rel(relation), out) if inverted else (out, rel(relation), target))
+            return
         if head == "AND":
             if len(node) != 3:
                 raise QuerySyntaxError("AND takes two arguments")
             left, right = node[1], node[2]
-            if isinstance(left, str) and not _is_mid(left):
-                out = self.lower(right)
-                if not out.is_var():
-                    raise QuerySyntaxError("AND with a class needs a set-valued argument")
-                self.patterns.append((out, TYPE_ASSERT, cls(left)))
-                return out
-            out = self.lower(left)
-            other = self.lower(right)
-            if not (out.is_var() and other.is_var()):
-                raise QuerySyntaxError("AND arguments must be set-valued")
-            # Intersect by renaming: rewrite every use of `other` to `out`.
-            self.patterns = [
-                tuple(out if t == other else t for t in p)  # type: ignore[misc]
-                for p in self.patterns
-            ]
-            self.filters = [
-                Filter(out.value, f.op, f.literal) if f.variable == other.value else f
-                for f in self.filters
-            ]
-            return out
+            # A class narrows its argument, and its type pattern comes after the
+            # argument's: _canonicalize_variables names variables in pattern order.
+            narrows = isinstance(left, str) and _is_set(left)
+            for side in (right, left) if narrows else (left, right):
+                if _is_set(side):
+                    self.bind(side, out)
+            if not (_is_set(left) and _is_set(right)):
+                raise QuerySyntaxError(
+                    "AND with a class needs a set-valued argument" if narrows
+                    else "AND arguments must be set-valued"
+                )
+            return
         if head in _SEXPR_COMPARATORS:
             if len(node) != 3 or not isinstance(node[1], str) or not isinstance(node[2], Literal):
                 raise QuerySyntaxError(f"{head} takes a relation and a literal")
-            out = self.fresh()
             value_var = self.fresh()
             self.patterns.append((out, rel(node[1]), value_var))
             self.filters.append(Filter(value_var.value, _SEXPR_COMPARATORS[head], node[2]))
-            return out
+            return
         if head in ("COUNT", "ARGMAX", "ARGMIN"):
             raise QuerySyntaxError(f"{head} is only allowed at the top level")
         raise QuerySyntaxError(f"unknown function {head}")
@@ -622,10 +608,11 @@ def parse_sexpr(text: str) -> CanonicalQuery:
         aggregate = Aggregate(tree[0].lower(), tuple(path))
         tree = tree[1]
 
-    lowerer = _SexprLowerer()
-    out = lowerer.lower(tree)
-    if not out.is_var():
+    if not _is_set(tree):
         raise QuerySyntaxError("top-level expression must be set-valued")
+    lowerer = _SexprLowerer()
+    out = lowerer.fresh()
+    lowerer.bind(tree, out)
     query = CanonicalQuery(
         out.value, True, tuple(lowerer.patterns), tuple(lowerer.filters), aggregate
     )
@@ -644,7 +631,7 @@ def _canonicalize_variables(q: CanonicalQuery) -> CanonicalQuery:
             counter += 1
 
     def rename(term: Term) -> Term:
-        if term.is_var():
+        if term.kind == "var":
             return var(mapping[term.value])
         return term
 

@@ -183,7 +183,7 @@ def v2c_literal_casting(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
             continue
         rd = kb.relations[p.value]
         if o.kind == "literal":
-            check(o.literal, rd, "given to")
+            check(o.value, rd, "given to")
         if o.kind == "var":
             var_ranges.setdefault(o.value, []).append(rd)
     for f in q.filters:

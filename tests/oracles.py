@@ -56,8 +56,6 @@ def _domain(kb: KnowledgeBase) -> list[object]:
 def _ground(term: Term, assignment: dict) -> object:
     if term.kind == "var":
         return assignment[term.value]
-    if term.kind == "literal":
-        return term.literal
     return term.value
 
 
@@ -122,7 +120,7 @@ def pruned_execute(kb: KnowledgeBase, q: CanonicalQuery) -> frozenset:
     patterns_at: list[list] = [[] for _ in variables]
     filters_at: list[list] = [[] for _ in variables]
     for pattern in q.patterns:
-        names = [t.value for t in (pattern[0], pattern[2]) if t.is_var()]
+        names = [t.value for t in (pattern[0], pattern[2]) if t.kind == "var"]
         patterns_at[max((depth[n] for n in names), default=0)].append(pattern)
     for f in q.filters:
         filters_at[depth[f.variable]].append(f)
@@ -315,7 +313,7 @@ def render_sexpr(q: CanonicalQuery) -> str:
         for idx, (s, p, o) in enumerate(q.patterns):
             if idx in consumed:
                 continue
-            if (s.is_var() and s.value == name) or (o.is_var() and o.value == name):
+            if (s.kind == "var" and s.value == name) or (o.kind == "var" and o.value == name):
                 found.append((idx, (s, p, o)))
         return found
 
@@ -323,13 +321,13 @@ def render_sexpr(q: CanonicalQuery) -> str:
         if term.kind == "entity":
             return term.value
         if term.kind == "literal":
-            return _sexpr_literal(term.literal)
+            return _sexpr_literal(term.value)
         raise UnsupportedQuery(f"cannot render {term.kind} term as an s-expression leaf")
 
     def comparator_part(name: str, idx: int, pattern: Pattern) -> str | None:
         # Pattern (name, r, z) where z is only used in one filter -> (op r lit).
         s, p, o = pattern
-        if not (s.is_var() and s.value == name and o.is_var() and p.kind == "relation"):
+        if not (s.kind == "var" and s.value == name and o.kind == "var" and p.kind == "relation"):
             return None
         z = o.value
         if len(edges_of(z)) != 1 or len(filters_by_var.get(z, [])) != 1:
@@ -359,11 +357,11 @@ def render_sexpr(q: CanonicalQuery) -> str:
                 parts.append(comp)
                 continue
             consumed.add(idx)
-            if s.is_var() and s.value == name:
-                target = expr_for(o.value) if o.is_var() else render_term(o)
+            if s.kind == "var" and s.value == name:
+                target = expr_for(o.value) if o.kind == "var" else render_term(o)
                 parts.append(f"(JOIN {p.value} {target})")
             else:
-                target = expr_for(s.value) if s.is_var() else render_term(s)
+                target = expr_for(s.value) if s.kind == "var" else render_term(s)
                 parts.append(f"(JOIN (R {p.value}) {target})")
         if not parts:
             raise UnsupportedQuery(f"variable ?{name} has no constraints to render")

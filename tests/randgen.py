@@ -105,7 +105,7 @@ def random_query(rng: random.Random, kb: KnowledgeBase, max_patterns: int = 3) -
         for _ in range(rng.randint(1, max_patterns)):
             if rng.random() < 0.15 and class_ids:
                 subject = _random_term(rng, kb, variables, True)
-                if not subject.is_var():
+                if subject.kind != "var":
                     continue
                 class_id = rng.choice(class_ids) if rng.random() < 0.9 else "ghost.class"
                 patterns.append((subject, TYPE_ASSERT, cls(class_id)))
@@ -115,7 +115,7 @@ def random_query(rng: random.Random, kb: KnowledgeBase, max_patterns: int = 3) -
             subject = _random_term(rng, kb, variables, True)
             if rd is not None and rd.range_is_literal:
                 if rng.random() < 0.5:
-                    value = Term("literal", None, _random_literal(rng, rd.range))
+                    value = Term("literal", _random_literal(rng, rd.range))
                     patterns.append((subject, rel(rid), value))
                 else:
                     obj = var(f"v{len(variables)}") if len(variables) < 3 else var(variables[-1])

@@ -474,14 +474,15 @@ def _kb_copy(tmp_path, schema=None, data_line=None, source=FIG1 / "kb3"):
         schema(doc)
         (kb / "schema.json").write_text(json.dumps(doc))
     if data_line is not None:
-        with open(kb / "data.jsonl", "a") as handle:
+        with open(kb / "data.jsonl", "a", encoding="utf-8", errors="surrogateescape") as handle:
             handle.write(data_line + "\n")
     return kb
 
 
 def _write(tmp_path, name, text):
+    """``text`` written to ``tmp_path / name`` as UTF-8; "\\udcff" is the byte 0xff."""
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -736,6 +737,28 @@ MALFORMED_INPUTS = {
     "config-backend-unknown": (lambda tmp: (
         *_run_argv(tmp), "--config", _write(tmp, "config.json", '{"backend": "foo"}'),
     ), 'config backend must be "mock" or "http", not "foo"'),
+    "data-not-utf8": (lambda tmp: (
+        "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "m.x", "label": "a\udcffb"}'),
+    ), "line 21: not UTF-8: byte 0xff"),
+    "schema-not-utf8": (lambda tmp: (
+        "kb", "validate", "--kb", _write(_kb_copy(tmp), "schema.json", "\udcff{}").parent,
+    ), "schema file {tmp}/kb/schema.json is not UTF-8: byte 0xff on line 1"),
+    "plan-not-utf8": (lambda tmp: _delete_argv(tmp, _write(tmp, "plan.json", '{"classes":\r\n["\udce9"]}')),
+                      "plan file {tmp}/plan.json is not UTF-8: byte 0xe9 on line 2"),
+    "trace-not-utf8": (lambda tmp: ("trace", "show", "--trace", _write(
+        tmp, "traces.jsonl", (FIXTURES / "golden_runs" / "a13" / "traces.jsonl").read_text() + "\udcff\n",
+    )), "line 2: not UTF-8: byte 0xff"),
+    "run-mock-with-auth-env": (lambda tmp: (*_run_argv(tmp), "--auth-env", "NOPE"),
+                               "--auth-env applies only to --backend http"),
+    "verify-auth-env-without-backend": (lambda tmp: (
+        "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK", "--auth-env", "NOPE",
+    ), "--auth-env applies only to --backend http"),
+    "verify-empty-auth-env-without-backend": (lambda tmp: (
+        "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK", "--auth-env", "",
+    ), "--auth-env applies only to --backend http"),
+    "verify-empty-mock": (lambda tmp: (
+        "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK", "--mock", "",
+    ), "--backend mock requires --mock FIXTURE"),
     "trace-show-index-out-of-range": (lambda tmp: (
         "trace", "show", "--trace", FIXTURES / "golden_runs" / "a13" / "traces.jsonl", "--index", "1",
     ), "--index 1 out of range (0..0)"),
@@ -1002,6 +1025,19 @@ def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, config):
     key = next(iter(config))
     assert capsys.readouterr().err.startswith(f"error: config {key} must be ")
     assert not (tmp_path / "out").exists()  # stopped before any question ran
+
+
+def test_auth_env_reaches_the_http_gateway_only_when_given():
+    """--auth-env names the token variable; without it, HttpGateway's own
+    default holds."""
+    from kbqa_repair.cli import _make_gateway
+    from kbqa_repair.gateway import HttpGateway
+
+    argv = ["verify", "--kb", "k", "--question", "q?", "--lf", "NK", "--backend", "http",
+            "--endpoint", "http://127.0.0.1:9/v1", "--model", "m"]
+    default = HttpGateway("http://127.0.0.1:9/v1", "m").auth_env
+    assert _make_gateway(build_parser().parse_args(argv)).auth_env == default
+    assert _make_gateway(build_parser().parse_args(argv + ["--auth-env", "MY_TOKEN"])).auth_env == "MY_TOKEN"
 
 
 def test_config_key_types_are_the_run_flag_types():

@@ -386,10 +386,15 @@ def test_plans_match_the_key_oracle(seed, data):
     ('{"a": 1} {"b": 2}\n', "line 1: invalid JSON: Extra data"),
     ('\ufeff{"a": 1}\n', "line 1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     ('\n[1,\n', "line 2: invalid JSON: Expecting value"),
-], ids=["bad-json", "extra-data", "bom", "truncated"])
+    # Written with surrogateescape, "\udcff" is the byte 0xff.
+    ('{"a": 1}\n{"b": "\udcff"}\n', "line 2: not UTF-8: byte 0xff"),
+    ('{"a": 1}\r{"b": 2}\r\n\n{"c": "\udce2\udc82"}\n', "line 4: not UTF-8: byte 0xe2"),
+    ('{not json\n{"b": "\udcff"}\n', "line 1: invalid JSON: Expecting property name enclosed in double quotes"),
+], ids=["bad-json", "extra-data", "bom", "truncated", "not-utf8", "not-utf8-after-cr-lines",
+        "bad-json-before-not-utf8"])
 def test_read_jsonl_error_keeps_the_json_message(tmp_path, text, message):
     path = tmp_path / "data.jsonl"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     with pytest.raises(FormatError) as err:
         list(read_jsonl(str(path)))
     assert str(err.value) == message

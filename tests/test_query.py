@@ -2,24 +2,30 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import FIXTURES
 from kbqa_repair.executor import execute
 from kbqa_repair import query
 from kbqa_repair.query import (
+    TYPE_ASSERT,
+    Aggregate,
     CanonicalQuery,
     Filter,
     Literal,
     LogicalForm,
     QuerySyntaxError,
+    Term,
     UnsupportedQuery,
+    cls,
+    entity,
     extract_classes,
     extract_entities,
     extract_relations,
     parse,
     parse_sexpr,
     parse_sparql,
+    rel,
     render_sparql,
     var,
 )
@@ -69,7 +75,7 @@ def test_parse_sparql_literals():
     q = parse_sparql(
         'SELECT ?x WHERE { ?x ns:rel.a "hello" . ?x ns:rel.b 3.5 . ?x ns:rel.c "2024-01-02"^^xsd:date }'
     )
-    objs = [o.literal for _, _, o in q.patterns]
+    objs = [o.value for _, _, o in q.patterns]
     assert objs[0] == Literal("hello", "string")
     assert objs[1] == Literal(3.5, "float")
     assert objs[2] == Literal("2024-01-02", "date")
@@ -285,6 +291,7 @@ PARSE_ERRORS = [
     ("sexpr", "(AND a)", "AND takes two arguments"),
     ("sexpr", "(AND c.d m.x)", "AND with a class needs a set-valued argument"),
     ("sexpr", "(AND m.x m.y)", "AND arguments must be set-valued"),
+    ("sexpr", "(AND m.x (FOO))", "unknown function FOO"),
     ("sexpr", "(lt a)", "lt takes a relation and a literal"),
     ("sexpr", "(AND (COUNT a.b) a.b)", "COUNT is only allowed at the top level"),
     ("sexpr", "(JOIN (X a) m.x)", "expected a relation id or (R relation)"),
@@ -446,3 +453,163 @@ def test_render_sparql_keeps_its_first_text(seed):
     assert render_sparql(q) == first
     assert render_sparql(fresh) == first
     assert fresh == q and hash(fresh) == hash(q)
+
+
+# ---------------------------------------------------------------------------
+# The s-expression lowerer against the bottom-up lowerer
+# ---------------------------------------------------------------------------
+
+class _BottomUpLowerer:
+    """The reference lowering: each node is lowered on a variable of its own,
+    and AND renames its right side's variable into its left side's."""
+
+    def __init__(self):
+        self.counter = 0
+        self.patterns = []
+        self.filters = []
+
+    def fresh(self):
+        self.counter += 1
+        return var(f"v{self.counter}")
+
+    def lower(self, node):
+        if isinstance(node, Literal):
+            return Term("literal", node)
+        if isinstance(node, str):
+            if node.startswith(("m.", "g.")):
+                return entity(node)
+            out = self.fresh()
+            self.patterns.append((out, TYPE_ASSERT, cls(node)))
+            return out
+        if not node:
+            raise QuerySyntaxError("empty expression")
+        head = node[0]
+        if not isinstance(head, str):
+            raise QuerySyntaxError("expression head must be a function name")
+        if head == "JOIN":
+            if len(node) != 3:
+                raise QuerySyntaxError("JOIN takes a relation and an argument")
+            relation, inverted = self._relation(node[1])
+            target = self.lower(node[2])
+            out = self.fresh()
+            self.patterns.append((target, rel(relation), out) if inverted else (out, rel(relation), target))
+            return out
+        if head == "AND":
+            if len(node) != 3:
+                raise QuerySyntaxError("AND takes two arguments")
+            left, right = node[1], node[2]
+            if isinstance(left, str) and not left.startswith(("m.", "g.")):
+                out = self.lower(right)
+                if out.kind != "var":
+                    raise QuerySyntaxError("AND with a class needs a set-valued argument")
+                self.patterns.append((out, TYPE_ASSERT, cls(left)))
+                return out
+            out = self.lower(left)
+            other = self.lower(right)
+            if not (out.kind == "var" and other.kind == "var"):
+                raise QuerySyntaxError("AND arguments must be set-valued")
+            self.patterns = [tuple(out if t == other else t for t in p) for p in self.patterns]
+            self.filters = [
+                Filter(out.value, f.op, f.literal) if f.variable == other.value else f
+                for f in self.filters
+            ]
+            return out
+        if head in query._SEXPR_COMPARATORS:
+            if len(node) != 3 or not isinstance(node[1], str) or not isinstance(node[2], Literal):
+                raise QuerySyntaxError(f"{head} takes a relation and a literal")
+            out = self.fresh()
+            value_var = self.fresh()
+            self.patterns.append((out, rel(node[1]), value_var))
+            self.filters.append(Filter(value_var.value, query._SEXPR_COMPARATORS[head], node[2]))
+            return out
+        if head in ("COUNT", "ARGMAX", "ARGMIN"):
+            raise QuerySyntaxError(f"{head} is only allowed at the top level")
+        raise QuerySyntaxError(f"unknown function {head}")
+
+    def _relation(self, node):
+        if isinstance(node, str):
+            return node, False
+        if isinstance(node, list) and len(node) == 2 and node[0] == "R" and isinstance(node[1], str):
+            return node[1], True
+        raise QuerySyntaxError("expected a relation id or (R relation)")
+
+
+def _bottom_up_parse_sexpr(text):
+    tokens = query._tokenize(query._SEXPR_TOKEN_RE, text)
+    if not tokens:
+        raise QuerySyntaxError("empty input")
+    tree, i = query._read_sexpr(tokens, 0, 0)
+    if i != len(tokens):
+        raise QuerySyntaxError("unexpected trailing input", tokens[i].pos)
+    aggregate = None
+    if isinstance(tree, list) and tree and tree[0] == "COUNT":
+        if len(tree) != 2:
+            raise QuerySyntaxError("COUNT takes one argument")
+        aggregate, tree = Aggregate("count"), tree[1]
+    elif isinstance(tree, list) and tree and tree[0] in ("ARGMAX", "ARGMIN"):
+        if len(tree) < 3:
+            raise QuerySyntaxError(f"{tree[0]} takes an expression and a relation path")
+        if not all(isinstance(p, str) for p in tree[2:]):
+            raise QuerySyntaxError("aggregate relation path must be relation ids")
+        aggregate, tree = Aggregate(tree[0].lower(), tuple(tree[2:])), tree[1]
+    lowerer = _BottomUpLowerer()
+    out = lowerer.lower(tree)
+    if out.kind != "var":
+        raise QuerySyntaxError("top-level expression must be set-valued")
+    q = CanonicalQuery(out.value, True, tuple(lowerer.patterns), tuple(lowerer.filters), aggregate)
+    q = query._canonicalize_variables(q)
+    q.validate()
+    return q
+
+
+_SEXPR_RELATIONS = st.sampled_from(["rel.a", "rel.b", "geo.pop"])
+_SEXPR_LITERALS = st.sampled_from(["5", "-2", "2.5", '"s"', '"2024-01-05"^^date'])
+
+
+def _sexpr_nodes(children):
+    """JOIN, AND and comparator nodes, and malformed nodes of any head and arity."""
+    relation = st.one_of(_SEXPR_RELATIONS, _SEXPR_RELATIONS.map(lambda r: ["R", r]))
+    return st.one_of(
+        st.tuples(st.just("JOIN"), relation, children).map(list),
+        st.tuples(st.just("AND"), children, children).map(list),
+        st.tuples(st.sampled_from(sorted(query._SEXPR_COMPARATORS)), _SEXPR_RELATIONS, _SEXPR_LITERALS).map(list),
+        st.tuples(
+            st.one_of(st.sampled_from(["JOIN", "AND", "R", "lt", "COUNT", "ARGMAX", "FOO"]), children),
+            st.lists(st.one_of(children, relation), max_size=3),
+        ).map(lambda t: [t[0], *t[1]]),
+    )
+
+
+_SEXPR_TREES = st.recursive(
+    st.one_of(st.sampled_from(["m.x", "g.y", "c.d", "geo.city", "rel.a", "()", "FOO"]), _SEXPR_LITERALS),
+    _sexpr_nodes,
+    max_leaves=12,
+)
+
+
+def _sexpr_text(node):
+    return "(" + " ".join(map(_sexpr_text, node)) + ")" if isinstance(node, list) else node
+
+
+def _lowered(parse_sexpr_text, text):
+    """The canonical query with its pattern and filter order, or the error message."""
+    try:
+        q = parse_sexpr_text(text)
+    except QuerySyntaxError as err:
+        return err.message
+    return (q.projection, q.distinct, q.patterns, q.filters, q.aggregate)
+
+
+@settings(max_examples=500)
+@given(tree=st.one_of(
+    _SEXPR_TREES,
+    _SEXPR_TREES.map(lambda t: ["COUNT", t]),
+    st.tuples(st.sampled_from(["ARGMAX", "ARGMIN"]), _SEXPR_TREES, st.lists(_SEXPR_RELATIONS, max_size=2))
+    .map(lambda t: [t[0], t[1], *t[2]]),
+))
+@example(tree=["AND", "m.x", ["FOO"]])
+@example(tree=["AND", "c.d", ["AND", ["JOIN", "rel.a", "m.x"], ["lt", "geo.pop", "5"]]])
+@example(tree=["COUNT", ["AND", ["JOIN", ["R", "rel.b"], ["AND", "geo.city", "c.d"]], ["JOIN", "rel.a", "g.y"]]])
+def test_sexpr_lowering_matches_the_bottom_up_lowerer(tree):
+    text = _sexpr_text(tree)
+    assert _lowered(parse_sexpr, text) == _lowered(_bottom_up_parse_sexpr, text)
