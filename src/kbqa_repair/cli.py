@@ -37,25 +37,27 @@ def _load_kb(args) -> kbmod.KnowledgeBase:
     return kbmod.load_kb(*_kb_paths(args))
 
 
+# The settings that name a backend, from a flag or a `run --config` key:
+# --mock names the mock, the others the HTTP client.
+_BACKEND_SETTINGS = ("mock", "endpoint", "model", "auth_env")
+_NAME_A_BACKEND = "pass --mock FIXTURE, or --endpoint URL and --model NAME"
+
+
 def _make_gateway(args):
-    """The backend ``args`` name: http, or mock when none is named.  A
-    setting, from a flag or a ``--config`` key, that this backend never reads
-    is an error."""
-    backend = args.backend or "mock"
-    for name, reader in (("mock", "mock"), ("endpoint", "http"), ("model", "http"), ("auth_env", "http")):
-        if getattr(args, name) is not None and backend != reader:
-            raise kbmod.FormatError(f"--{name.replace('_', '-')} applies only to --backend {reader}")
-    if backend == "http":
-        if not args.endpoint or not args.model:
-            raise kbmod.FormatError("--backend http requires --endpoint and --model")
-        options = {} if args.auth_env is None else {"auth_env": args.auth_env}
-        try:
-            return HttpGateway(args.endpoint, args.model, **options)
-        except ValueError as err:
-            raise kbmod.FormatError(str(err)) from err
-    if not args.mock:
-        raise kbmod.FormatError("--backend mock requires --mock FIXTURE")
-    return MockGateway.from_file(args.mock)
+    """The backend the settings name: the mock for ``--mock``, or the HTTP
+    client for ``--endpoint`` and ``--model``."""
+    for name in _BACKEND_SETTINGS[1:]:
+        if args.mock is not None and getattr(args, name) is not None:
+            raise kbmod.FormatError(f"--{name.replace('_', '-')} does not apply with --mock")
+    if args.mock:
+        return MockGateway.from_file(args.mock)
+    if not args.endpoint or not args.model:
+        raise kbmod.FormatError(f"no backend named; {_NAME_A_BACKEND}")
+    options = {} if args.auth_env is None else {"auth_env": args.auth_env}
+    try:
+        return HttpGateway(args.endpoint, args.model, **options)
+    except ValueError as err:
+        raise kbmod.FormatError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------
@@ -110,25 +112,22 @@ def cmd_dataset_sample(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-# The keys of `run --config` that a flag overrides when given; the others
-# are retrieval caps or verifier settings that have no flag.
-_FLAG_KEYS = ("n_iter", "answerable_mode", "workers", "backend", "mock", "endpoint", "model")
 _CAPS_KEYS = tuple(field.name for field in fields(RetrievalCaps))
 _CONFIG_KEYS = {key.rstrip("?") for key in kbmod.SHAPES["config"]}
 
 
 def _run_config(args) -> pipeline.FunConfig:
-    """Flags, then ``--config`` keys for the flags left unset and for the
-    settings without a flag; what neither sets keeps its default."""
+    """Flags, then ``--config`` keys for the flags of their names left unset
+    and for the settings without a flag; what neither sets keeps its default."""
     config = {}
     if args.config:
         config = kbmod.check(kbmod.read_json(args.config, "config file"), "config")
         unknown = sorted(set(config) - _CONFIG_KEYS)
         if unknown:
             raise kbmod.FormatError(f"config file {args.config}: unknown keys {unknown}")
-    for key in _FLAG_KEYS:
-        if getattr(args, key) is None and key in config:
-            setattr(args, key, config[key])
+    for key, value in config.items():
+        if key in vars(args) and getattr(args, key) is None:
+            setattr(args, key, value)
     settings = {"n": args.n_iter, "answerable_mode": args.answerable_mode}
     if "mediator_classes" in config:
         settings["mediator_classes"] = frozenset(config["mediator_classes"])
@@ -145,7 +144,6 @@ def _run_config(args) -> pipeline.FunConfig:
 
 def cmd_run(args) -> int:
     cfg = _run_config(args)
-    args.backend = args.backend or "mock"
     workers = 1 if args.workers is None else args.workers
     kb = _load_kb(args)
     split = ds.load_split(args.dataset)
@@ -172,7 +170,7 @@ def cmd_run(args) -> int:
     manifest = {
         "kb": dict(zip(("schema", "data"), _kb_paths(args))),
         "dataset": args.dataset,
-        "backend": args.backend,
+        "backend": "mock" if args.mock else "http",
         "mock": args.mock,
         "n_iter": cfg.n,
         "answerable_mode": cfg.answerable_mode,
@@ -252,8 +250,8 @@ def cmd_verify(args) -> int:
         mention, _, eid = item.partition("=")
         entities.append((mention, eid if eid else mention))
     suite = VerifierSuite(answerable_mode=args.answerable_mode)
-    backend_flags = (args.backend, args.mock, args.endpoint, args.model, args.auth_env)
-    gateway = _make_gateway(args) if any(flag is not None for flag in backend_flags) else _NoBackend()
+    named = any(getattr(args, name) is not None for name in _BACKEND_SETTINGS)
+    gateway = _make_gateway(args) if named else _NoBackend()
     question_entities = frozenset(eid for _, eid in entities)
     result = run_suite(lf, args.question, question_entities, kb, gateway, suite)
     for verdict in result.verdicts:
@@ -270,8 +268,7 @@ class _NoBackend:
     """The gateway of a `verify` run without a backend: V3 is its only caller."""
 
     def complete(self, conversation, purpose="generate"):
-        raise kbmod.FormatError(
-            "V3 needs a generation backend; pass --mock FIXTURE or --backend http")
+        raise kbmod.FormatError(f"V3 needs a generation backend; {_NAME_A_BACKEND}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +324,6 @@ def _add_kb_flags(parser) -> None:
 
 
 def _add_backend_flags(parser) -> None:
-    parser.add_argument("--backend", choices=("mock", "http"), default=None)
     parser.add_argument("--mock", help="mock fixture JSON file")
     parser.add_argument("--endpoint", help="chat-completion endpoint URL")
     parser.add_argument("--model", help="model name for the http backend")

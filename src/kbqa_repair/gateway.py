@@ -150,6 +150,12 @@ class HttpGateway(GenerationGateway):
         url = urllib.parse.urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint is not an http(s) URL: {endpoint!r}")
+        try:
+            port = url.port  # raises ValueError for a port that is not a number in 0..65535
+        except ValueError:
+            port = 0
+        if port == 0:
+            raise ValueError(f"endpoint port must be a number from 1 to 65535: {endpoint!r}")
         self._url = urllib.parse.urlunsplit(url._replace(fragment=""))
         proxies = urllib.request.getproxies()
         proxy = proxies.get(url.scheme) or proxies.get("all")

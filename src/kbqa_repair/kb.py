@@ -249,7 +249,7 @@ SHAPES = {
     "mock matcher": {"match": dict, "reply": str},
     "mock match": {"kind": ("exact", "substring"), "text": str},
     "config": {"n_iter?": int, "answerable_mode?": bool, "workers?": int,
-               "backend?": ("mock", "http"), "mock?": str, "endpoint?": str, "model?": str,
+               "mock?": str, "endpoint?": str, "model?": str,
                "max_classes?": int, "max_relations?": int, "max_paths?": int,
                "max_path_len?": int, "mediator_classes?": [str]},
     # A trace record of `run`, as `trace show` reads it; ``object`` may be null.

@@ -129,21 +129,15 @@ def evaluate(
 
 def aggregate(records: list[EvaluationRecord]) -> Report:
     """Slice means by answerability label and fine category."""
-
-    def members(name: str):
-        if name == "overall":
-            return records
-        if name == "answerable":
-            return [r for r in records if r.label == "answerable"]
-        if name == "unanswerable":
-            return [r for r in records if r.label != "answerable"]
-        if name in ("schema-unans", "data-unans"):
-            return [r for r in records if r.label == name]
-        return [r for r in records if r.category == name]
-
+    members = {name: [] for name in SLICE_ORDER}
+    for r in records:
+        names = ["overall", "answerable"] if r.label == "answerable" else ["overall", "unanswerable", r.label]
+        if r.category != "n/a":
+            names.append(r.category)
+        for name in names:
+            members[name].append(r)
     slices = {}
-    for name in SLICE_ORDER:
-        rows = members(name)
+    for name, rows in members.items():
         if not rows:
             slices[name] = SliceStats(0, None, None, None)
             continue

@@ -401,7 +401,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path, capsys):
         out = tmp_path / name
         code = cli_main([
             "run", "--kb", str(FIG1 / "kb2"), "--dataset", str(FIG1 / "dataset_kb2.jsonl"),
-            "--backend", "mock", "--mock", str(FIG1 / "mock.json"), "--n-iter", "3",
+            "--mock", str(FIG1 / "mock.json"), "--n-iter", "3",
             "--out", str(out),
         ])
         assert code == 0

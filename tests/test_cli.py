@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -136,7 +137,7 @@ def test_dataset_inject_seed_writes_a_plan_that_reruns_byte_identical(tmp_path, 
 def test_run_writes_outcomes_and_traces(tmp_path, capsys):
     code = run_cli(
         "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl",
-        "--backend", "mock", "--mock", FIG1 / "mock.json", "--n-iter", "3",
+        "--mock", FIG1 / "mock.json", "--n-iter", "3",
         "--out", tmp_path / "out",
     )
     assert code == 0
@@ -175,7 +176,7 @@ def test_run_writes_a_lone_surrogate_in_a_reply_as_its_json_escape(tmp_path, cap
 def test_run_missing_kb_path_exits_2(tmp_path, capsys):
     code = run_cli(
         "run", "--kb", tmp_path / "missing", "--dataset", FIG1 / "dataset_kb3.jsonl",
-        "--backend", "mock", "--mock", FIG1 / "mock.json", "--out", tmp_path / "out",
+        "--mock", FIG1 / "mock.json", "--out", tmp_path / "out",
     )
     assert code == 2
     assert "missing" in capsys.readouterr().err
@@ -185,7 +186,7 @@ def test_run_twice_byte_identical(tmp_path):
     for name in ("one", "two"):
         assert run_cli(
             "run", "--kb", FIG1 / "kb2", "--dataset", FIG1 / "dataset_kb2.jsonl",
-            "--backend", "mock", "--mock", FIG1 / "mock.json", "--n-iter", "3",
+            "--mock", FIG1 / "mock.json", "--n-iter", "3",
             "--out", tmp_path / name,
         ) == 0
     for filename in ("outcomes.jsonl", "traces.jsonl", "manifest.json"):
@@ -292,7 +293,7 @@ def test_run_files_are_the_same_for_any_worker_count_and_hash_seed(tmp_path):
 def test_eval_reports_means(tmp_path, capsys):
     assert run_cli(
         "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl",
-        "--backend", "mock", "--mock", FIG1 / "mock.json", "--n-iter", "3",
+        "--mock", FIG1 / "mock.json", "--n-iter", "3",
         "--out", tmp_path / "out",
     ) == 0
     capsys.readouterr()
@@ -326,7 +327,7 @@ def test_eval_scores_a_failed_question_as_a_miss(tmp_path, capsys, monkeypatch):
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     assert run_cli(
-        "run", "--kb", FIG1 / "kb1", "--dataset", FIG1 / "dataset_kb1.jsonl", "--backend", "http",
+        "run", "--kb", FIG1 / "kb1", "--dataset", FIG1 / "dataset_kb1.jsonl",
         "--endpoint", f"http://127.0.0.1:{port}/v1", "--model", "m", "--out", tmp_path / "out",
     ) == 1
     outcome = json.loads((tmp_path / "out" / "outcomes.jsonl").read_text())
@@ -362,7 +363,7 @@ def test_verify_prints_verdicts(capsys):
 
 def test_verify_all_pass_with_mock(capsys):
     code = run_cli(
-        "verify", "--kb", A13 / "kb", "--backend", "mock", "--mock", A13 / "mock.json",
+        "verify", "--kb", A13 / "kb", "--mock", A13 / "mock.json",
         "--question", "what is the musical genre of the recording who m i (feat. 일리닛, new champ, myk)?",
         "--lf", "SELECT DISTINCT ?x WHERE { ?x ns:music.genre.recordings ns:m.0123lk0s . "
                 "?x ns:type.object.type ns:music.genre }",
@@ -384,9 +385,7 @@ def test_verify_without_backend_stops_at_v3(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == (
-        "error: V3 needs a generation backend; pass --mock FIXTURE or --backend http\n"
-    )
+    assert captured.err == f"error: V3 needs a generation backend; {NAME_A_BACKEND}\n"
 
 
 def test_string_literal_json_rejects_fails_v1_in_verify_and_run(tmp_path, capsys):
@@ -406,7 +405,7 @@ def test_string_literal_json_rejects_fails_v1_in_verify_and_run(tmp_path, capsys
 def test_trace_show(tmp_path, capsys):
     run_cli(
         "run", "--kb", FIG1 / "kb1", "--dataset", FIG1 / "dataset_kb1.jsonl",
-        "--backend", "mock", "--mock", FIG1 / "mock.json", "--n-iter", "3",
+        "--mock", FIG1 / "mock.json", "--n-iter", "3",
         "--out", tmp_path / "out",
     )
     capsys.readouterr()
@@ -525,6 +524,9 @@ def _eval_argv(tmp_path, prediction):
     pred = _write(tmp_path, "pred.jsonl", json.dumps(prediction) + "\n")
     return ("eval", "--kb", FIG1 / "kb3", "--pred", pred, "--gold", FIG1 / "dataset_kb3.jsonl")
 
+
+NAME_A_BACKEND = "pass --mock FIXTURE, or --endpoint URL and --model NAME"
+NO_BACKEND = f"no backend named; {NAME_A_BACKEND}"
 
 # Each entry: a builder that makes, under tmp_path, the input the program
 # refuses (a file of the wrong shape or content, or a command line) and
@@ -702,41 +704,33 @@ MALFORMED_INPUTS = {
     "mock-match-text-a-number": (lambda tmp: _run_argv(tmp, mock=_write(
         tmp, "mock.json", '[{"match": {"kind": "substring", "text": 5}, "reply": "NK"}]',
     )), "mock match text must be a string, not 5"),
-    "run-without-mock": (lambda tmp: _run_argv(tmp)[:-4] + ("--out", tmp / "out"),
-                         "--backend mock requires --mock FIXTURE"),
-    "verify-mock-without-fixture": (lambda tmp: (
-        "verify", "--kb", FIG1 / "kb3", "--backend", "mock", "--question", "q?", "--lf",
-        "SELECT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }",
-    ), "--backend mock requires --mock FIXTURE"),
+    "run-without-mock": (lambda tmp: _run_argv(tmp)[:-4] + ("--out", tmp / "out"), NO_BACKEND),
     "run-http-without-endpoint": (lambda tmp: (
-        "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl", "--backend", "http",
+        "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl",
         "--model", "m", "--out", tmp / "out",
-    ), "--backend http requires --endpoint and --model"),
-    "run-http-with-mock": (lambda tmp: (
-        *_run_argv(tmp), "--backend", "http", "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
-    ), "--mock applies only to --backend mock"),
+    ), NO_BACKEND),
     "run-mock-with-endpoint-and-model": (lambda tmp: (
         *_run_argv(tmp), "--endpoint", "http://example.invalid/", "--model", "gpt",
-    ), "--endpoint applies only to --backend http"),
+    ), "--endpoint does not apply with --mock"),
     "run-mock-with-model": (lambda tmp: (*_run_argv(tmp), "--model", "gpt"),
-                            "--model applies only to --backend http"),
+                            "--model does not apply with --mock"),
     "config-endpoint-with-mock": (lambda tmp: (
         *_run_argv(tmp), "--config", _write(tmp, "config.json", '{"endpoint": "http://example.invalid/"}'),
-    ), "--endpoint applies only to --backend http"),
+    ), "--endpoint does not apply with --mock"),
     "config-http-with-mock-flag": (lambda tmp: (*_run_argv(tmp), "--config", _write(
-        tmp, "config.json", '{"backend": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m"}',
-    )), "--mock applies only to --backend mock"),
-    "verify-endpoint-without-backend": (lambda tmp: (
-        "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK",
-        "--endpoint", "http://example.invalid/", "--model", "gpt",
-    ), "--endpoint applies only to --backend http"),
+        tmp, "config.json", '{"endpoint": "http://127.0.0.1:9/v1", "model": "m"}',
+    )), "--endpoint does not apply with --mock"),
     "verify-model-with-mock": (lambda tmp: (
         "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK",
         "--mock", FIG1 / "mock.json", "--model", "gpt",
-    ), "--model applies only to --backend http"),
+    ), "--model does not apply with --mock"),
     "config-backend-unknown": (lambda tmp: (
-        *_run_argv(tmp), "--config", _write(tmp, "config.json", '{"backend": "foo"}'),
-    ), 'config backend must be "mock" or "http", not "foo"'),
+        *_run_argv(tmp), "--config", _write(tmp, "config.json", '{"backend": "mock"}'),
+    ), "config file {tmp}/config.json: unknown keys ['backend']"),
+    "run-endpoint-port-not-a-number": (lambda tmp: (
+        "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl",
+        "--endpoint", "http://127.0.0.1:abc/v1", "--model", "m", "--out", tmp / "out",
+    ), "endpoint port must be a number from 1 to 65535: 'http://127.0.0.1:abc/v1'"),
     "data-not-utf8": (lambda tmp: (
         "kb", "validate", "--kb", _kb_copy(tmp, data_line='{"id": "m.x", "label": "a\udcffb"}'),
     ), "line 21: not UTF-8: byte 0xff"),
@@ -749,16 +743,16 @@ MALFORMED_INPUTS = {
         tmp, "traces.jsonl", (FIXTURES / "golden_runs" / "a13" / "traces.jsonl").read_text() + "\udcff\n",
     )), "line 2: not UTF-8: byte 0xff"),
     "run-mock-with-auth-env": (lambda tmp: (*_run_argv(tmp), "--auth-env", "NOPE"),
-                               "--auth-env applies only to --backend http"),
+                               "--auth-env does not apply with --mock"),
     "verify-auth-env-without-backend": (lambda tmp: (
         "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK", "--auth-env", "NOPE",
-    ), "--auth-env applies only to --backend http"),
+    ), NO_BACKEND),
     "verify-empty-auth-env-without-backend": (lambda tmp: (
         "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK", "--auth-env", "",
-    ), "--auth-env applies only to --backend http"),
+    ), NO_BACKEND),
     "verify-empty-mock": (lambda tmp: (
         "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK", "--mock", "",
-    ), "--backend mock requires --mock FIXTURE"),
+    ), NO_BACKEND),
     "trace-show-index-out-of-range": (lambda tmp: (
         "trace", "show", "--trace", FIXTURES / "golden_runs" / "a13" / "traces.jsonl", "--index", "1",
     ), "--index 1 out of range (0..0)"),
@@ -1033,31 +1027,91 @@ def test_auth_env_reaches_the_http_gateway_only_when_given():
     from kbqa_repair.cli import _make_gateway
     from kbqa_repair.gateway import HttpGateway
 
-    argv = ["verify", "--kb", "k", "--question", "q?", "--lf", "NK", "--backend", "http",
-            "--endpoint", "http://127.0.0.1:9/v1", "--model", "m"]
+    argv = ["verify", "--kb", "k", "--question", "q?", "--lf", "NK", "--endpoint", "http://127.0.0.1:9/v1",
+            "--model", "m"]
     default = HttpGateway("http://127.0.0.1:9/v1", "m").auth_env
     assert _make_gateway(build_parser().parse_args(argv)).auth_env == default
     assert _make_gateway(build_parser().parse_args(argv + ["--auth-env", "MY_TOKEN"])).auth_env == "MY_TOKEN"
 
 
 def test_config_key_types_are_the_run_flag_types():
-    """SHAPES types each config key the way its flag parses, or as the
-    dataclass field it sets when it has no flag."""
-    from kbqa_repair.cli import _FLAG_KEYS, build_parser
-
+    """SHAPES types each config key the way the run flag of its name parses,
+    or as the dataclass field it sets when it has no flag."""
     args = build_parser().parse_args([
         "run", "--kb", "k", "--dataset", "d", "--out", "o", "--n-iter", "3", "--answerable-mode",
-        "--workers", "2", "--backend", "http", "--mock", "m", "--endpoint", "e", "--model", "x",
+        "--workers", "2", "--mock", "m", "--endpoint", "e", "--model", "x",
     ])
     shape = {key.rstrip("?"): want for key, want in SHAPES["config"].items()}
-    # --backend takes one of its choices, which the config names as exact strings.
-    flags = {key: type(getattr(args, key)) for key in _FLAG_KEYS} | {"backend": ("mock", "http")}
-    assert flags == {key: shape[key] for key in _FLAG_KEYS}
+    flags = {key: type(value) for key, value in vars(args).items() if key in shape}
+    assert flags == {key: shape[key] for key in flags}
     caps = get_type_hints(RetrievalCaps)
     assert {key: shape[key] for key in caps} == caps
     assert get_type_hints(VerifierSuite)["mediator_classes"] is frozenset
     assert shape["mediator_classes"] == [str]  # a set of ids, written as a JSON list
-    assert set(shape) == {*_FLAG_KEYS, *caps, "mediator_classes"}
+    assert set(shape) == {*flags, *caps, "mediator_classes"}
+
+
+# ---------------------------------------------------------------------------
+# the backend: --mock names the mock, --endpoint and --model the HTTP client
+# ---------------------------------------------------------------------------
+
+# Each setting that names a backend: its value, and whether a `run --config`
+# key can carry it.  Nothing connects to the endpoint: no question reaches
+# the model.
+BACKEND_SETTINGS = {
+    "mock": (str(FIG1 / "mock.json"), True),
+    "endpoint": ("http://127.0.0.1:9/v1", True),
+    "model": ("m", True),
+    "auth_env": ("MY_TOKEN", False),
+}
+# Every way to give them: each setting absent, a flag, or a config key.
+BACKEND_CASES = [
+    {name: way for name, way in zip(BACKEND_SETTINGS, ways) if way}
+    for ways in itertools.product(*[("", "flag", "config") if keyable else ("", "flag")
+                                    for _, keyable in BACKEND_SETTINGS.values()])
+]
+
+
+def _named_backend(case) -> str:
+    """The backend the settings in ``case`` name, or the rule they break."""
+    if "mock" in case:
+        return "mock" if len(case) == 1 else "does not apply with --mock"
+    return "http" if "endpoint" in case and "model" in case else "no backend named"
+
+
+@pytest.mark.parametrize("case", BACKEND_CASES, ids=lambda case: ",".join(
+    f"{name}:{way}" for name, way in case.items()) or "none")
+def test_the_settings_name_the_backend(tmp_path, capsys, case):
+    """`run` over an empty dataset builds the backend its settings name, as
+    its manifest shows, or exits 2 with one error line naming the rule they
+    break.  `verify` of NK, which fails V1 before any model call, does the
+    same for the settings a flag gives; given none, it runs without a
+    backend."""
+    flags = [arg for name, way in case.items() if way == "flag"
+             for arg in (f"--{name.replace('_', '-')}", BACKEND_SETTINGS[name][0])]
+    config = {name: BACKEND_SETTINGS[name][0] for name, way in case.items() if way == "config"}
+    expected, out = _named_backend(case), tmp_path / "out"
+    code = run_cli("run", "--kb", FIG1 / "kb3", "--dataset", _write(tmp_path, "empty.jsonl", ""),
+                   "--config", _write(tmp_path, "config.json", json.dumps(config)), *flags, "--out", out)
+    captured = capsys.readouterr()
+    if expected in ("mock", "http"):
+        assert (code, captured.err) == (0, "")
+        assert json.loads((out / "manifest.json").read_text())["backend"] == expected
+    else:
+        assert code == 2 and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert expected in captured.err
+    if config:
+        return  # verify reads no config file
+    code = run_cli("verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK", *flags)
+    captured = capsys.readouterr()
+    if expected in ("mock", "http") or not case:
+        assert (code, captured.err) == (1, "")
+        assert captured.out.startswith("V1      strong  FAIL\n")
+    else:
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert expected in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,10 @@ def test_https_proxy_tunnels_with_connect(proxy_env, monkeypatch):
     assert _ProxyHandler.seen == [("CONNECT", "llm.invalid:443", credentials)]
 
 
-@pytest.mark.parametrize("endpoint", ["localhost:8000/v1/chat", "ftp://host/v1", "http:///v1"])
+@pytest.mark.parametrize("endpoint", [
+    "localhost:8000/v1/chat", "ftp://host/v1", "http:///v1",
+    "http://127.0.0.1:abc/v1", "http://127.0.0.1:99999/v1", "http://127.0.0.1:0/v1",
+])
 def test_http_endpoint_must_be_an_http_url(endpoint):
     with pytest.raises(ValueError):
         HttpGateway(endpoint, "m")
@@ -476,8 +479,8 @@ def test_cli_run_over_http_matches_mock(serve, tmp_path):
                                            "--out", tmp_path / "mock"]]) == 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        assert main([str(a) for a in common + ["--backend", "http", "--endpoint", url,
-                                               "--model", "m", "--out", tmp_path / "http"]]) == 0
+        assert main([str(a) for a in common + ["--endpoint", url, "--model", "m",
+                                               "--out", tmp_path / "http"]]) == 0
     assert [w for w in caught if w.category is ResourceWarning] == []  # every socket closed
     for name in ("outcomes.jsonl", "traces.jsonl"):
         assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()
@@ -486,7 +489,7 @@ def test_cli_run_over_http_matches_mock(serve, tmp_path):
 def test_cli_run_with_a_bad_endpoint_exits_2(tmp_path, capsys):
     code = main([str(a) for a in [
         "run", "--kb", FIXTURES / "fig1/kb3", "--dataset", FIXTURES / "fig1/dataset_kb3.jsonl",
-        "--backend", "http", "--endpoint", "localhost:8000/v1", "--model", "m",
+        "--endpoint", "localhost:8000/v1", "--model", "m",
         "--out", tmp_path / "out",
     ]])
     assert code == 2
@@ -517,7 +520,7 @@ def test_mock_run_loads_no_http_stack_until_an_http_gateway_is_built(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     fig1 = FIXTURES / "fig1"
-    argv = ["run", "--kb", fig1 / "kb3", "--dataset", fig1 / "dataset_kb3.jsonl", "--backend", "mock",
+    argv = ["run", "--kb", fig1 / "kb3", "--dataset", fig1 / "dataset_kb3.jsonl",
             "--mock", fig1 / "mock.json", "--n-iter", "3", "--out", tmp_path / "out"]
     stack = ["email.utils", "http.client", "ssl", "urllib.request"]
     probe = (

@@ -24,7 +24,7 @@ FIG1 = FIXTURES / "fig1"
 A13 = FIXTURES / "a13"
 GOLDEN = FIXTURES / "golden_runs"
 CONFIG = {
-    "n_iter": 1, "answerable_mode": False, "workers": 1, "backend": "mock",
+    "n_iter": 1, "answerable_mode": False, "workers": 1,
     "mock": str(FIG1 / "mock.json"),
     "max_classes": 10, "max_relations": 10, "max_paths": 5, "max_path_len": 2,
     "mediator_classes": ["book.written_work"],

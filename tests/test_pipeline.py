@@ -588,7 +588,7 @@ def test_one_worker_run_loads_no_thread_pool(tmp_path):
 
     def argv(workers):
         return [str(a) for a in [
-            "run", "--kb", fig1 / "kb3", "--dataset", fig1 / "dataset_kb3.jsonl", "--backend", "mock",
+            "run", "--kb", fig1 / "kb3", "--dataset", fig1 / "dataset_kb3.jsonl",
             "--mock", fig1 / "mock.json", "--n-iter", "3", "--workers", workers,
             "--out", tmp_path / f"out{workers}"]]
 
