@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import dataset as ds
@@ -37,8 +37,8 @@ def _load_kb(args) -> kbmod.KnowledgeBase:
     return kbmod.load_kb(*_kb_paths(args))
 
 
-# The settings that name a backend, from a flag or a `run --config` key:
-# --mock names the mock, the others the HTTP client.
+# The flags that name a backend: --mock names the mock, the others the HTTP
+# client.
 _BACKEND_SETTINGS = ("mock", "endpoint", "model", "auth_env")
 _NAME_A_BACKEND = "pass --mock FIXTURE, or --endpoint URL and --model NAME"
 
@@ -117,26 +117,21 @@ _CONFIG_KEYS = {key.rstrip("?") for key in kbmod.SHAPES["config"]}
 
 
 def _run_config(args) -> pipeline.FunConfig:
-    """Flags, then ``--config`` keys for the flags of their names left unset
-    and for the settings without a flag; what neither sets keeps its default."""
+    """The flags, and the ``--config`` keys of the settings no flag sets;
+    what neither sets keeps its default."""
     config = {}
     if args.config:
         config = kbmod.check(kbmod.read_json(args.config, "config file"), "config")
         unknown = sorted(set(config) - _CONFIG_KEYS)
         if unknown:
             raise kbmod.FormatError(f"config file {args.config}: unknown keys {unknown}")
-    for key, value in config.items():
-        if key in vars(args) and getattr(args, key) is None:
-            setattr(args, key, value)
-    settings = {"n": args.n_iter, "answerable_mode": args.answerable_mode}
-    if "mediator_classes" in config:
-        settings["mediator_classes"] = frozenset(config["mediator_classes"])
-    caps = {key: config[key] for key in _CAPS_KEYS if key in config}
     try:
-        if args.workers is not None and args.workers < 1:
+        if args.workers < 1:
             raise ValueError("workers must be >= 1")
         return pipeline.FunConfig(
-            caps=RetrievalCaps(**caps), **{k: v for k, v in settings.items() if v is not None}
+            n=args.n_iter, answerable_mode=args.answerable_mode,
+            caps=RetrievalCaps(**{key: config[key] for key in _CAPS_KEYS if key in config}),
+            mediator_classes=frozenset(config.get("mediator_classes", ())),
         )
     except ValueError as err:
         raise kbmod.FormatError(f"bad run setting: {err}") from err
@@ -144,7 +139,6 @@ def _run_config(args) -> pipeline.FunConfig:
 
 def cmd_run(args) -> int:
     cfg = _run_config(args)
-    workers = 1 if args.workers is None else args.workers
     kb = _load_kb(args)
     split = ds.load_split(args.dataset)
     gateway = _make_gateway(args)
@@ -161,37 +155,38 @@ def cmd_run(args) -> int:
             fewshots.append(shot)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # An earlier run's log.txt and config.json go, so a missing log.txt marks
-    # a stopped run and config.json is this run's or absent.  --config is read
-    # first, since it may name that config.json.
-    config_bytes = Path(args.config).read_bytes() if args.config else None
-    for name in ("log.txt", "config.json"):
-        (out / name).unlink(missing_ok=True)
+    # An earlier run's log.txt goes, so a missing log.txt marks a stopped run.
+    (out / "log.txt").unlink(missing_ok=True)
     manifest = {
         "kb": dict(zip(("schema", "data"), _kb_paths(args))),
         "dataset": args.dataset,
+        "fewshots": args.fewshots,
         "backend": "mock" if args.mock else "http",
         "mock": args.mock,
+        "endpoint": args.endpoint,
+        "model": args.model,
         "n_iter": cfg.n,
         "answerable_mode": cfg.answerable_mode,
-        "workers": workers,
+        "mediator_classes": sorted(cfg.mediator_classes),
+        "caps": asdict(cfg.caps),
+        "workers": args.workers,
         "config": args.config,
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    if config_bytes is not None:
-        (out / "config.json").write_bytes(config_bytes)
     started, failures = time.time(), 0
     outcomes = pipeline.iter_outcomes(
-        gateway, kb, [retrieve_lexical], split, cfg, tuple(fewshots), workers=workers
+        gateway, kb, [retrieve_lexical], split, cfg, tuple(fewshots), workers=args.workers
     )
     with (kbmod.jsonl_writer(out / "outcomes.jsonl") as write_outcomes,
           kbmod.jsonl_writer(out / "traces.jsonl") as write_traces, contextlib.closing(outcomes)):
-        for outcome in outcomes:
+        for index, outcome in enumerate(outcomes):
             write_outcomes([outcome.trace["outcome"]])
             write_traces([outcome.trace])
-            failures += bool(outcome.error)
+            if outcome.error:
+                failures += 1
+                print(f"question {index}: {outcome.error}", file=sys.stderr)
     elapsed = time.time() - started
     with open(out / "log.txt", "w", encoding="utf-8") as handle:
         handle.write(f"started: {time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(started))}Z\n")
@@ -293,6 +288,8 @@ def _trace_lines(trace, line: int) -> list[str]:
     outcome = kbmod.check(trace["outcome"], "outcome", line)
     lines.append(f"  outcome: lf={outcome['lf']!r} answer={outcome['answer']} "
                  f"confident={outcome['confident']}")
+    if "error" in outcome:
+        lines.append(f"  failed: {outcome['error']}")
     calls = Counter(kbmod.check(call, "llm call", line)["purpose"] for call in trace["llm"])
     by_purpose = ", ".join(f"{purpose} {count}" for purpose, count in calls.items())
     lines.append(f"  llm calls: {sum(calls.values())}" + (f" ({by_purpose})" if calls else ""))
@@ -374,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--fewshots", help="few-shot split JSON Lines file")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--n-iter", type=int, dest="n_iter")
-    p.add_argument("--answerable-mode", action="store_true", default=None)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--n-iter", type=int, default=pipeline.FunConfig.n)
+    p.add_argument("--answerable-mode", action="store_true")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 

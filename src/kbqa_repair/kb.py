@@ -248,16 +248,14 @@ SHAPES = {
     "mock fixture": [dict],
     "mock matcher": {"match": dict, "reply": str},
     "mock match": {"kind": ("exact", "substring"), "text": str},
-    "config": {"n_iter?": int, "answerable_mode?": bool, "workers?": int,
-               "mock?": str, "endpoint?": str, "model?": str,
-               "max_classes?": int, "max_relations?": int, "max_paths?": int,
+    "config": {"max_classes?": int, "max_relations?": int, "max_paths?": int,
                "max_path_len?": int, "mediator_classes?": [str]},
     # A trace record of `run`, as `trace show` reads it; ``object`` may be null.
     "trace": {"question": str, "iterations": [dict], "scun": object, "outcome": dict,
               "llm": [dict]},
     "iteration": {"iteration": int, "lf": str, "verdicts": [dict], "answer": object},
     "verdict": {"verifier": str, "strength": str, "passed": bool},
-    "outcome": {"lf": str, "answer": ANSWER, "confident": bool},
+    "outcome": {"lf": str, "answer": ANSWER, "confident": bool, "error?": str},
     "llm call": {"purpose": str},
 }
 _NAMES = {str: "a string", int: "an integer", bool: "true or false", dict: "an object",

@@ -245,11 +245,12 @@ def test_run_stopped_by_an_error_keeps_the_lines_before_it(tmp_path, capsys, wor
 
 def test_a_run_removes_an_earlier_runs_log_and_config(tmp_path, capsys):
     """A finished run with --config, then a run without it into the same
-    directory, stopped by a question the mock has no reply for: neither
-    log.txt nor config.json is left, so nothing marks the run finished."""
-    out, config = tmp_path / "out", _write(tmp_path, "config.json", '{"n_iter": 3}')
+    directory, stopped by a question the mock has no reply for: the first
+    run's log.txt is gone, so nothing marks the run finished.  Neither run
+    writes a config.json."""
+    out, config = tmp_path / "out", _write(tmp_path, "config.json", '{"max_paths": 5}')
     assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS]), "--config", config) == 0
-    assert (out / "log.txt").exists() and (out / "config.json").exists()
+    assert (out / "log.txt").exists() and not (out / "config.json").exists()
     assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS, UNSCRIPTED])) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "log.txt").exists() and not (out / "config.json").exists()
@@ -257,13 +258,37 @@ def test_a_run_removes_an_earlier_runs_log_and_config(tmp_path, capsys):
 
 
 def test_a_run_may_take_its_config_from_the_directory_it_writes(tmp_path, capsys):
-    """Rerunning with the config.json an earlier run copied into --out keeps
-    that file: it is read before the earlier run's files are removed."""
-    out, config = tmp_path / "out", _write(tmp_path, "config.json", '{"n_iter": 3}')
-    assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS]), "--config", config) == 0
-    assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS]), "--config", out / "config.json") == 0
-    assert (out / "config.json").read_bytes() == config.read_bytes()
-    assert (out / "log.txt").exists()
+    """A config file inside --out is read, and two runs into that directory
+    neither rewrite nor remove it."""
+    out = tmp_path / "out"
+    out.mkdir()
+    config = _write(out, "config.json", '{"max_paths": 5}')
+    for _ in range(2):
+        assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS]), "--config", config) == 0
+        assert config.read_text() == '{"max_paths": 5}' and (out / "log.txt").exists()
+    assert json.loads((out / "manifest.json").read_text())["config"] == str(config)
+
+
+def test_run_names_each_failed_question_on_stderr(tmp_path, capsys, monkeypatch):
+    """A retriever that crashes on the second of three questions: `run`
+    writes every outcome, exits 1 and names the failed question on stderr by
+    the index `trace show --index` takes, which shows the same error."""
+    from kbqa_repair import cli
+
+    def retriever(kb, question, linked_entities, caps):
+        if question == AWARDS:
+            raise RuntimeError("retriever down")
+        return retrieve_lexical(kb, question, linked_entities, caps)
+
+    monkeypatch.setattr(cli, "retrieve_lexical", retriever)
+    out = tmp_path / "out"
+    assert run_cli(*_kb3_run_argv(tmp_path, "out", [BOOKS, AWARDS, UNKNOWN])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "question 1: RuntimeError: retriever down\n"
+    assert captured.out == f"wrote {out}: 3 outcomes, 1 failed\n"
+    assert len((out / "outcomes.jsonl").read_text().splitlines()) == 3
+    assert run_cli("trace", "show", "--trace", out / "traces.jsonl", "--index", "1") == 0
+    assert "  failed: RuntimeError: retriever down" in capsys.readouterr().out.splitlines()
 
 
 def test_run_files_are_the_same_for_any_worker_count_and_hash_seed(tmp_path):
@@ -716,10 +741,11 @@ MALFORMED_INPUTS = {
                             "--model does not apply with --mock"),
     "config-endpoint-with-mock": (lambda tmp: (
         *_run_argv(tmp), "--config", _write(tmp, "config.json", '{"endpoint": "http://example.invalid/"}'),
-    ), "--endpoint does not apply with --mock"),
+    ), "config file {tmp}/config.json: unknown keys ['endpoint']"),
     "config-http-with-mock-flag": (lambda tmp: (*_run_argv(tmp), "--config", _write(
         tmp, "config.json", '{"endpoint": "http://127.0.0.1:9/v1", "model": "m"}',
-    )), "--endpoint does not apply with --mock"),
+    )), "config file {tmp}/config.json: unknown keys ['endpoint', 'model']"),
+    "run-n-iter-zero": (lambda tmp: (*_run_argv(tmp), "--n-iter", "0"), "bad run setting: n must be >= 1"),
     "verify-model-with-mock": (lambda tmp: (
         "verify", "--kb", FIG1 / "kb3", "--question", "q?", "--lf", "NK",
         "--mock", FIG1 / "mock.json", "--model", "gpt",
@@ -914,17 +940,20 @@ QUESTION = "which books did j r hart write?"
 WORKS_WRITTEN = "SELECT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }"
 
 
+def _works_written_mock(tmp_path):
+    """A mock fixture that replies ``WORKS_WRITTEN`` to every prompt."""
+    return _write(tmp_path, "mock.json", json.dumps(
+        [{"match": {"kind": "substring", "text": ""}, "reply": WORKS_WRITTEN}]))
+
+
 def run_with_config(tmp_path, config, *flags, kb="kb3"):
-    """`run` on one fig1 KB with ``config`` as its config file, which names
-    a mock that replies ``WORKS_WRITTEN`` to every prompt."""
-    mock = tmp_path / "mock.json"
-    mock.write_text(json.dumps([{"match": {"kind": "substring", "text": ""}, "reply": WORKS_WRITTEN}]))
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"mock": str(mock), **config}))
+    """`run` on one fig1 KB with ``config`` as its config file and a mock
+    that replies ``WORKS_WRITTEN`` to every prompt."""
+    path = _write(tmp_path, "config.json", json.dumps(config))
     out = tmp_path / "out"
     assert run_cli(
-        "run", "--kb", FIG1 / kb, "--dataset", FIG1 / f"dataset_{kb}.jsonl", "--config", path,
-        *flags, "--out", out,
+        "run", "--kb", FIG1 / kb, "--dataset", FIG1 / f"dataset_{kb}.jsonl",
+        "--mock", _works_written_mock(tmp_path), "--config", path, *flags, "--out", out,
     ) == 0
     trace = json.loads((out / "traces.jsonl").read_text())
     return trace, json.loads((out / "manifest.json").read_text())
@@ -935,26 +964,19 @@ def verdicts(trace, verifier):
 
 
 def test_run_config_mediator_classes_reach_v4a_int(tmp_path):
-    plain, _ = run_with_config(tmp_path, {"n_iter": 1})
+    plain, _ = run_with_config(tmp_path, {}, "--n-iter", "1")
     assert all(v["passed"] for v in verdicts(plain, "V4a-int"))
-    mediated, _ = run_with_config(tmp_path, {"n_iter": 1, "mediator_classes": ["book.written_work"]})
+    mediated, _ = run_with_config(tmp_path, {"mediator_classes": ["book.written_work"]}, "--n-iter", "1")
     failed = verdicts(mediated, "V4a-int")
     assert len(failed) == 2 and not any(v["passed"] for v in failed)
     assert "intermediate type node" in failed[0]["feedback"]
 
 
 def test_run_config_n_iter_and_answerable_mode_apply(tmp_path):
-    config = {"n_iter": 1, "answerable_mode": True}
-    trace, manifest = run_with_config(tmp_path, config, kb="kb2")
+    trace, manifest = run_with_config(tmp_path, {}, "--n-iter", "1", "--answerable-mode", kb="kb2")
     assert manifest["n_iter"] == 1 and manifest["answerable_mode"] is True
     assert len(trace["iterations"]) == 2
     assert [(v["strength"], v["passed"]) for v in verdicts(trace, "V4b")] == [("strong", False)] * 2
-
-
-def test_run_flag_wins_over_config(tmp_path):
-    trace, manifest = run_with_config(tmp_path, {"n_iter": 1}, "--n-iter", "2", kb="kb2")
-    assert manifest["n_iter"] == 2
-    assert len(trace["iterations"]) == 3
 
 
 @pytest.mark.parametrize("config, caps", [
@@ -963,14 +985,14 @@ def test_run_flag_wins_over_config(tmp_path):
 ])
 def test_run_config_caps_reach_the_prompt(tmp_path, config, caps):
     kb = load_kb(str(FIG1 / "kb3" / "schema.json"), str(FIG1 / "kb3" / "data.jsonl"))
-    trace, _ = run_with_config(tmp_path, {"n_iter": 1, **config})
+    trace, _ = run_with_config(tmp_path, config, "--n-iter", "1")
     ctx = retrieve_lexical(kb, QUESTION, [("j r hart", "m.0auth")], caps)
     assert trace["llm"][0]["prompt"] == build_pun_prompt(kb, QUESTION, ctx)
 
 
 @pytest.mark.parametrize("config", [
-    {"templates_dir": "prompts"}, {"n_iter": 0}, ["n_iter"], {"max_path_len": 0}, {"max_paths": -1},
-    {"workers": 0}, {"max_path_len": 100},
+    {"templates_dir": "prompts"}, {"max_relations": -1}, ["max_paths"], {"max_path_len": 0},
+    {"max_paths": -1}, {"max_classes": -1}, {"max_path_len": 100},
 ])
 def test_run_bad_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -1009,6 +1031,8 @@ def test_run_workers_below_one_exits_2(tmp_path, capsys, workers):
         "mediator_classes-number-item", "n_iter-bool", "answerable_mode-int", "mock-null",
         "endpoint-number", "model-list"])
 def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, config):
+    """A config value of the wrong JSON type exits 2, naming its key.  A key
+    that a run flag sets instead is not a config key, whatever its value."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code = run_cli(
@@ -1017,7 +1041,9 @@ def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, config):
     )
     assert code == 2
     key = next(iter(config))
-    assert capsys.readouterr().err.startswith(f"error: config {key} must be ")
+    assert capsys.readouterr().err.startswith(
+        f"error: config {key} must be " if f"{key}?" in SHAPES["config"]
+        else f"error: config file {path}: unknown keys ['{key}']\n")
     assert not (tmp_path / "out").exists()  # stopped before any question ran
 
 
@@ -1035,29 +1061,73 @@ def test_auth_env_reaches_the_http_gateway_only_when_given():
 
 
 def test_config_key_types_are_the_run_flag_types():
-    """SHAPES types each config key the way the run flag of its name parses,
-    or as the dataclass field it sets when it has no flag."""
-    args = build_parser().parse_args([
-        "run", "--kb", "k", "--dataset", "d", "--out", "o", "--n-iter", "3", "--answerable-mode",
-        "--workers", "2", "--mock", "m", "--endpoint", "e", "--model", "x",
-    ])
+    """The config keys are the settings no run flag sets: the RetrievalCaps
+    fields and mediator_classes, each typed as its dataclass field."""
     shape = {key.rstrip("?"): want for key, want in SHAPES["config"].items()}
-    flags = {key: type(value) for key, value in vars(args).items() if key in shape}
-    assert flags == {key: shape[key] for key in flags}
-    caps = get_type_hints(RetrievalCaps)
-    assert {key: shape[key] for key in caps} == caps
     assert get_type_hints(VerifierSuite)["mediator_classes"] is frozenset
-    assert shape["mediator_classes"] == [str]  # a set of ids, written as a JSON list
-    assert set(shape) == {*flags, *caps, "mediator_classes"}
+    # mediator_classes is a set of ids, written as a JSON list
+    assert shape == {**get_type_hints(RetrievalCaps), "mediator_classes": [str]}
+    args = build_parser().parse_args(["run", "--kb", "k", "--dataset", "d", "--out", "o"])
+    assert not set(shape) & set(vars(args))
+
+
+def test_readme_config_table_lists_the_config_keys():
+    """README's Run configuration table names, in its first column, exactly
+    the config keys of SHAPES."""
+    readme = (FIXTURES.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Run configuration\n", 1)[1].split("\n## ", 1)[0]
+    first_column = re.findall(r"^\| ([^|]*) \|", section, re.M)
+    assert {key for cell in first_column for key in re.findall(r"`(\w+)`", cell)} == {
+        key.rstrip("?") for key in SHAPES["config"]}
+
+
+def test_the_manifest_records_every_run_setting(tmp_path, capsys):
+    """A mock run with few-shots and a config, and an HTTP run over an empty
+    dataset: each manifest.json holds every setting of the run, except the
+    name of the variable the auth token is read from."""
+    config = _write(tmp_path, "config.json", '{"max_paths": 3, "mediator_classes": ["z.b", "a.b"]}')
+    mock = _works_written_mock(tmp_path)
+    assert run_cli(
+        "run", "--kb", FIG1 / "kb3", "--dataset", FIG1 / "dataset_kb3.jsonl", "--mock", mock,
+        "--fewshots", FIG1 / "dataset_kb3.jsonl", "--config", config, "--n-iter", "1",
+        "--out", tmp_path / "mock",
+    ) == 0
+    empty = _write(tmp_path, "empty.jsonl", "")
+    assert run_cli(
+        "run", "--kb", FIG1 / "kb3", "--dataset", empty, "--endpoint", "http://127.0.0.1:9/v1",
+        "--model", "m", "--auth-env", "MY_TOKEN", "--answerable-mode", "--workers", "2",
+        "--out", tmp_path / "http",
+    ) == 0
+    kb = {"schema": str(FIG1 / "kb3" / "schema.json"), "data": str(FIG1 / "kb3" / "data.jsonl")}
+    manifests = {
+        "mock": {
+            "kb": kb, "dataset": str(FIG1 / "dataset_kb3.jsonl"),
+            "fewshots": str(FIG1 / "dataset_kb3.jsonl"), "backend": "mock", "mock": str(mock),
+            "endpoint": None, "model": None, "n_iter": 1, "answerable_mode": False,
+            "mediator_classes": ["a.b", "z.b"],
+            "caps": {"max_classes": 10, "max_relations": 10, "max_paths": 3, "max_path_len": 2},
+            "workers": 1, "config": str(config),
+        },
+        "http": {
+            "kb": kb, "dataset": str(empty), "fewshots": None, "backend": "http", "mock": None,
+            "endpoint": "http://127.0.0.1:9/v1", "model": "m", "n_iter": 4,
+            "answerable_mode": True, "mediator_classes": [],
+            "caps": {"max_classes": 10, "max_relations": 10, "max_paths": 5, "max_path_len": 2},
+            "workers": 2, "config": None,
+        },
+    }
+    for name, manifest in manifests.items():
+        text = (tmp_path / name / "manifest.json").read_text(encoding="utf-8")
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # the backend: --mock names the mock, --endpoint and --model the HTTP client
 # ---------------------------------------------------------------------------
 
-# Each setting that names a backend: its value, and whether a `run --config`
-# key can carry it.  Nothing connects to the endpoint: no question reaches
-# the model.
+# Each setting that names a backend: its value, and whether it is also tried
+# as a `run --config` key, which `run` refuses as unknown.  Nothing connects
+# to the endpoint: no question reaches the model.
 BACKEND_SETTINGS = {
     "mock": (str(FIG1 / "mock.json"), True),
     "endpoint": ("http://127.0.0.1:9/v1", True),
@@ -1082,15 +1152,16 @@ def _named_backend(case) -> str:
 @pytest.mark.parametrize("case", BACKEND_CASES, ids=lambda case: ",".join(
     f"{name}:{way}" for name, way in case.items()) or "none")
 def test_the_settings_name_the_backend(tmp_path, capsys, case):
-    """`run` over an empty dataset builds the backend its settings name, as
+    """`run` over an empty dataset builds the backend its flags name, as
     its manifest shows, or exits 2 with one error line naming the rule they
-    break.  `verify` of NK, which fails V1 before any model call, does the
-    same for the settings a flag gives; given none, it runs without a
-    backend."""
+    break; a config key that names a backend is an unknown key.  `verify` of
+    NK, which fails V1 before any model call, does the same for the flags;
+    given none, it runs without a backend."""
     flags = [arg for name, way in case.items() if way == "flag"
              for arg in (f"--{name.replace('_', '-')}", BACKEND_SETTINGS[name][0])]
     config = {name: BACKEND_SETTINGS[name][0] for name, way in case.items() if way == "config"}
-    expected, out = _named_backend(case), tmp_path / "out"
+    expected = f"unknown keys {sorted(config)}" if config else _named_backend(case)
+    out = tmp_path / "out"
     code = run_cli("run", "--kb", FIG1 / "kb3", "--dataset", _write(tmp_path, "empty.jsonl", ""),
                    "--config", _write(tmp_path, "config.json", json.dumps(config)), *flags, "--out", out)
     captured = capsys.readouterr()
@@ -1125,6 +1196,26 @@ def test_trace_show_counts_calls_by_purpose_on_a_golden_trace(capsys):
         "  llm calls: 8 (generate 3, v3-naturalize 2, v3-backtranslate 2, v3-equivalence 1)",
         "  reused verifications: 0",
     ]
+
+
+def test_trace_show_prints_why_a_question_failed(tmp_path, capsys):
+    """A trace line of a question a backend error ended shows the error after
+    its outcome; a clean line shows no `failed:` line."""
+    golden = FIXTURES / "golden_runs" / "a13" / "traces.jsonl"
+    clean = json.loads(golden.read_text())
+    error = "auth: endpoint returned 401"
+    failed = {"question": clean["question"], "linked_entities": clean["linked_entities"],
+              "iterations": [], "confident": False, "scun": None, "gateway_error": error, "llm": [],
+              "outcome": {"lf": "NK", "answer": "NA", "confident": False, "error": error}}
+    assert run_cli("trace", "show", "--trace", _write(tmp_path, "traces.jsonl", json.dumps(failed))) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  outcome: lf='NK' answer=NA confident=False",
+        f"  failed: {error}",
+        "  llm calls: 0",
+        "  reused verifications: 0",
+    ]
+    assert run_cli("trace", "show", "--trace", golden) == 0
+    assert not any(line.startswith("  failed: ") for line in capsys.readouterr().out.splitlines())
 
 
 def test_trace_show_counts_reused_verifications(tmp_path, capsys):

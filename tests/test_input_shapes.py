@@ -24,8 +24,6 @@ FIG1 = FIXTURES / "fig1"
 A13 = FIXTURES / "a13"
 GOLDEN = FIXTURES / "golden_runs"
 CONFIG = {
-    "n_iter": 1, "answerable_mode": False, "workers": 1,
-    "mock": str(FIG1 / "mock.json"),
     "max_classes": 10, "max_relations": 10, "max_paths": 5, "max_path_len": 2,
     "mediator_classes": ["book.written_work"],
 }
@@ -76,7 +74,8 @@ FILES = {
     "a13-mock": _file(A13 / "mock.json", "mock.json",
                       *_run(A13 / "kb", A13 / "dataset.jsonl", mock="FILE")),
     "config": _file(None, "config.json",
-                    *_run(FIG1 / "kb3", FIG1 / "dataset_kb3.jsonl", config="FILE")),
+                    *_run(FIG1 / "kb3", FIG1 / "dataset_kb3.jsonl", mock=FIG1 / "mock.json",
+                         config="FILE")),
     **{f"{run}-predictions": _file(GOLDEN / run / "outcomes.jsonl", "pred.jsonl", "eval",
                                    "--kb", kb, "--pred", "FILE", "--gold", dataset)
        for run, kb, dataset in (
