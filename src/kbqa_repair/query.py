@@ -423,16 +423,13 @@ def render_sparql(q: CanonicalQuery) -> str:
         if q.distinct:
             head += "DISTINCT "
         head += f"?{q.projection}"
-    parts = [" . ".join(_render_sparql_pattern(p) for p in q.patterns)]
+    term = _render_sparql_term
+    parts = [" . ".join([f"{term(s)} {term(p)} {term(o)}" for s, p, o in q.patterns])]
     for f in q.filters:
         value = _render_literal(f.literal)
         parts.append(f"FILTER(?{f.variable} {f.op} {value})")
     body = " . ".join(part for part in parts if part)
     return f"{head} WHERE {{ {body} }}"
-
-
-def _render_sparql_pattern(pattern: Pattern) -> str:
-    return " ".join(_render_sparql_term(t) for t in pattern)
 
 
 def _render_sparql_term(term: Term) -> str:

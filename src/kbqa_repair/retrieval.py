@@ -6,13 +6,23 @@ of a chain query, as the generation prompt shows it.  Retrievers are pluggable:
 any in-process callable ``retriever(kb, question, linked_entities, caps) ->
 context`` works, and ``retrieve_union`` merges several.  The built-in
 baseline is purely lexical.
+
+The baseline reads each KB through a table built on the first retrieval
+against that KB: postings from each token and trigram of a class or
+relation to the candidates that hold it, and each relation's predicate
+term.  The table is held under a weak reference to its KB, so it lives as
+long as the KB does; ``delete_elements``' reduced KB gets its own.  Only
+schema strings enter it, never a question.  Two workers may build one KB's
+table at once: the builds are equal, and the last one stored wins.
 """
 
 from __future__ import annotations
 
-import functools
 import re
+import weakref
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .kb import KnowledgeBase, paths_from_entity
 from .query import CanonicalQuery, Term, entity, rel, render_sparql, var
@@ -80,25 +90,70 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     return shared / (len(a) + len(b) - shared)
 
 
-@functools.lru_cache(maxsize=None)
-def _features(text: str) -> tuple[frozenset[str], frozenset[str]]:
-    """Tokens and trigrams of a schema candidate string, computed once per
-    process.  Only schema strings come here, so the memo is bounded by the
-    schemas loaded; questions are unbounded and are never memoized."""
-    return _tokens(text), _trigrams(text)
-
-
-def _score(q_tokens: frozenset, q_trigrams: frozenset, candidate: str) -> float:
-    c_tokens, c_trigrams = _features(candidate)
-    return _jaccard(q_tokens, c_tokens) + _jaccard(q_trigrams, c_trigrams)
-
-
 def lexical_score(question: str, label: str, some_id: str) -> float:
-    """Token overlap plus character-trigram similarity against label and id.
+    """Token overlap plus character-trigram similarity against label and id."""
+    candidate = f"{label} {some_id}"
+    return _jaccard(_tokens(question), _tokens(candidate)) + _jaccard(
+        _trigrams(question), _trigrams(candidate)
+    )
 
-    ``label`` and ``some_id`` name a schema element, so their features are
-    memoized; the question's never are."""
-    return _score(_tokens(question), _trigrams(question), f"{label} {some_id}")
+
+# For tokens, then trigrams: postings from each feature to the ids of the
+# candidates that hold it, and each candidate's feature count.
+_Index = tuple[tuple[dict[str, list[str]], dict[str, int]], ...]
+
+
+def _index(candidates: list[tuple[str, str]]) -> _Index:
+    """The index of ``(id, text)`` candidates."""
+    fields = []
+    for featurize in (_tokens, _trigrams):
+        postings: dict[str, list[str]] = {}
+        counts: dict[str, int] = {}
+        for some_id, text in candidates:
+            features = featurize(text)
+            counts[some_id] = len(features)
+            for feature in features:
+                postings.setdefault(feature, []).append(some_id)
+        fields.append((postings, counts))
+    return tuple(fields)
+
+
+def _scores(index: _Index, q_tokens: frozenset, q_trigrams: frozenset) -> dict[str, float]:
+    """``lexical_score`` of each candidate that shares a token or a trigram
+    with the question; every other candidate scores 0 and is left out.  The
+    arithmetic is ``_jaccard``'s, tokens first, so each score is the same
+    float."""
+    scores: dict[str, float] = {}
+    for (postings, counts), features in zip(index, (q_tokens, q_trigrams)):
+        shared = Counter(chain.from_iterable(filter(None, map(postings.get, features))))
+        size = len(features)
+        for some_id, k in shared.items():
+            scores[some_id] = scores.get(some_id, 0.0) + k / (size + counts[some_id] - k)
+    return scores
+
+
+@dataclass(frozen=True)
+class _Table:
+    """What retrieval reads of one KB: the index of its classes and of its
+    relations, and each relation's predicate term."""
+
+    classes: _Index
+    relations: _Index
+    predicates: dict[str, Term]
+
+
+_TABLES: weakref.WeakKeyDictionary[KnowledgeBase, _Table] = weakref.WeakKeyDictionary()
+
+
+def _table(kb: KnowledgeBase) -> _Table:
+    table = _TABLES.get(kb)
+    if table is None:
+        table = _TABLES[kb] = _Table(
+            _index([(c.id, f"{c.label} {c.id}") for c in kb.classes.values()]),
+            _index([(rid, f" {rid}") for rid in kb.relations]),
+            {rid: rel(rid) for rid in kb.relations},
+        )
+    return table
 
 
 def retrieve_lexical(
@@ -108,19 +163,16 @@ def retrieve_lexical(
     caps: RetrievalCaps = RetrievalCaps(),
 ) -> RetrievalContext:
     """Lexical baseline: rank schema elements by label/id similarity to the
-    question, rank entity paths by summed relation scores.  Zero-scoring
-    classes and relations are dropped; ties break by id.  Each distinct
+    question, rank entity paths by summed relation scores.  A class or
+    relation that shares no token or trigram with the question scores zero
+    and is dropped; ties break by id.  Each distinct
     linked entity's paths are enumerated once, as relation-id sequences, and
     a chain query is built and rendered only for each of the top
     ``caps.max_paths``."""
+    table = _table(kb)
     q_tokens, q_trigrams = _tokens(question), _trigrams(question)
-    class_scores = {
-        c.id: _score(q_tokens, q_trigrams, f"{c.label} {c.id}") for c in kb.classes.values()
-    }
-    relation_scores = {
-        r.id: _score(q_tokens, q_trigrams, f" {r.id}") for r in kb.relations.values()
-    }
-    classes = _ranked(class_scores)
+    relation_scores = _scores(table.relations, q_tokens, q_trigrams)
+    classes = _ranked(_scores(table.classes, q_tokens, q_trigrams))
     relations = _ranked(relation_scores)
 
     linked = tuple((m, eid) for m, eid in linked_entities if eid in kb.entities)
@@ -132,8 +184,9 @@ def retrieve_lexical(
             scored_paths.append((-score, rels, root))
     scored_paths.sort(key=lambda item: (item[0], item[1]))
     variables = [var(f"x{hop}") for hop in range(caps.max_path_len - 1)] + [var("x")]
+    predicates = table.predicates
     paths = tuple(
-        render_sparql(_chain_query(root, rels, variables))
+        render_sparql(_chain_query(root, [predicates[rid] for rid in rels], variables))
         for _, rels, root in scored_paths[: caps.max_paths]
     )
 
@@ -141,16 +194,17 @@ def retrieve_lexical(
 
 
 def _ranked(scores: dict[str, float]) -> tuple[str, ...]:
-    """The ids that score above zero, best first, ties by id."""
+    """The ids, best score first, ties by id."""
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return tuple(some_id for some_id, score in ranked if score > 0)
+    return tuple(some_id for some_id, _ in ranked)
 
 
-def _chain_query(root: Term, rels: tuple[str, ...], variables: list[Term]) -> CanonicalQuery:
-    """``?x`` along ``rels`` from the entity term ``root``; ``variables``
-    holds the intermediate hops' ``?x0 ?x1 ...`` and then ``?x``."""
-    nodes = [root, *variables[: len(rels) - 1], variables[-1]]
-    return CanonicalQuery("x", True, tuple(zip(nodes, map(rel, rels), nodes[1:])))
+def _chain_query(root: Term, predicates: list[Term], variables: list[Term]) -> CanonicalQuery:
+    """``?x`` along ``predicates`` from the entity term ``root``;
+    ``variables`` holds the intermediate hops' ``?x0 ?x1 ...`` and then
+    ``?x``."""
+    nodes = [root, *variables[: len(predicates) - 1], variables[-1]]
+    return CanonicalQuery("x", True, tuple(zip(nodes, predicates, nodes[1:])))
 
 
 def retrieve_union(

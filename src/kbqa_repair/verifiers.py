@@ -51,6 +51,18 @@ class VerifierSuite:
     mediator_classes: frozenset = frozenset()
 
 
+# Each passing verdict, built once and shared: a verdict is frozen, so a suite
+# run builds only its failing verdicts and its V3 verdict.
+V1_PASSED = Verdict("V1", STRONG, True)
+V2A_PASSED = Verdict("V2a", STRONG, True)
+V2B_PASSED = Verdict("V2b", STRONG, True)
+V2C_PASSED = Verdict("V2c", STRONG, True)
+V4A_PASSED = Verdict("V4a", STRONG, True)
+V4A_INT_PASSED = Verdict("V4a-int", STRONG, True)
+V4B_PASSED_STRONG = Verdict("V4b", STRONG, True)  # answerable mode
+V4B_PASSED_WEAK = Verdict("V4b", WEAK, True)
+
+
 def _kb_inconsistency(description: str) -> str:
     return render_prompt("fb-kb-inconsistency", {"description": description})
 
@@ -73,7 +85,7 @@ def v1_syntax(lf: LogicalForm) -> Verdict:
     elif not lf.parsed:
         error = lf.parse_error or "parse failure"
     else:
-        return Verdict("V1", STRONG, True)
+        return V1_PASSED
     feedback = render_prompt("fb-syntax", {"dialect": lf.dialect, "query": lf.surface, "error": error})
     return Verdict("V1", STRONG, False, feedback)
 
@@ -130,7 +142,7 @@ def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
                 f"The assigned relation types by {_fmt_list(sources)} are {_fmt_list(classes)}. {why}"
             )
             return Verdict("V2a", STRONG, False, _kb_inconsistency(description))
-    return Verdict("V2a", STRONG, True)
+    return V2A_PASSED
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +159,7 @@ def v2b_schema_presence(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     }
     parts = [f"{what} {_fmt_list(ids)}" for what, ids in missing.items() if ids]
     if not parts:
-        return Verdict("V2b", STRONG, True)
+        return V2B_PASSED
     description = (
         "The sparql hallucinates schema elements that do not exist in the KB: "
         + ", ".join(parts)
@@ -195,7 +207,7 @@ def v2c_literal_casting(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
                 )
 
     if not problems:
-        return Verdict("V2c", STRONG, True)
+        return V2C_PASSED
     description = "Literals are not correctly type cast for the KB: " + "; ".join(problems) + "."
     return Verdict("V2c", STRONG, False, _kb_inconsistency(description))
 
@@ -256,7 +268,7 @@ def v4_answer_consistency(
         feedback = render_prompt("fb-answer-entity", {"answer": labels})
         v4a = Verdict("V4a", STRONG, False, feedback)
     else:
-        v4a = Verdict("V4a", STRONG, True)
+        v4a = V4A_PASSED
 
     answer_entities = [v for v in answer if isinstance(v, str) and v in kb.entities]
     mediator_only = (
@@ -268,14 +280,13 @@ def v4_answer_consistency(
         feedback = render_prompt("fb-intermediate-node")
         v4a_int = Verdict("V4a-int", STRONG, False, feedback)
     else:
-        v4a_int = Verdict("V4a-int", STRONG, True)
+        v4a_int = V4A_INT_PASSED
 
-    v4b_strength = STRONG if suite.answerable_mode else WEAK
     if not answer:
         feedback = render_prompt("fb-empty-answer")
-        v4b = Verdict("V4b", v4b_strength, False, feedback)
+        v4b = Verdict("V4b", STRONG if suite.answerable_mode else WEAK, False, feedback)
     else:
-        v4b = Verdict("V4b", v4b_strength, True)
+        v4b = V4B_PASSED_STRONG if suite.answerable_mode else V4B_PASSED_WEAK
     return v4a, v4a_int, v4b, answer
 
 

@@ -51,7 +51,37 @@ def random_kb(rng: random.Random, max_entities: int = 30) -> KnowledgeBase:
         else:
             range_ = rng.choice(class_ids)
         relations.append(RelationDef(f"dom.c.r{i}", domain, range_))
+    return _populate(rng, classes, relations, max_entities)
 
+
+# The hub schema's ids and labels are made of these words, so most of its
+# ids share trigrams and each postings list of retrieval is long.
+_HUB_WORDS = ("film", "music", "book", "author", "genre", "award", "person", "place")
+
+
+def random_hub_kb(rng: random.Random) -> KnowledgeBase:
+    """10 classes and 500 relations drawn from a few words, with random_kb's
+    data."""
+    classes = [
+        SchemaClass(f"{rng.choice(_HUB_WORDS)}.c{i}", " ".join(rng.sample(_HUB_WORDS, 2)))
+        for i in range(10)
+    ]
+    class_ids = [c.id for c in classes]
+    relations = []
+    for i in range(500):
+        domain = rng.choice(class_ids)
+        range_ = rng.choice(LITERAL_RANGES) if rng.random() < 0.25 else rng.choice(class_ids)
+        relations.append(RelationDef(f"{domain}.{rng.choice(_HUB_WORDS)}_r{i}", domain, range_))
+    return _populate(rng, classes, relations, 30)
+
+
+def _populate(
+    rng: random.Random, classes: list[SchemaClass], relations: list[RelationDef], max_entities: int
+) -> KnowledgeBase:
+    """The KB of a schema with 3 to ``max_entities`` random entities and
+    facts valid by construction."""
+    class_ids = [c.id for c in classes]
+    n_classes = len(classes)
     n_entities = rng.randint(3, max_entities)
     entities = []
     for i in range(n_entities):

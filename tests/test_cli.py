@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -907,6 +908,28 @@ def test_run_matches_golden_snapshot(tmp_path, capsys, name):
     golden = FIXTURES / "golden_runs" / name
     for filename in ("outcomes.jsonl", "traces.jsonl"):
         assert (tmp_path / filename).read_bytes() == (golden / filename).read_bytes(), filename
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a13_run_ignores_the_order_of_its_kb_files(tmp_path, capsys, seed):
+    """a13 on a KB whose data lines are shuffled and whose schema lists are
+    reversed writes its golden run, byte for byte."""
+    kb = tmp_path / "kb"
+    kb.mkdir()
+    schema = json.loads((A13 / "kb" / "schema.json").read_text(encoding="utf-8"))
+    for key in ("classes", "relations"):
+        schema[key].reverse()
+    (kb / "schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    lines = (A13 / "kb" / "data.jsonl").read_text(encoding="utf-8").splitlines()
+    shuffled = random.Random(seed).sample(lines, len(lines))
+    assert shuffled != lines
+    (kb / "data.jsonl").write_text("\n".join(shuffled) + "\n", encoding="utf-8")
+    argv = list(GOLDEN_RUNS["a13"])
+    argv[argv.index("--kb") + 1] = kb
+    assert run_cli("run", *argv, "--out", tmp_path / "out") == 0
+    golden = FIXTURES / "golden_runs" / "a13"
+    for filename in ("outcomes.jsonl", "traces.jsonl"):
+        assert (tmp_path / "out" / filename).read_bytes() == (golden / filename).read_bytes(), filename
 
 
 def _files(top):

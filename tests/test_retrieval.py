@@ -1,9 +1,12 @@
+import copy
+import gc
 import random
 import re
 import string
+import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kbqa_repair import retrieval
 from kbqa_repair.kb import DeletionPlan, delete_elements
@@ -16,7 +19,7 @@ from kbqa_repair.retrieval import (
     retrieve_union,
 )
 from kbqa_repair.query import Literal, parse_sparql
-from randgen import random_kb
+from randgen import random_hub_kb, random_kb
 
 
 def test_question_token_ranks_matching_class_first(a13_kb):
@@ -157,8 +160,9 @@ def test_an_entity_linked_twice_gets_its_paths_once(fig1_kb3):
 
 
 # ---------------------------------------------------------------------------
-# Oracle: retrieve_lexical as it was before schema features were memoized
-# and before paths were enumerated as relation sequences
+# Oracle: retrieve_lexical as it was before schema features were memoized or
+# scored through postings, and before paths were enumerated as relation
+# sequences
 # ---------------------------------------------------------------------------
 
 def _oracle_paths(kb, eid, max_len):
@@ -279,11 +283,22 @@ def _linked(data, kb):
 
 
 def _assert_matches_oracle(kb, question, linked):
+    """Every caps' context, and each schema element's score, to the bit,
+    from ``lexical_score`` and, when it is not 0, from the KB's postings."""
     for caps in CAPS:
         assert retrieve_lexical(kb, question, linked, caps) == _oracle_retrieve(kb, question, linked, caps)
-    schema = [(c.label, c.id) for c in kb.classes.values()] + [("", rid) for rid in kb.relations]
-    for label, some_id in schema:
-        assert lexical_score(question, label, some_id) == _oracle_lexical_score(question, label, some_id)
+    table = retrieval._TABLES[kb]
+    features = retrieval._tokens(question), retrieval._trigrams(question)
+    for index, schema in (
+        (table.classes, [(c.label, c.id) for c in kb.classes.values()]),
+        (table.relations, [("", rid) for rid in kb.relations]),
+    ):
+        expected = {some_id: _oracle_lexical_score(question, label, some_id) for label, some_id in schema}
+        for label, some_id in schema:
+            assert lexical_score(question, label, some_id) == expected[some_id]
+        assert retrieval._scores(index, *features) == {
+            some_id: score for some_id, score in expected.items() if score > 0
+        }
 
 
 @pytest.mark.parametrize("kb_name", FIXTURE_KBS)
@@ -326,14 +341,50 @@ def test_one_question_on_two_kbs_gets_each_oracle_answer(a13_kb, fig1_kb3, data)
         assert retrieve_lexical(kb, question, linked) == _oracle_retrieve(kb, question, linked)
 
 
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=20)
+def test_retrieve_lexical_matches_oracle_at_hub_scale(seed, data):
+    """500 relations whose ids share trigrams, so postings lists are long."""
+    kb = random_hub_kb(random.Random(seed))
+    _assert_matches_oracle(kb, data.draw(_questions(kb)), _linked(data, kb))
+
+
 def test_questions_are_not_memoized(fig1_kb3):
-    author = fig1_kb3.classes["book.author"]
-    retrieve_lexical(fig1_kb3, "warm the schema features", [])
-    size = retrieval._features.cache_info().currsize
+    """Only schema strings enter a KB's table; no question text does."""
+    retrieve_lexical(fig1_kb3, "warm the table", [])
+    table = retrieval._TABLES[fig1_kb3]
+    before = copy.deepcopy(table)
     for i in range(5):
-        retrieve_lexical(fig1_kb3, f"a question never asked before {i}", [])
-        lexical_score(f"another fresh question {i}", author.label, author.id)
-    assert retrieval._features.cache_info().currsize == size
+        retrieve_lexical(fig1_kb3, f"qqz question never asked before {i}", [])
+    assert retrieval._TABLES[fig1_kb3] is table and table == before
+    features = {feature for postings, _ in table.classes + table.relations for feature in postings}
+    assert not any("qqz" in feature or "never" in feature for feature in features)
+
+
+def test_a_kb_table_dies_with_its_kb():
+    gc.collect()
+    held = len(retrieval._TABLES)
+    kb = random_kb(random.Random(0))
+    retrieve_lexical(kb, "class 1 dom c r0", [])
+    assert len(retrieval._TABLES) == held + 1
+    ref = weakref.ref(kb)
+    del kb
+    gc.collect()
+    assert ref() is None and len(retrieval._TABLES) == held
+
+
+def test_a_reduced_kb_gets_its_own_table(fig1_kb3):
+    rid = "book.author.works_written"
+    question = "which works has this author written?"
+    features = retrieval._tokens(question), retrieval._trigrams(question)
+    reduced = delete_elements(fig1_kb3, DeletionPlan(relations=(rid,)))
+    caps = RetrievalCaps(max_relations=1000)
+    assert rid in retrieve_lexical(fig1_kb3, question, [], caps).relations
+    assert rid not in retrieve_lexical(reduced, question, [], caps).relations
+    assert retrieval._TABLES[reduced] is not retrieval._TABLES[fig1_kb3]
+    assert rid not in retrieval._scores(retrieval._TABLES[reduced].relations, *features)
+    assert rid in retrieval._scores(retrieval._TABLES[fig1_kb3].relations, *features)
+    assert rid in retrieve_lexical(fig1_kb3, question, [], caps).relations
 
 
 @given(a=st.frozensets(st.integers(0, 40)), b=st.frozensets(st.integers(0, 40)))

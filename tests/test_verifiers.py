@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kbqa_repair import verifiers
 from kbqa_repair.gateway import GatewayError, Matcher, MockGateway, RecordingGateway
 from kbqa_repair.kb import DeletionPlan, delete_elements
 from kbqa_repair.query import (
@@ -434,6 +435,30 @@ def test_v4b_is_strong_in_answerable_mode(fig1_kb2, a13_kb):
 # ---------------------------------------------------------------------------
 # Suite sequencing
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("answerable_mode", [False, True])
+def test_a_passing_suite_returns_the_shared_verdicts(a13_kb, answerable_mode):
+    """Every passing verdict but V3's is the module's constant, and V4b's
+    follows answerable mode."""
+    gw = _v3_gateway("SELECT ?genre ...", "what is the genre?")
+    good = lf(
+        "SELECT DISTINCT ?x WHERE { ?x ns:music.genre.recordings ns:m.0123lk0s . "
+        "?x ns:type.object.type ns:music.genre }"
+    )
+    suite = VerifierSuite(answerable_mode=answerable_mode)
+    strong = [verifiers.V1_PASSED, verifiers.V2A_PASSED, verifiers.V2B_PASSED,
+              verifiers.V2C_PASSED, verifiers.V4A_PASSED, verifiers.V4A_INT_PASSED]
+    verdicts = run_suite(good, "what is the genre?", frozenset(), a13_kb, gw, suite).verdicts
+    if answerable_mode:
+        *shared, v3 = verdicts
+        expected = [*strong, verifiers.V4B_PASSED_STRONG]
+    else:
+        *shared, v3, v4b = verdicts
+        shared, expected = [*shared, v4b], [*strong, verifiers.V4B_PASSED_WEAK]
+    assert len(shared) == len(expected)
+    assert all(got is constant for got, constant in zip(shared, expected))
+    assert v3.verifier_id == "V3" and v3.passed
+
 
 def test_strong_failure_stops_suite(a13_kb):
     gw = MockGateway([])  # would raise MockMiss if V3 were consulted
