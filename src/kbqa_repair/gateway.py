@@ -111,6 +111,12 @@ class MockGateway(GenerationGateway):
         raise MockMiss(f"no matcher fired for prompt: {shorten(prompt, 400)!r}")
 
 
+# The longest reply body read from the endpoint.  A completion is text of at
+# most a few thousand tokens, so a longer body is a fault, not a reply, and
+# reading it whole could take the process's memory.
+_MAX_REPLY_BYTES = 1 << 20
+
+
 class HttpGateway(GenerationGateway):
     """Chat-completion HTTP client on the standard library.
 
@@ -123,7 +129,8 @@ class HttpGateway(GenerationGateway):
     capped like the backoff (RFC 9110 section 10.2.3).
     The proxy is read from ``http_proxy``/``https_proxy`` (else
     ``all_proxy``) at construction; urllib skips it for hosts that
-    ``no_proxy`` names.  Redirects are not followed.
+    ``no_proxy`` names.  Redirects are not followed.  A reply body longer
+    than 1 MiB is a protocol error and is not retried.
     """
 
     def __init__(
@@ -215,21 +222,28 @@ class HttpGateway(GenerationGateway):
         raise last_error
 
     def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes, str | None]:
-        """One POST: (status, body, its Retry-After header or None)."""
+        """One POST: (status, body, its Retry-After header or None).  A body
+        longer than ``_MAX_REPLY_BYTES`` raises a protocol ``GatewayError``;
+        no more than one byte past the bound is read."""
         import urllib.error
         import urllib.request
 
         request = urllib.request.Request(self._url, body, headers)
         try:
             with self._opener.open(request, timeout=self.timeout) as response:
-                return response.status, response.read(), response.headers.get("Retry-After")
+                status, data = response.status, response.read(_MAX_REPLY_BYTES + 1)
+                retry_header = response.headers.get("Retry-After")
         except urllib.error.HTTPError as err:
             with err:
-                return err.code, err.read(), err.headers.get("Retry-After")
+                status, data = err.code, err.read(_MAX_REPLY_BYTES + 1)
+                retry_header = err.headers.get("Retry-After")
         except urllib.error.URLError as err:
             # urllib wraps what failed while connecting or sending; a timeout
             # there must still read as a timeout.
             raise err.reason if isinstance(err.reason, OSError) else err
+        if len(data) > _MAX_REPLY_BYTES:
+            raise GatewayError("protocol", f"reply body is longer than {_MAX_REPLY_BYTES} bytes")
+        return status, data, retry_header
 
 
 def _retry_after_seconds(header: str | None) -> float | None:

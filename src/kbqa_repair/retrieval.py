@@ -9,11 +9,14 @@ baseline is purely lexical.
 
 The baseline reads each KB through a table built on the first retrieval
 against that KB: postings from each token and trigram of a class or
-relation to the candidates that hold it, and each relation's predicate
-term.  The table is held under a weak reference to its KB, so it lives as
-long as the KB does; ``delete_elements``' reduced KB gets its own.  Only
-schema strings enter it, never a question.  Two workers may build one KB's
-table at once: the builds are equal, and the last one stored wins.
+relation to the candidates that hold it, and each relation's signature as
+the prompt shows it.  The table is held under a weak reference to its KB,
+so it lives as long as the KB does; ``delete_elements``' reduced KB gets
+its own.  Only schema strings enter it, never a question.  Two workers may
+build one KB's table at once: the builds are equal, and the last one
+stored wins.  A kept path's text is written from its entity id and
+relation ids, the bytes ``query.render_sparql`` gives its chain query; no
+query is built.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import re
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 
 from .kb import KnowledgeBase, paths_from_entity
-from .query import CanonicalQuery, Term, entity, rel, render_sparql, var
 
 
 # The longest path retrieval walks.  The paths from an entity grow
@@ -71,18 +74,18 @@ _WORD = re.compile(r"[a-z0-9]+")
 _NON_WORD = re.compile(r"[^a-z0-9]+")
 
 
-def _tokens(text: str) -> frozenset[str]:
-    return frozenset(_WORD.findall(text.lower()))
+def _tokens(text: str) -> set[str]:
+    return set(_WORD.findall(text.lower()))
 
 
-def _trigrams(text: str) -> frozenset[str]:
+def _trigrams(text: str) -> set[str]:
     squashed = _NON_WORD.sub(" ", text.lower()).strip()
     if len(squashed) < 3:
-        return frozenset({squashed} if squashed else ())
-    return frozenset(squashed[i : i + 3] for i in range(len(squashed) - 2))
+        return {squashed} if squashed else set()
+    return {squashed[i : i + 3] for i in range(len(squashed) - 2)}
 
 
-def _jaccard(a: frozenset, b: frozenset) -> float:
+def _jaccard(a: set, b: set) -> float:
     """|a & b| / |a | b|, without building the union."""
     if not a or not b:
         return 0.0
@@ -118,7 +121,7 @@ def _index(candidates: list[tuple[str, str]]) -> _Index:
     return tuple(fields)
 
 
-def _scores(index: _Index, q_tokens: frozenset, q_trigrams: frozenset) -> dict[str, float]:
+def _scores(index: _Index, q_tokens: set, q_trigrams: set) -> dict[str, float]:
     """``lexical_score`` of each candidate that shares a token or a trigram
     with the question; every other candidate scores 0 and is left out.  The
     arithmetic is ``_jaccard``'s, tokens first, so each score is the same
@@ -135,11 +138,11 @@ def _scores(index: _Index, q_tokens: frozenset, q_trigrams: frozenset) -> dict[s
 @dataclass(frozen=True)
 class _Table:
     """What retrieval reads of one KB: the index of its classes and of its
-    relations, and each relation's predicate term."""
+    relations, and each relation's signature as the prompt shows it."""
 
     classes: _Index
     relations: _Index
-    predicates: dict[str, Term]
+    signatures: dict[str, str]
 
 
 _TABLES: weakref.WeakKeyDictionary[KnowledgeBase, _Table] = weakref.WeakKeyDictionary()
@@ -151,7 +154,7 @@ def _table(kb: KnowledgeBase) -> _Table:
         table = _TABLES[kb] = _Table(
             _index([(c.id, f"{c.label} {c.id}") for c in kb.classes.values()]),
             _index([(rid, f" {rid}") for rid in kb.relations]),
-            {rid: rel(rid) for rid in kb.relations},
+            {rid: f"{rid} (type:{rd.domain} R type:{rd.range})" for rid, rd in kb.relations.items()},
         )
     return table
 
@@ -165,46 +168,35 @@ def retrieve_lexical(
     """Lexical baseline: rank schema elements by label/id similarity to the
     question, rank entity paths by summed relation scores.  A class or
     relation that shares no token or trigram with the question scores zero
-    and is dropped; ties break by id.  Each distinct
-    linked entity's paths are enumerated once, as relation-id sequences, and
-    a chain query is built and rendered only for each of the top
-    ``caps.max_paths``."""
+    and is dropped; ties break by id.  Each distinct linked entity's paths
+    are enumerated once, as relation-id sequences, and only the top
+    ``caps.max_paths`` are written out as SPARQL text."""
     table = _table(kb)
     q_tokens, q_trigrams = _tokens(question), _trigrams(question)
     relation_scores = _scores(table.relations, q_tokens, q_trigrams)
-    classes = _ranked(_scores(table.classes, q_tokens, q_trigrams))
-    relations = _ranked(relation_scores)
+    classes = _ranked(_scores(table.classes, q_tokens, q_trigrams))[: caps.max_classes]
+    relations = _ranked(relation_scores)[: caps.max_relations]
 
     linked = tuple((m, eid) for m, eid in linked_entities if eid in kb.entities)
     scored_paths = []
     for eid in dict.fromkeys(eid for _, eid in linked):
-        root = entity(eid)
         for rels in paths_from_entity(kb, eid, caps.max_path_len):
-            score = sum(relation_scores.get(rid, 0.0) for rid in rels)
-            scored_paths.append((-score, rels, root))
-    scored_paths.sort(key=lambda item: (item[0], item[1]))
-    variables = [var(f"x{hop}") for hop in range(caps.max_path_len - 1)] + [var("x")]
-    predicates = table.predicates
-    paths = tuple(
-        render_sparql(_chain_query(root, [predicates[rid] for rid in rels], variables))
-        for _, rels, root in scored_paths[: caps.max_paths]
-    )
+            score = sum([relation_scores.get(rid, 0.0) for rid in rels])
+            scored_paths.append((-score, rels, eid))
+    scored_paths.sort(key=itemgetter(0, 1))
+    paths = []
+    for _, rels, eid in scored_paths[: caps.max_paths]:
+        # render_sparql's text of the chain query: ?x along rels from the
+        # entity, through the hops ?x0 ?x1 ...
+        hops = "".join([f" ns:{rid} ?x{hop} . ?x{hop}" for hop, rid in enumerate(rels[:-1])])
+        paths.append(f"SELECT DISTINCT ?x WHERE {{ ns:{eid}{hops} ns:{rels[-1]} ?x }}")
 
-    return RetrievalContext(classes, relations, paths, linked).capped(caps)
-
-
-def _ranked(scores: dict[str, float]) -> tuple[str, ...]:
-    """The ids, best score first, ties by id."""
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return tuple(some_id for some_id, _ in ranked)
+    return RetrievalContext(tuple(classes), tuple(relations), tuple(paths), linked)
 
 
-def _chain_query(root: Term, predicates: list[Term], variables: list[Term]) -> CanonicalQuery:
-    """``?x`` along ``predicates`` from the entity term ``root``;
-    ``variables`` holds the intermediate hops' ``?x0 ?x1 ...`` and then
-    ``?x``."""
-    nodes = [root, *variables[: len(predicates) - 1], variables[-1]]
-    return CanonicalQuery("x", True, tuple(zip(nodes, predicates, nodes[1:])))
+def _ranked(scores: dict[str, float]) -> list[str]:
+    """The ids, best score first, ties by id (the sort is stable)."""
+    return sorted(sorted(scores), key=scores.__getitem__, reverse=True)
 
 
 def retrieve_union(
@@ -231,27 +223,25 @@ def retrieve_union(
         paths.update(dict.fromkeys(ctx.paths))
         linked.update(dict.fromkeys(ctx.linked_entities))
     return RetrievalContext(
-        tuple(classes), tuple(relations), tuple(paths), tuple(linked)
-    ).capped(caps)
+        tuple(islice(classes, caps.max_classes)),
+        tuple(islice(relations, caps.max_relations)),
+        tuple(islice(paths, caps.max_paths)),
+        tuple(linked),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Prompt rendering of context fields
 # ---------------------------------------------------------------------------
 
-def render_relation_signature(kb: KnowledgeBase, rid: str) -> str:
-    rd = kb.relations.get(rid)
-    if rd is None:
-        return rid
-    return f"{rid} (type:{rd.domain} R type:{rd.range})"
-
-
 def render_context_fields(kb: KnowledgeBase, ctx: RetrievalContext) -> dict:
-    """Bindings for the generation prompt template."""
+    """Bindings for the generation prompt template.  A relation the KB lacks
+    is shown as its bare id."""
+    signatures = _table(kb).signatures
     entities = " | ".join(f"{m} {eid}" for m, eid in ctx.linked_entities)
     paths = " | ".join(ctx.paths)
     classes = " | ".join(ctx.classes)
-    relations = " | ".join(render_relation_signature(kb, r) for r in ctx.relations)
+    relations = " | ".join([signatures.get(r, r) for r in ctx.relations])
     return {
         "entities": entities,
         "paths": paths,

@@ -9,7 +9,8 @@ Both share the engine's literal comparison (``_compare``, ``_values_equal``),
 so the engines agree on one rule for comparing literals.  ``same_as``
 compares two knowledge bases by value, ``reference_indexes`` rebuilds a
 KB's lookup indexes one key at a time, and ``reference_paths`` finds an
-entity's relation paths by scanning every fact at each hop.
+entity's relation paths by scanning every fact at each hop;
+``chain_query`` is the query of one such path.
 ``reference_load_data`` reads a data file by ``kb.check`` alone, the route
 ``load_data``'s inline tests shortcut.  ``reference_tokenize`` is the
 tokenizer that spent one regex match on each whitespace run.
@@ -35,6 +36,9 @@ from kbqa_repair.query import (
     Term,
     UnsupportedQuery,
     _render_literal,
+    entity,
+    rel,
+    var,
 )
 
 
@@ -220,6 +224,13 @@ def reference_paths(kb: KnowledgeBase, eid: str, max_len: int) -> list[tuple[str
         }
         found.update(rels for rels, _ in chains)
     return sorted(found)
+
+
+def chain_query(eid: str, rels: tuple[str, ...]) -> CanonicalQuery:
+    """``?x`` along the relations ``rels`` from entity ``eid``, through the
+    hops ``?x0 ?x1 ...``."""
+    nodes = [entity(eid), *(var(f"x{hop}") for hop in range(len(rels) - 1)), var("x")]
+    return CanonicalQuery("x", True, tuple(zip(nodes, map(rel, rels), nodes[1:])))
 
 
 def reference_load_data(path: str) -> tuple[list[Entity], list[Fact]]:

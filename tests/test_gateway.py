@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
+from kbqa_repair import gateway
 from kbqa_repair.cli import main
 from kbqa_repair.dataset import load_split
 from kbqa_repair.gateway import (
@@ -312,6 +313,23 @@ def test_http_malformed_completion_is_a_protocol_error(http_server, backoff, bod
         gw.complete([user("x")])
     assert str(err.value) == f"protocol: malformed completion response: {message}"
     assert len(_Handler.calls) == 1 and backoff == []  # not retried
+
+
+@pytest.mark.parametrize("status", [200, 503], ids=["completion", "http-error"])
+def test_http_reply_past_the_size_bound_is_a_protocol_error(http_server, backoff, status):
+    _Handler.script = [(status, b" " * (gateway._MAX_REPLY_BYTES + 1)), (200, _completion("ok"))]
+    gw = HttpGateway(http_server, "m")
+    with pytest.raises(GatewayError) as err:
+        gw.complete([user("x")])
+    assert str(err.value) == f"protocol: reply body is longer than {gateway._MAX_REPLY_BYTES} bytes"
+    assert len(_Handler.calls) == 1 and backoff == []  # not retried
+
+
+def test_http_completion_at_the_size_bound_is_read(http_server):
+    text = "x" * (gateway._MAX_REPLY_BYTES - len(json.dumps(_completion(""))))
+    assert len(json.dumps(_completion(text))) == gateway._MAX_REPLY_BYTES
+    _Handler.script = [(200, _completion(text))]
+    assert HttpGateway(http_server, "m").complete([user("x")]) == text
 
 
 class _RedirectHandler(_Handler):

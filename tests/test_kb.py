@@ -30,8 +30,8 @@ from kbqa_repair.kb import (
     save_plan,
     validate_plan,
 )
-from kbqa_repair.query import LITERAL_DATATYPES, CanonicalQuery, Literal, entity, rel, render_sparql, var
-from oracles import reference_indexes, reference_load_data, reference_paths, same_as
+from kbqa_repair.query import LITERAL_DATATYPES, Literal, render_sparql
+from oracles import chain_query, reference_indexes, reference_load_data, reference_paths, same_as
 from randgen import random_kb
 
 
@@ -232,12 +232,6 @@ def test_delete_is_idempotent(fig1_kb3):
         assert same_as(once, twice)
 
 
-def _chain_query(eid, rels):
-    """``?x`` along the relations ``rels`` from entity ``eid``."""
-    nodes = [entity(eid)] + [var(f"x{hop}") for hop in range(len(rels) - 1)] + [var("x")]
-    return CanonicalQuery("x", True, tuple(zip(nodes, map(rel, rels), nodes[1:])))
-
-
 def test_paths_from_star_graph():
     kb = build_kb(
         classes=[SchemaClass("c.a"), SchemaClass("c.b")],
@@ -250,7 +244,7 @@ def test_paths_from_star_graph():
         facts=[Fact("m.e", "c.a.r", "m.a"), Fact("m.e", "c.a.r", "m.b")],
     )
     assert paths_from_entity(kb, "m.e", max_len=1) == [("c.a.r",)]  # one relation, one path
-    assert execute(kb, _chain_query("m.e", ("c.a.r",))) == {"m.a", "m.b"}
+    assert execute(kb, chain_query("m.e", ("c.a.r",))) == {"m.a", "m.b"}
 
 
 def test_paths_from_isolated_entity(fig1_kb3):
@@ -268,7 +262,7 @@ def test_paths_execute_non_empty(fig1_kb3, fig1_kb1, pairs_kb):
     for kb in (fig1_kb3, fig1_kb1, pairs_kb):
         for eid in kb.entities:
             for rels in paths_from_entity(kb, eid, max_len=2):
-                query = _chain_query(eid, rels)
+                query = chain_query(eid, rels)
                 assert execute(kb, query), render_sparql(query)
 
 
@@ -280,7 +274,7 @@ def test_paths_match_the_reference_before_and_after_deletion(seed, max_len, data
             paths = paths_from_entity(this, eid, max_len)
             assert paths == reference_paths(this, eid, max_len)
             for rels in paths:
-                assert execute(this, _chain_query(eid, rels)), (eid, rels)
+                assert execute(this, chain_query(eid, rels)), (eid, rels)
 
 
 def test_paths_unknown_entity(fig1_kb3):

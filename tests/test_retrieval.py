@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbqa_repair import retrieval
-from kbqa_repair.kb import DeletionPlan, delete_elements
+from kbqa_repair.kb import DeletionPlan, delete_elements, paths_from_entity
 from kbqa_repair.retrieval import (
     RetrievalCaps,
     RetrievalContext,
@@ -18,7 +18,8 @@ from kbqa_repair.retrieval import (
     retrieve_lexical,
     retrieve_union,
 )
-from kbqa_repair.query import Literal, parse_sparql
+from kbqa_repair.query import Literal, parse_sparql, render_sparql
+from oracles import chain_query
 from randgen import random_hub_kb, random_kb
 
 
@@ -69,6 +70,26 @@ def test_paths_rooted_at_linked_entity(fig1_kb3):
     for path in ctx.paths:
         assert execute(fig1_kb3, parse_sparql(path))
     assert "SELECT DISTINCT ?x WHERE { ns:m.0auth ns:book.author.works_written ?x }" in ctx.paths
+
+
+@given(seed=st.integers(0, 2**32 - 1), max_path_len=st.integers(1, 4))
+def test_written_paths_are_the_rendered_chain_queries(seed, max_path_len):
+    """Every path of every linked entity is kept, so each written path text
+    is render_sparql's text of its chain query, and parse_sparql reads it
+    back to that query."""
+    kb = random_kb(random.Random(seed))
+    eids = sorted(kb.entities)[:3]
+    caps = RetrievalCaps(max_paths=100_000, max_path_len=max_path_len)
+    ctx = retrieve_lexical(kb, "class 1 dom c r0", [("e", eid) for eid in eids], caps)
+    queries = {}
+    for eid in eids:
+        for rels in paths_from_entity(kb, eid, max_path_len):
+            query = chain_query(eid, rels)
+            queries[render_sparql(query)] = query
+    assert sorted(ctx.paths) == sorted(queries)
+    for path in ctx.paths:
+        parsed = parse_sparql(path)
+        assert parsed == queries[path] and parsed.patterns == queries[path].patterns
 
 
 def test_absent_linked_entities_dropped(fig1_kb1):
@@ -253,6 +274,8 @@ CAPS = (
     RetrievalCaps(max_classes=0, max_relations=0, max_paths=0),
     RetrievalCaps(max_classes=1, max_relations=1, max_paths=1, max_path_len=1),
     RetrievalCaps(max_classes=1000, max_relations=1000, max_paths=1000),
+    RetrievalCaps(max_path_len=3),
+    RetrievalCaps(max_paths=100_000, max_path_len=4),
 )
 FIXTURE_KBS = ("fig1_kb1", "fig1_kb2", "fig1_kb3", "a13_kb", "pairs_kb")
 
