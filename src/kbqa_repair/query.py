@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import re
+import string
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 TYPE_ASSERT_ID = "type.object.type"
 
@@ -221,23 +222,27 @@ class LogicalForm:
 # SPARQL subset
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    \s*(?:
-    (?P<date>"(\d{4}-\d{2}-\d{2})"\^\^xsd:date)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<id>ns:[A-Za-z0-9_][A-Za-z0-9_.\-]*)
-  | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>-?\d+\.\d+|-?\d+)
-  | (?P<op><=|>=|!=|=|<|>)
-  | (?P<punct>[{}().])
-  | (?P<word>[A-Za-z_][A-Za-z0-9_.]*)
-    )
-    """,
-    re.VERBOSE,
+# The SPARQL tokens by kind, in the order the scan tries them.  The reader
+# tells a token's kind from its text alone, as ``parse_sparql`` says.
+_SPARQL_TOKENS = (
+    ("date", r'"\d{4}-\d{2}-\d{2}"\^\^xsd:date'),
+    ("string", r'"(?:[^"\\]|\\.)*"'),
+    ("id", r"ns:[A-Za-z0-9_][A-Za-z0-9_.\-]*"),
+    ("var", r"\?[A-Za-z_][A-Za-z0-9_]*"),
+    ("number", r"-?\d+\.\d+|-?\d+"),
+    ("op", r"<=|>=|!=|=|<|>"),
+    ("punct", r"[{}().]"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_.]*"),
 )
 
+# One match is a token and the whitespace before it, or a character that
+# starts no token, whose group does not take part: findall reads it as ''.
+_TOKEN_RE = re.compile(r"\s*(?:(" + "|".join(pattern for _, pattern in _SPARQL_TOKENS) + r")|\S)")
+
 _SPACE_RE = re.compile(r"\s*")
+
+_WORD_START = frozenset(string.ascii_letters + "_")
+_COMPARATORS = frozenset(dict(_SPARQL_TOKENS)["op"].split("|"))
 
 
 class _Tok(NamedTuple):
@@ -266,149 +271,166 @@ def _tokenize(regex: re.Pattern, text: str) -> list[_Tok]:
     return tokens
 
 
-class _SparqlParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(_TOKEN_RE, text) + [_Tok("eof", "", len(text))]
-        self.i = 0
-
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def next(self) -> _Tok:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str) -> None:
-        raise QuerySyntaxError(message, self.peek().pos)
-
-    def accept(self, want: str) -> bool:
-        """Consume the next token if it is the keyword (any case) or punctuation ``want``."""
-        tok = self.peek()
-        if tok.kind == "word" and tok.text.upper() == want or tok.kind == "punct" and tok.text == want:
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, want: str) -> None:
-        if self.accept(want):
-            return
-        tok = self.peek()
-        shown = want if want.isalpha() else repr(want)
-        if tok.kind == "word":
-            self.fail(f"word {tok.text} not defined, expected {shown}")
-        self.fail(f"expected {shown}, found {tok.text or 'end of input'!r}")
-
-    def parse(self) -> CanonicalQuery:
-        self.expect("SELECT")
-        distinct = self.accept("DISTINCT")
-        aggregate = None
-        if self.accept("COUNT"):
-            self.expect("(")
-            distinct = self.accept("DISTINCT") or distinct
-            projection = self._variable()
-            self.expect(")")
-            aggregate = Aggregate("count")
-        else:
-            projection = self._variable()
-        self.accept("WHERE")
-        self.expect("{")
-        patterns: list[Pattern] = []
-        filters: list[Filter] = []
-        while not self.accept("}"):
-            if self.accept("."):
-                continue
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.fail("unexpected end of input, expected '}'")
-            if self.accept("FILTER"):
-                filters.append(self._filter())
-            elif tok.kind == "word":
-                self.fail(f"word {tok.text} not defined")
-            else:
-                patterns.append(self._triple())
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected trailing input {self.peek().text!r}")
-        query = CanonicalQuery(projection, distinct, tuple(patterns), tuple(filters), aggregate)
-        query.validate()
-        return query
-
-    def _variable(self) -> str:
-        tok = self.peek()
-        if tok.kind != "var":
-            self.fail(f"expected a variable, found {tok.text or 'end of input'!r}")
-        self.next()
-        return tok.text[1:]
-
-    def _triple(self) -> Pattern:
-        subject = self._node(position="subject")
-        predicate = self._predicate()
-        obj = self._node(position="object", typed=predicate.kind == "type_assert")
-        return (subject, predicate, obj)
-
-    def _predicate(self) -> Term:
-        tok = self.peek()
-        if tok.kind != "id":
-            self.fail(f"expected a relation id in predicate position, found {tok.text!r}")
-        self.next()
-        rid = tok.text[3:]
-        if rid == TYPE_ASSERT_ID:
-            return TYPE_ASSERT
-        return rel(rid)
-
-    def _node(self, position: str, typed: bool = False) -> Term:
-        tok = self.peek()
-        if tok.kind == "var":
-            self.next()
-            return var(tok.text[1:])
-        if tok.kind == "id":
-            self.next()
-            return cls(tok.text[3:]) if typed else entity(tok.text[3:])
-        literal = _literal(tok) if position == "object" else None
-        if literal is not None:
-            self.next()
-            return Term("literal", literal)
-        self.fail(f"expected a {position} term, found {tok.text or 'end of input'!r}")
-
-    def _filter(self) -> Filter:
-        self.expect("(")
-        variable = self._variable()
-        tok = self.peek()
-        if tok.kind != "op":
-            self.fail(f"expected a comparator, found {tok.text!r}")
-        self.next()
-        op = tok.text
-        literal = _literal(self.peek())
-        if literal is None:
-            self.fail(f"expected a literal in FILTER, found {self.peek().text!r}")
-        self.next()
-        self.expect(")")
-        return Filter(variable, op, literal)
+def _sparql_tokens(text: str) -> list[str]:
+    """The text of each SPARQL token in ``text``, in one scan."""
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens:
+        pos = next(m for m in _TOKEN_RE.finditer(text) if m[1] is None).end() - 1
+        raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
+    return tokens
 
 
-def _literal(tok: _Tok) -> Literal | None:
-    """The literal a number, date or string token denotes (both dialects);
-    None for any other token."""
-    if tok.kind == "number":
+def _fail_at(text: str, i: int, message: str) -> NoReturn:
+    """Raise ``message`` at token ``i`` of ``text``, or at its end when the
+    text has no token ``i``.  Positions are found again here, by the same
+    scan, since only an error needs them."""
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)]
+    raise QuerySyntaxError(message, starts[i] if i < len(starts) else len(text))
+
+
+def _fail_expected(text: str, tokens: list[str], i: int, want: str) -> NoReturn:
+    """Raise the error for a missing keyword or punctuation ``want`` at token ``i``."""
+    tok = tokens[i]
+    shown = want if want.isalpha() else repr(want)
+    if tok[:1] in _WORD_START and tok[:3] != "ns:":
+        _fail_at(text, i, f"word {tok} not defined, expected {shown}")
+    _fail_at(text, i, f"expected {shown}, found {tok or 'end of input'!r}")
+
+
+def _literal(text: str) -> Literal | None:
+    """The literal a number, date or string token's text denotes (both
+    dialects); None for any other token.  A number that no literal holds and
+    a string that is not a JSON string raise a QuerySyntaxError whose
+    position the caller sets to the token's."""
+    first = text[:1]
+    if first == '"':
+        if text[-1] != '"':  # "YYYY-MM-DD"^^xsd:date, or ^^date in an s-expression
+            return Literal(text[1:11], "date")
         try:
-            if "." in tok.text:
-                return Literal(float(tok.text), "float")
-            return Literal(int(tok.text), "integer")
-        except ValueError:  # past the int digit limit, or no float holds it
-            raise QuerySyntaxError("number out of range", tok.pos) from None
-    if tok.kind == "date":
-        return Literal(tok.text[1:11], "date")
-    if tok.kind == "string":
-        try:
-            return Literal(json.loads(tok.text), "string")
+            return Literal(json.loads(text), "string")
         except json.JSONDecodeError as err:
-            raise QuerySyntaxError("bad escape or control character in a string", tok.pos) from err
+            raise QuerySyntaxError("bad escape or control character in a string") from err
+    if first == "-" or first.isdigit():
+        try:
+            if "." in text:
+                return Literal(float(text), "float")
+            return Literal(int(text), "integer")
+        except ValueError:  # past the int digit limit, or no float holds it
+            raise QuerySyntaxError("number out of range") from None
     return None
 
 
 def parse_sparql(text: str) -> CanonicalQuery:
-    """Parse the supported SPARQL subset into a canonical query."""
-    return _SparqlParser(text).parse()
+    """Parse the supported SPARQL subset into a canonical query.
+
+    One scan reads every token's text, and the reader tells a token's kind
+    from it: ``?`` starts a variable, ``ns:`` an id, ``"`` a string or a
+    date, a digit or ``-`` a number; punctuation and comparators are
+    themselves, and anything else is a word, which is a keyword in any case.
+    A token's position is worked out only to raise at it.
+    """
+    toks = _sparql_tokens(text)
+    toks.append("")  # the end of input, the one '' in the list
+    tok = toks[0]
+    if not (tok[:1] in _WORD_START and tok.upper() == "SELECT"):
+        _fail_expected(text, toks, 0, "SELECT")
+    tok = toks[1]
+    distinct = tok[:1] in _WORD_START and tok.upper() == "DISTINCT"
+    i = 2 if distinct else 1
+    aggregate = None
+    tok = toks[i]
+    if tok[:1] in _WORD_START and tok.upper() == "COUNT":
+        if toks[i + 1] != "(":
+            _fail_expected(text, toks, i + 1, "(")
+        i += 2
+        tok = toks[i]
+        if tok[:1] in _WORD_START and tok.upper() == "DISTINCT":
+            distinct = True
+            i += 1
+        aggregate = Aggregate("count")
+    tok = toks[i]
+    if tok[:1] != "?":
+        _fail_at(text, i, f"expected a variable, found {tok or 'end of input'!r}")
+    projection = tok[1:]
+    i += 1
+    if aggregate is not None:
+        if toks[i] != ")":
+            _fail_expected(text, toks, i, ")")
+        i += 1
+    tok = toks[i]
+    if tok[:1] in _WORD_START and tok.upper() == "WHERE":
+        i += 1
+    if toks[i] != "{":
+        _fail_expected(text, toks, i, "{")
+    i += 1
+    patterns: list[Pattern] = []
+    filters: list[Filter] = []
+    while True:
+        tok = toks[i]
+        first = tok[:1]
+        if first == "?" or tok[:3] == "ns:":  # a triple pattern
+            subject = Term("var", tok[1:]) if first == "?" else Term("entity", tok[3:])
+            tok = toks[i + 1]
+            if tok[:3] != "ns:":
+                _fail_at(text, i + 1, f"expected a relation id in predicate position, found {tok!r}")
+            rid = tok[3:]
+            typed = rid == TYPE_ASSERT_ID
+            predicate = TYPE_ASSERT if typed else Term("relation", rid)
+            i += 2
+            tok = toks[i]
+            if tok[:1] == "?":
+                obj = Term("var", tok[1:])
+            elif tok[:3] == "ns:":
+                obj = Term("class" if typed else "entity", tok[3:])
+            else:
+                try:
+                    literal = _literal(tok)
+                except QuerySyntaxError as err:
+                    _fail_at(text, i, err.message)
+                if literal is None:
+                    _fail_at(text, i, f"expected an object term, found {tok or 'end of input'!r}")
+                obj = Term("literal", literal)
+            patterns.append((subject, predicate, obj))
+            i += 1
+        elif tok == "}":
+            break
+        elif tok == ".":
+            i += 1
+        elif first in _WORD_START:
+            if tok.upper() != "FILTER":
+                _fail_at(text, i, f"word {tok} not defined")
+            if toks[i + 1] != "(":
+                _fail_expected(text, toks, i + 1, "(")
+            i += 2
+            tok = toks[i]
+            if tok[:1] != "?":
+                _fail_at(text, i, f"expected a variable, found {tok or 'end of input'!r}")
+            variable = tok[1:]
+            op = toks[i + 1]
+            if op not in _COMPARATORS:
+                _fail_at(text, i + 1, f"expected a comparator, found {op!r}")
+            i += 2
+            tok = toks[i]
+            try:
+                literal = _literal(tok)
+            except QuerySyntaxError as err:
+                _fail_at(text, i, err.message)
+            if literal is None:
+                _fail_at(text, i, f"expected a literal in FILTER, found {tok!r}")
+            if toks[i + 1] != ")":
+                _fail_expected(text, toks, i + 1, ")")
+            filters.append(Filter(variable, op, literal))
+            i += 2
+        elif not tok:
+            _fail_at(text, i, "unexpected end of input, expected '}'")
+        else:
+            _fail_at(text, i, f"expected a subject term, found {tok!r}")
+    i += 1
+    if toks[i]:
+        _fail_at(text, i, f"unexpected trailing input {toks[i]!r}")
+    query = CanonicalQuery(projection, distinct, tuple(patterns), tuple(filters), aggregate)
+    query.validate()
+    return query
 
 
 def render_sparql(q: CanonicalQuery) -> str:
@@ -491,7 +513,11 @@ def _read_sexpr(tokens: list[_Tok], i: int, depth: int) -> tuple[object, int]:
             items.append(item)
     if tok.kind == "close":
         raise QuerySyntaxError("unexpected ')'", tok.pos)
-    literal = _literal(tok)
+    try:
+        literal = _literal(tok.text)
+    except QuerySyntaxError as err:
+        err.position = tok.pos
+        raise
     return (tok.text if literal is None else literal), i + 1
 
 

@@ -104,7 +104,35 @@ def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     carry every induced class; a variable's induced classes must all
     coincide.  The first conflicting term is reported, entities before
     variables, in order of first appearance.
+
+    One walk over the patterns decides; only a failing query is walked again,
+    to describe its first conflict.
     """
+    entities = kb.entities
+    variable_class: dict[str, str] = {}  # each variable's first induced class
+    for s, p, o in lf.canonical.patterns:
+        if p.kind == "type_assert":
+            if o.kind != "class" or o.value not in kb.classes:
+                continue
+            induced = ((s, o.value),)
+        else:
+            rd = kb.relations.get(p.value)
+            if rd is None:
+                continue
+            induced = ((s, rd.domain),) if rd.range_is_literal else ((s, rd.domain), (o, rd.range))
+        for term, class_id in induced:
+            if term.kind == "var":
+                if variable_class.setdefault(term.value, class_id) != class_id:
+                    return _v2a_failure(lf, kb)
+            elif (term.kind == "entity" and term.value in entities
+                    and class_id not in entities[term.value].classes):
+                return _v2a_failure(lf, kb)
+    return V2A_PASSED
+
+
+def _v2a_failure(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
+    """The failing V2a verdict of a query that has a conflict: it names the
+    first conflicting term and every constraint on it."""
     # (kind, value) of each entity and variable term -> its (source, class)
     # constraints; insertion order is first appearance in the patterns.  A
     # term of another kind gets a throwaway list.
@@ -142,7 +170,6 @@ def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
                 f"The assigned relation types by {_fmt_list(sources)} are {_fmt_list(classes)}. {why}"
             )
             return Verdict("V2a", STRONG, False, _kb_inconsistency(description))
-    return V2A_PASSED
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +177,30 @@ def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def v2b_schema_presence(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
-    """Fails iff the query references a class, relation or entity not in the KB."""
+    """Fails iff the query references a class, relation or entity not in the
+    KB.  One walk over the patterns and the aggregate path decides; only a
+    failing query is listed, to name what is missing."""
+    q = lf.canonical
+    relations, classes, entities = kb.relations, kb.classes, kb.entities
+    for s, p, o in q.patterns:
+        if p.kind == "relation":
+            if p.value not in relations:
+                return _v2b_failure(lf, kb)
+        elif p.kind == "type_assert" and o.value not in classes:
+            return _v2b_failure(lf, kb)
+        if (s.kind == "entity" and s.value not in entities
+                or o.kind == "entity" and o.value not in entities):
+            return _v2b_failure(lf, kb)
+    if q.aggregate is not None:
+        for rid in q.aggregate.path:
+            if rid not in relations:
+                return _v2b_failure(lf, kb)
+    return V2B_PASSED
+
+
+def _v2b_failure(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
+    """The failing V2b verdict: the missing relations, classes and entities,
+    each once in first-appearance order."""
     q = lf.canonical
     missing = {
         "relations": [rid for rid in extract_relations(q) if rid not in kb.relations],
@@ -158,8 +208,6 @@ def v2b_schema_presence(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
         "entities": [eid for eid in extract_entities(q) if eid not in kb.entities],
     }
     parts = [f"{what} {_fmt_list(ids)}" for what, ids in missing.items() if ids]
-    if not parts:
-        return V2B_PASSED
     description = (
         "The sparql hallucinates schema elements that do not exist in the KB: "
         + ", ".join(parts)

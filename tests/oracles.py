@@ -13,13 +13,16 @@ entity's relation paths by scanning every fact at each hop;
 ``chain_query`` is the query of one such path.
 ``reference_load_data`` reads a data file by ``kb.check`` alone, the route
 ``load_data``'s inline tests shortcut.  ``reference_tokenize`` is the
-tokenizer that spent one regex match on each whitespace run.
+tokenizer that spent one regex match on each whitespace run, and
+``reference_parse_sparql`` the SPARQL reader that built a kind-tagged token
+for each piece of text and read them through parser methods.
 ``render_sexpr`` writes a canonical query as an s-expression.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from dataclasses import dataclass
 
@@ -27,6 +30,9 @@ from kbqa_repair.executor import _NUMERIC, _compare, _values_equal
 from kbqa_repair.kb import Entity, Fact, FormatError, KnowledgeBase, check, read_jsonl
 from kbqa_repair.query import (
     _SEXPR_COMPARATORS,
+    _SPARQL_TOKENS,
+    TYPE_ASSERT,
+    TYPE_ASSERT_ID,
     Aggregate,
     CanonicalQuery,
     Filter,
@@ -36,6 +42,9 @@ from kbqa_repair.query import (
     Term,
     UnsupportedQuery,
     _render_literal,
+    _Tok,
+    _tokenize,
+    cls,
     entity,
     rel,
     var,
@@ -293,6 +302,161 @@ def reference_tokenize(regex: re.Pattern, text: str) -> list[ReferenceTok]:
             tokens.append(ReferenceTok(m.lastgroup, m.group(), pos))
         pos = m.end()
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# SPARQL reader reference
+# ---------------------------------------------------------------------------
+
+# The SPARQL token grammar with each kind a named group.
+SPARQL_TOKEN_RE = re.compile(
+    r"\s*(?:" + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _SPARQL_TOKENS) + ")"
+)
+
+
+class _ReferenceSparqlParser:
+    def __init__(self, text: str):
+        self.toks = _tokenize(SPARQL_TOKEN_RE, text) + [_Tok("eof", "", len(text))]
+        self.i = 0
+
+    def peek(self) -> _Tok:
+        return self.toks[self.i]
+
+    def next(self) -> _Tok:
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, message: str) -> None:
+        raise QuerySyntaxError(message, self.peek().pos)
+
+    def accept(self, want: str) -> bool:
+        """Consume the next token if it is the keyword (any case) or punctuation ``want``."""
+        tok = self.peek()
+        if tok.kind == "word" and tok.text.upper() == want or tok.kind == "punct" and tok.text == want:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, want: str) -> None:
+        if self.accept(want):
+            return
+        tok = self.peek()
+        shown = want if want.isalpha() else repr(want)
+        if tok.kind == "word":
+            self.fail(f"word {tok.text} not defined, expected {shown}")
+        self.fail(f"expected {shown}, found {tok.text or 'end of input'!r}")
+
+    def parse(self) -> CanonicalQuery:
+        self.expect("SELECT")
+        distinct = self.accept("DISTINCT")
+        aggregate = None
+        if self.accept("COUNT"):
+            self.expect("(")
+            distinct = self.accept("DISTINCT") or distinct
+            projection = self._variable()
+            self.expect(")")
+            aggregate = Aggregate("count")
+        else:
+            projection = self._variable()
+        self.accept("WHERE")
+        self.expect("{")
+        patterns: list[Pattern] = []
+        filters: list[Filter] = []
+        while not self.accept("}"):
+            if self.accept("."):
+                continue
+            tok = self.peek()
+            if tok.kind == "eof":
+                self.fail("unexpected end of input, expected '}'")
+            if self.accept("FILTER"):
+                filters.append(self._filter())
+            elif tok.kind == "word":
+                self.fail(f"word {tok.text} not defined")
+            else:
+                patterns.append(self._triple())
+        if self.peek().kind != "eof":
+            self.fail(f"unexpected trailing input {self.peek().text!r}")
+        query = CanonicalQuery(projection, distinct, tuple(patterns), tuple(filters), aggregate)
+        query.validate()
+        return query
+
+    def _variable(self) -> str:
+        tok = self.peek()
+        if tok.kind != "var":
+            self.fail(f"expected a variable, found {tok.text or 'end of input'!r}")
+        self.next()
+        return tok.text[1:]
+
+    def _triple(self) -> Pattern:
+        subject = self._node(position="subject")
+        predicate = self._predicate()
+        obj = self._node(position="object", typed=predicate.kind == "type_assert")
+        return (subject, predicate, obj)
+
+    def _predicate(self) -> Term:
+        tok = self.peek()
+        if tok.kind != "id":
+            self.fail(f"expected a relation id in predicate position, found {tok.text!r}")
+        self.next()
+        rid = tok.text[3:]
+        if rid == TYPE_ASSERT_ID:
+            return TYPE_ASSERT
+        return rel(rid)
+
+    def _node(self, position: str, typed: bool = False) -> Term:
+        tok = self.peek()
+        if tok.kind == "var":
+            self.next()
+            return var(tok.text[1:])
+        if tok.kind == "id":
+            self.next()
+            return cls(tok.text[3:]) if typed else entity(tok.text[3:])
+        literal = _reference_literal(tok) if position == "object" else None
+        if literal is not None:
+            self.next()
+            return Term("literal", literal)
+        article = "an" if position[0] in "aeiou" else "a"
+        self.fail(f"expected {article} {position} term, found {tok.text or 'end of input'!r}")
+
+    def _filter(self) -> Filter:
+        self.expect("(")
+        variable = self._variable()
+        tok = self.peek()
+        if tok.kind != "op":
+            self.fail(f"expected a comparator, found {tok.text!r}")
+        self.next()
+        op = tok.text
+        literal = _reference_literal(self.peek())
+        if literal is None:
+            self.fail(f"expected a literal in FILTER, found {self.peek().text!r}")
+        self.next()
+        self.expect(")")
+        return Filter(variable, op, literal)
+
+
+def _reference_literal(tok: _Tok) -> Literal | None:
+    """The literal a number, date or string token denotes; None for any other token."""
+    if tok.kind == "number":
+        try:
+            if "." in tok.text:
+                return Literal(float(tok.text), "float")
+            return Literal(int(tok.text), "integer")
+        except ValueError:  # past the int digit limit, or no float holds it
+            raise QuerySyntaxError("number out of range", tok.pos) from None
+    if tok.kind == "date":
+        return Literal(tok.text[1:11], "date")
+    if tok.kind == "string":
+        try:
+            return Literal(json.loads(tok.text), "string")
+        except json.JSONDecodeError as err:
+            raise QuerySyntaxError("bad escape or control character in a string", tok.pos) from err
+    return None
+
+
+def reference_parse_sparql(text: str) -> CanonicalQuery:
+    """Parse the supported SPARQL subset into a canonical query."""
+    return _ReferenceSparqlParser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,13 @@ from kbqa_repair.query import (
     render_sparql,
     var,
 )
-from oracles import reference_tokenize, render_sexpr, whitespace_token_regex
+from oracles import (
+    SPARQL_TOKEN_RE,
+    reference_parse_sparql,
+    reference_tokenize,
+    render_sexpr,
+    whitespace_token_regex,
+)
 from randgen import random_kb, random_query
 
 GENRE_SPARQL = (
@@ -276,6 +282,9 @@ PARSE_ERRORS = [
     ("sparql", "SELECT ?x WHERE { ?x ?p ?y }",
      "expected a relation id in predicate position, found '?p'"),
     ("sparql", "SELECT ?x WHERE { 5 ns:a.b ?y }", "expected a subject term, found '5'"),
+    ("sparql", "SELECT ?x WHERE { ?x ns:a.b }", "expected an object term, found '}'"),
+    ("sparql", "SELECT COUNT(?x WHERE { ?x ns:a.b ?y }", "word WHERE not defined, expected ')'"),
+    ("sparql", "SELECT ?x WHERE { ?x ns:a.b ?y . FILTER ?y > 3 }", "expected '(', found '?y'"),
     ("sparql", "SELECT ?x WHERE { ?x ns:a.b ?y . FILTER(?y ns:c 3) }",
      "expected a comparator, found 'ns:c'"),
     ("sparql", "SELECT ?x WHERE { ?x ns:a.b ?y . FILTER(?y > ?x) }",
@@ -391,19 +400,39 @@ def _scanner_input():
     return st.lists(piece, max_size=12).map("".join)
 
 
-def _scan(tokenize, regex, text):
+def _scan(tokenize, text):
     """The tokens, or the error's (message, position)."""
     try:
-        return [(tok.kind, tok.text, tok.pos) for tok in tokenize(regex, text)]
+        return tokenize(text)
     except QuerySyntaxError as err:
         return (err.message, err.position)
 
 
-@pytest.mark.parametrize("regex", [query._TOKEN_RE, query._SEXPR_TOKEN_RE], ids=["sparql", "sexpr"])
+def _kind_text_pos(tokens):
+    return [(tok.kind, tok.text, tok.pos) for tok in tokens]
+
+
+# Per dialect: the scanner, its token grammar with each kind a named group,
+# and what the scanner gives of a reference token.  The SPARQL scan gives
+# token texts only; the reader finds kinds from them, and positions only to
+# raise.
+_SCANNERS = {
+    "sparql": (query._sparql_tokens, SPARQL_TOKEN_RE, lambda tokens: [tok.text for tok in tokens]),
+    "sexpr": (
+        lambda text: _kind_text_pos(query._tokenize(query._SEXPR_TOKEN_RE, text)),
+        query._SEXPR_TOKEN_RE,
+        _kind_text_pos,
+    ),
+}
+
+
+@pytest.mark.parametrize("dialect", _SCANNERS)
 @given(text=_scanner_input())
-def test_tokenize_matches_the_whitespace_token_reference(regex, text):
-    expected = _scan(reference_tokenize, whitespace_token_regex(regex), text)
-    assert _scan(query._tokenize, regex, text) == expected
+def test_tokenize_matches_the_whitespace_token_reference(dialect, text):
+    scan, regex, shown = _SCANNERS[dialect]
+    reference = whitespace_token_regex(regex)
+    expected = _scan(lambda text: shown(reference_tokenize(reference, text)), text)
+    assert _scan(scan, text) == expected
 
 
 def test_unexpected_character_is_reported_after_whitespace():
@@ -413,6 +442,75 @@ def test_unexpected_character_is_reported_after_whitespace():
     assert err.value.message == "unexpected character '@'"
     assert err.value.position == text.index("@")
     assert LogicalForm.from_text("sparql", text).parse_error == "unexpected character '@'"
+
+
+# ---------------------------------------------------------------------------
+# The SPARQL reader against the token-object reader it replaced
+# ---------------------------------------------------------------------------
+
+def _gold_sparql():
+    """The SPARQL text of every paired fixture query, every gold query and
+    every scripted reply."""
+    texts = [pair["sparql"] for pair in json.loads((FIXTURES / "pairs/paired_dialects.json").read_text())]
+    for path in sorted(FIXTURES.glob("*/dataset*.jsonl")):
+        for line in path.read_text().splitlines():
+            gold = json.loads(line)["gold_lf"]
+            if gold != "NK" and gold["dialect"] == "sparql":
+                texts.append(gold["text"])
+    for path in sorted(FIXTURES.glob("*/mock*.json")):
+        texts += [rule["reply"] for rule in json.loads(path.read_text())]
+    return texts + [
+        GENRE_SPARQL,
+        'SELECT COUNT(DISTINCT ?x) WHERE { ?x ns:r.a "s" . ?x ns:r.b ?y . FILTER(?y >= -2.5) }',
+        'select distinct ?x where { ?x ns:r.d "2024-01-05"^^xsd:date . filter(?x != 7) }',
+    ]
+
+
+_GOLD_SPARQL = _gold_sparql()
+
+# Keywords in any case, ids, variables, literals good and bad, comparators,
+# punctuation, characters that start no token (one upper-cases to S) and
+# whitespace of every kind.
+_SPARQL_FRAGMENTS = (
+    "SELECT", "select", "Select", "DISTINCT", "distinct", "WHERE", "wHeRe", "FILTER", "filter",
+    "COUNT", "Count", "LIMIT", "ns:m.0auth", "ns:type.object.type", "ns:book.written_work", "ns:",
+    "ns", "?", "?x", "?y", "?x0", '"', '"a"', '"\\q"', '"\\u12"', '"a\nb"', '"unterminated',
+    '"2024-01-05"^^xsd:date', '"2024-01-05"^^date', "7", "-12", "3.25", "-", "9" * 400, "\u0663",
+    "<", "<=", ">=", "!=", "=", ">", "{", "}", "(", ")", ".", "\u017f", "\u017felect", "@",
+    " ", "\n", "\t", "\u00a0", "\u2003", "\u3000",
+)
+
+
+@st.composite
+def _mutated_sparql(draw):
+    """A gold query with one to three fragments inserted, deleted or
+    replaced, at positions drawn evenly over the text."""
+    text = draw(st.sampled_from(_GOLD_SPARQL))
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(rng.randint(1, 3)):
+        start = rng.randint(0, len(text))
+        end = rng.randint(start, min(len(text), start + 8))
+        edit = rng.choice(("insert", "delete", "replace"))
+        fragment = "" if edit == "delete" else rng.choice(_SPARQL_FRAGMENTS)
+        text = text[:start] + fragment + text[start if edit == "insert" else end:]
+    return text
+
+
+def _read(parse_text, text):
+    """The query's repr, pattern and filter order included, or the error's
+    (message, position)."""
+    try:
+        return repr(parse_text(text))
+    except QuerySyntaxError as err:
+        return (err.message, err.position)
+
+
+@settings(max_examples=1000)
+@given(text=st.one_of(st.sampled_from(_GOLD_SPARQL), _mutated_sparql()))
+@example(text=" ?x")  # a keyword's place taken by a token that is not a word
+@example(text="\u2003 SELECT ?x WHERE { ?x ns:a.b ?y } @")  # an error after leading whitespace
+def test_parse_sparql_matches_the_reference_reader(text):
+    assert _read(parse_sparql, text) == _read(reference_parse_sparql, text)
 
 
 _LITERAL_SHELLS = {

@@ -8,7 +8,8 @@ from kbqa_repair import verifiers
 from kbqa_repair.gateway import GatewayError, Matcher, MockGateway, RecordingGateway
 from kbqa_repair.kb import DeletionPlan, delete_elements
 from kbqa_repair.query import (
-    TYPE_ASSERT, LogicalForm, cls, entity, extract_entities, extract_relations, lit, rel, var,
+    TYPE_ASSERT, Aggregate, LogicalForm, cls, entity, extract_classes, extract_entities,
+    extract_relations, lit, rel, var,
 )
 from kbqa_repair.verifiers import (
     Verdict,
@@ -242,6 +243,44 @@ def test_v2b_feedback_lists_relations_then_types_then_entities_each_once(pairs_k
         "['geo.lake'], entities ['m.0nope']. Please generate again a different executable sparql "
         "using the same context and constraints. DO NOT APOLOGIZE - just return the best you can try."
     )
+
+
+def _v2b_listing(form: LogicalForm, kb) -> Verdict:
+    """V2b as it was written before it became one walk: list the query's
+    relations, classes and entities, then keep those the KB lacks.  The
+    oracle for ``v2b_schema_presence``."""
+    q = form.canonical
+    missing = {
+        "relations": [rid for rid in extract_relations(q) if rid not in kb.relations],
+        "entity types": [cid for cid in extract_classes(q) if cid not in kb.classes],
+        "entities": [eid for eid in extract_entities(q) if eid not in kb.entities],
+    }
+    parts = [f"{what} {_fmt_list(ids)}" for what, ids in missing.items() if ids]
+    if not parts:
+        return Verdict("V2b", "strong", True)
+    description = (
+        "The sparql hallucinates schema elements that do not exist in the KB: "
+        + ", ".join(parts)
+        + "."
+    )
+    return Verdict("V2b", "strong", False, _kb_inconsistency(description))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_v2b_matches_the_listing_oracle(seed):
+    """Queries with a ghost class, relation or entity among extra patterns,
+    and half the time a ghost relation in an argmax/argmin path."""
+    rng = random.Random(seed)
+    kb = random_kb(rng, max_entities=8)
+    for _ in range(10):
+        q = _with_extra_patterns(rng, kb, random_query(rng, kb))
+        if q.aggregate is not None and q.aggregate.path and rng.random() < 0.5:
+            path = list(q.aggregate.path)
+            path.insert(rng.randint(0, len(path)), "ghost.path")
+            q = replace(q, aggregate=Aggregate(q.aggregate.kind, tuple(path)))
+        form = LogicalForm("sparql", "synthetic", q)
+        assert v2b_schema_presence(form, kb) == _v2b_listing(form, kb)
 
 
 def test_v2b_containment_property_randomized():
