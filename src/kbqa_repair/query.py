@@ -4,6 +4,9 @@ Two surface dialects (a SPARQL subset and s-expressions) parse into one
 canonical form so that verification, execution and scoring never care which
 dialect a logical form arrived in.  A logical form may also be the ``NK``
 sentinel, meaning "no valid query exists for this KB".
+
+Both dialects are read alike: one scan gives each token's text, the reader
+tells a token's kind from that text, and positions are found only to raise.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import string
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 TYPE_ASSERT_ID = "type.object.type"
 
@@ -219,89 +222,35 @@ class LogicalForm:
 
 
 # ---------------------------------------------------------------------------
-# SPARQL subset
+# Token scan, shared by both dialects
 # ---------------------------------------------------------------------------
 
-# The SPARQL tokens by kind, in the order the scan tries them.  The reader
-# tells a token's kind from its text alone, as ``parse_sparql`` says.
-_SPARQL_TOKENS = (
-    ("date", r'"\d{4}-\d{2}-\d{2}"\^\^xsd:date'),
-    ("string", r'"(?:[^"\\]|\\.)*"'),
-    ("id", r"ns:[A-Za-z0-9_][A-Za-z0-9_.\-]*"),
-    ("var", r"\?[A-Za-z_][A-Za-z0-9_]*"),
-    ("number", r"-?\d+\.\d+|-?\d+"),
-    ("op", r"<=|>=|!=|=|<|>"),
-    ("punct", r"[{}().]"),
-    ("word", r"[A-Za-z_][A-Za-z0-9_.]*"),
-)
-
-# One match is a token and the whitespace before it, or a character that
-# starts no token, whose group does not take part: findall reads it as ''.
-_TOKEN_RE = re.compile(r"\s*(?:(" + "|".join(pattern for _, pattern in _SPARQL_TOKENS) + r")|\S)")
-
-_SPACE_RE = re.compile(r"\s*")
-
-_WORD_START = frozenset(string.ascii_letters + "_")
-_COMPARATORS = frozenset(dict(_SPARQL_TOKENS)["op"].split("|"))
+def _token_re(tokens: tuple[tuple[str, str], ...]) -> re.Pattern:
+    """The scan of (kind, pattern) pairs: a match is a token and the whitespace
+    before it, or a character that starts no token, which findall reads as ''."""
+    return re.compile(r"\s*(?:(" + "|".join(pattern for _, pattern in tokens) + r")|\S)")
 
 
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(regex: re.Pattern, text: str) -> list[_Tok]:
-    """Split text into the regex's named groups.
-
-    Each token pattern starts with ``\\s*``, so one match consumes a token
-    and the whitespace before it.  When no token matches, the scan has
-    reached the end of the text or an unexpected character after some
-    whitespace."""
-    tokens = []
-    match = regex.match
-    pos = 0
-    while (m := match(text, pos)) is not None:
-        kind = m.lastgroup
-        tokens.append(_Tok(kind, m[kind], m.start(kind)))
-        pos = m.end()
-    pos = _SPACE_RE.match(text, pos).end()
-    if pos < len(text):
-        raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
-    return tokens
-
-
-def _sparql_tokens(text: str) -> list[str]:
-    """The text of each SPARQL token in ``text``, in one scan."""
-    tokens = _TOKEN_RE.findall(text)
+def _scan(token_re: re.Pattern, text: str) -> list[str]:
+    """The text of each token in ``text``, in one scan."""
+    tokens = token_re.findall(text)
     if "" in tokens:
-        pos = next(m for m in _TOKEN_RE.finditer(text) if m[1] is None).end() - 1
+        pos = next(m for m in token_re.finditer(text) if m[1] is None).end() - 1
         raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
     return tokens
 
 
-def _fail_at(text: str, i: int, message: str) -> NoReturn:
-    """Raise ``message`` at token ``i`` of ``text``, or at its end when the
-    text has no token ``i``.  Positions are found again here, by the same
-    scan, since only an error needs them."""
-    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)]
+def _fail_at(token_re: re.Pattern, text: str, i: int, message: str) -> NoReturn:
+    """Raise ``message`` at token ``i`` of ``text``, or at its end if it has no
+    token ``i``: only an error needs positions, so the same scan finds them here."""
+    starts = [m.start(1) for m in token_re.finditer(text)]
     raise QuerySyntaxError(message, starts[i] if i < len(starts) else len(text))
 
 
-def _fail_expected(text: str, tokens: list[str], i: int, want: str) -> NoReturn:
-    """Raise the error for a missing keyword or punctuation ``want`` at token ``i``."""
-    tok = tokens[i]
-    shown = want if want.isalpha() else repr(want)
-    if tok[:1] in _WORD_START and tok[:3] != "ns:":
-        _fail_at(text, i, f"word {tok} not defined, expected {shown}")
-    _fail_at(text, i, f"expected {shown}, found {tok or 'end of input'!r}")
-
-
 def _literal(text: str) -> Literal | None:
-    """The literal a number, date or string token's text denotes (both
-    dialects); None for any other token.  A number that no literal holds and
-    a string that is not a JSON string raise a QuerySyntaxError whose
-    position the caller sets to the token's."""
+    """The literal a number, date or string token's text denotes; None for
+    any other token.  A number that no literal holds and a string that is not
+    a JSON string raise a QuerySyntaxError that the caller places at the token."""
     first = text[:1]
     if first == '"':
         if text[-1] != '"':  # "YYYY-MM-DD"^^xsd:date, or ^^date in an s-expression
@@ -320,6 +269,37 @@ def _literal(text: str) -> Literal | None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# SPARQL subset
+# ---------------------------------------------------------------------------
+
+# The SPARQL tokens by kind, in the order the scan tries them.  The reader
+# tells a token's kind from its text alone, as ``parse_sparql`` says.
+_SPARQL_TOKENS = (
+    ("date", r'"\d{4}-\d{2}-\d{2}"\^\^xsd:date'),
+    ("string", r'"(?:[^"\\]|\\.)*"'),
+    ("id", r"ns:[A-Za-z0-9_][A-Za-z0-9_.\-]*"),
+    ("var", r"\?[A-Za-z_][A-Za-z0-9_]*"),
+    ("number", r"-?\d+\.\d+|-?\d+"),
+    ("op", r"<=|>=|!=|=|<|>"),
+    ("punct", r"[{}().]"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_.]*"),
+)
+_SPARQL_RE = _token_re(_SPARQL_TOKENS)
+
+_WORD_START = frozenset(string.ascii_letters + "_")
+_COMPARATORS = frozenset(dict(_SPARQL_TOKENS)["op"].split("|"))
+
+
+def _fail_expected(text: str, tokens: list[str], i: int, want: str) -> NoReturn:
+    """Raise the error for a missing keyword or punctuation ``want`` at token ``i``."""
+    tok = tokens[i]
+    shown = want if want.isalpha() else repr(want)
+    if tok[:1] in _WORD_START and tok[:3] != "ns:":
+        _fail_at(_SPARQL_RE, text, i, f"word {tok} not defined, expected {shown}")
+    _fail_at(_SPARQL_RE, text, i, f"expected {shown}, found {tok or 'end of input'!r}")
+
+
 def parse_sparql(text: str) -> CanonicalQuery:
     """Parse the supported SPARQL subset into a canonical query.
 
@@ -329,7 +309,7 @@ def parse_sparql(text: str) -> CanonicalQuery:
     themselves, and anything else is a word, which is a keyword in any case.
     A token's position is worked out only to raise at it.
     """
-    toks = _sparql_tokens(text)
+    toks = _scan(_SPARQL_RE, text)
     toks.append("")  # the end of input, the one '' in the list
     tok = toks[0]
     if not (tok[:1] in _WORD_START and tok.upper() == "SELECT"):
@@ -350,7 +330,7 @@ def parse_sparql(text: str) -> CanonicalQuery:
         aggregate = Aggregate("count")
     tok = toks[i]
     if tok[:1] != "?":
-        _fail_at(text, i, f"expected a variable, found {tok or 'end of input'!r}")
+        _fail_at(_SPARQL_RE, text, i, f"expected a variable, found {tok or 'end of input'!r}")
     projection = tok[1:]
     i += 1
     if aggregate is not None:
@@ -372,7 +352,7 @@ def parse_sparql(text: str) -> CanonicalQuery:
             subject = Term("var", tok[1:]) if first == "?" else Term("entity", tok[3:])
             tok = toks[i + 1]
             if tok[:3] != "ns:":
-                _fail_at(text, i + 1, f"expected a relation id in predicate position, found {tok!r}")
+                _fail_at(_SPARQL_RE, text, i + 1, f"expected a relation id in predicate position, found {tok!r}")
             rid = tok[3:]
             typed = rid == TYPE_ASSERT_ID
             predicate = TYPE_ASSERT if typed else Term("relation", rid)
@@ -386,9 +366,9 @@ def parse_sparql(text: str) -> CanonicalQuery:
                 try:
                     literal = _literal(tok)
                 except QuerySyntaxError as err:
-                    _fail_at(text, i, err.message)
+                    _fail_at(_SPARQL_RE, text, i, err.message)
                 if literal is None:
-                    _fail_at(text, i, f"expected an object term, found {tok or 'end of input'!r}")
+                    _fail_at(_SPARQL_RE, text, i, f"expected an object term, found {tok or 'end of input'!r}")
                 obj = Term("literal", literal)
             patterns.append((subject, predicate, obj))
             i += 1
@@ -398,36 +378,36 @@ def parse_sparql(text: str) -> CanonicalQuery:
             i += 1
         elif first in _WORD_START:
             if tok.upper() != "FILTER":
-                _fail_at(text, i, f"word {tok} not defined")
+                _fail_at(_SPARQL_RE, text, i, f"word {tok} not defined")
             if toks[i + 1] != "(":
                 _fail_expected(text, toks, i + 1, "(")
             i += 2
             tok = toks[i]
             if tok[:1] != "?":
-                _fail_at(text, i, f"expected a variable, found {tok or 'end of input'!r}")
+                _fail_at(_SPARQL_RE, text, i, f"expected a variable, found {tok or 'end of input'!r}")
             variable = tok[1:]
             op = toks[i + 1]
             if op not in _COMPARATORS:
-                _fail_at(text, i + 1, f"expected a comparator, found {op!r}")
+                _fail_at(_SPARQL_RE, text, i + 1, f"expected a comparator, found {op!r}")
             i += 2
             tok = toks[i]
             try:
                 literal = _literal(tok)
             except QuerySyntaxError as err:
-                _fail_at(text, i, err.message)
+                _fail_at(_SPARQL_RE, text, i, err.message)
             if literal is None:
-                _fail_at(text, i, f"expected a literal in FILTER, found {tok!r}")
+                _fail_at(_SPARQL_RE, text, i, f"expected a literal in FILTER, found {tok!r}")
             if toks[i + 1] != ")":
                 _fail_expected(text, toks, i + 1, ")")
             filters.append(Filter(variable, op, literal))
             i += 2
         elif not tok:
-            _fail_at(text, i, "unexpected end of input, expected '}'")
+            _fail_at(_SPARQL_RE, text, i, "unexpected end of input, expected '}'")
         else:
-            _fail_at(text, i, f"expected a subject term, found {tok!r}")
+            _fail_at(_SPARQL_RE, text, i, f"expected a subject term, found {tok!r}")
     i += 1
     if toks[i]:
-        _fail_at(text, i, f"unexpected trailing input {toks[i]!r}")
+        _fail_at(_SPARQL_RE, text, i, f"unexpected trailing input {toks[i]!r}")
     query = CanonicalQuery(projection, distinct, tuple(patterns), tuple(filters), aggregate)
     query.validate()
     return query
@@ -477,48 +457,44 @@ def _render_literal(literal: Literal) -> str:
 # S-expressions
 # ---------------------------------------------------------------------------
 
-_SEXPR_TOKEN_RE = re.compile(
-    r"""
-    \s*(?:
-    (?P<open>\()
-  | (?P<close>\))
-  | (?P<date>"(\d{4}-\d{2}-\d{2})"\^\^date)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>-?\d+\.\d+|-?\d+)
-  | (?P<symbol>[A-Za-z0-9_][A-Za-z0-9_.\-]*)
-    )
-    """,
-    re.VERBOSE,
+# The s-expression tokens by kind, in the order the scan tries them.  The
+# reader tells a token's kind from its text alone, as ``parse_sexpr`` says.
+_SEXPR_TOKENS = (
+    ("open", r"\("),
+    ("close", r"\)"),
+    ("date", r'"\d{4}-\d{2}-\d{2}"\^\^date'),
+    ("string", r'"(?:[^"\\]|\\.)*"'),
+    ("number", r"-?\d+\.\d+|-?\d+"),
+    ("symbol", r"[A-Za-z0-9_][A-Za-z0-9_.\-]*"),
 )
-
+_SEXPR_RE = _token_re(_SEXPR_TOKENS)
 
 # Parentheses an s-expression may nest, so the text alone decides whether it
 # parses, not the caller's stack depth; this bounds the lowerer's recursion too.
 _MAX_DEPTH = 100
 
 
-def _read_sexpr(tokens: list[_Tok], i: int, depth: int) -> tuple[object, int]:
+def _read_sexpr(text: str, tokens: list[str], i: int, depth: int) -> tuple[object, int]:
+    """The node at token ``i`` and the index after it; ``tokens`` end with ''."""
     tok = tokens[i]
-    if tok.kind == "open":
+    if tok == "(":
         if depth == _MAX_DEPTH:
-            raise QuerySyntaxError("expression nested too deeply", tok.pos)
+            _fail_at(_SEXPR_RE, text, i, "expression nested too deeply")
         items = []
-        i += 1
-        while True:
-            if i >= len(tokens):
-                raise QuerySyntaxError("unexpected end of input, unbalanced parentheses", tok.pos)
-            if tokens[i].kind == "close":
-                return items, i + 1
-            item, i = _read_sexpr(tokens, i, depth + 1)
+        j = i + 1
+        while (tok := tokens[j]) != ")":
+            if not tok:
+                _fail_at(_SEXPR_RE, text, i, "unexpected end of input, unbalanced parentheses")
+            item, j = _read_sexpr(text, tokens, j, depth + 1)
             items.append(item)
-    if tok.kind == "close":
-        raise QuerySyntaxError("unexpected ')'", tok.pos)
+        return items, j + 1
+    if tok == ")":
+        _fail_at(_SEXPR_RE, text, i, "unexpected ')'")
     try:
-        literal = _literal(tok.text)
+        literal = _literal(tok)
     except QuerySyntaxError as err:
-        err.position = tok.pos
-        raise
-    return (tok.text if literal is None else literal), i + 1
+        _fail_at(_SEXPR_RE, text, i, err.message)
+    return (tok if literal is None else literal), i + 1
 
 
 def _is_set(node: object) -> bool:
@@ -607,14 +583,16 @@ def parse_sexpr(text: str) -> CanonicalQuery:
     """Parse an s-expression and lower it to a canonical query.
 
     Supported functions: AND, JOIN, R, COUNT, ARGMAX, ARGMIN and the
-    comparators lt/le/gt/ge.  Anything else is a syntax error.
+    comparators lt/le/gt/ge.  Anything else is a syntax error.  Tokens are
+    read as in ``parse_sparql``: ``(`` and ``)`` are themselves, ``"`` starts a
+    string or a date, a digit or ``-`` a number, and anything else a symbol.
     """
-    tokens = _tokenize(_SEXPR_TOKEN_RE, text)
-    if not tokens:
+    tokens = _scan(_SEXPR_RE, text) + [""]  # '' is the end of input
+    if not tokens[0]:
         raise QuerySyntaxError("empty input")
-    tree, i = _read_sexpr(tokens, 0, 0)
-    if i != len(tokens):
-        raise QuerySyntaxError("unexpected trailing input", tokens[i].pos)
+    tree, i = _read_sexpr(text, tokens, 0, 0)
+    if tokens[i]:
+        _fail_at(_SEXPR_RE, text, i, "unexpected trailing input")
 
     aggregate = None
     if isinstance(tree, list) and tree and tree[0] == "COUNT":

@@ -61,14 +61,6 @@ class RetrievalContext:
     paths: tuple[str, ...] = ()  # SPARQL text
     linked_entities: tuple[tuple[str, str], ...] = ()  # (mention, entity id)
 
-    def capped(self, caps: RetrievalCaps) -> "RetrievalContext":
-        return RetrievalContext(
-            self.classes[: caps.max_classes],
-            self.relations[: caps.max_relations],
-            self.paths[: caps.max_paths],
-            self.linked_entities,
-        )
-
 
 _WORD = re.compile(r"[a-z0-9]+")
 _NON_WORD = re.compile(r"[^a-z0-9]+")

@@ -13,9 +13,14 @@ entity's relation paths by scanning every fact at each hop;
 ``chain_query`` is the query of one such path.
 ``reference_load_data`` reads a data file by ``kb.check`` alone, the route
 ``load_data``'s inline tests shortcut.  ``reference_tokenize`` is the
-tokenizer that spent one regex match on each whitespace run, and
-``reference_parse_sparql`` the SPARQL reader that built a kind-tagged token
-for each piece of text and read them through parser methods.
+tokenizer that spent one regex match on each whitespace run and tagged each
+token with its kind (a named group of ``SPARQL_TOKEN_RE`` or
+``SEXPR_TOKEN_RE``, built from the package's grammars) and position.  The two
+reference readers read those tokens by kind, a literal too:
+``reference_parse_sparql`` is the SPARQL reader that read them through parser
+methods, and ``reference_parse_sexpr`` the s-expression reader that read them
+into a tree, raising at a token's position as it found each error, and
+lowered the tree through the package's lowerer.
 ``render_sexpr`` writes a canonical query as an s-expression.
 """
 
@@ -29,7 +34,9 @@ from dataclasses import dataclass
 from kbqa_repair.executor import _NUMERIC, _compare, _values_equal
 from kbqa_repair.kb import Entity, Fact, FormatError, KnowledgeBase, check, read_jsonl
 from kbqa_repair.query import (
+    _MAX_DEPTH,
     _SEXPR_COMPARATORS,
+    _SEXPR_TOKENS,
     _SPARQL_TOKENS,
     TYPE_ASSERT,
     TYPE_ASSERT_ID,
@@ -41,9 +48,10 @@ from kbqa_repair.query import (
     QuerySyntaxError,
     Term,
     UnsupportedQuery,
+    _canonicalize_variables,
+    _is_set,
     _render_literal,
-    _Tok,
-    _tokenize,
+    _SexprLowerer,
     cls,
     entity,
     rel,
@@ -304,25 +312,30 @@ def reference_tokenize(regex: re.Pattern, text: str) -> list[ReferenceTok]:
     return tokens
 
 
+def _named_token_re(tokens: tuple[tuple[str, str], ...]) -> re.Pattern:
+    """A token grammar's regex with each kind a named group."""
+    return re.compile(r"\s*(?:" + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in tokens) + ")")
+
+
+SPARQL_TOKEN_RE = _named_token_re(_SPARQL_TOKENS)
+SEXPR_TOKEN_RE = _named_token_re(_SEXPR_TOKENS)
+_SPARQL_WS_RE = whitespace_token_regex(SPARQL_TOKEN_RE)
+_SEXPR_WS_RE = whitespace_token_regex(SEXPR_TOKEN_RE)
+
+
 # ---------------------------------------------------------------------------
 # SPARQL reader reference
 # ---------------------------------------------------------------------------
 
-# The SPARQL token grammar with each kind a named group.
-SPARQL_TOKEN_RE = re.compile(
-    r"\s*(?:" + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _SPARQL_TOKENS) + ")"
-)
-
-
 class _ReferenceSparqlParser:
     def __init__(self, text: str):
-        self.toks = _tokenize(SPARQL_TOKEN_RE, text) + [_Tok("eof", "", len(text))]
+        self.toks = reference_tokenize(_SPARQL_WS_RE, text) + [ReferenceTok("eof", "", len(text))]
         self.i = 0
 
-    def peek(self) -> _Tok:
+    def peek(self) -> ReferenceTok:
         return self.toks[self.i]
 
-    def next(self) -> _Tok:
+    def next(self) -> ReferenceTok:
         tok = self.toks[self.i]
         self.i += 1
         return tok
@@ -435,7 +448,7 @@ class _ReferenceSparqlParser:
         return Filter(variable, op, literal)
 
 
-def _reference_literal(tok: _Tok) -> Literal | None:
+def _reference_literal(tok: ReferenceTok) -> Literal | None:
     """The literal a number, date or string token denotes; None for any other token."""
     if tok.kind == "number":
         try:
@@ -457,6 +470,67 @@ def _reference_literal(tok: _Tok) -> Literal | None:
 def reference_parse_sparql(text: str) -> CanonicalQuery:
     """Parse the supported SPARQL subset into a canonical query."""
     return _ReferenceSparqlParser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# S-expression reader reference
+# ---------------------------------------------------------------------------
+
+def _reference_read_sexpr(tokens: list[ReferenceTok], i: int, depth: int) -> tuple[object, int]:
+    tok = tokens[i]
+    if tok.kind == "open":
+        if depth == _MAX_DEPTH:
+            raise QuerySyntaxError("expression nested too deeply", tok.pos)
+        items = []
+        i += 1
+        while True:
+            if i >= len(tokens):
+                raise QuerySyntaxError("unexpected end of input, unbalanced parentheses", tok.pos)
+            if tokens[i].kind == "close":
+                return items, i + 1
+            item, i = _reference_read_sexpr(tokens, i, depth + 1)
+            items.append(item)
+    if tok.kind == "close":
+        raise QuerySyntaxError("unexpected ')'", tok.pos)
+    literal = _reference_literal(tok)
+    return (tok.text if literal is None else literal), i + 1
+
+
+def reference_parse_sexpr(text: str) -> CanonicalQuery:
+    """Parse an s-expression and lower it to a canonical query."""
+    tokens = reference_tokenize(_SEXPR_WS_RE, text)
+    if not tokens:
+        raise QuerySyntaxError("empty input")
+    tree, i = _reference_read_sexpr(tokens, 0, 0)
+    if i != len(tokens):
+        raise QuerySyntaxError("unexpected trailing input", tokens[i].pos)
+
+    aggregate = None
+    if isinstance(tree, list) and tree and tree[0] == "COUNT":
+        if len(tree) != 2:
+            raise QuerySyntaxError("COUNT takes one argument")
+        aggregate = Aggregate("count")
+        tree = tree[1]
+    elif isinstance(tree, list) and tree and tree[0] in ("ARGMAX", "ARGMIN"):
+        if len(tree) < 3:
+            raise QuerySyntaxError(f"{tree[0]} takes an expression and a relation path")
+        path = tree[2:]
+        if not all(isinstance(p, str) for p in path):
+            raise QuerySyntaxError("aggregate relation path must be relation ids")
+        aggregate = Aggregate(tree[0].lower(), tuple(path))
+        tree = tree[1]
+
+    if not _is_set(tree):
+        raise QuerySyntaxError("top-level expression must be set-valued")
+    lowerer = _SexprLowerer()
+    out = lowerer.fresh()
+    lowerer.bind(tree, out)
+    query = CanonicalQuery(
+        out.value, True, tuple(lowerer.patterns), tuple(lowerer.filters), aggregate
+    )
+    query = _canonicalize_variables(query)
+    query.validate()
+    return query
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ from kbqa_repair.query import (
     var,
 )
 from oracles import (
+    SEXPR_TOKEN_RE,
     SPARQL_TOKEN_RE,
+    reference_parse_sexpr,
     reference_parse_sparql,
     reference_tokenize,
     render_sexpr,
@@ -408,31 +410,22 @@ def _scan(tokenize, text):
         return (err.message, err.position)
 
 
-def _kind_text_pos(tokens):
-    return [(tok.kind, tok.text, tok.pos) for tok in tokens]
-
-
-# Per dialect: the scanner, its token grammar with each kind a named group,
-# and what the scanner gives of a reference token.  The SPARQL scan gives
-# token texts only; the reader finds kinds from them, and positions only to
-# raise.
+# Per dialect: the scan regex, and its token grammar with each kind a named
+# group.  The scan gives token texts only; the readers find kinds from them,
+# and positions only to raise.
 _SCANNERS = {
-    "sparql": (query._sparql_tokens, SPARQL_TOKEN_RE, lambda tokens: [tok.text for tok in tokens]),
-    "sexpr": (
-        lambda text: _kind_text_pos(query._tokenize(query._SEXPR_TOKEN_RE, text)),
-        query._SEXPR_TOKEN_RE,
-        _kind_text_pos,
-    ),
+    "sparql": (query._SPARQL_RE, SPARQL_TOKEN_RE),
+    "sexpr": (query._SEXPR_RE, SEXPR_TOKEN_RE),
 }
 
 
 @pytest.mark.parametrize("dialect", _SCANNERS)
 @given(text=_scanner_input())
 def test_tokenize_matches_the_whitespace_token_reference(dialect, text):
-    scan, regex, shown = _SCANNERS[dialect]
+    token_re, regex = _SCANNERS[dialect]
     reference = whitespace_token_regex(regex)
-    expected = _scan(lambda text: shown(reference_tokenize(reference, text)), text)
-    assert _scan(scan, text) == expected
+    expected = _scan(lambda text: [tok.text for tok in reference_tokenize(reference, text)], text)
+    assert _scan(lambda text: query._scan(token_re, text), text) == expected
 
 
 def test_unexpected_character_is_reported_after_whitespace():
@@ -481,19 +474,23 @@ _SPARQL_FRAGMENTS = (
 )
 
 
-@st.composite
-def _mutated_sparql(draw):
-    """A gold query with one to three fragments inserted, deleted or
+def _mutate(rng, text, fragments):
+    """``text`` with one to three of ``fragments`` inserted, deleted or
     replaced, at positions drawn evenly over the text."""
-    text = draw(st.sampled_from(_GOLD_SPARQL))
-    rng = draw(st.randoms(use_true_random=False))
     for _ in range(rng.randint(1, 3)):
         start = rng.randint(0, len(text))
         end = rng.randint(start, min(len(text), start + 8))
         edit = rng.choice(("insert", "delete", "replace"))
-        fragment = "" if edit == "delete" else rng.choice(_SPARQL_FRAGMENTS)
+        fragment = "" if edit == "delete" else rng.choice(fragments)
         text = text[:start] + fragment + text[start if edit == "insert" else end:]
     return text
+
+
+@st.composite
+def _mutated_sparql(draw):
+    """A gold query, mutated by ``_mutate``."""
+    text = draw(st.sampled_from(_GOLD_SPARQL))
+    return _mutate(draw(st.randoms(use_true_random=False)), text, _SPARQL_FRAGMENTS)
 
 
 def _read(parse_text, text):
@@ -633,12 +630,12 @@ class _BottomUpLowerer:
 
 
 def _bottom_up_parse_sexpr(text):
-    tokens = query._tokenize(query._SEXPR_TOKEN_RE, text)
-    if not tokens:
+    tokens = query._scan(query._SEXPR_RE, text) + [""]
+    if not tokens[0]:
         raise QuerySyntaxError("empty input")
-    tree, i = query._read_sexpr(tokens, 0, 0)
-    if i != len(tokens):
-        raise QuerySyntaxError("unexpected trailing input", tokens[i].pos)
+    tree, i = query._read_sexpr(text, tokens, 0, 0)
+    if tokens[i]:
+        query._fail_at(query._SEXPR_RE, text, i, "unexpected trailing input")
     aggregate = None
     if isinstance(tree, list) and tree and tree[0] == "COUNT":
         if len(tree) != 2:
@@ -711,3 +708,37 @@ def _lowered(parse_sexpr_text, text):
 def test_sexpr_lowering_matches_the_bottom_up_lowerer(tree):
     text = _sexpr_text(tree)
     assert _lowered(parse_sexpr, text) == _lowered(_bottom_up_parse_sexpr, text)
+
+
+# ---------------------------------------------------------------------------
+# The s-expression reader against the kind-tagged token reader it replaced
+# ---------------------------------------------------------------------------
+
+_PAIRED_SEXPR = [pair["sexpr"] for pair in json.loads((FIXTURES / "pairs/paired_dialects.json").read_text())]
+
+# Parentheses, symbols, a sign and a dot that start no symbol, characters
+# that start no token, literals good and bad (a number past the int digit
+# limit, bad string escapes, a date with either tag) and whitespace of every
+# kind.
+_SEXPR_FRAGMENTS = (
+    "(", ")", "()", "JOIN", "AND", "R", "COUNT", "ARGMAX", "lt", "FOO", "m.x", "g.y-z", "geo.city",
+    "_a", "5x", "-", ".", "@", "\u00e9", "9" * 400, "-2", "2.5", "1.", '"', '"s"', '"\\q"',
+    '"\\u12"', '"a\nb"', '"unterminated', '"2024-01-05"^^date', '"2024-01-05"^^xsd:date',
+    " ", "\n", "\t", "\u00a0", "\u2003", "\u3000",
+)
+
+
+@st.composite
+def _mutated_sexpr(draw):
+    """A paired fixture s-expression or a drawn tree's text, mutated by ``_mutate``."""
+    text = draw(st.one_of(st.sampled_from(_PAIRED_SEXPR), _SEXPR_TREES.map(_sexpr_text)))
+    return _mutate(draw(st.randoms(use_true_random=False)), text, _SEXPR_FRAGMENTS)
+
+
+@settings(max_examples=300)
+@given(text=st.one_of(st.sampled_from(_PAIRED_SEXPR), _mutated_sexpr()))
+@example(text="(JOIN r m.x")  # unbalanced, reported at the opening parenthesis
+@example(text="(" * 101 + ")" * 101)  # nested too deeply
+@example(text="\u2003 (JOIN r m.x)  m.y")  # an error after leading whitespace
+def test_parse_sexpr_matches_the_reference_reader(text):
+    assert _read(parse_sexpr, text) == _read(reference_parse_sexpr, text)

@@ -266,7 +266,9 @@ def _oracle_retrieve(kb, question, linked_entities, caps=RetrievalCaps()):
             scored_paths.append((-score, rels, path))
     scored_paths.sort(key=lambda item: (item[0], item[1]))
     paths = tuple(path for _, _, path in scored_paths)
-    return RetrievalContext(classes, relations, paths, linked).capped(caps)
+    return RetrievalContext(
+        classes[: caps.max_classes], relations[: caps.max_relations], paths[: caps.max_paths], linked
+    )
 
 
 CAPS = (
