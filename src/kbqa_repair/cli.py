@@ -172,9 +172,7 @@ def cmd_run(args) -> int:
         "workers": args.workers,
         "config": args.config,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    kbmod.write_text(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     started, failures = time.time(), 0
     outcomes = pipeline.iter_outcomes(
         gateway, kb, [retrieve_lexical], split, cfg, tuple(fewshots), workers=args.workers
@@ -187,10 +185,8 @@ def cmd_run(args) -> int:
             if outcome.error:
                 failures += 1
                 print(f"question {index}: {outcome.error}", file=sys.stderr)
-    elapsed = time.time() - started
-    with open(out / "log.txt", "w", encoding="utf-8") as handle:
-        handle.write(f"started: {time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime(started))}Z\n")
-        handle.write(f"elapsed_seconds: {elapsed:.3f}\n")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started))
+    kbmod.write_text(out / "log.txt", f"started: {stamp}\nelapsed_seconds: {time.time() - started:.3f}\n")
 
     print(f"wrote {out}: {len(split.examples)} outcomes, {failures} failed")
     return 1 if failures else 0

@@ -48,6 +48,7 @@ import contextlib
 import gc
 import itertools
 import json
+import os
 import re
 from dataclasses import dataclass
 
@@ -359,26 +360,53 @@ def read_jsonl(path: str):
             yield lineno, record
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: the one writer of a
+    whole file.  It writes UTF-8 with no newline translation, a lone
+    surrogate as its escape (``\\ud800``), to ``<path>.tmp``, and then moves
+    that over ``path``; if anything raises, the ``.tmp`` goes and ``path`` is
+    as it was.  The move replaces ``path``: the file gets a new inode and
+    default permissions, and a symlink at ``path`` is replaced, not followed."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", errors="backslashreplace", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _jsonl(records) -> str:
+    """Each record as one line of JSON, in order."""
+    return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+
+
+def write_jsonl(path: str, records) -> None:
+    """Write ``records`` to ``path`` as JSON Lines, whole or not at all."""
+    write_text(path, _jsonl(records))
+
+
 @contextlib.contextmanager
 def jsonl_writer(path: str):
-    """Open ``path`` for JSON Lines and yield ``write(records)``, which writes
-    each record as one line of JSON, in order, and flushes.  A lone surrogate,
-    which UTF-8 cannot encode, is written as its JSON escape (``\\ud800``)."""
+    """Open ``path`` for JSON Lines, in place, and yield ``write(records)``,
+    which writes each record as one line of JSON, in order, and flushes: the
+    one streamed writer, for a file whose lines must be there before it
+    ends.  A lone surrogate is written as its JSON escape, as ``write_text``
+    writes it."""
     with open(path, "w", encoding="utf-8", errors="backslashreplace") as handle:
         def write(records) -> None:
-            for record in records:
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(_jsonl(records))
             handle.flush()
 
         yield write
 
 
 def write_json(path: str, doc) -> None:
-    """Write ``doc`` to ``path`` as JSON indented by 2, then a newline; a lone
-    surrogate is written as its JSON escape, as ``jsonl_writer`` writes it."""
-    with open(path, "w", encoding="utf-8", errors="backslashreplace") as handle:
-        json.dump(doc, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+    """Write ``doc`` to ``path`` as JSON indented by 2, then a newline, through
+    ``write_text``."""
+    write_text(path, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
 
 
 def load_schema(path: str) -> tuple[list[SchemaClass], list[RelationDef]]:
@@ -502,8 +530,7 @@ def save_kb(kb: KnowledgeBase, schema_path: str, data_path: str) -> None:
     write_json(schema_path, doc)
     entities = ({"id": e.id, "label": e.label, "classes": sorted(e.classes)}
                 for e in kb.entities.values())
-    with jsonl_writer(data_path) as write:
-        write(itertools.chain(entities, map(_fact_to_json, kb.facts)))
+    write_jsonl(data_path, itertools.chain(entities, map(_fact_to_json, kb.facts)))
 
 
 def _fact_to_json(fact: Fact) -> dict:

@@ -11,12 +11,13 @@ when that answer is non-empty.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict, dataclass
 
 from .dataset import CATEGORIES, LABELS, QAExample
 from .executor import execute
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, write_text
 from .query import LogicalForm, extract_entities, extract_relations
 
 
@@ -167,14 +168,14 @@ def render_table(report: Report) -> str:
 
 
 def save_report(report: Report, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(asdict(report), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_text(path, json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
 
 
 def save_records_csv(records: list[EvaluationRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "label", "category", "em_s", "f1_r", "f1_l"])
-        for r in records:
-            writer.writerow([r.index, r.label, r.category, r.em_s, f"{r.f1_r:.6f}", f"{r.f1_l:.6f}"])
+    """One CSV row per record, with CRLF line ends and six-decimal scores."""
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["index", "label", "category", "em_s", "f1_r", "f1_l"])
+    for r in records:
+        writer.writerow([r.index, r.label, r.category, r.em_s, f"{r.f1_r:.6f}", f"{r.f1_l:.6f}"])
+    write_text(path, rows.getvalue())

@@ -11,6 +11,7 @@ tells a token's kind from that text, and positions are found only to raise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import string
@@ -227,24 +228,31 @@ class LogicalForm:
 
 def _token_re(tokens: tuple[tuple[str, str], ...]) -> re.Pattern:
     """The scan of (kind, pattern) pairs: a match is a token and the whitespace
-    before it, or a character that starts no token, which findall reads as ''."""
-    return re.compile(r"\s*(?:(" + "|".join(pattern for _, pattern in tokens) + r")|\S)")
+    before it, or, from a character that starts no token, the rest of the
+    text, which findall reads as '' and which ends the scan."""
+    return re.compile(r"\s*(?:(" + "|".join(pattern for _, pattern in tokens) + r")|\S[\s\S]*)")
 
 
 def _scan(token_re: re.Pattern, text: str) -> list[str]:
-    """The text of each token in ``text``, in one scan."""
+    """The text of each token in ``text``, in one scan.  The scan reads the
+    text without its trailing whitespace, so no match is tried at each place
+    of a final run of it, and a character that starts no token ends it, so
+    no token is tried again from each place after it: the scan is linear."""
+    text = text.rstrip()
     tokens = token_re.findall(text)
-    if "" in tokens:
-        pos = next(m for m in token_re.finditer(text) if m[1] is None).end() - 1
+    if tokens and not tokens[-1]:
+        *_, rest = token_re.finditer(text)
+        pos = rest.end() - len(rest[0].lstrip())
         raise QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
     return tokens
 
 
 def _fail_at(token_re: re.Pattern, text: str, i: int, message: str) -> NoReturn:
     """Raise ``message`` at token ``i`` of ``text``, or at its end if it has no
-    token ``i``: only an error needs positions, so the same scan finds them here."""
-    starts = [m.start(1) for m in token_re.finditer(text)]
-    raise QuerySyntaxError(message, starts[i] if i < len(starts) else len(text))
+    token ``i``: only an error needs positions, so the same scan finds them
+    here, and it stops at token ``i``."""
+    match = next(itertools.islice(token_re.finditer(text.rstrip()), i, None), None)
+    raise QuerySyntaxError(message, len(text) if match is None else match.start(1))
 
 
 def _literal(text: str) -> Literal | None:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -435,6 +436,44 @@ def test_unexpected_character_is_reported_after_whitespace():
     assert err.value.message == "unexpected character '@'"
     assert err.value.position == text.index("@")
     assert LogicalForm.from_text("sparql", text).parse_error == "unexpected character '@'"
+
+
+_MIB = 1 << 20
+_VALID = {"sparql": "SELECT ?x WHERE { ns:m.0a ns:r ?x }", "sexpr": "(JOIN r m.0a)"}
+
+# Per shape and dialect, 1 MiB of text and what the reader makes of it: the
+# error's (message, position), or None for a parse.  A string that opens and
+# fails again and again, and a run of whitespace at the end, each once took
+# quadratic work; deep nesting is tried too.
+_LONG_INPUTS = {
+    "quote-backslash pairs": lambda dialect: '"\\' * (_MIB // 2),
+    "whitespace only": lambda dialect: " \n" * (_MIB // 2),
+    "a valid query then whitespace": lambda dialect: _VALID[dialect] + " " * _MIB,
+    "open parentheses": lambda dialect: "(" * _MIB,
+}
+_LONG_RESULTS = {
+    ("quote-backslash pairs", "sparql"): ("unexpected character '\"'", 0),
+    ("quote-backslash pairs", "sexpr"): ("unexpected character '\"'", 0),
+    ("whitespace only", "sparql"): ("expected SELECT, found 'end of input'", _MIB),
+    ("whitespace only", "sexpr"): ("empty input", 0),
+    ("a valid query then whitespace", "sparql"): None,
+    ("a valid query then whitespace", "sexpr"): None,
+    ("open parentheses", "sparql"): ("expected SELECT, found '('", 0),
+    ("open parentheses", "sexpr"): ("expression nested too deeply", 100),
+}
+
+
+@pytest.mark.parametrize("shape, dialect", _LONG_RESULTS)
+def test_a_mebibyte_input_is_read_in_linear_time(shape, dialect):
+    """Each reader takes well under a second on 1 MiB of each shape here;
+    quadratic work would take hours, so 2 s tells the two apart on any
+    machine."""
+    text = _LONG_INPUTS[shape](dialect)
+    started = time.perf_counter()
+    result = _scan(lambda text: parse(text, dialect), text)
+    assert time.perf_counter() - started < 2.0
+    expected = _LONG_RESULTS[shape, dialect]
+    assert result == (parse(_VALID[dialect], dialect) if expected is None else expected)
 
 
 # ---------------------------------------------------------------------------

@@ -82,3 +82,26 @@ def test_every_method_is_named_elsewhere_in_src():
         if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
     )
     assert unused == []
+
+
+def _opens_for_writing(tree) -> list[int]:
+    """The lines of ``tree`` that call ``open``, as a name or a method, with
+    a mode that is not a string constant or that writes, appends or creates."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or getattr(node.func, "id", getattr(node.func, "attr", None)) != "open":
+            continue
+        modes = node.args[1:2] + [keyword.value for keyword in node.keywords if keyword.arg == "mode"]
+        if any(not isinstance(mode, ast.Constant) or not set(str(mode.value)).isdisjoint("wax+")
+               for mode in modes):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_kb_opens_a_file_for_writing():
+    """``kb.write_text`` writes every whole file and ``kb.jsonl_writer``
+    streams the rest, so a file is written whole or not at all in one place."""
+    writers = [f"{module}.py:{line}" for module, tree in MODULES.items() if module != "kb"
+               for line in _opens_for_writing(tree)]
+    assert writers == []
+    assert len(_opens_for_writing(MODULES["kb"])) == 2

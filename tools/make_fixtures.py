@@ -36,8 +36,9 @@ from kbqa_repair.kb import (  # noqa: E402
     delete_elements,
     save_kb,
     save_plan,
-    jsonl_writer,
     write_json,
+    write_jsonl,
+    write_text,
 )
 from kbqa_repair.pipeline import build_pun_prompt  # noqa: E402
 from kbqa_repair.query import Literal, parse_sparql  # noqa: E402
@@ -50,8 +51,7 @@ FIXTURES = ROOT / "tests" / "fixtures"
 
 def jsonl(path: Path, records: list[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with jsonl_writer(str(path)) as write:
-        write(records)
+    write_jsonl(str(path), records)
 
 
 def write_mock(path: Path, matchers: list[tuple[str, str]]) -> None:
@@ -530,7 +530,7 @@ def build_golden_prompt() -> None:
     prompt = build_pun_prompt(
         kb, "which school newspaper deals with the same subject as the onion?", ctx
     )
-    (FIXTURES / "golden_pun_prompt.txt").write_bytes(prompt.encode("utf-8"))
+    write_text(str(FIXTURES / "golden_pun_prompt.txt"), prompt)
 
 
 # ---------------------------------------------------------------------------
