@@ -130,7 +130,10 @@ class HttpGateway(GenerationGateway):
     The proxy is read from ``http_proxy``/``https_proxy`` (else
     ``all_proxy``) at construction; urllib skips it for hosts that
     ``no_proxy`` names.  Redirects are not followed.  A reply body longer
-    than 1 MiB is a protocol error and is not retried.
+    than 1 MiB is a protocol error and is not retried.  An attempt's body
+    must be read by ``timeout`` seconds after the attempt started, by the
+    monotonic clock, or the attempt is a timeout; before the body, each
+    socket operation has ``timeout`` seconds.
     """
 
     def __init__(
@@ -223,19 +226,21 @@ class HttpGateway(GenerationGateway):
 
     def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes, str | None]:
         """One POST: (status, body, its Retry-After header or None).  A body
-        longer than ``_MAX_REPLY_BYTES`` raises a protocol ``GatewayError``;
-        no more than one byte past the bound is read."""
+        still arriving ``timeout`` seconds after the POST started raises
+        ``TimeoutError``; one longer than ``_MAX_REPLY_BYTES`` raises a
+        protocol ``GatewayError``."""
         import urllib.error
         import urllib.request
 
+        deadline = time.monotonic() + self.timeout
         request = urllib.request.Request(self._url, body, headers)
         try:
             with self._opener.open(request, timeout=self.timeout) as response:
-                status, data = response.status, response.read(_MAX_REPLY_BYTES + 1)
+                status, data = response.status, _read_body(response, deadline)
                 retry_header = response.headers.get("Retry-After")
         except urllib.error.HTTPError as err:
             with err:
-                status, data = err.code, err.read(_MAX_REPLY_BYTES + 1)
+                status, data = err.code, _read_body(err, deadline)
                 retry_header = err.headers.get("Retry-After")
         except urllib.error.URLError as err:
             # urllib wraps what failed while connecting or sending; a timeout
@@ -244,6 +249,22 @@ class HttpGateway(GenerationGateway):
         if len(data) > _MAX_REPLY_BYTES:
             raise GatewayError("protocol", f"reply body is longer than {_MAX_REPLY_BYTES} bytes")
         return status, data, retry_header
+
+
+def _read_body(reply, deadline: float) -> bytes:
+    """``reply``'s body, read in chunks until its end or one byte past
+    ``_MAX_REPLY_BYTES``.  Passing ``deadline`` on the monotonic clock between
+    two chunks raises ``TimeoutError``."""
+    chunks, size = [], 0
+    while size <= _MAX_REPLY_BYTES:
+        chunk = reply.read1(_MAX_REPLY_BYTES + 1 - size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size += len(chunk)
+        if time.monotonic() > deadline:
+            raise TimeoutError
+    return b"".join(chunks)
 
 
 def _retry_after_seconds(header: str | None) -> float | None:

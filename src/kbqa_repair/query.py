@@ -108,10 +108,6 @@ def rel(rid: str) -> Term:
     return Term("relation", rid)
 
 
-def lit(value: object, datatype: str) -> Term:
-    return Term("literal", Literal(value, datatype))
-
-
 TYPE_ASSERT = Term("type_assert", TYPE_ASSERT_ID)
 
 Pattern = tuple[Term, Term, Term]

@@ -3,10 +3,11 @@
 Strong verifiers flag certain errors (syntax, KB inconsistency, answer
 aberrations); weak verifiers flag likely errors (question/back-translation
 disagreement, empty answers).  A failed verdict carries the templated
-feedback string that drives the next repair round.  A suite run's verdict
-list is its whole record: the strong checks stop at their first failure, so
-a failed strong verdict is always the last verdict and the only failure, and
-the weak checks run only after every strong one has passed.  A V4 verdict's
+feedback string that drives the next repair round; V2a and V2b each decide
+and describe in one walk over the query.  A suite run's verdict list is its
+whole record: the strong checks stop at their first failure, so a failed
+strong verdict is always the last verdict and the only failure, and the
+weak checks run only after every strong one has passed.  A V4 verdict's
 strength alone places it: a strong one runs before V3, a weak one after.
 Answerable mode acts only through that strength, which makes V4b strong.
 These checks never see gold logical forms, gold answers or answerability
@@ -15,14 +16,14 @@ labels.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .executor import execute
 from .gateway import GenerationGateway, user
 from .kb import KnowledgeBase
 from .prompts import render_prompt
-from .query import Literal, LogicalForm, extract_classes, extract_entities, extract_relations
+from .query import Literal, LogicalForm
 
 STRONG = "strong"
 WEAK = "weak"
@@ -67,7 +68,7 @@ def _kb_inconsistency(description: str) -> str:
     return render_prompt("fb-kb-inconsistency", {"description": description})
 
 
-def _fmt_list(items: list[str]) -> str:
+def _fmt_list(items: Iterable[str]) -> str:
     return "[" + ", ".join(f"'{item}'" for item in items) + "]"
 
 
@@ -105,69 +106,60 @@ def v2a_type_compatibility(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     coincide.  The first conflicting term is reported, entities before
     variables, in order of first appearance.
 
-    One walk over the patterns decides; only a failing query is walked again,
-    to describe its first conflict.
+    One walk over the patterns records each term's constraints and decides;
+    a failure is described from that record.
     """
-    entities = kb.entities
-    variable_class: dict[str, str] = {}  # each variable's first induced class
+    entities, relations, classes = kb.entities, kb.relations, kb.classes
+    # (kind, value) of each entity and variable term -> its (source, class)
+    # constraints, keyed in order of first appearance: a term met in a
+    # pattern that induces nothing still takes its place.  A variable's first
+    # constraint holds its first induced class.  A term of another kind gets
+    # a throwaway list.
+    induced: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    conflict = False
     for s, p, o in lf.canonical.patterns:
+        subject = induced.setdefault((s.kind, s.value), []) if s.kind in ("var", "entity") else []
         if p.kind == "type_assert":
-            if o.kind != "class" or o.value not in kb.classes:
+            if o.kind != "class" or o.value not in classes:
                 continue
-            induced = ((s, o.value),)
+            source, found = f"type.object.type {o.value}", ((s, subject, o.value),)
         else:
-            rd = kb.relations.get(p.value)
+            obj = induced.setdefault((o.kind, o.value), []) if o.kind in ("var", "entity") else []
+            rd = relations.get(p.value)
             if rd is None:
                 continue
-            induced = ((s, rd.domain),) if rd.range_is_literal else ((s, rd.domain), (o, rd.range))
-        for term, class_id in induced:
+            source = rd.id
+            found = ((s, subject, rd.domain),) if rd.range_is_literal else (
+                (s, subject, rd.domain), (o, obj, rd.range))
+        for term, constraints, class_id in found:
+            constraints.append((source, class_id))
             if term.kind == "var":
-                if variable_class.setdefault(term.value, class_id) != class_id:
-                    return _v2a_failure(lf, kb)
+                if constraints[0][1] != class_id:
+                    conflict = True
             elif (term.kind == "entity" and term.value in entities
                     and class_id not in entities[term.value].classes):
-                return _v2a_failure(lf, kb)
-    return V2A_PASSED
-
-
-def _v2a_failure(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
-    """The failing V2a verdict of a query that has a conflict: it names the
-    first conflicting term and every constraint on it."""
-    # (kind, value) of each entity and variable term -> its (source, class)
-    # constraints; insertion order is first appearance in the patterns.  A
-    # term of another kind gets a throwaway list.
-    induced: defaultdict[tuple[str, str], list[tuple[str, str]]] = defaultdict(list)
-    for s, p, o in lf.canonical.patterns:
-        subject = induced[s.kind, s.value] if s.kind in ("var", "entity") else []
-        if p.kind == "type_assert":
-            if o.kind == "class" and o.value in kb.classes:
-                subject.append((f"type.object.type {o.value}", o.value))
-            continue
-        obj = induced[o.kind, o.value] if o.kind in ("var", "entity") else []
-        rd = kb.relations.get(p.value)
-        if rd is not None:
-            subject.append((rd.id, rd.domain))
-            if not rd.range_is_literal:
-                obj.append((rd.id, rd.range))
+                conflict = True
+    if not conflict:
+        return V2A_PASSED
 
     for wanted in ("entity", "var"):
         for (kind, key), constraints in induced.items():
-            if kind != wanted or not constraints:
+            if kind != wanted:
                 continue
-            classes = list(dict.fromkeys([class_id for _, class_id in constraints]))
+            types = dict.fromkeys(class_id for _, class_id in constraints)
             if kind == "entity":
                 # an entity not in the KB is V2b's to report
-                if key not in kb.entities or all(c in kb.entity_classes(key) for c in classes):
+                if key not in entities or all(c in entities[key].classes for c in types):
                     continue
                 term, why = "entity", "These types are not associated with this entity in the KB."
             else:
-                if len(classes) <= 1:
+                if len(types) <= 1:
                     continue
                 term, why = f"variable ?{key}", "These types are mutually incompatible."
-            sources = list(dict.fromkeys([source for source, _ in constraints]))
+            sources = dict.fromkeys(source for source, _ in constraints)
             description = (
                 f"The types of relations don't match for {term} in the query. "
-                f"The assigned relation types by {_fmt_list(sources)} are {_fmt_list(classes)}. {why}"
+                f"The assigned relation types by {_fmt_list(sources)} are {_fmt_list(types)}. {why}"
             )
             return Verdict("V2a", STRONG, False, _kb_inconsistency(description))
 
@@ -178,41 +170,31 @@ def _v2a_failure(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
 
 def v2b_schema_presence(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
     """Fails iff the query references a class, relation or entity not in the
-    KB.  One walk over the patterns and the aggregate path decides; only a
-    failing query is listed, to name what is missing."""
+    KB.  One walk over the patterns, then the aggregate path, collects what
+    is missing, each id once in first-appearance order, and decides."""
     q = lf.canonical
     relations, classes, entities = kb.relations, kb.classes, kb.entities
+    missing_relations, missing_classes, missing_entities = {}, {}, {}  # dicts as ordered sets
     for s, p, o in q.patterns:
         if p.kind == "relation":
             if p.value not in relations:
-                return _v2b_failure(lf, kb)
+                missing_relations[p.value] = None
         elif p.kind == "type_assert" and o.value not in classes:
-            return _v2b_failure(lf, kb)
-        if (s.kind == "entity" and s.value not in entities
-                or o.kind == "entity" and o.value not in entities):
-            return _v2b_failure(lf, kb)
+            missing_classes[o.value] = None
+        if s.kind == "entity" and s.value not in entities:
+            missing_entities[s.value] = None
+        if o.kind == "entity" and o.value not in entities:
+            missing_entities[o.value] = None
     if q.aggregate is not None:
         for rid in q.aggregate.path:
             if rid not in relations:
-                return _v2b_failure(lf, kb)
-    return V2B_PASSED
-
-
-def _v2b_failure(lf: LogicalForm, kb: KnowledgeBase) -> Verdict:
-    """The failing V2b verdict: the missing relations, classes and entities,
-    each once in first-appearance order."""
-    q = lf.canonical
-    missing = {
-        "relations": [rid for rid in extract_relations(q) if rid not in kb.relations],
-        "entity types": [cid for cid in extract_classes(q) if cid not in kb.classes],
-        "entities": [eid for eid in extract_entities(q) if eid not in kb.entities],
-    }
-    parts = [f"{what} {_fmt_list(ids)}" for what, ids in missing.items() if ids]
-    description = (
-        "The sparql hallucinates schema elements that do not exist in the KB: "
-        + ", ".join(parts)
-        + "."
-    )
+                missing_relations[rid] = None
+    if not (missing_relations or missing_classes or missing_entities):
+        return V2B_PASSED
+    missing = {"relations": missing_relations, "entity types": missing_classes,
+               "entities": missing_entities}
+    parts = ", ".join(f"{what} {_fmt_list(ids)}" for what, ids in missing.items() if ids)
+    description = f"The sparql hallucinates schema elements that do not exist in the KB: {parts}."
     return Verdict("V2b", STRONG, False, _kb_inconsistency(description))
 
 

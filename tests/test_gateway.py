@@ -399,6 +399,38 @@ def test_http_slow_reply_times_out(serve):
     assert "timed out after 0.05s" in str(err.value)
 
 
+class _DripHandler(_Handler):
+    """Sends a 200 status, then one body byte every 0.2 s until ``release``
+    is set or the body is whole."""
+
+    release = threading.Event()
+
+    def do_POST(self):
+        self.send_response(200)
+        self.send_header("Content-Length", "20")
+        self.end_headers()
+        for _ in range(20):
+            if _DripHandler.release.wait(0.2):
+                return
+            self.wfile.write(b" ")
+
+
+def test_http_dripping_reply_times_out_within_the_attempt(serve):
+    # Each read gets a byte well inside the read timeout; the attempt's
+    # deadline ends the call.
+    _DripHandler.release.clear()
+    gw = HttpGateway(serve(_DripHandler), "m", max_retries=0, timeout=0.5)
+    started = time.monotonic()
+    try:
+        with pytest.raises(GatewayError) as err:
+            gw.complete([user("x")])
+    finally:
+        _DripHandler.release.set()
+    assert time.monotonic() - started < 1.0
+    assert err.value.kind == "timeout"
+    assert "timed out after 0.5s" in str(err.value)
+
+
 class _ProxyHandler(http.server.BaseHTTPRequestHandler):
     """Plays a forward proxy: records each request line's target and
     ``Proxy-Authorization``, answers plain requests itself and refuses

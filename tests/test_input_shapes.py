@@ -1,10 +1,12 @@
 """Every input file is checked against kb.SHAPES before it is used.
 
-The property takes one record of a fixture file (schema, data, plan,
+The first property takes one record of a fixture file (schema, data, plan,
 dataset, mock, config, predictions or traces), replaces one field or one list
 element with a value of another JSON type, and runs the command that reads
-the file through ``cli.main``.  The command exits 0, or exits 2 with exactly
-one ``error: ...`` line; it never raises and never exits 1.
+the file through ``cli.main``.  The second flips, deletes or inserts bytes
+in one fig1 input and runs four commands that read them.  Each command
+exits 0, or exits 2 with exactly one ``error: ...`` line; it never raises
+and never exits 1.
 """
 
 import contextlib
@@ -147,3 +149,60 @@ def test_a_value_of_another_json_type_exits_0_or_2(name, data):
             code = main([str(a) for a in argv])
     message = err.getvalue()
     assert code == 0 or (code == 2 and message.startswith("error: ") and message.count("\n") == 1), message
+
+
+# The inputs of four commands over fig1: where each file's copy goes in the
+# scratch directory, and the file it is copied from.
+BYTE_INPUTS = {
+    "kb/schema.json": FIG1 / "kb3" / "schema.json",
+    "kb/data.jsonl": FIG1 / "kb3" / "data.jsonl",
+    "split.jsonl": FIG1 / "dataset_kb3.jsonl",
+    "plan.json": FIG1 / "plan_kb1.json",
+    "pred.jsonl": GOLDEN / "fig1_kb3" / "outcomes.jsonl",
+    "traces.jsonl": GOLDEN / "fig1_kb3" / "traces.jsonl",
+}
+# "@" marks a path in the scratch directory.
+BYTE_COMMANDS = (
+    ("kb", "validate", "--kb", "@kb"),
+    ("dataset", "inject", "--kb", "@kb", "--split", "@split.jsonl", "--plan", "@plan.json",
+     "--out", "@out"),
+    ("eval", "--kb", "@kb", "--pred", "@pred.jsonl", "--gold", "@split.jsonl"),
+    ("trace", "show", "--trace", "@traces.jsonl"),
+)
+EDITS = st.lists(st.tuples(st.sampled_from(("flip", "delete", "insert")),
+                           st.integers(0, 2**16), st.integers(1, 255)), min_size=1, max_size=4)
+
+
+def _edit(data: bytes, edits) -> bytes:
+    """``data`` with each edit applied in turn: a byte XORed with a nonzero
+    mask, a byte deleted, or a byte inserted, at a position taken modulo the
+    length."""
+    data = bytearray(data)
+    for op, position, byte in edits:
+        if op == "insert":
+            data.insert(position % (len(data) + 1), byte)
+        elif data and op == "flip":
+            data[position % len(data)] ^= byte
+        elif data:
+            del data[position % len(data)]
+    return bytes(data)
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(sorted(BYTE_INPUTS)), edits=EDITS)
+def test_a_byte_edited_input_never_crashes_a_command(name, edits):
+    """One fig1 input with bytes flipped, deleted or inserted: each command
+    that reads the inputs exits 0, or 2 with one error line."""
+    with tempfile.TemporaryDirectory() as scratch:
+        tmp = Path(scratch)
+        (tmp / "kb").mkdir()
+        for target, source in BYTE_INPUTS.items():
+            data = source.read_bytes()
+            (tmp / target).write_bytes(_edit(data, edits) if target == name else data)
+        for argv in BYTE_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([str(tmp / a[1:]) if a.startswith("@") else a for a in argv])
+            message = err.getvalue()
+            assert code == 0 or (code == 2 and message.startswith("error: ")
+                                 and message.count("\n") == 1), (argv, message)

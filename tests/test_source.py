@@ -14,7 +14,8 @@ UNUSED_ALLOWED = {"retrieval.lexical_score"}
 
 def _named(node) -> Counter[str]:
     """How often ``node`` reads each name: variables, attributes, imported
-    names and strings (such as the entries of ``__all__``)."""
+    names and the string entries of ``__all__``.  Any other string is text,
+    not a use: a tag such as ``"lit"`` names no definition."""
     names = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
@@ -23,8 +24,9 @@ def _named(node) -> Counter[str]:
             names[sub.attr] += 1
         elif isinstance(sub, ast.alias):
             names[sub.name] += 1
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            names[sub.value] += 1
+        elif isinstance(sub, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in sub.targets):
+            names.update(entry.value for entry in ast.walk(sub.value)
+                         if isinstance(entry, ast.Constant) and isinstance(entry.value, str))
     return names
 
 

@@ -8,8 +8,8 @@ from kbqa_repair import verifiers
 from kbqa_repair.gateway import GatewayError, Matcher, MockGateway, RecordingGateway
 from kbqa_repair.kb import DeletionPlan, delete_elements
 from kbqa_repair.query import (
-    TYPE_ASSERT, Aggregate, LogicalForm, cls, entity, extract_classes, extract_entities,
-    extract_relations, lit, rel, var,
+    TYPE_ASSERT, Aggregate, CanonicalQuery, Literal, LogicalForm, Term, cls, entity,
+    extract_classes, extract_entities, extract_relations, rel, var,
 )
 from kbqa_repair.verifiers import (
     Verdict,
@@ -112,6 +112,21 @@ def test_v2a_skips_unknown_ids(a13_kb):
     assert v2a_type_compatibility(ghost, a13_kb).passed  # V2b's channel
 
 
+def test_v2a_reports_variables_in_order_of_first_appearance_not_first_constraint(a13_kb):
+    # ?y first appears in a pattern that induces nothing and conflicts last;
+    # ?x is constrained, and conflicts, before ?y is.
+    both = lf(
+        "SELECT ?y WHERE { ?y ns:ghost.relation ?z . "
+        "?x ns:type.object.type ns:music.genre . ?x ns:type.object.type ns:music.artist . "
+        "?y ns:type.object.type ns:music.genre . ?y ns:type.object.type ns:music.recording }"
+    )
+    assert v2a_type_compatibility(both, a13_kb).feedback == _kb_inconsistency(
+        "The types of relations don't match for variable ?y in the query. The assigned relation "
+        "types by ['type.object.type music.genre', 'type.object.type music.recording'] are "
+        "['music.genre', 'music.recording']. These types are mutually incompatible."
+    )
+
+
 def _v2a_two_pass(form: LogicalForm, kb) -> Verdict:
     """V2a as it was written before it became one pass: collect each term's
     constraints with its first appearance, then scan entities, then
@@ -190,7 +205,7 @@ def _with_extra_patterns(rng: random.Random, kb, q):
         if rng.random() < 0.4:
             patterns.append((subject, TYPE_ASSERT, cls(rng.choice([*kb.classes, "ghost.class"]))))
         else:
-            obj = rng.choice([*terms, lit(3, "integer")])
+            obj = rng.choice([*terms, Term("literal", Literal(3, "integer"))])
             patterns.append((subject, rel(rng.choice([*kb.relations, "ghost.relation"])), obj))
     rng.shuffle(patterns)
     return replace(q, patterns=tuple(patterns))
@@ -242,6 +257,21 @@ def test_v2b_feedback_lists_relations_then_types_then_entities_each_once(pairs_k
         "elements that do not exist in the KB: relations ['geo.city.mayor'], entity types "
         "['geo.lake'], entities ['m.0nope']. Please generate again a different executable sparql "
         "using the same context and constraints. DO NOT APOLOGIZE - just return the best you can try."
+    )
+
+
+def test_v2b_lists_a_missing_relation_once_pattern_relations_before_path_relations(a13_kb):
+    # ghost.a is in two patterns and in the argmax path; ghost.b only in the path.
+    x, y = var("x"), var("y")
+    q = CanonicalQuery("x", False, (
+        (entity("m.0123lk0s"), rel("ghost.a"), x),
+        (x, rel("music.recording.artist"), y),
+        (y, rel("ghost.a"), x),
+    ), aggregate=Aggregate("argmax", ("ghost.b", "ghost.a")))
+    verdict = v2b_schema_presence(LogicalForm("sparql", "synthetic", q), a13_kb)
+    assert verdict.feedback == _kb_inconsistency(
+        "The sparql hallucinates schema elements that do not exist in the KB: "
+        "relations ['ghost.a', 'ghost.b']."
     )
 
 
